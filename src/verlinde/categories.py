@@ -18,6 +18,7 @@ check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -235,7 +236,15 @@ class PresentedCategory:
 
 
 def validate_category(cat: PresentedCategory) -> Report:
-    """Check associativity on all basis triples and the identity laws."""
+    """Check the identity laws and associativity on composable basis triples.
+
+    Associativity is checked on the structure constants scaled by their
+    common denominator D: both bracketings of a triple are then integer
+    combinations equal to D^2 times the true composite, so comparing
+    them is exact.  A failing triple is recomputed through `compose` for
+    its report entry.  `checked` counts the identity equations (two per
+    basis element) plus the composable triples.
+    """
     report = Report("category axioms")
     for b in sorted(cat._basis):
         p, q = cat.basis_type(b)
@@ -247,24 +256,46 @@ def validate_category(cat: PresentedCategory) -> Report:
         if right != m:
             report.fail(f"identity law: {b} . id_{p} = {right.coeffs} != {b}")
 
-    for h, (hp, hq) in sorted(cat._basis.items()):
-        for g, (gp, gq) in sorted(cat._basis.items()):
-            if gq != hp:
-                continue
-            for f, (fp, fq) in sorted(cat._basis.items()):
-                if fq != gp:
-                    continue
-                lhs = cat.compose(cat.compose(cat.basis_morphism(h),
-                                              cat.basis_morphism(g)),
-                                  cat.basis_morphism(f))
-                rhs = cat.compose(cat.basis_morphism(h),
-                                  cat.compose(cat.basis_morphism(g),
-                                              cat.basis_morphism(f)))
-                if lhs != rhs:
-                    report.fail(
-                        f"associativity on ({h},{g},{f}): "
-                        f"{lhs.coeffs} != {rhs.coeffs}")
+    ending_at: dict[str, list[str]] = {}
+    for b, (_, q) in sorted(cat._basis.items()):
+        ending_at.setdefault(q, []).append(b)
+    denom = math.lcm(*(c.denominator for combo in cat._table.values()
+                       for c in combo.values()))
+    table = {gf: {h: c.numerator * (denom // c.denominator)
+                  for h, c in combo.items()}
+             for gf, combo in cat._table.items()}
+    empty: dict[str, int] = {}
+    triples = 0
+    for h, (hp, _) in sorted(cat._basis.items()):
+        for g in ending_at.get(hp, ()):
+            hg = table.get((h, g), empty)
+            fs = ending_at.get(cat._basis[g][0], ())
+            triples += len(fs)
+            for f in fs:
+                lhs: dict[str, int] = {}
+                for k, a in hg.items():
+                    for m, c in table.get((k, f), empty).items():
+                        lhs[m] = lhs.get(m, 0) + a * c
+                rhs: dict[str, int] = {}
+                for k, a in table.get((g, f), empty).items():
+                    for m, c in table.get((h, k), empty).items():
+                        rhs[m] = rhs.get(m, 0) + a * c
+                if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
+                    report.fail(_associativity_entry(cat, h, g, f))
+    report.checked = 2 * len(cat._basis) + triples
     return report
+
+
+def _nonzero(combo: dict) -> dict:
+    return {k: v for k, v in combo.items() if v}
+
+
+def _associativity_entry(cat: PresentedCategory, h: str, g: str,
+                         f: str) -> str:
+    hm, gm, fm = (cat.basis_morphism(b) for b in (h, g, f))
+    lhs = cat.compose(cat.compose(hm, gm), fm)
+    rhs = cat.compose(hm, cat.compose(gm, fm))
+    return f"associativity on ({h},{g},{f}): {lhs.coeffs} != {rhs.coeffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +468,41 @@ def karoubi_idempotents(cat: PresentedCategory, obj: str,
     return found
 
 
+def _carved_row(base: PresentedCategory, carved, src, dst,
+                k: int) -> Morphism:
+    """Row k of the carved-out hom(src, dst) as a base morphism."""
+    base_names, rows, _ = carved[(src, dst)]
+    return base.morphism(src[0], dst[0], dict(zip(base_names, rows[k])))
+
+
 class KaroubiCategory(PresentedCategory):
     """A Karoubi completion that remembers where its objects came from.
 
     `pairs` lists the (base object, idempotent coefficients) pairs in
     object order; `embed` turns a base morphism satisfying the triple
     constraint e' . f = f = f . e into a morphism of the completion, and
-    `base_morphism_of` goes the other way for basis elements.
+    `base_morphism_of` goes the other way for basis elements.  `carved`
+    maps each (source pair, target pair) to its carved-out hom space
+    (base basis names, rref rows, pivots); `basis_home` maps each basis
+    name of the completion to its (source pair, target pair, row index).
     """
 
     def __init__(self, objects, hom, compose, identities, *, base, pairs,
-                 names, carved):
+                 names, carved, basis_home):
         super().__init__(objects, hom, compose, identities)
         self.base = base
         self.pairs = tuple(pairs)
         self._pair_names = dict(names)
         self._carved = carved
+        self._basis_home = basis_home
 
     def object_of(self, pair) -> str:
         obj, coeffs = pair
         return self._pair_names[(obj, tuple(rat(c) for c in coeffs))]
 
     def base_morphism_of(self, basis_name: str) -> Morphism:
-        src, dst, k = self._carved["data"][basis_name]
-        base_names, rows, _ = self._carved[(src, dst)]
-        return self.base.morphism(src[0], dst[0],
-                                  dict(zip(base_names, rows[k])))
+        return _carved_row(self.base, self._carved,
+                           *self._basis_home[basis_name])
 
     def embed(self, src_pair, dst_pair, f: Morphism) -> Morphism:
         """The triple (e', f, e) as a morphism of the completion."""
@@ -523,7 +563,7 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
 
     # carve out hom((p,e),(q,f)) = f . hom(p,q) . e with an rref basis
     hom = {}
-    basis_data = {}
+    basis_home = {}
     carved = {}
     for src in pairs:
         for dst in pairs:
@@ -544,13 +584,8 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
             for k in range(len(rows)):
                 name = f"{names[src]}>{names[dst]}:{k}"
                 basis.append(name)
-                basis_data[name] = (src, dst, k)
+                basis_home[name] = (src, dst, k)
             hom[(names[src], names[dst])] = tuple(basis)
-
-    def to_base(src, dst, k) -> Morphism:
-        base, rows, _ = carved[(src, dst)]
-        return cat.morphism(src[0], dst[0],
-                            dict(zip(base, rows[k])))
 
     def express(src, dst, m: Morphism) -> dict[str, Fraction]:
         if (src, dst) not in carved:
@@ -567,13 +602,16 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                 out[f"{names[src]}>{names[dst]}:{k}"] = c
         return out
 
+    in_base = {name: _carved_row(cat, carved, *home)
+               for name, home in basis_home.items()}
+    ending_at: dict[tuple, list[str]] = {}
+    for uname, (_, mid, _) in basis_home.items():
+        ending_at.setdefault(mid, []).append(uname)
     compose = {}
-    for vname, (mid_v, dst, kv) in basis_data.items():
-        for uname, (src, mid, ku) in basis_data.items():
-            if mid != mid_v:
-                continue
-            product = cat.compose(to_base(mid, dst, kv), to_base(src, mid, ku))
-            combo = express(src, dst, product)
+    for vname, (mid, dst, _) in basis_home.items():
+        for uname in ending_at.get(mid, ()):
+            product = cat.compose(in_base[vname], in_base[uname])
+            combo = express(basis_home[uname][0], dst, product)
             if combo:
                 compose[(vname, uname)] = combo
 
@@ -585,11 +623,11 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
         else:
             identities[names[pair]] = {}
 
-    carved["data"] = basis_data
     return KaroubiCategory(
         objects=tuple(names[p] for p in pairs),
         hom=hom, compose=compose, identities=identities,
-        base=cat, pairs=pairs, names=names, carved=carved)
+        base=cat, pairs=pairs, names=names, carved=carved,
+        basis_home=basis_home)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ class Report:
     """Accumulates failure messages from an axiom or consistency check.
 
     A report with no entries means the check passed.  Reports render to
-    deterministic plain text, one failure per line.
+    deterministic plain text, one failure per line.  `checked` counts the
+    equations a check evaluated, where the check records it; it is not
+    rendered.
     """
 
     def __init__(self, title: str):
         self.title = title
         self.entries: list[str] = []
+        self.checked = 0
 
     @property
     def ok(self) -> bool:
@@ -24,6 +27,7 @@ class Report:
         self.entries.append(message)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
+        self.checked += other.checked
         for entry in other.entries:
             self.entries.append(prefix + entry)
 

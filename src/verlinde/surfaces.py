@@ -80,9 +80,8 @@ def _unit_multiplicity(ring: FusionRing, vec) -> int:
     return sum(vec[b] for b in ring.unit)
 
 
-@lru_cache(maxsize=None)
-def _dim_closed_over(ring: FusionRing, genus: int,
-                     colours: tuple[int, ...]) -> int:
+def _eval_in_order(ring: FusionRing, genus: int, colours) -> int:
+    """Fold the colours strictly in the given order, then the handles."""
     vec = ring.unit_vector()
     for a in colours:
         vec = multiply(ring, vec, ring.basis_vector(a))
@@ -92,16 +91,19 @@ def _dim_closed_over(ring: FusionRing, genus: int,
     return _unit_multiplicity(ring, vec)
 
 
+_dim_closed_over = lru_cache(maxsize=None)(_eval_in_order)
+
+
 def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
     """Dimension of the space attached to a coloured surface.
 
-    Assumes the ring passes `verify_axioms`; the boundary order is
-    immaterial for valid rings, so results are memoised per sorted
-    colour multiset.
+    The colours are folded in the given boundary order, then the
+    handles.  For rings that pass `verify_axioms` the order is
+    immaterial; for rings that fail them the in-order product is the
+    answer, so results are memoised per ordered boundary.
     """
     _check_labels(ring, surface)
-    return _dim_closed_over(ring, surface.genus,
-                            tuple(sorted(surface.boundary)))
+    return _dim_closed_over(ring, surface.genus, surface.boundary)
 
 
 def dim_V_disjoint(ring: FusionRing, surfaces) -> int:
@@ -121,17 +123,6 @@ def sphere_dim(ring: FusionRing) -> int:
 
 # ---------------------------------------------------------------------------
 # gluing consistency
-
-
-def _eval_in_order(ring: FusionRing, genus: int, colours) -> int:
-    """Fold the colours strictly in the given order, then the handles."""
-    vec = ring.unit_vector()
-    for a in colours:
-        vec = multiply(ring, vec, ring.basis_vector(a))
-    handle = handle_vector(ring)
-    for _ in range(genus):
-        vec = multiply(ring, vec, handle)
-    return _unit_multiplicity(ring, vec)
 
 
 def _eval_by_gluing(ring: FusionRing, genus: int, colours: tuple[int, ...],

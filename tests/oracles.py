@@ -2,8 +2,10 @@
 
 Nothing here reuses the library's evaluation paths: surface dimensions
 are recomputed by naive convolution (and, for tiny cases, by literally
-expanding the product as a multiset of labels), and representation-ring
-coefficients come from character-table inner products.
+expanding the product as a multiset of labels), representation-ring
+coefficients come from character-table inner products, and category
+associativity is checked on every basis triple with plain `Fraction`
+sums over `compose_basis`.
 """
 
 from __future__ import annotations
@@ -126,3 +128,37 @@ def s3_cayley_table() -> list[list[int]]:
         return tuple(p[q[i]] for i in range(3))
 
     return [[index[compose(p, q)] for q in elems] for p in elems]
+
+
+# ---------------------------------------------------------------------------
+# category associativity by brute force over all basis triples
+
+
+def _compose_combos(cat, left: dict, right: dict) -> dict:
+    """Bilinear composite `left . right` of two basis combinations."""
+    out: dict[str, Fraction] = {}
+    for g, a in left.items():
+        for f, b in right.items():
+            for h, c in cat.compose_basis(g, f).items():
+                out[h] = out.get(h, Fraction(0)) + a * b * c
+    return {h: v for h, v in out.items() if v}
+
+
+def associativity_failures(cat) -> set[tuple[str, str, str]]:
+    """Every composable basis triple (h, g, f) with (hg)f != h(gf).
+
+    Cubic in the number of basis morphisms; keep to a few dozen.
+    """
+    types = {b: pq for pq, basis in cat.hom_pairs() for b in basis}
+    failures = set()
+    for h in types:
+        for g in types:
+            for f in types:
+                if types[f][1] != types[g][0] or types[g][1] != types[h][0]:
+                    continue
+                hm, gm, fm = ({b: Fraction(1)} for b in (h, g, f))
+                lhs = _compose_combos(cat, _compose_combos(cat, hm, gm), fm)
+                rhs = _compose_combos(cat, hm, _compose_combos(cat, gm, fm))
+                if lhs != rhs:
+                    failures.add((h, g, f))
+    return failures

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load
-from oracles import s3_cayley_table
+from oracles import associativity_failures, s3_cayley_table
 from verlinde.categories import (Algebra, CategoryFormatError, DEFAULT_GRID,
                                  KaroubiCategory, PresentedCategory,
                                  character_vector, cyclic_table,
@@ -52,6 +52,114 @@ def test_broken_associativity_names_the_triple():
     report = validate_category(cat)
     assert not report.ok
     assert any("(a,b,a)" in e for e in report.entries)
+
+
+def _with_table(cat: PresentedCategory, table) -> PresentedCategory:
+    return PresentedCategory(
+        objects=cat.objects, hom=dict(cat.hom_pairs()), compose=table,
+        identities={p: cat.identity_coeffs(p) for p in cat.objects})
+
+
+def _perturbed(cat: PresentedCategory, change):
+    """One copy of `cat` per structure constant c, with c -> change(c)."""
+    base = {gf: dict(combo) for gf, combo in sorted(cat.table_items())}
+    for gf, combo in base.items():
+        for h in combo:
+            table = {key: dict(c) for key, c in base.items()}
+            table[gf][h] = change(table[gf][h])
+            yield _with_table(cat, table)
+
+
+def _rescaled(cat: PresentedCategory, scale) -> PresentedCategory:
+    """The same category on the basis b' = scale[b] * b."""
+    table = {(g, f): {h: scale[g] * scale[f] * c / scale[h]
+                      for h, c in combo.items()}
+             for (g, f), combo in cat.table_items()}
+    return PresentedCategory(
+        objects=cat.objects, hom=dict(cat.hom_pairs()), compose=table,
+        identities={p: {b: c / scale[b]
+                        for b, c in cat.identity_coeffs(p).items()}
+                    for p in cat.objects})
+
+
+def _named_triples(report) -> list[str]:
+    # basis names contain no spaces, so the first "): " closes the triple
+    return sorted(e[:e.index("): ") + 1] for e in report.entries
+                  if e.startswith("associativity on "))
+
+
+def _composable_triples(cat: PresentedCategory) -> int:
+    types = [pq for pq, basis in cat.hom_pairs() for _ in basis]
+    return sum(1 for h in types for g in types for f in types
+               if f[1] == g[0] and g[1] == h[0])
+
+
+# M_2 with denominators 2 and 3: e01'.e10' = e00'/2, e10'.e01' = e11'/3
+_M2_SCALE = {"e00": Fraction(2), "e01": Fraction(1), "e10": Fraction(1),
+             "e11": Fraction(3)}
+
+PERTURBED = {
+    "m2-doubled": lambda: _perturbed(matrix_algebra_category(2),
+                                     lambda c: 2 * c),
+    "m2-thirds-plus-sixth": lambda: _perturbed(
+        _rescaled(matrix_algebra_category(2), _M2_SCALE),
+        lambda c: c + Fraction(1, 6)),
+    "karoubi-k2": lambda: _perturbed(
+        karoubi_completion(product_field_algebra(2).to_category()),
+        lambda c: c + 1),
+    "mat-field-2": lambda: _perturbed(mat_completion(field_category(), 2),
+                                      lambda c: -c),
+    "tensor-m2-k2": lambda: _perturbed(
+        tensor_product(matrix_algebra_category(2),
+                       product_field_algebra(2).to_category()),
+        lambda c: c + Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED))
+def test_validate_names_exactly_the_oracle_triples(name):
+    for cat in PERTURBED[name]():
+        report = validate_category(cat)
+        expected = associativity_failures(cat)
+        assert expected
+        assert _named_triples(report) == sorted(
+            f"associativity on ({h},{g},{f})" for h, g, f in expected)
+        assert report.checked == (2 * sum(len(b) for _, b in cat.hom_pairs())
+                                  + _composable_triples(cat))
+
+
+def test_rescaled_m2_with_thirds_is_valid():
+    cat = _rescaled(matrix_algebra_category(2), _M2_SCALE)
+    denominators = {c.denominator for _, combo in cat.table_items()
+                    for c in combo.values()}
+    assert denominators == {1, 2, 3}
+    assert validate_category(cat).ok
+    assert not associativity_failures(cat)
+
+
+def test_doubled_m2_constant_report_text_is_pinned():
+    base = matrix_algebra_category(2)
+    table = {gf: dict(combo) for gf, combo in base.table_items()}
+    table[("e00", "e00")]["e00"] = Fraction(2)
+    report = validate_category(_with_table(base, table))
+    assert report.entries == [
+        "identity law: id_x . e00 = {'e00': Fraction(2, 1)} != e00",
+        "identity law: e00 . id_x = {'e00': Fraction(2, 1)} != e00",
+        "associativity on (e00,e00,e01): "
+        "{'e01': Fraction(2, 1)} != {'e01': Fraction(1, 1)}",
+        "associativity on (e00,e01,e10): "
+        "{'e00': Fraction(1, 1)} != {'e00': Fraction(2, 1)}",
+        "associativity on (e01,e10,e00): "
+        "{'e00': Fraction(2, 1)} != {'e00': Fraction(1, 1)}",
+        "associativity on (e10,e00,e00): "
+        "{'e10': Fraction(1, 1)} != {'e10': Fraction(2, 1)}",
+    ]
+
+
+def test_karoubi_mat2_counts_checked_equations():
+    completed = karoubi_completion(matrix_algebra_category(2))
+    assert len(completed._basis) == 289
+    assert validate_category(completed).checked == 2 * 289 + 104_329
 
 
 def test_identity_law_failure_reported():

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import CORPUS_RINGS, load
 from oracles import brute_force_dim, list_expansion_dim
-from verlinde.fusion import FusionRing, cyclic_ring
+from verlinde.exact import Tensor3
+from verlinde.fusion import FusionRing, cyclic_ring, verify_axioms
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
                                TwistFormatError, check_nontriviality, dim_V,
                                dim_V_disjoint, modular_report,
@@ -92,6 +93,18 @@ def test_boundary_permutation_invariance(name):
     reference = dim_V(ring, S(1, colours))
     for perm in itertools.permutations(colours):
         assert dim_V(ring, S(1, perm)) == reference
+
+
+def test_boundary_order_is_kept_on_a_non_commutative_ring():
+    # N[1,2,1] = 1 but N[2,1,.] = 0; both non-unit labels self-dual
+    coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+              (2, 0, 2): 1, (1, 1, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1}
+    ring = FusionRing(dual=(0, 1, 2), unit=(0,),
+                      coeffs=Tensor3.from_dict((3, 3, 3), coeffs))
+    assert not verify_axioms(ring).ok
+    assert dim_V(ring, S(0, (1, 2, 1))) == 1
+    for perm in set(itertools.permutations((1, 2, 1))):
+        assert dim_V(ring, S(0, perm)) == brute_force_dim(ring, 0, perm)
 
 
 def test_vacuum_insertion_is_neutral_for_irreducible_unit():
