@@ -10,7 +10,7 @@ idempotent completion (`categories`).  All arithmetic is exact rational
 """
 
 from .exact import (DimensionMismatchError, Matrix, Rational,
-                    SingularMatrixError, Tensor3, invert, mat_mul, rank, rat)
+                    SingularMatrixError, Tensor3, rat)
 from .report import Report
 from .fusion import (BlockStructureError, FusionRing, block_decomposition,
                      cyclic_ring, direct_product, dual_vector,

@@ -208,10 +208,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_check_separable(args) -> int:
-    adoc = _load(args.algebra)
-    frob = adoc.payload
-    algebra = categories.Algebra(names=frob.names, mult=frob.mult,
-                                 unit=frob.unit)
+    algebra = _load(args.algebra).payload
     edoc = _load(args.idempotent)
     report = categories.verify_separability_idempotent(algebra, edoc.payload)
     semisimple, gram = categories.trace_form_semisimple(algebra)

@@ -1,15 +1,17 @@
 """Exact rational linear algebra: dense matrices and small rank-3 tensors.
 
 Every scalar is a `fractions.Fraction`; nothing in this module ever
-rounds.  Rank and inverse questions are answered by plain Gaussian
-elimination pivoting on the first nonzero entry, which is all that is
-needed over exact rationals.  All values are immutable after
-construction, so they are safe to share freely.
+rounds.  Rank, inverse and row-reduced bases (`Matrix.rref`) all come
+from one fraction-free Gauss-Jordan elimination: rows are scaled to
+integers, eliminated over the integers with gcd normalisation (after
+Bareiss, 1968), and only the results return to `Fraction`.  All values
+are immutable after construction, so they are safe to share freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 __all__ = [
@@ -19,9 +21,6 @@ __all__ = [
     "Tensor3",
     "DimensionMismatchError",
     "SingularMatrixError",
-    "mat_mul",
-    "rank",
-    "invert",
 ]
 
 Rational = Fraction
@@ -131,49 +130,66 @@ class Matrix:
         return tuple(sum(a * b for a, b in zip(row, v))
                      for row in self.entries)
 
-    def rank(self) -> int:
-        m = [list(row) for row in self.entries]
-        r = 0
+    def _eliminate(self) -> tuple[list[list[int]], list[int]]:
+        """Fraction-free Gauss-Jordan: (integer rows, pivot columns).
+
+        Each row is scaled to integers by the lcm of its denominators and
+        eliminated over the integers, every combined row divided by the
+        gcd of its entries.  Row r, divided by its entry in column
+        pivots[r], is row r of the reduced row echelon form; the rows
+        past the last pivot are zero.
+        """
+        m = []
+        for row in self.entries:
+            den = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
+        pivots: list[int] = []
         for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0),
-                         None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            lead = m[r][c]
-            for i in range(r + 1, self.rows):
-                if m[i][c]:
-                    f = m[i][c] / lead
-                    for j in range(c, self.cols):
-                        m[i][j] -= f * m[r][j]
-            r += 1
+            r = len(pivots)
             if r == self.rows:
                 break
-        return r
+            p = next((i for i in range(r, self.rows) if m[i][c]), None)
+            if p is None:
+                continue
+            m[r], m[p] = m[p], m[r]
+            prow, a = m[r], m[r][c]
+            for i, row in enumerate(m):
+                b = row[c]
+                if b and i != r:
+                    row = [a * x - b * y for x, y in zip(row, prow)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
+            pivots.append(c)
+        return m, pivots
+
+    def rref(self) -> tuple[tuple[tuple[Fraction, ...], ...],
+                            tuple[int, ...]]:
+        """Reduced row echelon form: (nonzero rows, their pivot columns).
+
+        The rows have leading 1 and come in pivot order; they are the
+        unique reduced basis of the row space.
+        """
+        m, pivots = self._eliminate()
+        rows = tuple(tuple(Fraction(x, m[r][c]) for x in m[r])
+                     for r, c in enumerate(pivots))
+        return rows, tuple(pivots)
+
+    def rank(self) -> int:
+        return len(self._eliminate()[1])
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatchError(
                 f"cannot invert non-square {self.rows}x{self.cols} matrix")
         n = self.rows
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        r = 0
-        for c in range(n):
-            pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            lead = aug[r][c]
-            aug[r] = [x / lead for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
+        m, pivots = Matrix(
+            [row + tuple(int(i == j) for j in range(n))
+             for i, row in enumerate(self.entries)], cols=2 * n)._eliminate()
+        r = sum(1 for c in pivots if c < n)
         if r < n:
             raise SingularMatrixError(rank=r, size=n)
-        return Matrix([row[n:] for row in aug], cols=n)
+        return Matrix([[Fraction(x, row[i]) for x in row[n:]]
+                       for i, row in enumerate(m)], cols=n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
@@ -206,7 +222,7 @@ class Tensor3:
             d1 = d2 = d3 = 0
         if dims is None:
             dims = (d1, d2, d3)
-        if (d1, d2, d3) != dims and data:
+        if d1 != dims[0] or (d2 and (d2, d3) != dims[1:]):
             raise DimensionMismatchError(
                 f"tensor literal has shape {(d1, d2, d3)}, declared {dims}")
         for plane in data:
@@ -237,6 +253,26 @@ class Tensor3:
         i, j, k = ijk
         return self.entries[i][j][k]
 
+    def contract(self, weights) -> tuple[Fraction, ...]:
+        """z[k] = sum_ij w[i][j] t[i][j][k] for a d1 x d2 weight array.
+
+        Zero weights and zero entries are skipped; the result always has
+        d3 Fraction components.
+        """
+        d1, d2, d3 = self.dims
+        if len(weights) != d1 or any(len(row) != d2 for row in weights):
+            raise DimensionMismatchError(
+                f"cannot contract {d1}x{d2}x{d3} tensor with weights of "
+                f"{len(weights)} rows; expected {d1}x{d2}")
+        out = [Fraction(0)] * d3
+        for wrow, plane in zip(weights, self.entries):
+            for w, fibre in zip(wrow, plane):
+                if w:
+                    for k, c in enumerate(fibre):
+                        if c:
+                            out[k] += w * c
+        return tuple(out)
+
     def nonzero(self):
         """Yield ((i, j, k), value) for every nonzero entry, in index order."""
         for i, plane in enumerate(self.entries):
@@ -255,18 +291,3 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims}, nonzero={list(self.nonzero())})"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product; rejects mismatched shapes."""
-    return a @ b
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank by rational Gaussian elimination."""
-    return m.rank()
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError carrying the rank."""
-    return m.inverse()

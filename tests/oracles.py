@@ -3,9 +3,11 @@
 Nothing here reuses the library's evaluation paths: surface dimensions
 are recomputed by naive convolution (and, for tiny cases, by literally
 expanding the product as a multiset of labels), representation-ring
-coefficients come from character-table inner products, and category
+coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
-sums over `compose_basis`.
+sums over `compose_basis`, rank, inverse and row reduction come from a
+textbook `Fraction` Gauss-Jordan, and tensor contractions from a plain
+triple loop over `t[i, j, k]`.
 """
 
 from __future__ import annotations
@@ -162,3 +164,58 @@ def associativity_failures(cat) -> set[tuple[str, str, str]]:
                 if lhs != rhs:
                     failures.add((h, g, f))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# textbook Gauss-Jordan elimination and tensor contraction over Fraction
+
+
+def gauss_jordan(rows) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Reduced row echelon form of a list of rows: (nonzero rows, pivots).
+
+    Pivots on the first nonzero entry of each column, divides the pivot
+    row by its pivot and clears the column above and below, all in
+    `Fraction`.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    width = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(m[i]) for i in range(len(pivots))], pivots
+
+
+def gauss_jordan_rank(rows) -> int:
+    return len(gauss_jordan(rows)[1])
+
+
+def gauss_jordan_inverse(rows):
+    """Inverse of a square list of rows, or None when it is singular."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    reduced, pivots = gauss_jordan(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def naive_contract(t, weights) -> tuple[Fraction, ...]:
+    """z[k] = sum_ij w[i][j] t[i, j, k] by a plain triple loop."""
+    d1, d2, d3 = t.dims
+    out = [Fraction(0)] * d3
+    for i in range(d1):
+        for j in range(d2):
+            for k in range(d3):
+                out[k] += Fraction(weights[i][j]) * t[i, j, k]
+    return tuple(out)

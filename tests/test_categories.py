@@ -516,6 +516,18 @@ def test_matrix_algebra_separability_idempotent():
     assert report3.ok, report3.render()
 
 
+def test_separability_counts_checked_equations():
+    # n components of the multiplication map, n^3 commutation components
+    report = verify_separability_idempotent(
+        load("mat2.algebra"), matrix_separability_idempotent(2))
+    assert report.ok
+    assert report.checked == 68
+    mismatch = verify_separability_idempotent(
+        matrix_algebra(2), Matrix.identity(2))
+    assert not mismatch.ok
+    assert mismatch.checked == 0
+
+
 def test_componentwise_field_separability_idempotent():
     for n in (2, 3):
         report = verify_separability_idempotent(

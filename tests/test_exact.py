@@ -2,65 +2,69 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CORPUS_ALGEBRAS, load
+from oracles import (gauss_jordan, gauss_jordan_inverse, gauss_jordan_rank,
+                     naive_contract)
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3, invert, mat_mul,
-                            rank)
+                            SingularMatrixError, Tensor3)
+from verlinde.tqft import pairing_matrix
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 def test_mat_mul_identity():
     m = Matrix([[1, 2], [3, 4]])
-    assert mat_mul(Matrix.identity(2), m) == m
-    assert mat_mul(m, Matrix.identity(2)) == m
+    assert Matrix.identity(2) @ m == m
+    assert m @ Matrix.identity(2) == m
 
 
 def test_mat_mul_permutation_action():
     m = Matrix([[1, 2], [3, 4]])
     swap = Matrix([[0, 1], [1, 0]])
-    assert mat_mul(m, swap) == Matrix([[2, 1], [4, 3]])
+    assert m @ swap == Matrix([[2, 1], [4, 3]])
 
 
 def test_mat_mul_scalar_rationals():
-    got = mat_mul(Matrix([[Fraction(1, 2)]]), Matrix([[Fraction(2, 3)]]))
+    got = Matrix([[Fraction(1, 2)]]) @ Matrix([[Fraction(2, 3)]])
     assert got == Matrix([[Fraction(1, 3)]])
 
 
 def test_mat_mul_rejects_mismatch():
     with pytest.raises(DimensionMismatchError) as err:
-        mat_mul(Matrix([[1, 2]]), Matrix([[1, 2]]))
+        Matrix([[1, 2]]) @ Matrix([[1, 2]])
     assert "1x2" in str(err.value)
 
 
 def test_rank_examples():
-    assert rank(Matrix.zeros(3, 3)) == 0
-    assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert Matrix.zeros(3, 3).rank() == 0
+    assert Matrix.identity(3).rank() == 3
+    assert Matrix([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_invert_examples():
-    assert invert(Matrix.identity(3)) == Matrix.identity(3)
-    assert invert(Matrix([[2, 0], [0, 3]])) == Matrix(
+    assert Matrix.identity(3).inverse() == Matrix.identity(3)
+    assert Matrix([[2, 0], [0, 3]]).inverse() == Matrix(
         [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    assert invert(Matrix([[1, 1], [0, 1]])) == Matrix([[1, -1], [0, 1]])
+    assert Matrix([[1, 1], [0, 1]]).inverse() == Matrix([[1, -1], [0, 1]])
 
 
 def test_invert_singular_carries_rank():
     with pytest.raises(SingularMatrixError) as err:
-        invert(Matrix([[1, 2], [2, 4]]))
+        Matrix([[1, 2], [2, 4]]).inverse()
     assert err.value.rank == 1
     assert err.value.size == 2
 
 
 def test_invert_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
-        invert(Matrix([[1, 2, 3], [4, 5, 6]]))
+        Matrix([[1, 2, 3], [4, 5, 6]]).inverse()
 
 
 def test_matrix_is_immutable():
@@ -113,3 +117,122 @@ def test_tensor3_equality_and_hash():
     b = Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1})
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_tensor3_rejects_declared_shape_without_entries():
+    with pytest.raises(DimensionMismatchError):
+        Tensor3([], dims=(2, 2, 2))
+    assert Tensor3([], dims=(0, 2, 2)).dims == (0, 2, 2)
+    assert Tensor3.zeros(2, 0, 5).dims == (2, 0, 5)
+
+
+def test_contract_rejects_mismatched_weights():
+    t = Tensor3.zeros(2, 3, 2)
+    with pytest.raises(DimensionMismatchError):
+        t.contract([[1, 2, 3]])
+    with pytest.raises(DimensionMismatchError):
+        t.contract([[1, 2], [3, 4]])
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination and the contraction kernel against oracles
+
+
+def _random_rows(rng, rows, cols):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _low_rank_rows(rng, rows, cols, k):
+    left = Matrix(_random_rows(rng, rows, k), cols=k)
+    right = Matrix(_random_rows(rng, k, cols), cols=cols)
+    return [list(row) for row in (left @ right).entries]
+
+
+def _elimination_cases():
+    rng = random.Random(20260)
+    cases = []
+    for shape in ((1, 1), (2, 2), (3, 3), (5, 5), (8, 8),
+                  (2, 5), (3, 7), (4, 9), (5, 2), (7, 3), (9, 4)):
+        for _ in range(4):
+            cases.append(_random_rows(rng, *shape))
+    for rows, cols, k in ((3, 3, 1), (4, 4, 2), (6, 6, 3), (5, 8, 2),
+                          (8, 5, 3), (6, 6, 0)):
+        cases.append(_low_rank_rows(rng, rows, cols, k))
+    cases += [[[0] * 4 for _ in range(4)], [[0] * 3], [[0]] * 3,
+              [[1, 2], [2, 4]], [[0, 1, 2], [0, 2, 4], [0, 0, 1]]]
+    return cases
+
+
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_rref_rank_inverse_match_gauss_jordan(rows):
+    m = Matrix(rows)
+    reduced, pivots = gauss_jordan(rows)
+    assert m.rref() == (tuple(reduced), tuple(pivots))
+    assert m.rank() == gauss_jordan_rank(rows)
+    if m.rows != m.cols:
+        return
+    expected = gauss_jordan_inverse(rows)
+    if expected is None:
+        with pytest.raises(SingularMatrixError) as err:
+            m.inverse()
+        assert err.value.rank == gauss_jordan_rank(rows)
+    else:
+        assert m.inverse() == Matrix(expected)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_rref_on_empty_shapes(rows, cols):
+    m = Matrix([[0] * cols for _ in range(rows)], cols=cols)
+    assert m.shape == (rows, cols)
+    assert m.rref() == ((), ())
+    assert m.rank() == 0
+    if rows == cols:
+        assert m.inverse() == Matrix.identity(0)
+    else:
+        with pytest.raises(DimensionMismatchError):
+            m.inverse()
+
+
+@pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
+def test_corpus_algebra_matrices_match_gauss_jordan(name):
+    algebra = load(name)
+    matrices = [pairing_matrix(algebra)] + [
+        algebra.left_multiplication(i) for i in range(algebra.dim)]
+    for m in matrices:
+        rows = [list(row) for row in m.entries]
+        reduced, pivots = gauss_jordan(rows)
+        assert m.rref() == (tuple(reduced), tuple(pivots))
+        expected = gauss_jordan_inverse(rows)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert m.inverse() == Matrix(expected)
+
+
+@pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
+def test_contract_matches_naive_loop_on_corpus_algebras(name):
+    t = load(name).mult
+    n = t.dims[0]
+    rng = random.Random(name)
+    weights = [_random_rows(rng, n, n) for _ in range(5)]
+    weights += [[[int(i == a and j == b) for j in range(n)]
+                 for i in range(n)]
+                for a in range(n) for b in range(n)]
+    weights.append([[0] * n for _ in range(n)])
+    for w in weights:
+        assert t.contract(w) == naive_contract(t, w)
+        assert all(type(x) is Fraction for x in t.contract(w))
+
+
+def test_contract_matches_naive_loop_on_random_tensors():
+    rng = random.Random(7)
+    for dims in ((1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 3, 3), (0, 2, 2)):
+        data = {(i, j, k): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for i in range(dims[0]) for j in range(dims[1])
+                for k in range(dims[2]) if rng.random() < 0.5}
+        t = Tensor3.from_dict(dims, data)
+        w = _random_rows(rng, dims[0], dims[1])
+        assert t.contract(w) == naive_contract(t, w)

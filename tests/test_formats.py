@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from conftest import (CORPUS_ALGEBRAS, CORPUS_CATEGORIES, CORPUS_RINGS, load)
@@ -37,6 +41,27 @@ def test_completed_categories_roundtrip_through_the_format():
                 karoubi_completion(field_category())):
         text = serialize("category", cat)
         assert parse("category", text).payload == cat
+
+
+def test_karoubi_mat2_serialization_is_pinned():
+    from verlinde.categories import (karoubi_completion,
+                                     matrix_algebra_category)
+    text = serialize("category",
+                     karoubi_completion(matrix_algebra_category(2)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "36010d09ac2a5906d9c6e0eb0aa5a75cf3255be0352eabd0b8eda6e5672370c8")
+
+
+def test_corpus_generator_reproduces_the_shipped_corpus():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    docs = make_corpus.documents()
+    assert sorted(docs) == corpus.list_corpus()
+    for name, text in docs.items():
+        assert text == corpus.corpus_path(name).read_text(
+            encoding="utf-8"), name
 
 
 def test_comments_and_blank_lines_are_ignored():

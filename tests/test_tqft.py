@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
+from verlinde.categories import Algebra
 from verlinde.exact import Matrix, Tensor3
 from verlinde.fusion import FusionRing, cyclic_ring
 from verlinde.surfaces import ColouredSurface, dim_V
@@ -28,6 +29,20 @@ COMMUTATIVE_ALGEBRAS = ("ground.algebra", "ksquared.algebra",
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
 def test_corpus_algebras_validate(name):
     assert validate_frobenius(load(name)).ok
+
+
+def test_frobenius_algebra_is_an_algebra_plus_counit():
+    assert issubclass(FrobeniusAlgebra, Algebra)
+    mult = Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        FrobeniusAlgebra(("1",), mult, (1,), (1, 0))
+    with pytest.raises(ValueError):
+        FrobeniusAlgebra(("1", "x"), mult, (1, 0), (1, 0))
+
+
+def test_validate_frobenius_counts_checked_equations():
+    # 2n^3 associativity and invariance, 2n unit laws, one rank check
+    assert validate_frobenius(load("mat2.algebra")).checked == 137
 
 
 def test_ground_field_with_unit_counit_one_is_valid():

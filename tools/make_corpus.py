@@ -110,42 +110,31 @@ def idempotents() -> dict[str, object]:
     }
 
 
+def documents() -> dict[str, str]:
+    """Every corpus file name with its canonical serialized text."""
+    docs = {}
+    for name, ring in named_rings().items():
+        docs[f"{name}.fusion"] = formats.serialize("fusion", ring)
+    for name, algebra in named_algebras().items():
+        docs[f"{name}.algebra"] = formats.serialize("algebra", algebra)
+    for name, cat in named_categories().items():
+        docs[f"{name}.category"] = formats.serialize("category", cat)
+    docs["fib.surfaces"] = formats.serialize("surface-list", fib_surfaces())
+    docs["fib.twist"] = formats.serialize(
+        "twist", {0: surfaces.Twist.one(),
+                  1: surfaces.Twist.root_of_unity(5, 2)})
+    for name, word in words().items():
+        docs[f"{name}.word"] = formats.serialize("word", word)
+    for name, e in idempotents().items():
+        docs[f"{name}.idem"] = formats.serialize("idempotent", e)
+    return docs
+
+
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    for name, ring in named_rings().items():
-        path = OUT / f"{name}.fusion"
-        path.write_text(formats.serialize("fusion", ring), encoding="utf-8")
-        written.append(path)
-    for name, algebra in named_algebras().items():
-        path = OUT / f"{name}.algebra"
-        path.write_text(formats.serialize("algebra", algebra),
-                        encoding="utf-8")
-        written.append(path)
-    for name, cat in named_categories().items():
-        path = OUT / f"{name}.category"
-        path.write_text(formats.serialize("category", cat), encoding="utf-8")
-        written.append(path)
-    path = OUT / "fib.surfaces"
-    path.write_text(formats.serialize("surface-list", fib_surfaces()),
-                    encoding="utf-8")
-    written.append(path)
-    path = OUT / "fib.twist"
-    path.write_text(formats.serialize(
-        "twist", {0: surfaces.Twist.one(),
-                  1: surfaces.Twist.root_of_unity(5, 2)}), encoding="utf-8")
-    written.append(path)
-    for name, word in words().items():
-        path = OUT / f"{name}.word"
-        path.write_text(formats.serialize("word", word), encoding="utf-8")
-        written.append(path)
-    for name, e in idempotents().items():
-        path = OUT / f"{name}.idem"
-        path.write_text(formats.serialize("idempotent", e), encoding="utf-8")
-        written.append(path)
-
-    for path in written:
+    for name, text in documents().items():
+        path = OUT / name
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path.relative_to(OUT.parents[2])}")
 
 
