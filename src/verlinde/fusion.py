@@ -18,6 +18,12 @@ semisimple category imposes on its Grothendieck ring:
     identity, with each unit component forced to multiplicity one.
 
 Object vectors are plain tuples of nonnegative multiplicities.
+
+Each ring keeps its multiplicities twice: the public `coeffs` tensor of
+`Fraction`s, which defines equality and serialization, and a derived
+table `table[a][b]` of plain `int` tuples indexed by c, built once at
+construction.  Products, the axiom checks, the block decomposition and
+restriction all read the table.
 """
 
 from __future__ import annotations
@@ -58,12 +64,18 @@ class FusionRing:
     ``coeffs[a][b][c]`` is the multiplicity of label ``c`` in the product
     of labels ``a`` and ``b``.  Construction checks shapes and
     integrality only; the ring axioms are checked by `verify_axioms`.
+    ``table[a][b]`` is the same row of multiplicities as a tuple of
+    `int`s, and ``handle`` the genus-adding vector sum_a Q_dual(a) Q_a;
+    both are derived at construction and take no part in equality.
     """
 
     dual: tuple[int, ...]
     unit: tuple[int, ...]
     coeffs: Tensor3
     names: tuple[str, ...] = field(default=())
+    table: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        init=False, compare=False, repr=False)
+    handle: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.dual)
@@ -78,11 +90,20 @@ class FusionRing:
         for a in itertools.chain(self.dual, self.unit):
             if not 0 <= a < n:
                 raise ValueError(f"label {a} out of range 0..{n - 1}")
-        for (a, b, c), v in self.coeffs.nonzero():
-            if v.denominator != 1 or v < 0:
-                raise ValueError(
-                    f"coefficient N[{a}][{b}][{c}] = {v} is not a "
-                    "nonnegative integer")
+        table = []
+        for a, plane in enumerate(self.coeffs.entries):
+            rows = []
+            for b, fibre in enumerate(plane):
+                for c, v in enumerate(fibre):
+                    if v.denominator != 1 or v < 0:
+                        raise ValueError(
+                            f"coefficient N[{a}][{b}][{c}] = {v} is not a "
+                            "nonnegative integer")
+                rows.append(tuple(v.numerator for v in fibre))
+            table.append(tuple(rows))
+        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "handle", tuple(
+            map(sum, zip(*(table[self.dual[a]][a] for a in range(n))))))
         if not self.names:
             object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
         elif len(self.names) != n:
@@ -94,7 +115,7 @@ class FusionRing:
 
     def n(self, a: int, b: int, c: int) -> int:
         """Multiplicity of label c in the product of labels a and b."""
-        return int(self.coeffs[a, b, c])
+        return self.table[a][b][c]
 
     def basis_vector(self, a: int) -> tuple[int, ...]:
         return tuple(int(i == a) for i in range(self.rank))
@@ -110,16 +131,16 @@ class FusionRing:
 def multiply(ring: FusionRing, x, y) -> tuple[int, ...]:
     """Bilinear product of object vectors: z[c] = sum x[a] y[b] N[a][b][c]."""
     n = ring.rank
+    y_support = [(b, y[b]) for b in range(n) if y[b]]
     z = [0] * n
     for a in range(n):
-        if not x[a]:
+        xa = x[a]
+        if not xa:
             continue
-        for b in range(n):
-            if not y[b]:
-                continue
-            xy = x[a] * y[b]
-            for c in range(n):
-                m = ring.n(a, b, c)
+        rows = ring.table[a]
+        for b, yb in y_support:
+            xy = xa * yb
+            for c, m in enumerate(rows[b]):
                 if m:
                     z[c] += xy * m
     return tuple(z)
@@ -143,46 +164,83 @@ def inner_product(ring: FusionRing, x, y) -> int:
     return sum(x[ring.dual[a]] * y[a] for a in range(ring.rank))
 
 
+def _associativity_failures(table):
+    """Yield (a, b, c, lhs, rhs) wherever (Q_a Q_b) Q_c != Q_a (Q_b Q_c).
+
+    lhs[e] = sum_d N[a][b][d] N[d][c][e] and rhs[e] = sum_d N[b][c][d]
+    N[a][d][e] are compared as whole vectors, each summed over the
+    nonzero d only; triples come in lexicographic order.
+    """
+    n = len(table)
+    zero = (0,) * n
+    support = [[[(d, m) for d, m in enumerate(row) if m] for row in plane]
+               for plane in table]
+    # columns[c][d] is table[d][c], the row lhs sums over d
+    columns = [[plane[c] for plane in table] for c in range(n)]
+
+    def combine(terms, rows):
+        if not terms:
+            return zero
+        if len(terms) == 1 and terms[0][1] == 1:
+            return rows[terms[0][0]]
+        return tuple(map(sum, zip(*[rows[d] if m == 1 else
+                                    [m * v for v in rows[d]]
+                                    for d, m in terms])))
+
+    for a in range(n):
+        for b in range(n):
+            ab = support[a][b]
+            for c in range(n):
+                lhs = combine(ab, columns[c])
+                rhs = combine(support[b][c], table[a])
+                if lhs != rhs:
+                    yield a, b, c, lhs, rhs
+
+
 def verify_axioms(ring: FusionRing) -> Report:
-    """Check all fusion-ring axioms exactly; the report lists every violation."""
+    """Check all fusion-ring axioms exactly; the report lists every violation.
+
+    `checked` counts n involution, n^3 commutativity, n^4 associativity,
+    n^3 reciprocity (only once the involution holds) and n unit-law
+    equations.
+    """
     report = Report("fusion axioms")
     n = ring.rank
     dual = ring.dual
+    table = ring.table
 
+    involution = True
     for a in range(n):
         if dual[dual[a]] != a:
+            involution = False
             report.fail(
                 f"involution: dual(dual({a})) = {dual[dual[a]]} != {a}")
 
     for a in range(n):
         for b in range(n):
+            ab, ba = table[a][b], table[b][a]
+            if ab == ba:
+                continue
             for c in range(n):
-                if ring.n(a, b, c) != ring.n(b, a, c):
+                if ab[c] != ba[c]:
                     report.fail(
                         f"commutativity: N[{a}][{b}][{c}] = "
-                        f"{ring.n(a, b, c)} != {ring.n(b, a, c)} = "
-                        f"N[{b}][{a}][{c}]")
+                        f"{ab[c]} != {ba[c]} = N[{b}][{a}][{c}]")
 
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    lhs = sum(ring.n(a, b, d) * ring.n(d, c, e)
-                              for d in range(n))
-                    rhs = sum(ring.n(b, c, d) * ring.n(a, d, e)
-                              for d in range(n))
-                    if lhs != rhs:
-                        report.fail(
-                            f"associativity at (a,b,c,e)=({a},{b},{c},{e}):"
-                            f" {lhs} != {rhs}")
+    for a, b, c, lhs, rhs in _associativity_failures(table):
+        for e in range(n):
+            if lhs[e] != rhs[e]:
+                report.fail(
+                    f"associativity at (a,b,c,e)=({a},{b},{c},{e}):"
+                    f" {lhs[e]} != {rhs[e]}")
 
     # Frobenius reciprocity only makes sense once the involution holds.
-    if all(dual[dual[a]] == a for a in range(n)):
+    if involution:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    lhs = ring.n(a, b, c)
-                    rhs = ring.n(dual[c], a, dual[b])
+                    lhs = table[a][b][c]
+                    rhs = table[dual[c]][a][dual[b]]
                     if lhs != rhs:
                         report.fail(
                             f"frobenius symmetry: N[{a}][{b}][{c}] = {lhs} "
@@ -195,6 +253,7 @@ def verify_axioms(ring: FusionRing) -> Report:
             report.fail(
                 f"unit law: Q_{a} * 1 has multiplicities {row}, "
                 f"expected the basis vector at {a}")
+    report.checked = 2 * n + n ** 3 + n ** 4 + (n ** 3 if involution else 0)
     return report
 
 
@@ -203,20 +262,23 @@ def verify_frobenius_pairing(ring: FusionRing) -> Report:
 
     Equivalent to the Frobenius coefficient symmetry; the report names
     both the pairing instance and the coefficient identity that failed.
+    `checked` counts the n^3 triples.
     """
     report = Report("frobenius pairing")
     n = ring.rank
     dual = ring.dual
+    table = ring.table
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                lhs = ring.n(b, c, dual[a])
-                rhs = ring.n(a, b, dual[c])
+                lhs = table[b][c][dual[a]]
+                rhs = table[a][b][dual[c]]
                 if lhs != rhs:
                     report.fail(
                         f"<Q_{a}, Q_{b}*Q_{c}> = {lhs} != {rhs} = "
                         f"<Q_{a}*Q_{b}, Q_{c}> "
                         f"(N[{b}][{c}][{dual[a]}] vs N[{a}][{b}][{dual[c]}])")
+    report.checked = n ** 3
     return report
 
 
@@ -228,9 +290,10 @@ def block_decomposition(ring: FusionRing) -> list[list[int]]:
     if a block fails to be closed under the involution and the product
     (any of which signals an axiom failure upstream).
     """
+    table = ring.table
     blocks: list[list[int]] = [[] for _ in ring.unit]
     for a in range(ring.rank):
-        hits = [i for i, b in enumerate(ring.unit) if ring.n(a, b, a) == 1]
+        hits = [i for i, b in enumerate(ring.unit) if table[a][b][a] == 1]
         if len(hits) != 1:
             raise BlockStructureError(
                 f"label {a} lies in {len(hits)} blocks {hits}")
@@ -247,11 +310,11 @@ def block_decomposition(ring: FusionRing) -> list[list[int]]:
         for b in range(ring.rank):
             if owner[a] == owner[b]:
                 continue
-            for c in range(ring.rank):
-                if ring.n(a, b, c):
+            for c, m in enumerate(table[a][b]):
+                if m:
                     raise BlockStructureError(
                         f"cross-block product nonzero: N[{a}][{b}][{c}] = "
-                        f"{ring.n(a, b, c)} across blocks "
+                        f"{m} across blocks "
                         f"{owner[a]} and {owner[b]}")
     return blocks
 
@@ -266,12 +329,9 @@ def restrict_to_labels(ring: FusionRing, labels) -> FusionRing:
     unit = tuple(sorted(pos[b] for b in ring.unit if b in pos))
     if not unit:
         raise ValueError("label subset contains no unit component")
-    k = len(labels)
-    coeffs = Tensor3.from_dict(
-        (k, k, k),
-        {(i, j, l): ring.n(labels[i], labels[j], labels[l])
-         for i in range(k) for j in range(k) for l in range(k)
-         if ring.n(labels[i], labels[j], labels[l])})
+    table = ring.table
+    coeffs = Tensor3([[[table[a][b][c] for c in labels] for b in labels]
+                      for a in labels])
     return FusionRing(
         dual=tuple(pos[ring.dual[a]] for a in labels),
         unit=unit,
@@ -388,18 +448,6 @@ def _symmetry_orbits(n: int, dual: tuple[int, ...]):
     return orbits
 
 
-def _associativity_holds(n: int, N: dict) -> bool:
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    lhs = sum(N[(a, b, d)] * N[(d, c, e)] for d in range(n))
-                    rhs = sum(N[(b, c, d)] * N[(a, d, e)] for d in range(n))
-                    if lhs != rhs:
-                        return False
-    return True
-
-
 def _canonical_key(n: int, dual: tuple[int, ...], N: dict):
     """Lexicographically least relabelling over permutations fixing 0.
 
@@ -447,7 +495,9 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
             for orbit, v in zip(orbits, values):
                 for t in orbit:
                     N[t] = v
-            if not _associativity_holds(rank, N):
+            table = tuple(tuple(tuple(N[(a, b, c)] for c in range(rank))
+                                for b in range(rank)) for a in range(rank))
+            if next(_associativity_failures(table), None) is not None:
                 continue
             key = _canonical_key(rank, dual, N)
             if key in found:

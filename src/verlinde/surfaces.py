@@ -19,7 +19,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .fusion import (FusionRing, block_decomposition, multiply,
                      restrict_to_labels, verify_axioms)
@@ -65,15 +64,12 @@ def _check_labels(ring: FusionRing, surface: ColouredSurface) -> None:
                 f"boundary colour {a} out of range for rank {ring.rank}")
 
 
-@lru_cache(maxsize=None)
 def handle_vector(ring: FusionRing) -> tuple[int, ...]:
-    """The genus-adding vector: sum over labels of Q_dual(a) * Q_a."""
-    total = [0] * ring.rank
-    for a in range(ring.rank):
-        row = multiply(ring, ring.basis_vector(ring.dual[a]),
-                       ring.basis_vector(a))
-        total = [t + r for t, r in zip(total, row)]
-    return tuple(total)
+    """The genus-adding vector: sum over labels of Q_dual(a) * Q_a.
+
+    The ring computes it once, at construction (`FusionRing.handle`).
+    """
+    return ring.handle
 
 
 def _unit_multiplicity(ring: FusionRing, vec) -> int:
@@ -85,13 +81,9 @@ def _eval_in_order(ring: FusionRing, genus: int, colours) -> int:
     vec = ring.unit_vector()
     for a in colours:
         vec = multiply(ring, vec, ring.basis_vector(a))
-    handle = handle_vector(ring)
     for _ in range(genus):
-        vec = multiply(ring, vec, handle)
+        vec = multiply(ring, vec, ring.handle)
     return _unit_multiplicity(ring, vec)
-
-
-_dim_closed_over = lru_cache(maxsize=None)(_eval_in_order)
 
 
 def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
@@ -100,10 +92,11 @@ def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
     The colours are folded in the given boundary order, then the
     handles.  For rings that pass `verify_axioms` the order is
     immaterial; for rings that fail them the in-order product is the
-    answer, so results are memoised per ordered boundary.
+    answer.  Nothing is memoised: each call folds afresh, and the ring
+    is kept alive by no table of this module.
     """
     _check_labels(ring, surface)
-    return _dim_closed_over(ring, surface.genus, surface.boundary)
+    return _eval_in_order(ring, surface.genus, surface.boundary)
 
 
 def dim_V_disjoint(ring: FusionRing, surfaces) -> int:
@@ -151,9 +144,8 @@ def _eval_by_capping(ring: FusionRing, genus: int, colours: tuple[int, ...],
     vec = ring.unit_vector()
     for a in rest:
         vec = multiply(ring, vec, ring.basis_vector(a))
-    handle = handle_vector(ring)
     for _ in range(genus):
-        vec = multiply(ring, vec, handle)
+        vec = multiply(ring, vec, ring.handle)
     return vec[ring.dual[capped]]
 
 

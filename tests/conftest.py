@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from verlinde import corpus, formats
+from verlinde.exact import Tensor3
+from verlinde.fusion import FusionRing
 
 CORPUS_RINGS = ("trivial.fusion", "z2.fusion", "z3.fusion", "fib.fusion",
                 "s3rep.fusion", "fib_x_z2.fusion")
@@ -26,3 +28,15 @@ def load_rings():
 
 def load_algebras():
     return {name: load(name) for name in CORPUS_ALGEBRAS}
+
+
+def toy_ring() -> FusionRing:
+    """Rank-3 ring that is not commutative: N[1][2][1] = 1, N[2][1][.] = 0.
+
+    Both non-unit labels are self-dual and the unit law holds, so the
+    ring passes construction but fails the axioms.
+    """
+    coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+              (2, 0, 2): 1, (1, 1, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1}
+    return FusionRing(dual=(0, 1, 2), unit=(0,),
+                      coeffs=Tensor3.from_dict((3, 3, 3), coeffs))

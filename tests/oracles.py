@@ -1,8 +1,11 @@
 """Independent brute-force oracles the library is tested against.
 
-Nothing here reuses the library's evaluation paths: surface dimensions
-are recomputed by naive convolution (and, for tiny cases, by literally
-expanding the product as a multiset of labels), representation-ring
+Nothing here reuses the library's evaluation paths: fusion
+multiplicities are read from the `Fraction` tensor `ring.coeffs`, never
+from the ring's integer table; surface dimensions are recomputed by
+naive convolution (and, for tiny cases, by literally expanding the
+product as a multiset of labels), the fusion-axiom and pairing reports
+by loops over every index, representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
 sums over `compose_basis`, rank, inverse and row reduction come from a
@@ -18,12 +21,16 @@ from verlinde.exact import Tensor3
 from verlinde.fusion import FusionRing
 
 
+def _n(ring: FusionRing, a: int, b: int, c: int) -> int:
+    return int(ring.coeffs[a, b, c])
+
+
 def _mult_label(ring: FusionRing, counts: dict[int, int],
                 label: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for a, m in counts.items():
         for c in range(ring.rank):
-            k = ring.n(a, label, c)
+            k = _n(ring, a, label, c)
             if k:
                 out[c] = out.get(c, 0) + m * k
     return out
@@ -54,7 +61,7 @@ def list_expansion_dim(ring: FusionRing, genus: int, colours) -> int:
         out = []
         for a in states:
             for c in range(ring.rank):
-                out.extend([c] * ring.n(a, label, c))
+                out.extend([c] * _n(ring, a, label, c))
         return out
 
     states = list(ring.unit)
@@ -66,6 +73,95 @@ def list_expansion_dim(ring: FusionRing, genus: int, colours) -> int:
             new_states.extend(append(append(states, ring.dual[a]), a))
         states = new_states
     return sum(1 for a in states if a in ring.unit)
+
+
+# ---------------------------------------------------------------------------
+# fusion-axiom and pairing reports by loops over every index
+
+
+def fusion_axiom_entries(ring: FusionRing) -> tuple[list[str], int]:
+    """(entries, equations checked) of the fusion-axiom check.
+
+    Every equation is evaluated on its own, associativity as n^4 sums
+    over d, from the `Fraction` coefficients; the unit-law rows come
+    from the same coefficients, not from a product routine.
+    """
+    entries: list[str] = []
+    checked = 0
+    n = ring.rank
+    dual = ring.dual
+    N = ring.coeffs
+
+    for a in range(n):
+        checked += 1
+        if dual[dual[a]] != a:
+            entries.append(
+                f"involution: dual(dual({a})) = {dual[dual[a]]} != {a}")
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                checked += 1
+                if N[a, b, c] != N[b, a, c]:
+                    entries.append(
+                        f"commutativity: N[{a}][{b}][{c}] = "
+                        f"{N[a, b, c]} != {N[b, a, c]} = "
+                        f"N[{b}][{a}][{c}]")
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for e in range(n):
+                    checked += 1
+                    lhs = sum(N[a, b, d] * N[d, c, e] for d in range(n))
+                    rhs = sum(N[b, c, d] * N[a, d, e] for d in range(n))
+                    if lhs != rhs:
+                        entries.append(
+                            f"associativity at (a,b,c,e)=({a},{b},{c},{e}):"
+                            f" {lhs} != {rhs}")
+
+    if all(dual[dual[a]] == a for a in range(n)):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    checked += 1
+                    lhs = N[a, b, c]
+                    rhs = N[dual[c], a, dual[b]]
+                    if lhs != rhs:
+                        entries.append(
+                            f"frobenius symmetry: N[{a}][{b}][{c}] = {lhs} "
+                            f"!= {rhs} = N[{dual[c]}][{a}][{dual[b]}]")
+
+    for a in range(n):
+        checked += 1
+        row = tuple(int(sum(N[a, b, c] for b in ring.unit))
+                    for c in range(n))
+        if row != tuple(int(c == a) for c in range(n)):
+            entries.append(
+                f"unit law: Q_{a} * 1 has multiplicities {row}, "
+                f"expected the basis vector at {a}")
+    return entries, checked
+
+
+def frobenius_pairing_entries(ring: FusionRing) -> tuple[list[str], int]:
+    """(entries, equations checked) of the pairing check, on every triple."""
+    entries: list[str] = []
+    checked = 0
+    n = ring.rank
+    dual = ring.dual
+    N = ring.coeffs
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                checked += 1
+                lhs = N[b, c, dual[a]]
+                rhs = N[a, b, dual[c]]
+                if lhs != rhs:
+                    entries.append(
+                        f"<Q_{a}, Q_{b}*Q_{c}> = {lhs} != {rhs} = "
+                        f"<Q_{a}*Q_{b}, Q_{c}> "
+                        f"(N[{b}][{c}][{dual[a]}] vs N[{a}][{b}][{dual[c]}])")
+    return entries, checked
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from conftest import CORPUS_RINGS, load
+from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import (S3_CHARACTER_TABLE, S3_CLASS_SIZES, Z2_CHARACTER_TABLE,
-                     Z2_CLASS_SIZES, fusion_from_characters)
+                     Z2_CLASS_SIZES, frobenius_pairing_entries,
+                     fusion_axiom_entries, fusion_from_characters,
+                     naive_contract)
 from verlinde.exact import Tensor3
+from verlinde.formats import serialize
 from verlinde.fusion import (BlockStructureError, FusionRing,
                              block_decomposition, cyclic_ring, direct_product,
                              dual_vector, enumerate_fusion_rings,
@@ -285,3 +290,78 @@ def test_ring_construction_rejects_bad_data():
     with pytest.raises(ValueError):
         FusionRing(dual=(0, 1), unit=(0,),
                    coeffs=Tensor3.from_dict((2, 2, 2), {(0, 0, 0): -1}))
+
+
+# ---------------------------------------------------------------------------
+# the integer table against loops over the Fraction coefficients
+
+ORACLE_RINGS = CORPUS_RINGS + ("toy",)
+
+
+def _oracle_base(name: str) -> FusionRing:
+    return toy_ring() if name == "toy" else load(name)
+
+
+def _assert_reports_match_index_loops(ring: FusionRing) -> None:
+    report = verify_axioms(ring)
+    assert (report.entries, report.checked) == fusion_axiom_entries(ring)
+    report = verify_frobenius_pairing(ring)
+    assert (report.entries, report.checked) == frobenius_pairing_entries(ring)
+
+
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_reports_match_index_loops_with_each_coefficient_raised(name):
+    base = _oracle_base(name)
+    _assert_reports_match_index_loops(base)
+    n = base.rank
+    data = dict(base.coeffs.nonzero())
+    failing = 0
+    for idx in itertools.product(range(n), repeat=3):
+        raised = dict(data)
+        raised[idx] = raised.get(idx, 0) + 1
+        ring = FusionRing(dual=base.dual, unit=base.unit,
+                          coeffs=Tensor3.from_dict((n, n, n), raised))
+        _assert_reports_match_index_loops(ring)
+        failing += not verify_axioms(ring).ok
+    assert failing > 0
+
+
+def test_reports_match_index_loops_on_broken_dual_and_unit():
+    z3 = cyclic_ring(3)
+    not_involution = FusionRing(dual=(1, 2, 0), unit=(0,), coeffs=z3.coeffs)
+    two_units = FusionRing(dual=z3.dual, unit=(0, 1), coeffs=z3.coeffs)
+    for ring, kind in ((not_involution, "involution"),
+                       (two_units, "unit law")):
+        _assert_reports_match_index_loops(ring)
+        assert any(e.startswith(kind) for e in verify_axioms(ring).entries)
+    # reciprocity is skipped without an involution: 3 + 27 + 81 + 3
+    assert verify_axioms(not_involution).checked == 114
+    assert verify_axioms(two_units).checked == 141
+
+
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_multiply_matches_fraction_contraction(name):
+    ring = _oracle_base(name)
+    rng = random.Random(13)
+    for _ in range(40):
+        x = tuple(rng.randrange(4) for _ in range(ring.rank))
+        y = tuple(rng.randrange(4) for _ in range(ring.rank))
+        weights = [[xi * yj for yj in y] for xi in x]
+        assert multiply(ring, x, y) == naive_contract(ring.coeffs, weights)
+
+
+@pytest.mark.parametrize("rank, max_coeff, count, digest", [
+    (3, 1, 5,
+     "73bcb195eee39aa4c2eb5639f2c04cbfcfd495f91c62bf768de6e618727dd005"),
+    (3, 2, 10,
+     "2656120187aa1facea1045e0623961b0ced9542488e3e580c93d1431654a8936"),
+    (3, 3, 18,
+     "e7844e057b806eb41055c019d9fd8824d5e725025faed9e4a1691fc465ebd451"),
+    (4, 1, 12,
+     "bfa4a2140ba1d14384d466728767c5ac4cabae237b43bed67b206205d88d187f"),
+])
+def test_enumerate_output_is_pinned(rank, max_coeff, count, digest):
+    rings = enumerate_fusion_rings(rank, max_coeff)
+    text = "".join(serialize("fusion", r) for r in rings)
+    assert len(rings) == count
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

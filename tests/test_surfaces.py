@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
-from conftest import CORPUS_RINGS, load
+from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import brute_force_dim, list_expansion_dim
-from verlinde.exact import Tensor3
-from verlinde.fusion import FusionRing, cyclic_ring, verify_axioms
+from verlinde.fusion import (FusionRing, cyclic_ring, direct_product,
+                             fibonacci_ring, verify_axioms)
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
                                TwistFormatError, check_nontriviality, dim_V,
                                dim_V_disjoint, modular_report,
@@ -96,15 +98,24 @@ def test_boundary_permutation_invariance(name):
 
 
 def test_boundary_order_is_kept_on_a_non_commutative_ring():
-    # N[1,2,1] = 1 but N[2,1,.] = 0; both non-unit labels self-dual
-    coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
-              (2, 0, 2): 1, (1, 1, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1}
-    ring = FusionRing(dual=(0, 1, 2), unit=(0,),
-                      coeffs=Tensor3.from_dict((3, 3, 3), coeffs))
+    ring = toy_ring()
     assert not verify_axioms(ring).ok
     assert dim_V(ring, S(0, (1, 2, 1))) == 1
     for perm in set(itertools.permutations((1, 2, 1))):
         assert dim_V(ring, S(0, perm)) == brute_force_dim(ring, 0, perm)
+
+
+def test_surface_evaluation_keeps_no_reference_to_the_ring():
+    # names no other test uses, so no equal ring was evaluated before
+    ring = direct_product(fibonacci_ring(), cyclic_ring(2),
+                          names=("w1", "wtau", "w0", "wg"))
+    ref = weakref.ref(ring)
+    assert dim_V(ring, S(2, (1, 1))) == brute_force_dim(ring, 2, (1, 1))
+    assert verify_gluing_consistency(ring, S(1, (1, 3, 1, 3))).ok
+    modular_report(ring, surfaces={"pants": S(0, (1, 1, 1))})
+    del ring
+    gc.collect()
+    assert ref() is None
 
 
 def test_vacuum_insertion_is_neutral_for_irreducible_unit():
