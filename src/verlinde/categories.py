@@ -406,20 +406,14 @@ def mat_completion(cat: PresentedCategory, bound: int) -> PresentedCategory:
 # Karoubi (idempotent) completion
 
 
-def _coords_in_rref(vec, basis_rows, pivots):
-    coords = [vec[piv] for piv in pivots]
-    rebuilt = [Fraction(0)] * len(vec)
-    for c, row in zip(coords, basis_rows):
-        if c:
-            rebuilt = [a + c * b for a, b in zip(rebuilt, row)]
-    if list(vec) != rebuilt:
-        raise CategoryFormatError(
-            "morphism escaped its carved-out hom subspace")
-    return coords
-
-
 def karoubi_object_name(obj: str, coeffs) -> str:
     return f"{obj}(" + ",".join(str(rat(c)) for c in coeffs) + ")"
+
+
+def _idempotent(cat: PresentedCategory, pair) -> Morphism:
+    """The endomorphism e of a (base object, coefficients) pair."""
+    obj, coeffs = pair
+    return cat.morphism(obj, obj, dict(zip(cat.hom(obj, obj), coeffs)))
 
 
 def karoubi_idempotents(cat: PresentedCategory, obj: str,
@@ -430,17 +424,44 @@ def karoubi_idempotents(cat: PresentedCategory, obj: str,
         return [tuple()]
     found = []
     for combo in itertools.product(sorted(grid), repeat=len(basis)):
-        e = cat.morphism(obj, obj, dict(zip(basis, combo)))
+        e = _idempotent(cat, (obj, combo))
         if cat.compose(e, e) == e:
             found.append(tuple(rat(c) for c in combo))
     return found
 
 
-def _carved_row(base: PresentedCategory, carved, src, dst,
-                k: int) -> Morphism:
-    """Row k of the carved-out hom(src, dst) as a base morphism."""
-    base_names, rows, _ = carved[(src, dst)]
-    return base.morphism(src[0], dst[0], dict(zip(base_names, rows[k])))
+@dataclass(frozen=True)
+class _Corner:
+    """hom((p, e), (q, f)) = f . hom(p, q) . e, carved out of hom(p, q).
+
+    `src` and `dst` are the base objects p and q; `rows` are the reduced
+    rows of the subspace over the basis `base` of hom(p, q), with their
+    `pivots`; `names` are the completion's basis names, one per row.
+    """
+
+    src: str
+    dst: str
+    base: tuple[str, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...]
+    names: tuple[str, ...]
+
+    def row(self, cat: PresentedCategory, k: int) -> Morphism:
+        """Row k as a morphism of the base category."""
+        return cat.morphism(self.src, self.dst, dict(zip(self.base,
+                                                         self.rows[k])))
+
+    def express(self, m: Morphism) -> dict[str, Fraction]:
+        """The coordinates of the base morphism m, named by `names`."""
+        coords = [m.coeffs.get(self.base[p], Fraction(0))
+                  for p in self.pivots]
+        rebuilt = [sum(c * row[col]
+                       for c, row in zip(coords, self.rows) if c)
+                   for col in range(len(self.base))]
+        if _clean(dict(zip(self.base, rebuilt))) != m.coeffs:
+            raise CategoryFormatError(
+                "morphism escaped its carved-out hom subspace")
+        return {name: c for name, c in zip(self.names, coords) if c}
 
 
 class KaroubiCategory(PresentedCategory):
@@ -449,47 +470,48 @@ class KaroubiCategory(PresentedCategory):
     `pairs` lists the (base object, idempotent coefficients) pairs in
     object order; `embed` turns a base morphism satisfying the triple
     constraint e' . f = f = f . e into a morphism of the completion, and
-    `base_morphism_of` goes the other way for basis elements.  `carved`
-    maps each (source pair, target pair) to its carved-out hom space
-    (base basis names, rref rows, pivots); `basis_home` maps each basis
-    name of the completion to its (source pair, target pair, row index).
+    `base_morphism_of` goes the other way for basis elements.
+    `corners[i][j]` is the carved-out hom space from object i to object
+    j, one `_Corner` per ordered pair of objects.
     """
 
     def __init__(self, objects, hom, compose, identities, *, base, pairs,
-                 names, carved, basis_home):
+                 corners):
         super().__init__(objects, hom, compose, identities)
         self.base = base
         self.pairs = tuple(pairs)
-        self._pair_names = dict(names)
-        self._carved = carved
-        self._basis_home = basis_home
+        self._index = {pair: i for i, pair in enumerate(self.pairs)}
+        self._corners = corners
+
+    def _index_of(self, pair) -> int:
+        obj, coeffs = pair
+        key = (obj, tuple(rat(c) for c in coeffs))
+        if key not in self._index:
+            raise CategoryFormatError(
+                f"{karoubi_object_name(*key)} is not an object of the "
+                "completion")
+        return self._index[key]
 
     def object_of(self, pair) -> str:
-        obj, coeffs = pair
-        return self._pair_names[(obj, tuple(rat(c) for c in coeffs))]
+        return self.objects[self._index_of(pair)]
 
     def base_morphism_of(self, basis_name: str) -> Morphism:
-        return _carved_row(self.base, self._carved,
-                           *self._basis_home[basis_name])
+        src, dst = self.basis_type(basis_name)
+        corner = self._corners[self.objects.index(src)][
+            self.objects.index(dst)]
+        return corner.row(self.base, corner.names.index(basis_name))
 
     def embed(self, src_pair, dst_pair, f: Morphism) -> Morphism:
         """The triple (e', f, e) as a morphism of the completion."""
-        src = (src_pair[0], tuple(rat(c) for c in src_pair[1]))
-        dst = (dst_pair[0], tuple(rat(c) for c in dst_pair[1]))
-        e = self.base.morphism(
-            src[0], src[0], dict(zip(self.base.hom(src[0], src[0]), src[1])))
-        e2 = self.base.morphism(
-            dst[0], dst[0], dict(zip(self.base.hom(dst[0], dst[0]), dst[1])))
+        i, j = self._index_of(src_pair), self._index_of(dst_pair)
+        e = _idempotent(self.base, self.pairs[i])
+        e2 = _idempotent(self.base, self.pairs[j])
         if self.base.compose(e2, f) != f or self.base.compose(f, e) != f:
             raise CategoryFormatError(
                 "morphism does not satisfy the triple constraint "
                 "e'.f = f = f.e")
-        base_names, rows, pivots = self._carved[(src, dst)]
-        vec = tuple(f.coeffs.get(name, Fraction(0)) for name in base_names)
-        coords = _coords_in_rref(vec, rows, pivots)
-        combo = {f"{self._pair_names[src]}>{self._pair_names[dst]}:{k}": c
-                 for k, c in enumerate(coords) if c}
-        return Morphism(self._pair_names[src], self._pair_names[dst], combo)
+        return Morphism(self.objects[i], self.objects[j],
+                        self._corners[i][j].express(f))
 
 
 def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
@@ -499,103 +521,66 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     The objects are the solutions of e . e = e found on a finite
     coefficient grid (or an explicitly supplied list, each entry checked
     exactly, rejected with its residual).  hom((p,e),(q,f)) is the
-    subspace f . hom(p,q) . e with a canonical row-reduced basis, the
-    composition is (e'', f', e')(e', f, e) = (e'', f'f, e), and the
-    identity of (p, e) is the triple (e, e, e).
+    subspace f . hom(p,q) . e with a canonical row-reduced basis, one
+    `_Corner` per ordered pair of objects; the composition is
+    (e'', f', e')(e', f, e) = (e'', f'f, e), tabulated one triple of
+    objects at a time, and the identity of (p, e) is the triple
+    (e, e, e).
     """
     pairs: list[tuple[str, tuple[Fraction, ...]]] = []
     if idempotents is not None:
         for obj, coeffs in idempotents:
-            e = cat.morphism(obj, obj,
-                             dict(zip(cat.hom(obj, obj), coeffs)))
+            e = _idempotent(cat, (obj, coeffs))
             square = cat.compose(e, e)
             if square != e:
-                residual = {k: square.coeffs.get(k, Fraction(0))
-                            - e.coeffs.get(k, Fraction(0))
-                            for k in set(square.coeffs) | set(e.coeffs)}
+                residual = (square + e.scaled(-1)).coeffs
                 raise CategoryFormatError(
                     f"supplied element on {obj} is not idempotent; "
-                    f"e.e - e = {_clean(residual)}")
+                    f"e.e - e = {residual}")
             pairs.append((obj, tuple(rat(c) for c in coeffs)))
     else:
         for obj in cat.objects:
             for coeffs in karoubi_idempotents(cat, obj, grid):
                 pairs.append((obj, coeffs))
 
-    names = {pair: karoubi_object_name(*pair) for pair in pairs}
-    idem_morphisms = {
-        pair: cat.morphism(pair[0],
-                           pair[0],
-                           dict(zip(cat.hom(pair[0], pair[0]), pair[1])))
-        for pair in pairs}
+    names = [karoubi_object_name(*pair) for pair in pairs]
+    idems = [_idempotent(cat, pair) for pair in pairs]
 
     # carve out hom((p,e),(q,f)) = f . hom(p,q) . e with an rref basis
     hom = {}
-    basis_home = {}
-    carved = {}
-    for src in pairs:
-        for dst in pairs:
-            base = cat.hom(src[0], dst[0])
-            if not base:
-                continue
-            e, f = idem_morphisms[src], idem_morphisms[dst]
-            images = []
-            for b in base:
-                m = cat.compose(f, cat.compose(cat.basis_morphism(b), e))
-                images.append(tuple(m.coeffs.get(name, Fraction(0))
-                                    for name in base))
-            rows, pivots = Matrix(images).rref()
-            carved[(src, dst)] = (base, rows, pivots)
-            if not rows:
-                continue
-            basis = []
-            for k in range(len(rows)):
-                name = f"{names[src]}>{names[dst]}:{k}"
-                basis.append(name)
-                basis_home[name] = (src, dst, k)
-            hom[(names[src], names[dst])] = tuple(basis)
+    corners = []
+    for i, (p, _) in enumerate(pairs):
+        line = []
+        for j, (q, _) in enumerate(pairs):
+            base = cat.hom(p, q)
+            images = [cat.compose(idems[j], cat.compose(cat.basis_morphism(b),
+                                                        idems[i]))
+                      for b in base]
+            rows, pivots = Matrix([[m.coeffs.get(b, Fraction(0))
+                                    for b in base] for m in images]).rref()
+            corner = _Corner(p, q, base, rows, pivots, tuple(
+                f"{names[i]}>{names[j]}:{k}" for k in range(len(rows))))
+            if corner.names:
+                hom[(names[i], names[j])] = corner.names
+            line.append(corner)
+        corners.append(tuple(line))
 
-    def express(src, dst, m: Morphism) -> dict[str, Fraction]:
-        if (src, dst) not in carved:
-            if not m.is_zero():
-                raise CategoryFormatError(
-                    "nonzero morphism between objects with empty hom")
-            return {}
-        base, rows, pivots = carved[(src, dst)]
-        vec = tuple(m.coeffs.get(name, Fraction(0)) for name in base)
-        coords = _coords_in_rref(vec, rows, pivots)
-        out = {}
-        for k, c in enumerate(coords):
-            if c:
-                out[f"{names[src]}>{names[dst]}:{k}"] = c
-        return out
-
-    in_base = {name: _carved_row(cat, carved, *home)
-               for name, home in basis_home.items()}
-    ending_at: dict[tuple, list[str]] = {}
-    for uname, (_, mid, _) in basis_home.items():
-        ending_at.setdefault(mid, []).append(uname)
+    in_base = [[[c.row(cat, k) for k in range(len(c.names))] for c in line]
+               for line in corners]
     compose = {}
-    for vname, (mid, dst, _) in basis_home.items():
-        for uname in ending_at.get(mid, ()):
-            product = cat.compose(in_base[vname], in_base[uname])
-            combo = express(basis_home[uname][0], dst, product)
-            if combo:
-                compose[(vname, uname)] = combo
-
-    identities = {}
-    for pair in pairs:
-        e = idem_morphisms[pair]
-        if (pair, pair) in carved:
-            identities[names[pair]] = express(pair, pair, e)
-        else:
-            identities[names[pair]] = {}
+    for i, j, k in itertools.product(range(len(pairs)), repeat=3):
+        target = corners[i][k]
+        for vname, v in zip(corners[j][k].names, in_base[j][k]):
+            for uname, u in zip(corners[i][j].names, in_base[i][j]):
+                combo = target.express(cat.compose(v, u))
+                if combo:
+                    compose[(vname, uname)] = combo
 
     return KaroubiCategory(
-        objects=tuple(names[p] for p in pairs),
-        hom=hom, compose=compose, identities=identities,
-        base=cat, pairs=pairs, names=names, carved=carved,
-        basis_home=basis_home)
+        objects=tuple(names), hom=hom, compose=compose,
+        identities={name: corners[i][i].express(idems[i])
+                    for i, name in enumerate(names)},
+        base=cat, pairs=pairs, corners=tuple(corners))
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +673,7 @@ def indecomposable_objects(cat: PresentedCategory,
             continue
         proper = False
         for coeffs in karoubi_idempotents(cat, obj, grid):
-            e = cat.morphism(obj, obj,
-                             dict(zip(cat.hom(obj, obj), coeffs)))
+            e = _idempotent(cat, (obj, coeffs))
             if not e.is_zero() and e != ident:
                 proper = True
                 break

@@ -117,7 +117,12 @@ class FusionRing:
         """Multiplicity of label c in the product of labels a and b."""
         return self.table[a][b][c]
 
+    def _check_label(self, a: int) -> None:
+        if not 0 <= a < self.rank:
+            raise ValueError(f"label {a} out of range 0..{self.rank - 1}")
+
     def basis_vector(self, a: int) -> tuple[int, ...]:
+        self._check_label(a)
         return tuple(int(i == a) for i in range(self.rank))
 
     def unit_vector(self) -> tuple[int, ...]:
@@ -147,11 +152,21 @@ def multiply(ring: FusionRing, x, y) -> tuple[int, ...]:
 
 
 def product_vector(ring: FusionRing, labels) -> tuple[int, ...]:
-    """Fold the labels into a single object vector, starting from the unit."""
-    v = ring.unit_vector()
+    """Fold the labels into a single object vector, starting from the unit.
+
+    Each step is the row combination vec <- sum_d vec[d] * table[d][a].
+    """
+    vec = ring.unit_vector()
     for a in labels:
-        v = multiply(ring, v, ring.basis_vector(a))
-    return v
+        ring._check_label(a)
+        z = [0] * ring.rank
+        for d, v in enumerate(vec):
+            if v:
+                for c, m in enumerate(ring.table[d][a]):
+                    if m:
+                        z[c] += v * m
+        vec = tuple(z)
+    return vec
 
 
 def dual_vector(ring: FusionRing, x) -> tuple[int, ...]:

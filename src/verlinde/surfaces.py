@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fusion import (FusionRing, block_decomposition, multiply,
-                     restrict_to_labels, verify_axioms)
+                     product_vector, restrict_to_labels, verify_axioms)
 from .report import Report
 
 __all__ = [
@@ -57,13 +57,6 @@ class ColouredSurface:
         object.__setattr__(self, "boundary", tuple(self.boundary))
 
 
-def _check_labels(ring: FusionRing, surface: ColouredSurface) -> None:
-    for a in surface.boundary:
-        if not 0 <= a < ring.rank:
-            raise ValueError(
-                f"boundary colour {a} out of range for rank {ring.rank}")
-
-
 def handle_vector(ring: FusionRing) -> tuple[int, ...]:
     """The genus-adding vector: sum over labels of Q_dual(a) * Q_a.
 
@@ -76,14 +69,16 @@ def _unit_multiplicity(ring: FusionRing, vec) -> int:
     return sum(vec[b] for b in ring.unit)
 
 
-def _eval_in_order(ring: FusionRing, genus: int, colours) -> int:
+def _fold(ring: FusionRing, genus: int, colours) -> tuple[int, ...]:
     """Fold the colours strictly in the given order, then the handles."""
-    vec = ring.unit_vector()
-    for a in colours:
-        vec = multiply(ring, vec, ring.basis_vector(a))
+    vec = product_vector(ring, colours)
     for _ in range(genus):
         vec = multiply(ring, vec, ring.handle)
-    return _unit_multiplicity(ring, vec)
+    return vec
+
+
+def _eval_in_order(ring: FusionRing, genus: int, colours) -> int:
+    return _unit_multiplicity(ring, _fold(ring, genus, colours))
 
 
 def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
@@ -93,9 +88,9 @@ def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
     handles.  For rings that pass `verify_axioms` the order is
     immaterial; for rings that fail them the in-order product is the
     answer.  Nothing is memoised: each call folds afresh, and the ring
-    is kept alive by no table of this module.
+    is kept alive by no table of this module.  A colour out of range
+    raises `ValueError`.
     """
-    _check_labels(ring, surface)
     return _eval_in_order(ring, surface.genus, surface.boundary)
 
 
@@ -139,14 +134,8 @@ def _eval_by_capping(ring: FusionRing, genus: int, colours: tuple[int, ...],
     so it disagrees with the direct evaluation precisely when the
     Frobenius symmetry is broken.
     """
-    capped = colours[cap_index]
     rest = colours[:cap_index] + colours[cap_index + 1:]
-    vec = ring.unit_vector()
-    for a in rest:
-        vec = multiply(ring, vec, ring.basis_vector(a))
-    for _ in range(genus):
-        vec = multiply(ring, vec, ring.handle)
-    return vec[ring.dual[capped]]
+    return _fold(ring, genus, rest)[ring.dual[colours[cap_index]]]
 
 
 def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
@@ -160,7 +149,6 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     one gluing).  Any disagreement indicates a fusion-axiom failure
     upstream and is reported with both values.
     """
-    _check_labels(ring, surface)
     report = Report("gluing consistency")
     rng = random.Random(seed)
     genus, colours = surface.genus, tuple(surface.boundary)

@@ -13,6 +13,10 @@ unit, counit, cup, cap); `evaluate_word` compiles a word into a fold of
 exact tensor contractions, and closed words must reproduce the handle
 formula.  Comultiplication is never user input: it is the adjoint of the
 multiplication under the pairing.
+
+The derived data (pairing, its inverse, comultiplication, handle
+element) is computed once per `FrobeniusAlgebra` object and cached on
+it, so no module-level table keeps an algebra alive.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .categories import Algebra
 from .exact import Matrix, SingularMatrixError, Tensor3, rat
@@ -74,7 +78,10 @@ class DegeneratePairingError(ValueError):
 class FrobeniusAlgebra(Algebra):
     """A unital `Algebra` plus a counit functional eps.
 
-    The pairing and the comultiplication are derived, never stored.
+    The pairing, its inverse, the comultiplication and the handle
+    element are derived on first use and cached on the object, outside
+    equality and hashing, so they are freed with it.  A degenerate
+    pairing raises `DegeneratePairingError` on every request.
     """
 
     counit: tuple[Fraction, ...]
@@ -84,6 +91,39 @@ class FrobeniusAlgebra(Algebra):
         object.__setattr__(self, "counit", tuple(rat(x) for x in self.counit))
         if len(self.counit) != self.dim:
             raise ValueError("counit vector length mismatch")
+
+    @cached_property
+    def _pairing(self) -> Matrix:
+        n = self.dim
+        return Matrix(
+            [[sum(self.mult[i, j, k] * self.counit[k] for k in range(n))
+              for j in range(n)] for i in range(n)])
+
+    @cached_property
+    def _pairing_inverse(self) -> Matrix:
+        try:
+            return self._pairing.inverse()
+        except SingularMatrixError as err:
+            raise DegeneratePairingError(
+                f"derived pairing is singular (rank {err.rank} of "
+                f"{self.dim})") from err
+
+    @cached_property
+    def _comult(self) -> Tensor3:
+        n = self.dim
+        ginv = self._pairing_inverse
+        data = {}
+        for i in range(n):
+            for p in range(n):
+                for k in range(n):
+                    v = sum(ginv[p, q] * self.mult[q, i, k] for q in range(n))
+                    if v:
+                        data[(i, p, k)] = v
+        return Tensor3.from_dict((n, n, n), data)
+
+    @cached_property
+    def _handle(self) -> tuple[Fraction, ...]:
+        return self.mult.contract(self._pairing_inverse.entries)
 
 
 def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
@@ -97,48 +137,18 @@ def apply_counit(algebra: FrobeniusAlgebra, x) -> Fraction:
     return sum(a * b for a, b in zip(algebra.counit, x))
 
 
-@lru_cache(maxsize=None)
 def pairing_matrix(algebra: FrobeniusAlgebra) -> Matrix:
     """Derived pairing g[i][j] = eps(e_i e_j)."""
-    n = algebra.dim
-    return Matrix(
-        [[sum(algebra.mult[i, j, k] * algebra.counit[k] for k in range(n))
-          for j in range(n)] for i in range(n)])
+    return algebra._pairing
 
 
-@lru_cache(maxsize=None)
-def _pairing_inverse(algebra: FrobeniusAlgebra) -> Matrix:
-    g = pairing_matrix(algebra)
-    try:
-        return g.inverse()
-    except SingularMatrixError as err:
-        raise DegeneratePairingError(
-            f"derived pairing is singular (rank {err.rank} of "
-            f"{algebra.dim})") from err
-
-
-@lru_cache(maxsize=None)
-def _comult_tensor(algebra: FrobeniusAlgebra) -> Tensor3:
+def comultiplication_tensor(algebra: FrobeniusAlgebra) -> Tensor3:
     """D[i][p][k]: coefficient of e_p (x) e_k in the coproduct of e_i.
 
     Defined as the pairing adjoint of the multiplication:
     coproduct = (id (x) mult) o (cup (x) id).
     """
-    n = algebra.dim
-    ginv = _pairing_inverse(algebra)
-    data = {}
-    for i in range(n):
-        for p in range(n):
-            for k in range(n):
-                v = sum(ginv[p, q] * algebra.mult[q, i, k] for q in range(n))
-                if v:
-                    data[(i, p, k)] = v
-    return Tensor3.from_dict((n, n, n), data)
-
-
-def comultiplication_tensor(algebra: FrobeniusAlgebra) -> Tensor3:
-    """Public view of the derived coproduct coefficients D[i][p][k]."""
-    return _comult_tensor(algebra)
+    return algebra._comult
 
 
 def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
@@ -181,10 +191,9 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
     return report
 
 
-@lru_cache(maxsize=None)
 def handle_element(algebra: FrobeniusAlgebra) -> tuple[Fraction, ...]:
     """w = sum_{ij} g^{ij} e_i e_j; its counit powers give the invariants."""
-    return algebra.mult.contract(_pairing_inverse(algebra).entries)
+    return algebra._handle
 
 
 def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
@@ -266,7 +275,7 @@ def _generator_action(algebra: FrobeniusAlgebra, gen: str, args):
                 if algebra.mult[i, j, k]]
     if gen == "comult":
         (i,) = args
-        d = _comult_tensor(algebra)
+        d = algebra._comult
         return [((p, k), d[i, p, k]) for p in range(n) for k in range(n)
                 if d[i, p, k]]
     if gen == "unit":
@@ -275,12 +284,12 @@ def _generator_action(algebra: FrobeniusAlgebra, gen: str, args):
         (i,) = args
         return [((), algebra.counit[i])] if algebra.counit[i] else []
     if gen == "cup":
-        ginv = _pairing_inverse(algebra)
+        ginv = algebra._pairing_inverse
         return [((i, j), ginv[i, j]) for i in range(n) for j in range(n)
                 if ginv[i, j]]
     if gen == "cap":
         i, j = args
-        g = pairing_matrix(algebra)
+        g = algebra._pairing
         return [((), g[i, j])] if g[i, j] else []
     raise WordTypeError(f"unknown generator {gen!r}")
 
@@ -454,5 +463,5 @@ def frobenius_from_fusion(ring: FusionRing) -> FrobeniusAlgebra:
             (n, n, n), {idx: v for idx, v in ring.coeffs.nonzero()}),
         unit=tuple(Fraction(int(a in ring.unit)) for a in range(n)),
         counit=tuple(Fraction(int(a in ring.unit)) for a in range(n)))
-    _pairing_inverse(algebra)  # raises DegeneratePairingError if singular
+    algebra._pairing_inverse  # raises DegeneratePairingError if singular
     return algebra

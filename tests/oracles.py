@@ -36,6 +36,14 @@ def _mult_label(ring: FusionRing, counts: dict[int, int],
     return out
 
 
+def brute_force_product(ring: FusionRing, colours) -> tuple[int, ...]:
+    """Unit times the colours as an object vector, by convolution."""
+    counts = {b: 1 for b in ring.unit}
+    for colour in colours:
+        counts = _mult_label(ring, counts, colour)
+    return tuple(counts.get(c, 0) for c in range(ring.rank))
+
+
 def brute_force_dim(ring: FusionRing, genus: int, colours) -> int:
     """Unit multiplicity of the total product, by dictionary convolution."""
     counts = {b: 1 for b in ring.unit}

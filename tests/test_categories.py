@@ -325,6 +325,34 @@ def _as_base(completed: KaroubiCategory, m):
     return out
 
 
+def test_embed_inverts_base_morphism_of_on_every_basis_element():
+    completed = karoubi_completion(matrix_algebra_category(2))
+    pair_of = dict(zip(completed.objects, completed.pairs))
+    for (src, dst), basis in completed.hom_pairs():
+        for name in basis:
+            base = completed.base_morphism_of(name)
+            assert completed.embed(pair_of[src], pair_of[dst], base) == (
+                completed.basis_morphism(name))
+
+
+def test_karoubi_object_of_unknown_pair_is_a_named_error():
+    completed = karoubi_completion(matrix_algebra_category(2))
+    with pytest.raises(CategoryFormatError,
+                       match=r"x\(2,0,0,0\) is not an object"):
+        completed.object_of(("x", (2, 0, 0, 0)))
+    with pytest.raises(CategoryFormatError, match="is not an object"):
+        completed.object_of(("y", (1, 0, 0, 0)))
+
+
+def test_karoubi_embeds_zero_across_an_empty_base_hom():
+    # hom([], [x]) is empty in the base, so the carved hom is empty too
+    completed = karoubi_completion(mat_completion(field_category(), 1))
+    src, dst = ("[]", ()), ("[x]", (1,))
+    got = completed.embed(src, dst, completed.base.zero("[]", "[x]"))
+    assert got == completed.zero(completed.object_of(src),
+                                 completed.object_of(dst))
+
+
 def test_karoubi_rejects_non_idempotent_with_residual():
     cat = field_category()
     with pytest.raises(CategoryFormatError, match="not idempotent"):

@@ -52,6 +52,34 @@ def test_karoubi_mat2_serialization_is_pinned():
         "36010d09ac2a5906d9c6e0eb0aa5a75cf3255be0352eabd0b8eda6e5672370c8")
 
 
+KAROUBI_PINS = {
+    "mat-k-2": (lambda c: c.karoubi_completion(
+        c.mat_completion(c.field_category(), 2)),
+        "377f4d114f34f4e4f1a9a67e4c756291f8cd131d1cf96f706843de75dc319f78"),
+    "k2": (lambda c: c.karoubi_completion(
+        c.product_field_algebra(2).to_category()),
+        "857ba89abdb4f25c18ece2dba5f712890b5d65c9082387c41efaaccd730f167d"),
+    "z3-group": (lambda c: c.karoubi_completion(
+        c.group_algebra(c.cyclic_table(3)).to_category()),
+        "aff777933077bc4345cb3428a269b488fbf44d3ff3d62b7d76d82a3680240cf6"),
+    "mat2-listed": (lambda c: c.karoubi_completion(
+        c.matrix_algebra_category(2),
+        idempotents=[("x", (1, 0, 0, 1)), ("x", (1, 0, 0, 0))]),
+        "89a3614973e0407324f764632ff52b2ca892d80c5a51ac02d9fa0cb44c7453e7"),
+    "double-k2": (lambda c: c.karoubi_completion(c.karoubi_completion(
+        c.product_field_algebra(2).to_category())),
+        "1a36367f8c22a1207659f8d9f72996df9e3789bc6ad2e275a87e3082d8db95ec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KAROUBI_PINS))
+def test_karoubi_serializations_are_pinned(name):
+    from verlinde import categories
+    build, digest = KAROUBI_PINS[name]
+    text = serialize("category", build(categories))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_corpus_generator_reproduces_the_shipped_corpus():
     path = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
     spec = importlib.util.spec_from_file_location("make_corpus", path)

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import (S3_CHARACTER_TABLE, S3_CLASS_SIZES, Z2_CHARACTER_TABLE,
-                     Z2_CLASS_SIZES, frobenius_pairing_entries,
-                     fusion_axiom_entries, fusion_from_characters,
-                     naive_contract)
+                     Z2_CLASS_SIZES, brute_force_product,
+                     frobenius_pairing_entries, fusion_axiom_entries,
+                     fusion_from_characters, naive_contract)
 from verlinde.exact import Tensor3
 from verlinde.formats import serialize
 from verlinde.fusion import (BlockStructureError, FusionRing,
@@ -223,6 +223,26 @@ def test_product_vector_folds_from_unit():
     fib = fibonacci_ring()
     assert product_vector(fib, ()) == fib.unit_vector()
     assert product_vector(fib, (1, 1)) == (1, 1)
+
+
+@pytest.mark.parametrize("name", CORPUS_RINGS + ("toy",))
+def test_product_vector_matches_dictionary_convolution(name):
+    ring = toy_ring() if name == "toy" else load(name)
+    rng = random.Random(5)
+    for length in range(6):
+        for _ in range(10):
+            labels = tuple(rng.randrange(ring.rank) for _ in range(length))
+            assert product_vector(ring, labels) == brute_force_product(
+                ring, labels)
+
+
+@pytest.mark.parametrize("label", [2, 5, -1])
+def test_out_of_range_labels_are_rejected(label):
+    fib = fibonacci_ring()
+    with pytest.raises(ValueError, match=f"label {label} out of range"):
+        fib.basis_vector(label)
+    with pytest.raises(ValueError, match=f"label {label} out of range"):
+        product_vector(fib, (1, label))
 
 
 def test_direct_product_is_blockwise():

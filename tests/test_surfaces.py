@@ -118,6 +118,14 @@ def test_surface_evaluation_keeps_no_reference_to_the_ring():
     assert ref() is None
 
 
+@pytest.mark.parametrize("colour", [2, -1])
+def test_out_of_range_colours_are_rejected(colour):
+    fib = fibonacci_ring()
+    for check in (dim_V, verify_gluing_consistency):
+        with pytest.raises(ValueError, match=f"label {colour} out of range"):
+            check(fib, S(1, (1, colour)))
+
+
 def test_vacuum_insertion_is_neutral_for_irreducible_unit():
     for name in ("z2.fusion", "z3.fusion", "fib.fusion", "s3rep.fusion"):
         ring = load(name)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -315,6 +317,39 @@ def test_handle_element_values():
     assert handle_element(z2) == (Fraction(2), Fraction(0))
     fib = load("fib.algebra")
     assert handle_element(fib) == (Fraction(2), Fraction(1))
+
+
+def test_derived_data_is_computed_once_per_algebra():
+    a, b = load("fib.algebra"), load("fib.algebra")
+    assert pairing_matrix(a) is pairing_matrix(a)
+    assert comultiplication_tensor(a) is comultiplication_tensor(a)
+    assert handle_element(a) is handle_element(a)
+    # the cached values take no part in equality or hashing
+    assert a == b and hash(a) == hash(b)
+
+
+def test_degenerate_pairing_is_reported_on_every_request():
+    bad = FrobeniusAlgebra(
+        ("1", "x"),
+        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
+                                      (1, 0, 1): 1}),
+        (1, 0), (1, 0))
+    for _ in range(2):
+        with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
+            handle_element(bad)
+
+
+def test_algebra_is_freed_after_an_invariance_suite():
+    # a counit no other test uses, so no equal algebra was seen before
+    mat2 = load("mat2.algebra")
+    algebra = FrobeniusAlgebra(mat2.names, mat2.mult, mat2.unit,
+                               tuple(Fraction(7, 3) * c for c in mat2.counit))
+    del mat2
+    ref = weakref.ref(algebra)
+    assert invariance_suite(algebra, trials=2, max_genus=2).ok
+    del algebra
+    gc.collect()
+    assert ref() is None
 
 
 def test_invariance_under_direct_sum_at_genus_one():
