@@ -2,9 +2,11 @@
 
 A presented category is a finite set of objects with a chosen rational
 basis for every morphism space and a structure-constant table for
-composition.  Composition is bilinear by construction; associativity and
-the identity laws are equations on basis elements, checked by
-`validate_category`.
+composition, kept as the sparse integer table of its total algebra
+(+) hom(p, q) over a basis numbered once (Mitchell, "Rings with several
+objects", 1972).  Composition is bilinear by construction; associativity
+(`exact.associativity_failures` on composable triples) and the identity
+laws are equations on basis elements, checked by `validate_category`.
 
 On top of this the module provides the additive completion (objects
 become finite sequences, morphisms matrices), the Karoubi completion
@@ -18,11 +20,11 @@ check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, Tensor3, rat
+from .exact import (Matrix, Tensor3, associativity_failures, integer_rows,
+                    rat)
 from .report import Report
 
 __all__ = [
@@ -107,6 +109,10 @@ class Morphism:
 class PresentedCategory:
     """Objects, hom bases, composition table, identities.
 
+    The basis is numbered hom by hom in object order (`_names`,
+    `_number`); `_rows` and `_den` are the composition table as
+    `exact.integer_rows` builds it over that numbering.
+
     The constructor performs structural validation only (every name
     resolves, compositions are typed correctly); the categorical axioms
     are equations checked by `validate_category`.
@@ -135,8 +141,11 @@ class PresentedCategory:
                     raise CategoryFormatError(f"duplicate basis name {b!r}")
                 self._basis[b] = (p, q)
             self._hom[(p, q)] = basis
+        self._names = tuple(b for p in self.objects for q in self.objects
+                            for b in self.hom(p, q))
+        self._number = {b: i for i, b in enumerate(self._names)}
 
-        self._table: dict[tuple[str, str], dict[str, Fraction]] = {}
+        entries = []
         for (g, f), combo in compose.items():
             if g not in self._basis or f not in self._basis:
                 raise CategoryFormatError(
@@ -147,14 +156,15 @@ class PresentedCategory:
                 raise CategoryFormatError(
                     f"compose({g},{f}): not composable "
                     f"({f}: {fp}->{fq}, {g}: {gp}->{gq})")
-            combo = _clean(combo)
-            for h in combo:
+            gf = (self._number[g], self._number[f])
+            for h, c in _clean(combo).items():
                 if self._basis.get(h) != (fp, gq):
                     raise CategoryFormatError(
                         f"compose({g},{f}): result term {h} does not lie "
                         f"in hom({fp},{gq})")
-            if combo:
-                self._table[(g, f)] = combo
+                entries.append((gf + (self._number[h],), c))
+        entries.sort(key=lambda entry: entry[0])
+        self._rows, self._den = integer_rows(len(self._names), entries)
 
         self._identity: dict[str, dict[str, Fraction]] = {}
         for p in self.objects:
@@ -205,29 +215,42 @@ class PresentedCategory:
         return dict(self._identity[p])
 
     def compose_basis(self, g: str, f: str) -> dict[str, Fraction]:
-        return dict(self._table.get((g, f), {}))
+        terms = self._rows[self._number[g]].get(self._number[f], {})
+        return {self._names[k]: Fraction(c, self._den)
+                for k, c in terms.items()}
 
     def compose(self, g: Morphism, f: Morphism) -> Morphism:
         """g after f; bilinear extension of the structure-constant table."""
         if f.dst != g.src:
             raise CategoryFormatError(
                 f"not composable: {f.src}->{f.dst} then {g.src}->{g.dst}")
-        out: dict[str, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for gb, gc in g.coeffs.items():
+            row = self._rows[self._number[gb]]
             for fb, fc in f.coeffs.items():
-                w = gc * fc
-                for h, hv in self._table.get((gb, fb), {}).items():
-                    out[h] = out.get(h, Fraction(0)) + w * hv
-        return Morphism(f.src, g.dst, out)
+                terms = row.get(self._number[fb])
+                if terms:
+                    w = gc * fc
+                    for k, c in terms.items():
+                        out[k] = out.get(k, 0) + w * c
+        den = self._den
+        return Morphism(f.src, g.dst, {
+            self._names[k]: v / den if den > 1 else v
+            for k, v in out.items()})
 
     def table_items(self):
-        return self._table.items()
+        """((g, f), g . f) for every nonzero composite, in basis order."""
+        for g, row in zip(self._names, self._rows):
+            for j in row:
+                f = self._names[j]
+                yield (g, f), self.compose_basis(g, f)
 
     def __eq__(self, other):
         return (isinstance(other, PresentedCategory)
                 and self.objects == other.objects
                 and self._hom == other._hom
-                and self._table == other._table
+                and self._den == other._den
+                and self._rows == other._rows
                 and self._identity == other._identity)
 
     def __repr__(self):
@@ -238,12 +261,13 @@ class PresentedCategory:
 def validate_category(cat: PresentedCategory) -> Report:
     """Check the identity laws and associativity on composable basis triples.
 
-    Associativity is checked on the structure constants scaled by their
-    common denominator D: both bracketings of a triple are then integer
-    combinations equal to D^2 times the true composite, so comparing
-    them is exact.  A failing triple is recomputed through `compose` for
-    its report entry.  `checked` counts the identity equations (two per
-    basis element) plus the composable triples.
+    Associativity is `exact.associativity_failures` on the integer rows,
+    each basis element h paired with the basis elements ending at its
+    source, so exactly the composable triples are visited.  A failing
+    triple is recomputed through `compose` for its report entry, and
+    the entries come in order of the (h, g, f) names.  `checked` counts
+    the identity equations (two per basis element) plus the composable
+    triples.
     """
     report = Report("category axioms")
     for b in sorted(cat._basis):
@@ -256,46 +280,21 @@ def validate_category(cat: PresentedCategory) -> Report:
         if right != m:
             report.fail(f"identity law: {b} . id_{p} = {right.coeffs} != {b}")
 
-    ending_at: dict[str, list[str]] = {}
-    for b, (_, q) in sorted(cat._basis.items()):
-        ending_at.setdefault(q, []).append(b)
-    denom = math.lcm(*(c.denominator for combo in cat._table.values()
-                       for c in combo.values()))
-    table = {gf: {h: c.numerator * (denom // c.denominator)
-                  for h, c in combo.items()}
-             for gf, combo in cat._table.items()}
-    empty: dict[str, int] = {}
-    triples = 0
-    for h, (hp, _) in sorted(cat._basis.items()):
-        for g in ending_at.get(hp, ()):
-            hg = table.get((h, g), empty)
-            fs = ending_at.get(cat._basis[g][0], ())
-            triples += len(fs)
-            for f in fs:
-                lhs: dict[str, int] = {}
-                for k, a in hg.items():
-                    for m, c in table.get((k, f), empty).items():
-                        lhs[m] = lhs.get(m, 0) + a * c
-                rhs: dict[str, int] = {}
-                for k, a in table.get((g, f), empty).items():
-                    for m, c in table.get((h, k), empty).items():
-                        rhs[m] = rhs.get(m, 0) + a * c
-                if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
-                    report.fail(_associativity_entry(cat, h, g, f))
-    report.checked = 2 * len(cat._basis) + triples
+    names = cat._names
+    ending_at: dict[str, list[int]] = {}
+    for j, b in enumerate(names):
+        ending_at.setdefault(cat._basis[b][1], []).append(j)
+    partners = [ending_at.get(cat._basis[b][0], []) for b in names]
+    for h, g, f in sorted((names[i], names[j], names[k]) for i, j, k
+                          in associativity_failures(cat._rows, partners)):
+        hm, gm, fm = (cat.basis_morphism(b) for b in (h, g, f))
+        lhs = cat.compose(cat.compose(hm, gm), fm)
+        rhs = cat.compose(hm, cat.compose(gm, fm))
+        report.fail(f"associativity on ({h},{g},{f}): "
+                    f"{lhs.coeffs} != {rhs.coeffs}")
+    report.checked = 2 * len(names) + sum(
+        len(partners[j]) for js in partners for j in js)
     return report
-
-
-def _nonzero(combo: dict) -> dict:
-    return {k: v for k, v in combo.items() if v}
-
-
-def _associativity_entry(cat: PresentedCategory, h: str, g: str,
-                         f: str) -> str:
-    hm, gm, fm = (cat.basis_morphism(b) for b in (h, g, f))
-    lhs = cat.compose(cat.compose(hm, gm), fm)
-    rhs = cat.compose(hm, cat.compose(gm, fm))
-    return f"associativity on ({h},{g},{f}): {lhs.coeffs} != {rhs.coeffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +305,10 @@ def one_object_category(obj: str, basis_names, mult: Tensor3,
                         unit) -> PresentedCategory:
     """An algebra presented as a category with a single object."""
     basis_names = tuple(basis_names)
-    n = len(basis_names)
-    compose = {}
-    for i in range(n):
-        for j in range(n):
-            combo = {basis_names[k]: mult[i, j, k] for k in range(n)
-                     if mult[i, j, k]}
-            if combo:
-                compose[(basis_names[i], basis_names[j])] = combo
+    compose: dict[tuple[str, str], dict] = {}
+    for (i, j, k), c in mult.nonzero():
+        compose.setdefault((basis_names[i], basis_names[j]),
+                           {})[basis_names[k]] = c
     identity = {basis_names[k]: rat(u) for k, u in enumerate(unit) if rat(u)}
     return PresentedCategory(
         objects=(obj,),
@@ -330,11 +325,7 @@ def field_category(obj: str = "x", gen: str = "u") -> PresentedCategory:
 
 def matrix_algebra_category(n: int, obj: str = "x") -> PresentedCategory:
     """n x n matrix units e_ij with e_ij e_kl = delta(j,k) e_il."""
-    return one_object_category(
-        obj,
-        tuple(f"e{i}{j}" for i in range(n) for j in range(n)),
-        matrix_algebra(n).mult,
-        matrix_algebra(n).unit)
+    return matrix_algebra(n).to_category(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +369,14 @@ def mat_completion(cat: PresentedCategory, bound: int) -> PresentedCategory:
             if basis:
                 hom[(names[pseq], names[qseq])] = tuple(basis)
 
+    table = dict(cat.table_items())
     compose = {}
-    for vname, (qseq_v, rseq, k, l, b2) in basis_home.items():
-        for uname, (pseq, qseq, i, j, b1) in basis_home.items():
-            if qseq != qseq_v or l != i:
-                continue
-            combo = {}
-            for h, c in cat.compose_basis(b2, b1).items():
-                combo[_mat_basis_name(names[pseq], names[rseq], k, j, h)] = c
-            if combo:
-                compose[(vname, uname)] = combo
+    for vname, (qseq, rseq, k, l, b2) in basis_home.items():
+        for uname, (pseq, qseq_u, i, j, b1) in basis_home.items():
+            if qseq_u == qseq and l == i and (b2, b1) in table:
+                compose[(vname, uname)] = {
+                    _mat_basis_name(names[pseq], names[rseq], k, j, h): c
+                    for h, c in table[(b2, b1)].items()}
 
     identities = {}
     for seq in sequences:
@@ -413,7 +402,13 @@ def karoubi_object_name(obj: str, coeffs) -> str:
 def _idempotent(cat: PresentedCategory, pair) -> Morphism:
     """The endomorphism e of a (base object, coefficients) pair."""
     obj, coeffs = pair
-    return cat.morphism(obj, obj, dict(zip(cat.hom(obj, obj), coeffs)))
+    if obj not in cat.objects:
+        raise CategoryFormatError(f"unknown base object {obj!r}")
+    basis = cat.hom(obj, obj)
+    if len(coeffs) != len(basis):
+        raise CategoryFormatError(
+            f"{len(coeffs)} coefficients but dim End({obj}) = {len(basis)}")
+    return cat.morphism(obj, obj, dict(zip(basis, coeffs)))
 
 
 def karoubi_idempotents(cat: PresentedCategory, obj: str,
@@ -608,13 +603,12 @@ def tensor_product(a: PresentedCategory,
             hom[(obj_name[(p1, p2)], obj_name[(q1, q2)])] = tuple(basis)
 
     compose = {}
+    right = list(b.table_items())
     for (g1, f1), combo1 in a.table_items():
-        for (g2, f2), combo2 in b.table_items():
-            combo = {}
-            for h1, c1 in combo1.items():
-                for h2, c2 in combo2.items():
-                    combo[pair_name[(h1, h2)]] = c1 * c2
-            compose[(pair_name[(g1, g2)], pair_name[(f1, f2)])] = combo
+        for (g2, f2), combo2 in right:
+            compose[(pair_name[(g1, g2)], pair_name[(f1, f2)])] = {
+                pair_name[(h1, h2)]: c1 * c2
+                for h1, c1 in combo1.items() for h2, c2 in combo2.items()}
 
     identities = {}
     for p in a.objects:
@@ -642,17 +636,9 @@ def character_vector(cat: PresentedCategory, obj: str) -> tuple:
     exactly when their character vectors agree; this is the desk-scale
     stand-in for an isomorphism search.
     """
-    values = []
-    for q in cat.objects:
-        target = cat.hom(q, obj)
-        for b in cat.hom(q, q):
-            trace = Fraction(0)
-            for m in target:
-                composite = cat.compose(cat.basis_morphism(m),
-                                        cat.basis_morphism(b))
-                trace += composite.coeffs.get(m, Fraction(0))
-            values.append(trace)
-    return tuple(values)
+    return tuple(sum((cat.compose_basis(m, b).get(m, 0)
+                      for m in cat.hom(q, obj)), Fraction(0))
+                 for q in cat.objects for b in cat.hom(q, q))
 
 
 def iso_classes(cat: PresentedCategory, objects=None) -> list[list[str]]:
@@ -717,13 +703,11 @@ class Algebra:
             raise ValueError("an algebra is a category with one object")
         obj = cat.objects[0]
         basis = cat.hom(obj, obj)
-        index = {b: i for i, b in enumerate(basis)}
         n = len(basis)
-        data = {}
-        for i, g in enumerate(basis):
-            for j, f in enumerate(basis):
-                for h, c in cat.compose_basis(g, f).items():
-                    data[(i, j, index[h])] = c
+        # with one object the basis numbering is the order of hom(obj, obj)
+        data = {(i, j, k): Fraction(c, cat._den)
+                for i, row in enumerate(cat._rows)
+                for j, terms in row.items() for k, c in terms.items()}
         ident = cat.identity_coeffs(obj)
         return cls(names=basis,
                    mult=Tensor3.from_dict((n, n, n), data),

@@ -328,8 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact answers (high-genus dimensions) exceed the int -> str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        return args.func(args)
     except _CheckFailed as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -338,7 +342,9 @@ def main(argv=None) -> int:
             ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ from one fraction-free Gauss-Jordan elimination: rows are scaled to
 integers, eliminated over the integers with gcd normalisation (after
 Bareiss, 1968), and only the results return to `Fraction`.  All values
 are immutable after construction, so they are safe to share freely.
+
+Structure constants of fusion rings, algebras and linear categories
+share one sparse integer table (`integer_rows`) and one associativity
+check on it (`associativity_failures`).
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ __all__ = [
     "rat",
     "Matrix",
     "Tensor3",
+    "integer_rows",
+    "associativity_failures",
     "DimensionMismatchError",
     "SingularMatrixError",
 ]
@@ -291,3 +297,56 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims}, nonzero={list(self.nonzero())})"
+
+
+def integer_rows(size: int, entries) -> tuple[list[dict], int]:
+    """Sparse integer structure rows of nonzero ((i, j, k), value) entries.
+
+    Returns (rows, den): den is the lcm of the denominators and
+    rows[i][j] maps k to den * value, in the order the entries come.
+    """
+    entries = list(entries)
+    den = lcm(*{v.denominator for _, v in entries})
+    rows: list[dict] = [{} for _ in range(size)]
+    for (i, j, k), v in entries:
+        rows[i].setdefault(j, {})[k] = v.numerator * (den // v.denominator)
+    return rows, den
+
+
+def associativity_failures(rows, partners):
+    """Yield each (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
+
+    `rows[i]` maps j to the nonzero {k: c} of e_i e_j over one common
+    denominator (`integer_rows`), so the comparison is exact.  It visits
+    i, j in `partners[i]`, k in `partners[j]`, in that order.  A product
+    e_i e_j = 1 * e_m is not summed: row m stands for it.
+    """
+    empty: dict = {}
+    cols: list[dict] = [{} for _ in rows]  # cols[k][m] is rows[m][k]
+    single: list[dict] = [{} for _ in rows]  # m where e_i e_j = 1 * e_m
+    for m, row in enumerate(rows):
+        for k, combo in row.items():
+            cols[k][m] = combo
+            if len(combo) == 1 and 1 in combo.values():
+                single[m][k] = next(iter(combo))
+
+    def product(terms, lookup):
+        out: dict = {}
+        for m, c in terms.items():
+            for t, v in lookup.get(m, empty).items():
+                out[t] = out.get(t, 0) + c * v
+        return out
+
+    for i, row in enumerate(rows):
+        for j in partners[i]:
+            ij, m = row.get(j, empty), single[i].get(j)
+            rj, sj = rows[j], single[j]
+            for k in partners[j]:
+                n = sj.get(k)
+                lhs = (product(ij, cols[k]) if m is None
+                       else cols[k].get(m, empty))
+                rhs = (product(rj.get(k, empty), row) if n is None
+                       else row.get(n, empty))
+                if lhs != rhs and ({t: v for t, v in lhs.items() if v}
+                                   != {t: v for t, v in rhs.items() if v}):
+                    yield i, j, k

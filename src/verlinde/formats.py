@@ -403,21 +403,14 @@ def _combination_str(combo: dict[str, Fraction], order) -> str:
 
 def _serialize_category(cat: PresentedCategory) -> str:
     lines = [f"object {p}" for p in cat.objects]
-    basis_order = []
     for p in cat.objects:
         for q in cat.objects:
             for b in cat.hom(p, q):
                 lines.append(f"hom {p} {q} {b}")
-                basis_order.append(b)
-    for g in basis_order:
-        for f in basis_order:
-            combo = cat.compose_basis(g, f)
-            if combo:
-                _, gq = cat.basis_type(g)
-                fp, _ = cat.basis_type(f)
-                order = cat.hom(fp, gq)
-                lines.append(f"compose {g} {f} = "
-                             f"{_combination_str(combo, order)}")
+    # table_items walks the basis numbering, which is the order above
+    for (g, f), combo in cat.table_items():
+        terms = " + ".join(f"{c}*{h}" for h, c in combo.items())
+        lines.append(f"compose {g} {f} = {terms}")
     for p in cat.objects:
         combo = cat.identity_coeffs(p)
         lines.append(f"identity {p} = "

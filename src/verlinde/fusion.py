@@ -23,7 +23,8 @@ Each ring keeps its multiplicities twice: the public `coeffs` tensor of
 `Fraction`s, which defines equality and serialization, and a derived
 table `table[a][b]` of plain `int` tuples indexed by c, built once at
 construction.  Products, the axiom checks, the block decomposition and
-restriction all read the table.
+restriction all read the table; associativity is the shared
+`exact.associativity_failures`, on the sparse rows of `coeffs`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .exact import Tensor3
+from .exact import Tensor3, associativity_failures, integer_rows
 from .report import Report
 
 __all__ = [
@@ -179,39 +180,6 @@ def inner_product(ring: FusionRing, x, y) -> int:
     return sum(x[ring.dual[a]] * y[a] for a in range(ring.rank))
 
 
-def _associativity_failures(table):
-    """Yield (a, b, c, lhs, rhs) wherever (Q_a Q_b) Q_c != Q_a (Q_b Q_c).
-
-    lhs[e] = sum_d N[a][b][d] N[d][c][e] and rhs[e] = sum_d N[b][c][d]
-    N[a][d][e] are compared as whole vectors, each summed over the
-    nonzero d only; triples come in lexicographic order.
-    """
-    n = len(table)
-    zero = (0,) * n
-    support = [[[(d, m) for d, m in enumerate(row) if m] for row in plane]
-               for plane in table]
-    # columns[c][d] is table[d][c], the row lhs sums over d
-    columns = [[plane[c] for plane in table] for c in range(n)]
-
-    def combine(terms, rows):
-        if not terms:
-            return zero
-        if len(terms) == 1 and terms[0][1] == 1:
-            return rows[terms[0][0]]
-        return tuple(map(sum, zip(*[rows[d] if m == 1 else
-                                    [m * v for v in rows[d]]
-                                    for d, m in terms])))
-
-    for a in range(n):
-        for b in range(n):
-            ab = support[a][b]
-            for c in range(n):
-                lhs = combine(ab, columns[c])
-                rhs = combine(support[b][c], table[a])
-                if lhs != rhs:
-                    yield a, b, c, lhs, rhs
-
-
 def verify_axioms(ring: FusionRing) -> Report:
     """Check all fusion-ring axioms exactly; the report lists every violation.
 
@@ -242,7 +210,10 @@ def verify_axioms(ring: FusionRing) -> Report:
                         f"commutativity: N[{a}][{b}][{c}] = "
                         f"{ab[c]} != {ba[c]} = N[{b}][{a}][{c}]")
 
-    for a, b, c, lhs, rhs in _associativity_failures(table):
+    rows, _ = integer_rows(n, ring.coeffs.nonzero())
+    for a, b, c in associativity_failures(rows, [range(n)] * n):
+        lhs = multiply(ring, table[a][b], ring.basis_vector(c))
+        rhs = multiply(ring, ring.basis_vector(a), table[b][c])
         for e in range(n):
             if lhs[e] != rhs[e]:
                 report.fail(
@@ -497,6 +468,7 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
         raise ValueError(f"max_coeff {max_coeff} out of supported range 0..3")
 
     found: dict[tuple, FusionRing] = {}
+    partners = [range(rank)] * rank
     for dual in _involutions_fixing_zero(rank):
         forced = _forced_entries(rank, dual)
         orbits = _symmetry_orbits(rank, dual)
@@ -510,9 +482,8 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
             for orbit, v in zip(orbits, values):
                 for t in orbit:
                     N[t] = v
-            table = tuple(tuple(tuple(N[(a, b, c)] for c in range(rank))
-                                for b in range(rank)) for a in range(rank))
-            if next(_associativity_failures(table), None) is not None:
+            rows, _ = integer_rows(rank, ((t, v) for t, v in N.items() if v))
+            if next(associativity_failures(rows, partners), None) is not None:
                 continue
             key = _canonical_key(rank, dual, N)
             if key in found:

@@ -147,7 +147,8 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     boundary colours through the involution, and random two-part splits
     glued back along one circle (the disjoint-union law combined with
     one gluing).  Any disagreement indicates a fusion-axiom failure
-    upstream and is reported with both values.
+    upstream and is reported with both values.  `checked` counts the
+    re-evaluations compared with the canonical value.
     """
     report = Report("gluing consistency")
     rng = random.Random(seed)
@@ -192,6 +193,7 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
                 f"split (genus {g1}+{genus - g1}, boundaries {s1}|{s2}) "
                 f"glued along one circle gives {glued}, direct evaluation "
                 f"gives {reference}")
+    report.checked = (3 if genus else 2) * trials + len(colours)
     return report
 
 
@@ -258,12 +260,17 @@ class TwistData:
 
 
 def validate_twists(ring: FusionRing, twists: TwistData) -> Report:
-    """Check the two paper constraints: units twist by 1, duals twist alike."""
+    """Check the two paper constraints: units twist by 1, duals twist alike.
+
+    `checked` counts the length test and one equation per unit and label.
+    """
     report = Report("twist data")
+    report.checked = 1
     if len(twists.values) != ring.rank:
         report.fail(
             f"{len(twists.values)} twist values for rank {ring.rank}")
         return report
+    report.checked += len(ring.unit) + ring.rank
     for b in ring.unit:
         if not twists.values[b].is_one():
             report.fail(

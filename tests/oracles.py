@@ -4,8 +4,8 @@ Nothing here reuses the library's evaluation paths: fusion
 multiplicities are read from the `Fraction` tensor `ring.coeffs`, never
 from the ring's integer table; surface dimensions are recomputed by
 naive convolution (and, for tiny cases, by literally expanding the
-product as a multiset of labels), the fusion-axiom and pairing reports
-by loops over every index, representation-ring
+product as a multiset of labels), the fusion-axiom, pairing and
+Frobenius-algebra reports by loops over every index, representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
 sums over `compose_basis`, rank, inverse and row reduction come from a
@@ -169,6 +169,70 @@ def frobenius_pairing_entries(ring: FusionRing) -> tuple[list[str], int]:
                         f"<Q_{a}, Q_{b}*Q_{c}> = {lhs} != {rhs} = "
                         f"<Q_{a}*Q_{b}, Q_{c}> "
                         f"(N[{b}][{c}][{dual[a]}] vs N[{a}][{b}][{dual[c]}])")
+    return entries, checked
+
+
+# ---------------------------------------------------------------------------
+# Frobenius-algebra report by a Fraction loop over every basis triple
+
+
+def frobenius_axiom_entries(algebra) -> tuple[list[str], int]:
+    """(entries, equations checked) of the Frobenius-algebra check.
+
+    Both bracketings of every basis triple are summed in `Fraction`
+    straight from `algebra.mult[i, j, k]`, and both associativity and
+    pairing invariance are compared on each; the unit laws and the rank
+    of the pairing come from the same constants.
+    """
+    entries: list[str] = []
+    checked = 0
+    n = algebra.dim
+    m = algebra.mult
+
+    def times(x, y):
+        out = [Fraction(0)] * n
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in xs:
+            for j, b in ys:
+                for k in range(n):
+                    if m[i, j, k]:
+                        out[k] += a * b * m[i, j, k]
+        return tuple(out)
+
+    def eps(x):
+        return sum(a * b for a, b in zip(algebra.counit, x) if a and b)
+
+    basis = [tuple(Fraction(int(j == i)) for j in range(n))
+             for i in range(n)]
+    prod = [[times(x, y) for y in basis] for x in basis]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                checked += 2
+                lhs = times(prod[i][j], basis[k])
+                rhs = times(basis[i], prod[j][k])
+                if lhs != rhs:
+                    entries.append(f"associativity at (e_{i} e_{j}) e_{k}: "
+                                   f"{lhs} != {rhs}")
+                if eps(lhs) != eps(rhs):
+                    entries.append(
+                        f"pairing invariance at (e_{i} e_{j}, e_{k}): "
+                        "eps((ab)c) != eps(a(bc))")
+    for i in range(n):
+        checked += 2
+        left = times(algebra.unit, basis[i])
+        right = times(basis[i], algebra.unit)
+        if left != basis[i]:
+            entries.append(f"unit law: 1 * e_{i} = {left}")
+        if right != basis[i]:
+            entries.append(f"unit law: e_{i} * 1 = {right}")
+    checked += 1
+    pairing = [[eps(xy) for xy in row] for row in prod]
+    rank = gauss_jordan_rank(pairing)
+    if rank != n:
+        entries.append(
+            f"pairing eps(e_i e_j) is degenerate: rank {rank} of {n}")
     return entries, checked
 
 

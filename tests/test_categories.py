@@ -359,6 +359,17 @@ def test_karoubi_rejects_non_idempotent_with_residual():
         karoubi_completion(cat, idempotents=[("x", (Fraction(1, 2),))])
 
 
+def test_karoubi_rejects_unknown_objects_and_wrong_coefficient_counts():
+    cat = field_category()
+    with pytest.raises(CategoryFormatError,
+                       match="unknown base object 'nope'"):
+        karoubi_completion(cat, idempotents=[("nope", (1,)),
+                                             ("x", (1, 0, 5))])
+    with pytest.raises(CategoryFormatError,
+                       match=r"3 coefficients but dim End\(x\) = 1"):
+        karoubi_completion(cat, idempotents=[("x", (1, 0, 5))])
+
+
 def test_karoubi_explicit_idempotent_list():
     cat = matrix_algebra_category(2)
     completed = karoubi_completion(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from verlinde import corpus
 from verlinde.cli import main
+from verlinde.fusion import fibonacci_ring
+from verlinde.surfaces import ColouredSurface, dim_V
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,3 +168,19 @@ def test_enumerate_golden_is_exactly_z2_and_fibonacci():
     from conftest import load
     assert rings[0].coeffs == load("z2.fusion").coeffs
     assert rings[1].coeffs == load("fib.fusion").coeffs
+
+
+def test_dim_prints_integers_past_the_digit_limit(run):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run("dim", "--genus", "20000", "fib.fusion")
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    expected = dim_V(fibonacci_ring(), ColouredSurface(20000, ()))
+    if limit is not None:
+        assert len(out) > limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{expected}\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -157,6 +157,18 @@ def test_gluing_consistency_on_corpus():
             assert report.ok, report.render()
 
 
+def test_gluing_consistency_counts_its_comparisons():
+    # trials reorderings, trials splits, trials genus reductions when
+    # the genus is positive, and one capping per boundary colour
+    fib = load("fib.fusion")
+    checked = {name: verify_gluing_consistency(fib, surface).checked
+               for name, surface in load("fib.surfaces").items()}
+    assert checked == {"cylinder_tau": 18, "disk_tau": 17, "disk_unit": 17,
+                       "genus2": 24, "genus3": 24, "pants_tau": 19,
+                       "sphere": 16, "torus": 24}
+    assert verify_gluing_consistency(fib, S(1, (1,)), trials=3).checked == 10
+
+
 def test_gluing_consistency_detects_broken_frobenius_symmetry():
     z3 = cyclic_ring(3)
     broken = FusionRing(dual=(0, 1, 2), unit=(0,), coeffs=z3.coeffs)
@@ -215,6 +227,16 @@ def test_validate_twists_all_ones_pass():
         ring = load(name)
         twists = TwistData.from_mapping(ring.rank, {})
         assert validate_twists(ring, twists).ok
+
+
+def test_validate_twists_counts_its_comparisons():
+    fib = load("fib.fusion")
+    twists = TwistData.from_mapping(2, load("fib.twist"))
+    # the length, one unit component, two labels
+    assert validate_twists(fib, twists).checked == 4
+    report = validate_twists(load("z3.fusion"), twists)
+    assert not report.ok
+    assert report.checked == 1
 
 
 def test_validate_twists_fibonacci_arbitrary_tau_twist():

@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
-from verlinde.categories import Algebra
+from oracles import frobenius_axiom_entries, s3_cayley_table
+from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
+                                 group_algebra, matrix_algebra)
 from verlinde.exact import Matrix, Tensor3
 from verlinde.fusion import FusionRing, cyclic_ring
 from verlinde.surfaces import ColouredSurface, dim_V
@@ -45,6 +47,47 @@ def test_frobenius_algebra_is_an_algebra_plus_counit():
 def test_validate_frobenius_counts_checked_equations():
     # 2n^3 associativity and invariance, 2n unit laws, one rank check
     assert validate_frobenius(load("mat2.algebra")).checked == 137
+
+
+def _frobenius(algebra: Algebra, counit) -> FrobeniusAlgebra:
+    return FrobeniusAlgebra(algebra.names, algebra.mult, algebra.unit, counit)
+
+
+def _raised(a: FrobeniusAlgebra):
+    """One copy of `a` per nonzero structure constant, raised by 1."""
+    data = dict(a.mult.nonzero())
+    for idx in data:
+        raised = dict(data)
+        raised[idx] += 1
+        yield FrobeniusAlgebra(a.names, Tensor3.from_dict(a.mult.dims, raised),
+                               a.unit, a.counit)
+
+
+def _stock_frobenius_algebras():
+    m3 = matrix_algebra(3)
+    yield _frobenius(m3, [int(name[1] == name[2]) for name in m3.names])
+    yield _frobenius(group_algebra(cyclic_table(4)), (1, 0, 0, 0))
+    yield _frobenius(group_algebra(s3_cayley_table()), (1, 0, 0, 0, 0, 0))
+    yield _frobenius(dual_numbers_algebra(), (0, 1))
+
+
+def _frobenius_families():
+    bases = [load(name) for name in CORPUS_ALGEBRAS]
+    bases.extend(_stock_frobenius_algebras())
+    for a in bases:
+        yield a
+        yield from _raised(a)
+    k2 = load("ksquared.algebra")
+    yield FrobeniusAlgebra(k2.names, k2.mult, (1, 0), k2.counit)
+    yield FrobeniusAlgebra(k2.names, k2.mult, k2.unit, (1, 0))
+
+
+def test_validate_frobenius_matches_the_fraction_oracle():
+    for a in _frobenius_families():
+        report = validate_frobenius(a)
+        entries, checked = frobenius_axiom_entries(a)
+        assert report.entries == entries
+        assert report.checked == checked
 
 
 def test_ground_field_with_unit_counit_one_is_valid():
@@ -195,6 +238,14 @@ def test_counit_laws_of_derived_comultiplication(name):
 def test_invariance_suite_passes(name):
     report = invariance_suite(load(name), trials=6, seed=2, max_genus=3)
     assert report.ok, report.render()
+
+
+def test_invariance_suite_counts_its_comparisons():
+    # 6 trials x 4 genera, then per genus the canonical word and the
+    # alternates: two each, three at genus 1
+    report = invariance_suite(load("mat2.algebra"), trials=6, seed=2,
+                              max_genus=3)
+    assert report.checked == 6 * 4 + 3 + 4 + 3 + 3
 
 
 def test_transport_preserves_validation_and_invariants():
