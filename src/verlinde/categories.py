@@ -41,6 +41,8 @@ __all__ = [
     "karoubi_completion",
     "karoubi_object_name",
     "KaroubiCategory",
+    "SearchTooLargeError",
+    "MAX_KAROUBI_CANDIDATES",
     "tensor_product",
     "character_vector",
     "iso_classes",
@@ -61,6 +63,12 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+# the most grid candidates one idempotent search may try (|grid|^dim End)
+MAX_KAROUBI_CANDIDATES = 10 ** 6
+
+
+class SearchTooLargeError(ValueError):
+    """A grid search for idempotents would pass MAX_KAROUBI_CANDIDATES."""
 
 
 class CategoryFormatError(ValueError):
@@ -411,9 +419,26 @@ def _idempotent(cat: PresentedCategory, pair) -> Morphism:
     return cat.morphism(obj, obj, dict(zip(basis, coeffs)))
 
 
+def _check_search(cat: PresentedCategory, objects, grid) -> None:
+    """Raise SearchTooLargeError, naming the object and its estimate,
+    before a search on any object with |grid|^dim End past the limit."""
+    for obj in objects:
+        dim = cat.hom_dim(obj, obj)
+        if len(grid) ** dim > MAX_KAROUBI_CANDIDATES:
+            raise SearchTooLargeError(
+                f"idempotent search on {obj} would try {len(grid)}^{dim} = "
+                f"{len(grid) ** dim} candidates, more than "
+                f"{MAX_KAROUBI_CANDIDATES}")
+
+
 def karoubi_idempotents(cat: PresentedCategory, obj: str,
                         grid=DEFAULT_GRID) -> list[tuple[Fraction, ...]]:
-    """All solutions of e . e = e with coefficients drawn from the grid."""
+    """All solutions of e . e = e with coefficients drawn from the grid.
+
+    Raises SearchTooLargeError before the search if it would try more
+    than MAX_KAROUBI_CANDIDATES candidates.
+    """
+    _check_search(cat, (obj,), grid)
     basis = cat.hom(obj, obj)
     if not basis:
         return [tuple()]
@@ -520,7 +545,8 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     `_Corner` per ordered pair of objects; the composition is
     (e'', f', e')(e', f, e) = (e'', f'f, e), tabulated one triple of
     objects at a time, and the identity of (p, e) is the triple
-    (e, e, e).
+    (e, e, e).  A grid search first estimates |grid|^dim End(p) for
+    every object and raises SearchTooLargeError past the limit.
     """
     pairs: list[tuple[str, tuple[Fraction, ...]]] = []
     if idempotents is not None:
@@ -534,6 +560,7 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                     f"e.e - e = {residual}")
             pairs.append((obj, tuple(rat(c) for c in coeffs)))
     else:
+        _check_search(cat, cat.objects, grid)
         for obj in cat.objects:
             for coeffs in karoubi_idempotents(cat, obj, grid):
                 pairs.append((obj, coeffs))

@@ -1,11 +1,13 @@
 """Exact rational linear algebra: dense matrices and small rank-3 tensors.
 
 Every scalar is a `fractions.Fraction`; nothing in this module ever
-rounds.  Rank, inverse and row-reduced bases (`Matrix.rref`) all come
-from one fraction-free Gauss-Jordan elimination: rows are scaled to
-integers, eliminated over the integers with gcd normalisation (after
-Bareiss, 1968), and only the results return to `Fraction`.  All values
-are immutable after construction, so they are safe to share freely.
+rounds.  Each `Matrix` and `Tensor3` keeps one scaled-integer form,
+integer rows over one positive denominator (`scale_to_integers`), built
+on first use.  `@`, `apply`, `contract` and the one fraction-free
+Gauss-Jordan elimination behind rank, inverse and `rref` (after Bareiss,
+1968) work on plain `int`s and divide each result entry once, so every
+result is an eager `Fraction`.  All values are immutable after
+construction, so they are safe to share freely.
 
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`integer_rows`) and one associativity
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "rat",
     "Matrix",
     "Tensor3",
+    "scale_to_integers",
     "integer_rows",
     "associativity_failures",
     "DimensionMismatchError",
@@ -35,6 +39,17 @@ Rational = Fraction
 def rat(x) -> Fraction:
     """Coerce an int or a 'p/q' string to Fraction; Fractions pass through."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def scale_to_integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(integer rows, d) with rows == integer rows / d: d is the lcm of the
+    denominators of all entries (ints or Fractions), 1 if there are none."""
+    try:
+        den = lcm(*{x.denominator for row in rows for x in row})
+    except AttributeError:
+        raise TypeError("entries must be ints or Fractions") from None
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in row])
+                  for row in rows]), den
 
 
 class DimensionMismatchError(ValueError):
@@ -51,9 +66,10 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over Fraction, row-major."""
+    """Immutable dense matrix over Fraction, row-major, plus its cached
+    `integer_form`, on which products, `apply` and elimination run."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_integer")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -92,6 +108,14 @@ class Matrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
+    @property
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """`scale_to_integers` of the entries, computed once."""
+        if not hasattr(self, "_integer"):
+            object.__setattr__(self, "_integer",
+                               scale_to_integers(self.entries))
+        return self._integer
+
     def transpose(self) -> "Matrix":
         return Matrix(
             [[self.entries[i][j] for i in range(self.rows)]
@@ -105,21 +129,12 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
-        ot = other.transpose()
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot.entries]
-             for row in self.entries],
-            cols=other.cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionMismatchError(
-                f"cannot add {self.shape} and {other.shape}")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)],
-                      cols=self.cols)
+        a, da = self.integer_form
+        b, db = other.integer_form
+        cols = list(zip(*b)) if b else [()] * other.cols
+        d = da * db
+        return Matrix([[Fraction(sum(map(mul, row, col)), d) for col in cols]
+                       for row in a], cols=other.cols)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
@@ -133,40 +148,10 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot apply {self.rows}x{self.cols} to vector of "
                 f"length {len(v)}")
-        return tuple(sum(a * b for a, b in zip(row, v))
-                     for row in self.entries)
-
-    def _eliminate(self) -> tuple[list[list[int]], list[int]]:
-        """Fraction-free Gauss-Jordan: (integer rows, pivot columns).
-
-        Each row is scaled to integers by the lcm of its denominators and
-        eliminated over the integers, every combined row divided by the
-        gcd of its entries.  Row r, divided by its entry in column
-        pivots[r], is row r of the reduced row echelon form; the rows
-        past the last pivot are zero.
-        """
-        m = []
-        for row in self.entries:
-            den = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (den // x.denominator) for x in row])
-        pivots: list[int] = []
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == self.rows:
-                break
-            p = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            prow, a = m[r], m[r][c]
-            for i, row in enumerate(m):
-                b = row[c]
-                if b and i != r:
-                    row = [a * x - b * y for x, y in zip(row, prow)]
-                    g = gcd(*row)
-                    m[i] = [x // g for x in row] if g > 1 else row
-            pivots.append(c)
-        return m, pivots
+        a, da = self.integer_form
+        (w,), dv = scale_to_integers((v,))
+        d = da * dv
+        return tuple(Fraction(sum(map(mul, row, w)), d) for row in a)
 
     def rref(self) -> tuple[tuple[tuple[Fraction, ...], ...],
                             tuple[int, ...]]:
@@ -175,22 +160,23 @@ class Matrix:
         The rows have leading 1 and come in pivot order; they are the
         unique reduced basis of the row space.
         """
-        m, pivots = self._eliminate()
+        m, pivots = _eliminate(list(self.integer_form[0]), self.cols)
         rows = tuple(tuple(Fraction(x, m[r][c]) for x in m[r])
                      for r, c in enumerate(pivots))
         return rows, tuple(pivots)
 
     def rank(self) -> int:
-        return len(self._eliminate()[1])
+        return len(_eliminate(list(self.integer_form[0]), self.cols)[1])
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatchError(
                 f"cannot invert non-square {self.rows}x{self.cols} matrix")
         n = self.rows
-        m, pivots = Matrix(
-            [row + tuple(int(i == j) for j in range(n))
-             for i, row in enumerate(self.entries)], cols=2 * n)._eliminate()
+        a, den = self.integer_form
+        m, pivots = _eliminate(
+            [row + tuple(den if i == j else 0 for j in range(n))
+             for i, row in enumerate(a)], 2 * n)
         r = sum(1 for c in pivots if c < n)
         if r < n:
             raise SingularMatrixError(rank=r, size=n)
@@ -211,10 +197,41 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-class Tensor3:
-    """Immutable dense rank-3 tensor indexed (i, j, k) over Fraction."""
+def _eliminate(m: list, cols: int) -> tuple[list, list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows: (rows, pivot columns).
 
-    __slots__ = ("dims", "entries")
+    The rows of `m` (any positive scaling of each row gives the same
+    result) are eliminated over the integers in place, every combined
+    row divided by the gcd of its entries.  Row r, divided by its entry
+    in column pivots[r], is row r of the reduced row echelon form; the
+    rows past the last pivot are zero.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        prow, a = m[r], m[r][c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return m, pivots
+
+
+class Tensor3:
+    """Immutable dense rank-3 tensor indexed (i, j, k) over Fraction, plus
+    its cached `integer_form`, on which `contract` runs."""
+
+    __slots__ = ("dims", "entries", "_integer")
 
     def __init__(self, entries: Iterable[Iterable[Iterable]],
                  dims: tuple[int, int, int] | None = None):
@@ -259,25 +276,40 @@ class Tensor3:
         i, j, k = ijk
         return self.entries[i][j][k]
 
-    def contract(self, weights) -> tuple[Fraction, ...]:
-        """z[k] = sum_ij w[i][j] t[i][j][k] for a d1 x d2 weight array.
+    @property
+    def integer_form(self) -> tuple[tuple, int]:
+        """(planes, d) with t[i][j][k] == planes[i][j][k] / d, computed once
+        by one `scale_to_integers` over all fibres."""
+        if not hasattr(self, "_integer"):
+            d1, d2, _ = self.dims
+            fibres, den = scale_to_integers(
+                [f for plane in self.entries for f in plane])
+            object.__setattr__(self, "_integer", (tuple(
+                fibres[i * d2:(i + 1) * d2] for i in range(d1)), den))
+        return self._integer
 
-        Zero weights and zero entries are skipped; the result always has
-        d3 Fraction components.
+    def contract(self, weights, den: int = 1) -> tuple[Fraction, ...]:
+        """z[k] = sum_ij w[i][j] t[i][j][k] / den for a d1 x d2 weight array.
+
+        Integer weights and entries are summed, zeros skipped; the result
+        always has d3 Fraction components.
         """
         d1, d2, d3 = self.dims
         if len(weights) != d1 or any(len(row) != d2 for row in weights):
             raise DimensionMismatchError(
                 f"cannot contract {d1}x{d2}x{d3} tensor with weights of "
                 f"{len(weights)} rows; expected {d1}x{d2}")
-        out = [Fraction(0)] * d3
-        for wrow, plane in zip(weights, self.entries):
+        planes, dt = self.integer_form
+        ws, dw = scale_to_integers(weights)
+        out = [0] * d3
+        for wrow, plane in zip(ws, planes):
             for w, fibre in zip(wrow, plane):
                 if w:
                     for k, c in enumerate(fibre):
                         if c:
                             out[k] += w * c
-        return tuple(out)
+        d = dt * dw * den
+        return tuple(Fraction(x, d) for x in out)
 
     def nonzero(self):
         """Yield ((i, j, k), value) for every nonzero entry, in index order."""

@@ -16,9 +16,10 @@ multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
 element) is computed once per `FrobeniusAlgebra` object and cached on
-it, so no module-level table keeps an algebra alive.  Associativity is
-checked by `exact.associativity_failures` on the integer-scaled
-structure constants.
+it, so no module-level table keeps an algebra alive.  Products, the
+derived data, word evaluation and basis changes (one integer
+conjugation of the structure tensor) run on the integer forms of
+`exact`; associativity is checked by `exact.associativity_failures`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from operator import mul
 
 from .categories import Algebra
 from .exact import (Matrix, SingularMatrixError, Tensor3,
-                    associativity_failures, integer_rows, rat)
+                    associativity_failures, integer_rows, rat,
+                    scale_to_integers)
 from .fusion import FusionRing
 from .report import Report
 
@@ -97,10 +101,11 @@ class FrobeniusAlgebra(Algebra):
 
     @cached_property
     def _pairing(self) -> Matrix:
-        n = self.dim
-        return Matrix(
-            [[sum(self.mult[i, j, k] * self.counit[k] for k in range(n))
-              for j in range(n)] for i in range(n)])
+        planes, dt = self.mult.integer_form
+        (eps,), de = scale_to_integers((self.counit,))
+        d = dt * de
+        return Matrix([[Fraction(sum(map(mul, fibre, eps)), d)
+                        for fibre in plane] for plane in planes])
 
     @cached_property
     def _pairing_inverse(self) -> Matrix:
@@ -113,27 +118,36 @@ class FrobeniusAlgebra(Algebra):
 
     @cached_property
     def _comult(self) -> Tensor3:
-        n = self.dim
-        ginv = self._pairing_inverse
-        data = {}
-        for i in range(n):
-            for p in range(n):
-                for k in range(n):
-                    v = sum(ginv[p, q] * self.mult[q, i, k] for q in range(n))
-                    if v:
-                        data[(i, p, k)] = v
-        return Tensor3.from_dict((n, n, n), data)
+        # D[i][p][k] = sum_q ginv[p][q] m[q][i][k]; _mode gives it as [i][k][p]
+        planes, dt = self.mult.integer_form
+        ginv, dg = self._pairing_inverse.integer_form
+        return _from_integers(
+            [tuple(zip(*plane)) for plane in _mode(planes, ginv)], dt * dg)
 
     @cached_property
     def _handle(self) -> tuple[Fraction, ...]:
-        return self.mult.contract(self._pairing_inverse.entries)
+        return self.mult.contract(*self._pairing_inverse.integer_form)
+
+
+def _mode(planes, mat):
+    """r[j][k][i] = sum_a mat[i][a] t[a][j][k] for integer t and mat: the
+    new index moves last, so three calls act on all three in turn."""
+    return [[[sum(map(mul, row, column)) for row in mat]
+             for column in zip(*fibres)] for fibres in zip(*planes)]
+
+
+def _from_integers(planes, den: int) -> Tensor3:
+    """The Tensor3 of an n x n x n integer tensor divided by den."""
+    return Tensor3([[[Fraction(v, den) for v in fibre] for fibre in plane]
+                    for plane in planes], dims=(len(planes),) * 3)
 
 
 def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
     """x y: the structure constants contracted with the outer product."""
-    zero = (0,) * len(y)
+    (xs, ys), d = scale_to_integers((x, y))
+    zero = (0,) * len(ys)
     return algebra.mult.contract(
-        [[a * b if b else 0 for b in y] if a else zero for a in x])
+        [[a * b for b in ys] if a else zero for a in xs], d * d)
 
 
 def apply_counit(algebra: FrobeniusAlgebra, x) -> Fraction:
@@ -203,11 +217,8 @@ def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
     if genus < 0:
         raise ValueError(f"negative genus {genus}")
     power = algebra.unit
-    w = None
     for _ in range(genus):
-        if w is None:
-            w = handle_element(algebra)
-        power = multiply_elements(algebra, power, w)
+        power = multiply_elements(algebra, power, handle_element(algebra))
     return apply_counit(algebra, power)
 
 
@@ -264,79 +275,71 @@ class WordTensor:
         return dict(self.entries)
 
 
-def _generator_action(algebra: FrobeniusAlgebra, gen: str, args):
-    """Expand one generator applied to concrete input indices."""
-    n = algebra.dim
-    if gen == "id":
-        return [((args[0],), Fraction(1))]
-    if gen == "swap":
-        return [((args[1], args[0]), Fraction(1))]
-    if gen == "mult":
-        i, j = args
-        return [((k,), algebra.mult[i, j, k]) for k in range(n)
-                if algebra.mult[i, j, k]]
-    if gen == "comult":
-        (i,) = args
-        d = algebra._comult
-        return [((p, k), d[i, p, k]) for p in range(n) for k in range(n)
-                if d[i, p, k]]
-    if gen == "unit":
-        return [((k,), algebra.unit[k]) for k in range(n) if algebra.unit[k]]
-    if gen == "counit":
-        (i,) = args
-        return [((), algebra.counit[i])] if algebra.counit[i] else []
-    if gen == "cup":
-        ginv = algebra._pairing_inverse
-        return [((i, j), ginv[i, j]) for i in range(n) for j in range(n)
-                if ginv[i, j]]
-    if gen == "cap":
-        i, j = args
-        g = algebra._pairing
-        return [((), g[i, j])] if g[i, j] else []
-    raise WordTypeError(f"unknown generator {gen!r}")
+def _generator_table(algebra: FrobeniusAlgebra, gen: str):
+    """(table, den): `gen` sends the input indices `args` to the sum of
+    c / den times the output indices, over (outputs, c) in table[args]."""
+    n_in, n_out = GENERATORS[gen]
+    if gen in ("id", "swap"):
+        return {a: [(a[::-1], 1)] for a in
+                itertools.product(range(algebra.dim), repeat=n_in)}, 1
+    if gen in ("unit", "counit"):
+        (arr,), den = scale_to_integers((getattr(algebra, gen),))
+    else:
+        arr, den = getattr(algebra, {"mult": "mult", "comult": "_comult",
+                                     "cup": "_pairing_inverse",
+                                     "cap": "_pairing"}[gen]).integer_form
+    table: dict = {}
+    for idx in itertools.product(range(algebra.dim), repeat=n_in + n_out):
+        c = arr
+        for i in idx:
+            c = c[i]
+        if c:
+            table.setdefault(idx[:n_in], []).append((idx[n_in:], c))
+    return table, den
 
 
 def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
     """Evaluate a word to a scalar (closed) or a WordTensor (open).
 
-    The state after each layer is the sparse coefficient table of a
-    tensor whose legs are the word's input strands (frozen) followed by
-    the current working strands; a layer acts by contracting each
-    generator against its consecutive working strands.  A closed word
-    collapses to a single exact scalar.
+    The state after each layer is the sparse integer coefficient table,
+    over one denominator `den`, of a tensor whose legs are the word's
+    input strands (frozen) followed by the current working strands; a
+    layer contracts each generator's integer table against its
+    consecutive working strands.  A closed word collapses to a scalar.
     """
     inputs, outputs = word.signature()
-    n = algebra.dim
-    state: dict[tuple[int, ...], Fraction] = {
-        idx + idx: Fraction(1)
-        for idx in itertools.product(range(n), repeat=inputs)}
+    state = {idx + idx: 1
+             for idx in itertools.product(range(algebra.dim), repeat=inputs)}
+    den = 1
+    tables: dict = {}
     for layer in word.layers:
-        new_state: dict[tuple[int, ...], Fraction] = {}
+        if not state:
+            break
+        for gen in layer:
+            if gen not in tables:
+                tables[gen] = _generator_table(algebra, gen)
+            den *= tables[gen][1]
+        new_state: dict[tuple[int, ...], int] = {}
         for key, coeff in state.items():
-            frozen = key[:inputs]
             working = key[inputs:]
-            partials = [((), coeff)]
+            partials = [(key[:inputs], coeff)]
             pos = 0
             for gen in layer:
                 n_in = GENERATORS[gen][0]
-                args = working[pos:pos + n_in]
+                expansion = tables[gen][0].get(working[pos:pos + n_in], ())
                 pos += n_in
-                expansion = _generator_action(algebra, gen, args)
                 partials = [(prefix + out, c * w)
                             for prefix, c in partials
                             for out, w in expansion]
-            for out_key, value in partials:
-                full = frozen + out_key
-                total = new_state.get(full, Fraction(0)) + value
-                if total:
-                    new_state[full] = total
-                elif full in new_state:
-                    del new_state[full]
-        state = new_state
+            for full, value in partials:
+                new_state[full] = new_state.get(full, 0) + value
+        g = gcd(den, *new_state.values())
+        state = {key: v // g for key, v in new_state.items() if v}
+        den //= g
     if (inputs, outputs) == (0, 0):
-        return state.get((), Fraction(0))
-    return WordTensor(inputs=inputs, outputs=outputs,
-                      entries=tuple(sorted(state.items())))
+        return Fraction(state.get((), 0), den)
+    return WordTensor(inputs=inputs, outputs=outputs, entries=tuple(
+        sorted((key, Fraction(v, den)) for key, v in state.items())))
 
 
 def canonical_genus_word(genus: int) -> CobordismWord:
@@ -375,7 +378,9 @@ def alternate_genus_words(genus: int) -> list[CobordismWord]:
 
 
 def random_invertible(dim: int, rng: random.Random) -> Matrix:
-    """Random rational invertible matrix, built as unit-triangular L * U."""
+    """Random invertible L * U: L unit lower-triangular over [-2, 2], U
+    upper-triangular, diagonal from {1, -1, 2}, a/b (|a| <= 2, b <= 2)
+    above it."""
     lower = [[Fraction(1) if i == j
               else Fraction(rng.randint(-2, 2)) if i > j else Fraction(0)
               for j in range(dim)] for i in range(dim)]
@@ -387,24 +392,22 @@ def random_invertible(dim: int, rng: random.Random) -> Matrix:
 
 
 def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
-    """The same algebra written in the basis e'_i = sum_a p[a][i] e_a."""
+    """The same algebra written in the basis e'_i = sum_a p[a][i] e_a.
+
+    m'[i][j][k] = sum_abc p[a][i] p[b][j] m[a][b][c] p^-1[k][c] is three
+    integer mode products (`_mode`), divided once by the denominators.
+    """
     n = algebra.dim
     if p.shape != (n, n):
         raise ValueError(f"basis change must be {n}x{n}")
     pinv = p.inverse()
     pt = p.transpose()
-    cols = pt.entries
-    data = {}
-    for i in range(n):
-        for j in range(n):
-            # product e'_i e'_j in the old basis
-            old = multiply_elements(algebra, cols[i], cols[j])
-            for k, v in enumerate(pinv.apply(old)):
-                if v:
-                    data[(i, j, k)] = v
+    planes, dm = algebra.mult.integer_form
+    (cols, dp), (rows, dq) = pt.integer_form, pinv.integer_form
+    moved = _mode(_mode(_mode(planes, cols), cols), rows)
     return FrobeniusAlgebra(
         names=tuple(f"b{i}" for i in range(n)),
-        mult=Tensor3.from_dict((n, n, n), data),
+        mult=_from_integers(moved, dm * dp * dp * dq),
         unit=pinv.apply(algebra.unit),
         counit=pt.apply(algebra.counit))
 

@@ -9,13 +9,16 @@ Frobenius-algebra reports by loops over every index, representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
 sums over `compose_basis`, rank, inverse and row reduction come from a
-textbook `Fraction` Gauss-Jordan, and tensor contractions from a plain
-triple loop over `t[i, j, k]`.
+textbook `Fraction` Gauss-Jordan, tensor contractions and matrix
+products from plain triple loops over `Fraction` entries, basis changes
+of an algebra from n^2 `Fraction` products, and cobordism words from a
+`Fraction` state with its own comultiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from verlinde.exact import Tensor3
 from verlinde.fusion import FusionRing
@@ -387,3 +390,111 @@ def naive_contract(t, weights) -> tuple[Fraction, ...]:
             for k in range(d3):
                 out[k] += Fraction(weights[i][j]) * t[i, j, k]
     return tuple(out)
+
+
+def fraction_matmul(a, b) -> list[list[Fraction]]:
+    """a @ b by the textbook triple loop over `Fraction` entries."""
+    (rows, inner), cols = a.shape, b.shape[1]
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                out[i][j] += a[i, k] * b[k, j]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Frobenius algebras: basis change and word evaluation over Fraction
+
+
+def _times(algebra, x, y) -> list[Fraction]:
+    n = algebra.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if x[i] and y[j] and algebra.mult[i, j, k]:
+                    out[k] += Fraction(x[i]) * y[j] * algebra.mult[i, j, k]
+    return out
+
+
+def transport_by_products(algebra, p):
+    """(mult, unit, counit) in the basis e'_i = sum_a p[a][i] e_a.
+
+    Each product e'_i e'_j is formed in the old basis by a `Fraction`
+    loop and carried back by the Gauss-Jordan inverse of p; mult is
+    nested lists indexed [i][j][k].
+    """
+    n = algebra.dim
+    pinv = gauss_jordan_inverse([list(p.row(a)) for a in range(n)])
+    cols = [[p[a, i] for a in range(n)] for i in range(n)]
+
+    def back(v):
+        return [sum((pinv[k][c] * v[c] for c in range(n)), Fraction(0))
+                for k in range(n)]
+
+    mult = [[back(_times(algebra, cols[i], cols[j])) for j in range(n)]
+            for i in range(n)]
+    counit = [sum((c[a] * algebra.counit[a] for a in range(n)), Fraction(0))
+              for c in cols]
+    return mult, back(algebra.unit), counit
+
+
+def fraction_word(algebra, word) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero coefficients of an evaluated word, keyed inputs first.
+
+    The state is a dict of `Fraction`s; the cup is the Gauss-Jordan
+    inverse of the pairing eps(e_i e_j), and the comultiplication of e_i
+    is sum_pq ginv[p][q] e_p (x) e_q e_i.
+    """
+    n = algebra.dim
+    eps = algebra.counit
+    pairing = [[sum(algebra.mult[i, j, k] * eps[k] for k in range(n))
+                for j in range(n)] for i in range(n)]
+    ginv = gauss_jordan_inverse(pairing)
+
+    memo: dict = {}
+
+    def action(gen, args):
+        if (gen, args) not in memo:
+            memo[gen, args] = {out: c for out, c in
+                               expand(gen, args).items() if c}
+        return memo[gen, args]
+
+    def expand(gen, args):
+        if gen in ("id", "swap"):
+            return {args[::-1]: Fraction(1)}
+        if gen == "mult":
+            return {(k,): algebra.mult[args + (k,)] for k in range(n)}
+        if gen == "comult":
+            return {(p, k): sum(ginv[p][q] * algebra.mult[q, args[0], k]
+                                for q in range(n))
+                    for p in range(n) for k in range(n)}
+        if gen == "unit":
+            return {(k,): algebra.unit[k] for k in range(n)}
+        if gen == "counit":
+            return {(): eps[args[0]]}
+        if gen == "cup":
+            return {(i, j): ginv[i][j] for i in range(n) for j in range(n)}
+        return {(): pairing[args[0]][args[1]]}  # cap
+
+    arity = {"id": 1, "swap": 2, "mult": 2, "comult": 1, "unit": 0,
+             "counit": 1, "cup": 0, "cap": 2}
+    inputs = sum(arity[g] for g in word.layers[0]) if word.layers else 0
+    state = {idx + idx: Fraction(1)
+             for idx in product(range(n), repeat=inputs)}
+    for layer in word.layers:
+        new: dict[tuple[int, ...], Fraction] = {}
+        for key, coeff in state.items():
+            partials = {key[:inputs]: coeff}
+            pos = inputs
+            for gen in layer:
+                args = key[pos:pos + arity[gen]]
+                pos += arity[gen]
+                partials = {prefix + out: c * w
+                            for prefix, c in partials.items()
+                            for out, w in action(gen, args).items()}
+            for full, value in partials.items():
+                new[full] = new.get(full, Fraction(0)) + value
+        state = new
+    return {key: v for key, v in state.items() if v}

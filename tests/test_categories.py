@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load
+from verlinde import categories
 from oracles import associativity_failures, s3_cayley_table
 from verlinde.categories import (Algebra, CategoryFormatError, DEFAULT_GRID,
                                  KaroubiCategory, PresentedCategory,
@@ -368,6 +369,35 @@ def test_karoubi_rejects_unknown_objects_and_wrong_coefficient_counts():
     with pytest.raises(CategoryFormatError,
                        match=r"3 coefficients but dim End\(x\) = 1"):
         karoubi_completion(cat, idempotents=[("x", (1, 0, 5))])
+
+
+def test_karoubi_search_refuses_before_trying_any_candidate(monkeypatch):
+    # End([x,x]) of the bound-2 Mat completion of M_2 has dim 16: 4^16
+    big = mat_completion(matrix_algebra_category(2), 2)
+
+    def tripped(cat, pair):
+        raise AssertionError(f"candidate {pair} tried")
+
+    monkeypatch.setattr(categories, "_idempotent", tripped)
+    too_large = categories.SearchTooLargeError
+    assert issubclass(too_large, ValueError)
+    with pytest.raises(too_large, match=r"\[x,x\] would try 4\^16 = "
+                       r"4294967296 candidates"):
+        karoubi_completion(big)
+    with pytest.raises(too_large, match=r"\[x,x\]"):
+        karoubi_idempotents(big, "[x,x]")
+
+
+def test_karoubi_search_limit_is_inclusive(monkeypatch):
+    # End([x]) has dim 4, so the default grid tries 4^4 = 256 candidates
+    big = mat_completion(matrix_algebra_category(2), 2)
+    monkeypatch.setattr(categories, "MAX_KAROUBI_CANDIDATES", 256)
+    assert len(karoubi_idempotents(big, "[x]")) == len(
+        karoubi_idempotents(matrix_algebra_category(2), "x"))
+    monkeypatch.setattr(categories, "MAX_KAROUBI_CANDIDATES", 255)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"\[x\] would try 4\^4 = 256"):
+        karoubi_idempotents(big, "[x]")
 
 
 def test_karoubi_explicit_idempotent_list():

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from verlinde import corpus
+from verlinde import categories, corpus
+from verlinde.categories import mat_completion, matrix_algebra_category
 from verlinde.cli import main
+from verlinde.formats import serialize
 from verlinde.fusion import fibonacci_ring
 from verlinde.surfaces import ColouredSurface, dim_V
 
@@ -151,6 +153,19 @@ def test_complete_karoubi_splits_and_validates(run):
     code, out, _ = run("complete", "--mode", "karoubi", "mat2.category")
     assert code == 0
     assert "object x(1,0,0,0)" in out
+
+
+def test_complete_karoubi_refuses_an_oversized_search(run, tmp_path,
+                                                      monkeypatch):
+    big = mat_completion(matrix_algebra_category(2), 2)
+    (tmp_path / "big.category").write_text(serialize("category", big),
+                                           encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    # a tried candidate fails the test at once instead of searching 4^16
+    monkeypatch.setattr(categories, "_idempotent", None)
+    code, out, err = run("complete", "--mode", "karoubi", "big.category")
+    assert code == 2
+    assert "4^16" in err
 
 
 def test_report_text_mode_counts_functors(run):

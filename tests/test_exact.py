@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_ALGEBRAS, load
-from oracles import (gauss_jordan, gauss_jordan_inverse, gauss_jordan_rank,
-                     naive_contract)
+from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
+                     gauss_jordan_rank, naive_contract)
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3)
-from verlinde.tqft import pairing_matrix
+                            SingularMatrixError, Tensor3, scale_to_integers)
+from verlinde.tqft import pairing_matrix, random_invertible
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -124,6 +124,14 @@ def test_tensor3_rejects_declared_shape_without_entries():
         Tensor3([], dims=(2, 2, 2))
     assert Tensor3([], dims=(0, 2, 2)).dims == (0, 2, 2)
     assert Tensor3.zeros(2, 0, 5).dims == (2, 0, 5)
+
+
+def test_integer_kernels_reject_non_rational_entries():
+    t = Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1})
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        t.contract([[0.5]])
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        scale_to_integers([[Fraction(1, 2), "1/2"]])
 
 
 def test_contract_rejects_mismatched_weights():
@@ -236,3 +244,42 @@ def test_contract_matches_naive_loop_on_random_tensors():
         t = Tensor3.from_dict(dims, data)
         w = _random_rows(rng, dims[0], dims[1])
         assert t.contract(w) == naive_contract(t, w)
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernels against the Fraction triple loop
+
+
+def _assert_products_match_fraction_loop(m):
+    for a, b in ((m, m.transpose()), (m.transpose(), m)):
+        expected = fraction_matmul(a, b)
+        got = a @ b
+        assert got == Matrix(expected, cols=b.cols)
+        assert all(type(x) is Fraction for row in got.entries for x in row)
+        for j in range(b.cols):
+            applied = a.apply([b[k, j] for k in range(b.rows)])
+            assert applied == tuple(row[j] for row in expected)
+            assert all(type(x) is Fraction for x in applied)
+
+
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_matmul_and_apply_match_the_fraction_loop(rows):
+    _assert_products_match_fraction_loop(Matrix(rows))
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_matmul_and_apply_on_empty_shapes(rows, cols):
+    m = Matrix([[0] * cols for _ in range(rows)], cols=cols)
+    _assert_products_match_fraction_loop(m)
+    assert (m @ m.transpose()).shape == (rows, rows)
+    assert (m.transpose() @ m).shape == (cols, cols)
+    assert m.apply([0] * cols) == (Fraction(0),) * rows
+
+
+@pytest.mark.parametrize("d", [10, 20, 30, 40])
+def test_dense_matrix_times_its_inverse(d):
+    m = random_invertible(d, random.Random(d))
+    inv = m.inverse()
+    assert m @ inv == Matrix.identity(d)
+    assert inv @ m == Matrix.identity(d)
+    assert m @ inv == Matrix(fraction_matmul(m, inv))

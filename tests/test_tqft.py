@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
-from oracles import frobenius_axiom_entries, s3_cayley_table
+from oracles import (fraction_word, frobenius_axiom_entries,
+                     s3_cayley_table, transport_by_products)
+from verlinde import tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra)
 from verlinde.exact import Matrix, Tensor3
@@ -18,7 +20,7 @@ from verlinde.fusion import FusionRing, cyclic_ring
 from verlinde.surfaces import ColouredSurface, dim_V
 from verlinde.tqft import (CobordismWord, DegeneratePairingError,
                            FrobeniusAlgebra, WordTensor, WordTypeError,
-                           canonical_genus_word,
+                           alternate_genus_words, canonical_genus_word,
                            comultiplication_tensor, evaluate_word,
                            frobenius_from_fusion, genus_invariant,
                            handle_element, invariance_suite, pairing_matrix,
@@ -258,6 +260,23 @@ def test_transport_preserves_validation_and_invariants():
         assert genus_invariant(moved, g) == genus_invariant(a, g)
 
 
+def test_transport_basis_matches_the_product_oracle(monkeypatch):
+    # the conjugation runs on integer forms: no product of elements
+    monkeypatch.setattr(tqft, "multiply_elements", None)
+    rng = random.Random(70)
+    algebras = [load(name) for name in CORPUS_ALGEBRAS]
+    for a in algebras + list(_stock_frobenius_algebras()):
+        for _ in range(5):
+            p = random_invertible(a.dim, rng)
+            moved = transport_basis(a, p)
+            mult, unit, counit = transport_by_products(a, p)
+            assert moved.mult.entries == tuple(
+                tuple(tuple(fibre) for fibre in plane) for plane in mult)
+            assert moved.unit == tuple(unit)
+            assert moved.counit == tuple(counit)
+            assert all(type(x) is Fraction for _, x in moved.mult.nonzero())
+
+
 def test_perturbed_multiplication_breaks_invariance():
     a = load("ksquared.algebra")
     data = {idx: v for idx, v in a.mult.nonzero()}
@@ -304,6 +323,36 @@ def test_word_with_inputs_evaluates_to_multilinear_map():
     assert result.as_dict() == expected
     identity = evaluate_word(a, CobordismWord((("id",),)))
     assert identity.as_dict() == {(i, i): Fraction(1) for i in range(a.dim)}
+
+
+ORACLE_WORDS = (
+    (("mult",),), (("comult",),), (("swap",), ("mult",)),
+    (("unit",), ("comult",)), (("cup",), ("mult",)), (("cap",),),
+    (("id", "cup"), ("cap", "id")), (("cup", "id"), ("id", "mult")),
+    (("comult",), ("id", "comult"), ("mult", "id"), ("mult",)),
+    (("comult", "unit"), ("swap", "id"), ("id", "mult"), ("cap",)),
+)
+
+
+def test_words_match_the_fraction_state_oracle():
+    algebras = [load(name) for name in CORPUS_ALGEBRAS]
+    words = [CobordismWord(layers) for layers in ORACLE_WORDS]
+    for g in range(3):
+        words += [canonical_genus_word(g), *alternate_genus_words(g)]
+    # basis changes give rational structure constants and counits
+    rng = random.Random(71)
+    moved = [transport_basis(a, random_invertible(a.dim, rng))
+             for a in algebras]
+    for a in algebras + list(_stock_frobenius_algebras()) + moved:
+        for word in words:
+            expected = fraction_word(a, word)
+            got = evaluate_word(a, word)
+            if word.is_closed():
+                assert got == expected.get((), 0)
+                assert type(got) is Fraction
+            else:
+                assert got.as_dict() == expected
+                assert all(type(v) is Fraction for _, v in got.entries)
 
 
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
