@@ -8,10 +8,13 @@ product as a multiset of labels), the fusion-axiom, pairing and
 Frobenius-algebra reports by loops over every index, representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
-sums over `compose_basis`, rank, inverse and row reduction come from a
-textbook `Fraction` Gauss-Jordan, tensor contractions and matrix
-products from plain triple loops over `Fraction` entries, basis changes
-of an algebra from n^2 `Fraction` products, and cobordism words from a
+sums over `compose_basis`, Karoubi completions by carving each corner
+with `gauss_jordan` and composing its rows with the same sums, rank,
+inverse and row reduction come from a textbook `Fraction` Gauss-Jordan,
+tensor contractions and matrix products from plain triple loops over
+`Fraction` entries, the trace form and the separability equations of an
+algebra from index loops over `mult[i, j, k]`, basis changes of an
+algebra from n^2 `Fraction` products, and cobordism words from a
 `Fraction` state with its own comultiplication.
 """
 
@@ -335,6 +338,130 @@ def associativity_failures(cat) -> set[tuple[str, str, str]]:
                 if lhs != rhs:
                     failures.add((h, g, f))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# Karoubi completion by Fraction sums over compose_basis
+
+
+def _carved_coords(base, pivots, rows, names, m: dict) -> dict:
+    """Coordinates of the base combination m in a carved row space.
+
+    Raises ValueError when m does not rebuild from the rows.
+    """
+    coords = [m.get(base[p], Fraction(0)) for p in pivots]
+    rebuilt = {b: sum((c * row[col] for c, row in zip(coords, rows)),
+                      Fraction(0)) for col, b in enumerate(base)}
+    if {b: v for b, v in rebuilt.items() if v} != m:
+        raise ValueError("morphism escaped its carved-out hom subspace")
+    return {name: c for name, c in zip(names, coords) if c}
+
+
+def karoubi_table(cat, grid, idempotents=None):
+    """(objects, hom, table, identities) of the Karoubi completion of cat.
+
+    The objects are the (object, coefficients) pairs on the grid with
+    e.e = e, tried in `sorted(grid)` product order (or the supplied
+    pairs).  The hom space from (p, e) to (q, f) is the `gauss_jordan`
+    row space of the images f.b.e of the basis of hom(p, q); a composite
+    of two carved rows is read at the target's pivot columns and must
+    rebuild from the target's rows, or ValueError is raised.  `hom` maps
+    (source, target) names to the nonempty bases, `table` lists
+    ((g, f), g.f) for the nonzero composites in basis order, and
+    `identities` maps each object to the coordinates of its idempotent.
+    """
+    def unit(b):
+        return {b: Fraction(1)}
+
+    if idempotents is None:
+        idempotents = []
+        for obj in cat.objects:
+            basis = cat.hom(obj, obj)
+            for combo in product(sorted(grid), repeat=len(basis)):
+                e = {b: Fraction(c) for b, c in zip(basis, combo) if c}
+                if _compose_combos(cat, e, e) == e:
+                    idempotents.append((obj, combo))
+    pairs = [(obj, tuple(Fraction(c) for c in coeffs))
+             for obj, coeffs in idempotents]
+    objects = tuple(f"{obj}(" + ",".join(str(c) for c in coeffs) + ")"
+                    for obj, coeffs in pairs)
+    idems = [{b: c for b, c in zip(cat.hom(obj, obj), coeffs) if c}
+             for obj, coeffs in pairs]
+
+    corners = {}  # (i, j) -> (base, pivots, rows, names)
+    for i, (p, _) in enumerate(pairs):
+        for j, (q, _) in enumerate(pairs):
+            base = cat.hom(p, q)
+            images = [_compose_combos(cat, idems[j], _compose_combos(
+                cat, unit(b), idems[i])) for b in base]
+            rows, pivots = gauss_jordan(
+                [[m.get(b, Fraction(0)) for b in base] for m in images])
+            names = tuple(f"{objects[i]}>{objects[j]}:{k}"
+                          for k in range(len(rows)))
+            corners[(i, j)] = (base, pivots, rows, names)
+
+    hom = {(objects[i], objects[j]): c[3]
+           for (i, j), c in corners.items() if c[3]}
+    basis = [(i, j, k) for i in range(len(pairs)) for j in range(len(pairs))
+             for k in range(len(corners[(i, j)][3]))]
+
+    def row(i, j, k):
+        base, _, rows, _ = corners[(i, j)]
+        return {b: c for b, c in zip(base, rows[k]) if c}
+
+    table = []
+    for j, k, r in basis:
+        for i, j2, s in basis:
+            if j2 == j:
+                composite = _compose_combos(cat, row(j, k, r), row(i, j, s))
+                coords = _carved_coords(*corners[(i, k)], composite)
+                if coords:
+                    table.append(((corners[(j, k)][3][r],
+                                   corners[(i, j)][3][s]), coords))
+    identities = {objects[i]: _carved_coords(*corners[(i, i)], idems[i])
+                  for i in range(len(pairs))}
+    return objects, hom, table, identities
+
+
+# ---------------------------------------------------------------------------
+# trace form and separability equations by index loops
+
+
+def trace_form_gram(algebra) -> list[list[Fraction]]:
+    """T[i][j] = sum_bc m[i][c][b] m[j][b][c], one `Fraction` sum per entry."""
+    n = algebra.dim
+    m = algebra.mult
+    return [[sum((m[i, c, b] * m[j, b, c] for b in range(n)
+                  for c in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def separability_entries(algebra, e) -> tuple[list[str], int]:
+    """(entries, equations checked) of the separability-idempotent check.
+
+    The multiplication map is `naive_contract`; each commutation
+    component (r, c, d) compares sum_a m[r][a][c] e[a][d] with
+    sum_b e[c][b] m[b][r][d], both summed in `Fraction`.
+    """
+    n = algebra.dim
+    if e.shape != (n, n):
+        return [f"coefficient matrix is {e.shape}, expected {(n, n)}"], 0
+    entries = []
+    mu = naive_contract(algebra.mult, e.entries)
+    if mu != algebra.unit:
+        entries.append(f"multiplication map sends e to {mu}, "
+                       f"expected the unit {algebra.unit}")
+    m = algebra.mult
+    for r in range(n):
+        for c in range(n):
+            for d in range(n):
+                left = sum(m[r, a, c] * e[a, d] for a in range(n))
+                right = sum(e[c, b] * m[b, r, d] for b in range(n))
+                if left != right:
+                    entries.append(
+                        f"e does not commute with basis element {r}: "
+                        f"component ({c},{d}) gives {left} != {right}")
+    return entries, n + n ** 3
 
 
 # ---------------------------------------------------------------------------

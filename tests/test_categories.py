@@ -10,7 +10,8 @@ import pytest
 
 from conftest import load
 from verlinde import categories
-from oracles import associativity_failures, s3_cayley_table
+from oracles import (associativity_failures, s3_cayley_table,
+                     separability_entries, trace_form_gram)
 from verlinde.categories import (Algebra, CategoryFormatError, DEFAULT_GRID,
                                  KaroubiCategory, PresentedCategory,
                                  character_vector, cyclic_table,
@@ -619,6 +620,52 @@ def test_commutation_failure_is_reported():
         group_algebra(cyclic_table(2)), e)
     assert not report.ok
     assert all("commute" in entry for entry in report.entries)
+
+
+def _separable_cases() -> dict:
+    """The stock algebras with their separability elements, plus failing
+    elements: unnormalised, one entry perturbed, wrongly shaped."""
+    cases = {f"m{n}": (matrix_algebra(n), matrix_separability_idempotent(n))
+             for n in (2, 3)}
+    for n in range(2, 9):
+        table = cyclic_table(n)
+        cases[f"z{n}"] = (group_algebra(table),
+                          group_separability_idempotent(table))
+        cases[f"k{n}"] = (product_field_algebra(n),
+                          product_field_separability_idempotent(n))
+    s3 = s3_cayley_table()
+    cases["s3"] = (group_algebra(s3), group_separability_idempotent(s3))
+    m2 = matrix_separability_idempotent(2)
+    cases["m2-unnormalised"] = (matrix_algebra(2), m2.scale(2))
+    rows = [list(row) for row in m2.entries]
+    rows[1][2] += Fraction(1, 3)
+    cases["m2-one-entry"] = (matrix_algebra(2), Matrix(rows))
+    cases["m2-wrong-shape"] = (matrix_algebra(2), Matrix.identity(2))
+    cases["dual-numbers"] = (dual_numbers_algebra(), Matrix.identity(2))
+    return cases
+
+
+SEPARABLE_CASES = _separable_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_CASES))
+def test_algebra_checks_equal_the_index_loops(name):
+    algebra, e = SEPARABLE_CASES[name]
+    report = verify_separability_idempotent(algebra, e)
+    assert (report.entries, report.checked) == separability_entries(
+        algebra, e)
+    assert trace_form_semisimple(algebra)[1] == Matrix(
+        trace_form_gram(algebra))
+
+
+def test_one_entry_perturbation_fails_both_checks():
+    report = verify_separability_idempotent(
+        *SEPARABLE_CASES["m2-one-entry"])
+    assert report.entries[0].startswith("multiplication map sends e to")
+    assert [e[:e.index(":")] for e in report.entries[1:]] == [
+        "e does not commute with basis element 1",
+        "e does not commute with basis element 2"]
+    assert report.checked == 68
 
 
 # ---------------------------------------------------------------------------
