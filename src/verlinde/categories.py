@@ -4,9 +4,11 @@ A presented category is a finite set of objects with a chosen rational
 basis for every morphism space and a structure-constant table for
 composition, kept as the sparse integer table of its total algebra
 (+) hom(p, q) over a basis numbered once (Mitchell, "Rings with several
-objects", 1972).  Composition is bilinear by construction; associativity
-(`exact.associativity_failures` on composable triples) and the identity
-laws are equations on basis elements, checked by `validate_category`.
+objects", 1972).  Composition is bilinear by construction; the one
+product on that table is `PresentedCategory._product` of integer vectors
+over the numbering.  Associativity (`exact.associativity_failures` on
+composable triples) and the identity laws are equations on basis
+elements, checked by `validate_category`.
 
 On top of this the module provides the additive completion (objects
 become finite sequences, morphisms matrices), the Karoubi completion
@@ -14,7 +16,9 @@ become finite sequences, morphisms matrices), the Karoubi completion
 the composition law (e'', f', e')(e', f, e) = (e'', f'f, e)), the tensor
 product of categories, and the one-object special case of algebras with
 the trace-form semisimplicity test and the separability-idempotent
-check.
+check.  Inside the module everything composes through `_product`;
+`Morphism`s are built only at the public boundary and for the text of a
+failing entry.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import (Matrix, Tensor3, associativity_failures, integer_rows,
-                    rat)
+                    rat, scale_to_integers)
 from .report import Report
 
 __all__ = [
@@ -227,24 +232,35 @@ class PresentedCategory:
         return {self._names[k]: Fraction(c, self._den)
                 for k, c in terms.items()}
 
+    def _vector(self, coeffs: dict) -> tuple[dict[int, int], int]:
+        """(x, d) with x / d the combination `coeffs` of basis names: x
+        maps basis numbers to nonzero integers, d > 0."""
+        (ints,), den = scale_to_integers((tuple(map(rat, coeffs.values())),))
+        return {self._number[b]: c for b, c in zip(coeffs, ints) if c}, den
+
+    def _product(self, x: dict[int, int], y: dict[int, int]) -> dict:
+        """The integer vector sum x_g y_f `_rows`[g][f], zeros dropped:
+        `_den` times the composite x . y of two integer vectors."""
+        out: dict[int, int] = {}
+        for g, a in x.items():
+            row = self._rows[g]
+            for f, b in y.items():
+                terms = row.get(f)
+                if terms:
+                    w = a * b
+                    for k, c in terms.items():
+                        out[k] = out.get(k, 0) + w * c
+        return {k: v for k, v in out.items() if v}
+
     def compose(self, g: Morphism, f: Morphism) -> Morphism:
         """g after f; bilinear extension of the structure-constant table."""
         if f.dst != g.src:
             raise CategoryFormatError(
                 f"not composable: {f.src}->{f.dst} then {g.src}->{g.dst}")
-        out: dict[int, Fraction] = {}
-        for gb, gc in g.coeffs.items():
-            row = self._rows[self._number[gb]]
-            for fb, fc in f.coeffs.items():
-                terms = row.get(self._number[fb])
-                if terms:
-                    w = gc * fc
-                    for k, c in terms.items():
-                        out[k] = out.get(k, 0) + w * c
-        den = self._den
-        return Morphism(f.src, g.dst, {
-            self._names[k]: v / den if den > 1 else v
-            for k, v in out.items()})
+        (x, dx), (y, dy) = self._vector(g.coeffs), self._vector(f.coeffs)
+        d = dx * dy * self._den
+        return Morphism(f.src, g.dst, {self._names[k]: Fraction(v, d)
+                                       for k, v in self._product(x, y).items()})
 
     def table_items(self):
         """((g, f), g . f) for every nonzero composite, in basis order."""
@@ -269,23 +285,26 @@ class PresentedCategory:
 def validate_category(cat: PresentedCategory) -> Report:
     """Check the identity laws and associativity on composable basis triples.
 
+    The identity laws are `_product`s with the integer identity vectors.
     Associativity is `exact.associativity_failures` on the integer rows,
     each basis element h paired with the basis elements ending at its
     source, so exactly the composable triples are visited.  A failing
-    triple is recomputed through `compose` for its report entry, and
-    the entries come in order of the (h, g, f) names.  `checked` counts
-    the identity equations (two per basis element) plus the composable
-    triples.
+    equation is recomputed through `compose` for its report entry, and
+    the associativity entries come in order of the (h, g, f) names.
+    `checked` counts the identity equations (two per basis element) plus
+    the composable triples.
     """
     report = Report("category axioms")
+    ident = {p: cat._vector(combo) for p, combo in cat._identity.items()}
     for b in sorted(cat._basis):
         p, q = cat.basis_type(b)
-        m = cat.basis_morphism(b)
-        left = cat.compose(cat.identity(q), m)
-        if left != m:
+        n = cat._number[b]
+        (iq, dq), (ip, dp) = ident[q], ident[p]
+        if cat._product(iq, {n: 1}) != {n: dq * cat._den}:
+            left = cat.compose(cat.identity(q), cat.basis_morphism(b))
             report.fail(f"identity law: id_{q} . {b} = {left.coeffs} != {b}")
-        right = cat.compose(m, cat.identity(p))
-        if right != m:
+        if cat._product({n: 1}, ip) != {n: dp * cat._den}:
+            right = cat.compose(cat.basis_morphism(b), cat.identity(p))
             report.fail(f"identity law: {b} . id_{p} = {right.coeffs} != {b}")
 
     names = cat._names
@@ -386,14 +405,10 @@ def mat_completion(cat: PresentedCategory, bound: int) -> PresentedCategory:
                     _mat_basis_name(names[pseq], names[rseq], k, j, h): c
                     for h, c in table[(b2, b1)].items()}
 
-    identities = {}
-    for seq in sequences:
-        combo = {}
-        for i, p in enumerate(seq):
-            for b, c in cat.identity_coeffs(p).items():
-                combo[_mat_basis_name(names[seq], names[seq], i, i, b)] = c
-        identities[names[seq]] = combo
-
+    identities = {name: {_mat_basis_name(name, name, i, i, b): c
+                         for i, p in enumerate(seq)
+                         for b, c in cat.identity_coeffs(p).items()}
+                  for seq, name in names.items()}
     return PresentedCategory(
         objects=tuple(names[s] for s in sequences),
         hom=hom, compose=compose, identities=identities)
@@ -407,8 +422,9 @@ def karoubi_object_name(obj: str, coeffs) -> str:
     return f"{obj}(" + ",".join(str(rat(c)) for c in coeffs) + ")"
 
 
-def _idempotent(cat: PresentedCategory, pair) -> Morphism:
-    """The endomorphism e of a (base object, coefficients) pair."""
+def _idempotent(cat: PresentedCategory, pair) -> tuple[dict[int, int], int]:
+    """The endomorphism e of a (base object, coefficients) pair, as the
+    (integer vector x, d) of `PresentedCategory._vector`: e = x / d."""
     obj, coeffs = pair
     if obj not in cat.objects:
         raise CategoryFormatError(f"unknown base object {obj!r}")
@@ -416,7 +432,11 @@ def _idempotent(cat: PresentedCategory, pair) -> Morphism:
     if len(coeffs) != len(basis):
         raise CategoryFormatError(
             f"{len(coeffs)} coefficients but dim End({obj}) = {len(basis)}")
-    return cat.morphism(obj, obj, dict(zip(basis, coeffs)))
+    return cat._vector(dict(zip(basis, coeffs)))
+
+
+def _scaled(x: dict[int, int], s: int) -> dict[int, int]:
+    return {k: c * s for k, c in x.items()}
 
 
 def _check_search(cat: PresentedCategory, objects, grid) -> None:
@@ -439,13 +459,11 @@ def karoubi_idempotents(cat: PresentedCategory, obj: str,
     than MAX_KAROUBI_CANDIDATES candidates.
     """
     _check_search(cat, (obj,), grid)
-    basis = cat.hom(obj, obj)
-    if not basis:
-        return [tuple()]
     found = []
-    for combo in itertools.product(sorted(grid), repeat=len(basis)):
-        e = _idempotent(cat, (obj, combo))
-        if cat.compose(e, e) == e:
+    for combo in itertools.product(sorted(grid),
+                                   repeat=cat.hom_dim(obj, obj)):
+        x, d = _idempotent(cat, (obj, combo))
+        if cat._product(x, x) == _scaled(x, d * cat._den):
             found.append(tuple(rat(c) for c in combo))
     return found
 
@@ -455,33 +473,37 @@ class _Corner:
     """hom((p, e), (q, f)) = f . hom(p, q) . e, carved out of hom(p, q).
 
     `src` and `dst` are the base objects p and q; `rows` are the reduced
-    rows of the subspace over the basis `base` of hom(p, q), with their
+    rows of the subspace, integer vectors over the base numbering, all
+    over the one denominator `den`, with the basis numbers of their
     `pivots`; `names` are the completion's basis names, one per row.
     """
 
     src: str
     dst: str
-    base: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[dict[int, int], ...]
+    den: int
     pivots: tuple[int, ...]
     names: tuple[str, ...]
 
     def row(self, cat: PresentedCategory, k: int) -> Morphism:
         """Row k as a morphism of the base category."""
-        return cat.morphism(self.src, self.dst, dict(zip(self.base,
-                                                         self.rows[k])))
+        return Morphism(self.src, self.dst, {
+            cat._names[b]: Fraction(c, self.den)
+            for b, c in self.rows[k].items()})
 
-    def express(self, m: Morphism) -> dict[str, Fraction]:
-        """The coordinates of the base morphism m, named by `names`."""
-        coords = [m.coeffs.get(self.base[p], Fraction(0))
-                  for p in self.pivots]
-        rebuilt = [sum(c * row[col]
-                       for c, row in zip(coords, self.rows) if c)
-                   for col in range(len(self.base))]
-        if _clean(dict(zip(self.base, rebuilt))) != m.coeffs:
+    def express(self, w: dict[int, int], scale: int) -> dict[str, Fraction]:
+        """The coordinates of w / scale (w an integer vector), named by
+        `names`: w's pivot entries, checked to rebuild w from the rows."""
+        coords = [w.get(p, 0) for p in self.pivots]
+        rebuilt: dict[int, int] = {}
+        for c, row in zip(coords, self.rows):
+            for b, x in row.items():
+                rebuilt[b] = rebuilt.get(b, 0) + c * x
+        if {b: x for b, x in rebuilt.items() if x} != _scaled(w, self.den):
             raise CategoryFormatError(
                 "morphism escaped its carved-out hom subspace")
-        return {name: c for name, c in zip(self.names, coords) if c}
+        return {name: Fraction(c, scale)
+                for name, c in zip(self.names, coords) if c}
 
 
 class KaroubiCategory(PresentedCategory):
@@ -489,10 +511,10 @@ class KaroubiCategory(PresentedCategory):
 
     `pairs` lists the (base object, idempotent coefficients) pairs in
     object order; `embed` turns a base morphism satisfying the triple
-    constraint e' . f = f = f . e into a morphism of the completion, and
-    `base_morphism_of` goes the other way for basis elements.
-    `corners[i][j]` is the carved-out hom space from object i to object
-    j, one `_Corner` per ordered pair of objects.
+    constraint e' . f = f = f . e (checked in integers) into a morphism
+    of the completion, and `base_morphism_of` goes the other way for
+    basis elements.  `corners[i][j]` is the carved-out hom space from
+    object i to object j, one `_Corner` per ordered pair of objects.
     """
 
     def __init__(self, objects, hom, compose, identities, *, base, pairs,
@@ -524,14 +546,20 @@ class KaroubiCategory(PresentedCategory):
     def embed(self, src_pair, dst_pair, f: Morphism) -> Morphism:
         """The triple (e', f, e) as a morphism of the completion."""
         i, j = self._index_of(src_pair), self._index_of(dst_pair)
-        e = _idempotent(self.base, self.pairs[i])
-        e2 = _idempotent(self.base, self.pairs[j])
-        if self.base.compose(e2, f) != f or self.base.compose(f, e) != f:
+        corner, base = self._corners[i][j], self.base
+        if (f.src, f.dst) != (corner.src, corner.dst):
+            raise CategoryFormatError(
+                f"{f!r} is not in hom({corner.src},{corner.dst})")
+        (e, de), (e2, de2) = (_idempotent(base, self.pairs[i]),
+                              _idempotent(base, self.pairs[j]))
+        x, d = base._vector(f.coeffs)
+        if (base._product(e2, x) != _scaled(x, de2 * base._den)
+                or base._product(x, e) != _scaled(x, de * base._den)):
             raise CategoryFormatError(
                 "morphism does not satisfy the triple constraint "
                 "e'.f = f = f.e")
         return Morphism(self.objects[i], self.objects[j],
-                        self._corners[i][j].express(f))
+                        corner.express(x, d))
 
 
 def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
@@ -545,16 +573,18 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     `_Corner` per ordered pair of objects; the composition is
     (e'', f', e')(e', f, e) = (e'', f'f, e), tabulated one triple of
     objects at a time, and the identity of (p, e) is the triple
-    (e, e, e).  A grid search first estimates |grid|^dim End(p) for
-    every object and raises SearchTooLargeError past the limit.
+    (e, e, e); all of it is `cat._product` on integer vectors.  A grid
+    search first estimates |grid|^dim End(p) for every object and raises
+    SearchTooLargeError past the limit.
     """
     pairs: list[tuple[str, tuple[Fraction, ...]]] = []
     if idempotents is not None:
         for obj, coeffs in idempotents:
-            e = _idempotent(cat, (obj, coeffs))
-            square = cat.compose(e, e)
-            if square != e:
-                residual = (square + e.scaled(-1)).coeffs
+            x, d = _idempotent(cat, (obj, coeffs))
+            if cat._product(x, x) != _scaled(x, d * cat._den):
+                e = cat.morphism(obj, obj, dict(zip(cat.hom(obj, obj),
+                                                    coeffs)))
+                residual = (cat.compose(e, e) + e.scaled(-1)).coeffs
                 raise CategoryFormatError(
                     f"supplied element on {obj} is not idempotent; "
                     f"e.e - e = {residual}")
@@ -574,33 +604,36 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     for i, (p, _) in enumerate(pairs):
         line = []
         for j, (q, _) in enumerate(pairs):
-            base = cat.hom(p, q)
-            images = [cat.compose(idems[j], cat.compose(cat.basis_morphism(b),
-                                                        idems[i]))
+            base = [cat._number[b] for b in cat.hom(p, q)]
+            images = [cat._product(idems[j][0],
+                                   cat._product({b: 1}, idems[i][0]))
                       for b in base]
-            rows, pivots = Matrix([[m.coeffs.get(b, Fraction(0))
-                                    for b in base] for m in images]).rref()
-            corner = _Corner(p, q, base, rows, pivots, tuple(
-                f"{names[i]}>{names[j]}:{k}" for k in range(len(rows))))
+            rows, pivots = Matrix([[m.get(b, 0) for b in base]
+                                   for m in images]).rref()
+            ints, den = scale_to_integers(rows)
+            corner = _Corner(
+                p, q, tuple({b: c for b, c in zip(base, row) if c}
+                            for row in ints),
+                den, tuple(base[c] for c in pivots),
+                tuple(f"{names[i]}>{names[j]}:{k}" for k in range(len(rows))))
             if corner.names:
                 hom[(names[i], names[j])] = corner.names
             line.append(corner)
         corners.append(tuple(line))
 
-    in_base = [[[c.row(cat, k) for k in range(len(c.names))] for c in line]
-               for line in corners]
     compose = {}
     for i, j, k in itertools.product(range(len(pairs)), repeat=3):
-        target = corners[i][k]
-        for vname, v in zip(corners[j][k].names, in_base[j][k]):
-            for uname, u in zip(corners[i][j].names, in_base[i][j]):
-                combo = target.express(cat.compose(v, u))
+        first, then, target = corners[i][j], corners[j][k], corners[i][k]
+        scale = first.den * then.den * cat._den
+        for vname, v in zip(then.names, then.rows):
+            for uname, u in zip(first.names, first.rows):
+                combo = target.express(cat._product(v, u), scale)
                 if combo:
                     compose[(vname, uname)] = combo
 
     return KaroubiCategory(
         objects=tuple(names), hom=hom, compose=compose,
-        identities={name: corners[i][i].express(idems[i])
+        identities={name: corners[i][i].express(*idems[i])
                     for i, name in enumerate(names)},
         base=cat, pairs=pairs, corners=tuple(corners))
 
@@ -612,22 +645,14 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
 def tensor_product(a: PresentedCategory,
                    b: PresentedCategory) -> PresentedCategory:
     """Object pairs, hom bases pairs, (f (x) f')(g (x) g') = fg (x) f'g'."""
-    obj_name = {}
-    for p in a.objects:
-        for q in b.objects:
-            obj_name[(p, q)] = f"({p},{q})"
+    obj_name = {(p, q): f"({p},{q})" for p in a.objects for q in b.objects}
 
-    hom = {}
-    pair_name = {}
-    for (p1, q1), basis1 in a.hom_pairs():
-        for (p2, q2), basis2 in b.hom_pairs():
-            basis = []
-            for f1 in basis1:
-                for f2 in basis2:
-                    name = f"({f1}|{f2})"
-                    pair_name[(f1, f2)] = name
-                    basis.append(name)
-            hom[(obj_name[(p1, p2)], obj_name[(q1, q2)])] = tuple(basis)
+    pair_name = {(f1, f2): f"({f1}|{f2})" for f1 in a._names
+                 for f2 in b._names}
+    hom = {(obj_name[(p1, p2)], obj_name[(q1, q2)]):
+           tuple(pair_name[(f1, f2)] for f1 in basis1 for f2 in basis2)
+           for (p1, q1), basis1 in a.hom_pairs()
+           for (p2, q2), basis2 in b.hom_pairs()}
 
     compose = {}
     right = list(b.table_items())
@@ -637,19 +662,12 @@ def tensor_product(a: PresentedCategory,
                 pair_name[(h1, h2)]: c1 * c2
                 for h1, c1 in combo1.items() for h2, c2 in combo2.items()}
 
-    identities = {}
-    for p in a.objects:
-        for q in b.objects:
-            combo = {}
-            for b1, c1 in a.identity_coeffs(p).items():
-                for b2, c2 in b.identity_coeffs(q).items():
-                    combo[pair_name[(b1, b2)]] = c1 * c2
-            identities[obj_name[(p, q)]] = combo
-
-    return PresentedCategory(
-        objects=tuple(obj_name[(p, q)] for p in a.objects
-                      for q in b.objects),
-        hom=hom, compose=compose, identities=identities)
+    identities = {name: {pair_name[(b1, b2)]: c1 * c2
+                         for b1, c1 in a.identity_coeffs(p).items()
+                         for b2, c2 in b.identity_coeffs(q).items()}
+                  for (p, q), name in obj_name.items()}
+    return PresentedCategory(objects=tuple(obj_name.values()), hom=hom,
+                             compose=compose, identities=identities)
 
 
 # ---------------------------------------------------------------------------
@@ -681,16 +699,11 @@ def indecomposable_objects(cat: PresentedCategory,
     """Nonzero objects with no proper grid idempotent in their endo algebra."""
     out = []
     for obj in cat.objects:
-        ident = cat.identity(obj)
-        if ident.is_zero():
-            continue
-        proper = False
-        for coeffs in karoubi_idempotents(cat, obj, grid):
-            e = _idempotent(cat, (obj, coeffs))
-            if not e.is_zero() and e != ident:
-                proper = True
-                break
-        if not proper:
+        ident = tuple(cat.identity_coeffs(obj).get(b, 0)
+                      for b in cat.hom(obj, obj))
+        if any(ident) and not any(
+                any(e) and e != ident
+                for e in karoubi_idempotents(cat, obj, grid)):
             out.append(obj)
     return out
 
@@ -753,14 +766,16 @@ class Algebra:
 def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
     """Gram matrix T[i][j] = trace(L_i L_j); semisimple iff full rank.
 
-    Valid over characteristic zero, which is all this package supports.
+    T[i][j] = sum_bc m[i][c][b] m[j][b][c] is summed over the integer
+    form of `mult` and divided once.  Valid over characteristic zero,
+    which is all this package supports.
     """
-    n = algebra.dim
-    gram = Matrix(
-        [[sum(algebra.mult[i, c, b] * algebra.mult[j, b, c]
-              for b in range(n) for c in range(n))
-          for j in range(n)] for i in range(n)])
-    return gram.rank() == n, gram
+    planes, d = algebra.mult.integer_form
+    flat = [[x for fibre in plane for x in fibre] for plane in planes]
+    flipped = [[x for col in zip(*plane) for x in col] for plane in planes]
+    gram = Matrix([[Fraction(sum(map(mul, a, b)), d * d) for b in flipped]
+                   for a in flat], cols=algebra.dim)
+    return gram.rank() == algebra.dim, gram
 
 
 def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
@@ -782,15 +797,17 @@ def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
         report.fail(f"multiplication map sends e to {mu}, "
                     f"expected the unit {algebra.unit}")
 
-    for r in range(n):
+    planes = algebra.mult.entries
+    for r in range(n):  # sum_a m[r][a][c] e[a][d] = sum_b e[c][b] m[b][r][d]
+        left = Matrix(zip(*planes[r]), cols=n) @ e
+        right = e @ Matrix([plane[r] for plane in planes], cols=n)
         for c in range(n):
             for d in range(n):
-                left = sum(algebra.mult[r, a, c] * e[a, d] for a in range(n))
-                right = sum(e[c, b] * algebra.mult[b, r, d] for b in range(n))
-                if left != right:
+                if left[c, d] != right[c, d]:
                     report.fail(
                         f"e does not commute with basis element {r}: "
-                        f"component ({c},{d}) gives {left} != {right}")
+                        f"component ({c},{d}) gives {left[c, d]} != "
+                        f"{right[c, d]}")
     report.checked = n + n ** 3
     return report
 
@@ -829,23 +846,12 @@ def group_algebra(table: list[list[int]],
 
 
 def matrix_algebra(n: int) -> Algebra:
-    """Matrix units e_ij, flattened row-major."""
-    def idx(i, j):
-        return i * n + j
-
-    data = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        data[(idx(i, j), idx(k, l), idx(i, l))] = 1
-    unit = [Fraction(0)] * (n * n)
-    for i in range(n):
-        unit[idx(i, i)] = Fraction(1)
+    """Matrix units e_ij, flattened row-major: e_ij e_jl = e_il."""
+    data = {(i * n + j, j * n + l, i * n + l): 1
+            for i in range(n) for j in range(n) for l in range(n)}
     return Algebra(tuple(f"e{i}{j}" for i in range(n) for j in range(n)),
-                   Tensor3.from_dict((n * n, n * n, n * n), data),
-                   tuple(unit))
+                   Tensor3.from_dict((n * n,) * 3, data),
+                   tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def dual_numbers_algebra() -> Algebra:
@@ -860,12 +866,8 @@ def group_separability_idempotent(table: list[list[int]]) -> Matrix:
     n = len(table)
     identity = next(i for i in range(n)
                     if all(table[i][j] == j for j in range(n)))
-    inverse = {i: next(j for j in range(n) if table[i][j] == identity)
-               for i in range(n)}
-    coeff = Fraction(1, n)
-    rows = [[coeff if inverse[i] == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-    return Matrix(rows)
+    return Matrix([[Fraction(int(table[i][j] == identity), n)
+                    for j in range(n)] for i in range(n)])
 
 
 def matrix_separability_idempotent(n: int) -> Matrix:
@@ -874,14 +876,9 @@ def matrix_separability_idempotent(n: int) -> Matrix:
     The 1/n normalisation is what makes the multiplication map send the
     element to 1; without it the image is n times the identity.
     """
-    def idx(i, j):
-        return i * n + j
-
-    rows = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[idx(i, j)][idx(j, i)] = Fraction(1, n)
-    return Matrix(rows)
+    # e_ij is basis element a = i n + j, and e_ji is (a % n) n + a // n
+    return Matrix([[Fraction(int(b == a % n * n + a // n), n)
+                    for b in range(n * n)] for a in range(n * n)])
 
 
 def product_field_separability_idempotent(n: int) -> Matrix:

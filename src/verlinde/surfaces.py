@@ -366,12 +366,6 @@ def modular_report(ring: FusionRing, twists: TwistData | None = None,
         axiom_report=axiom_report)
 
 
-def _twist_str(t: Twist) -> str:
-    if t.rational is not None:
-        return str(t.rational)
-    return f"zeta({t.order},{t.exponent})"
-
-
 def render_report_text(rep: ModularReport) -> str:
     lines = [f"fusion ring of rank {rep.rank} with {rep.r} unit component(s)"]
     lines.append(rep.axiom_report.render())
