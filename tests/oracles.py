@@ -370,9 +370,6 @@ def karoubi_table(cat, grid, idempotents=None):
     ((g, f), g.f) for the nonzero composites in basis order, and
     `identities` maps each object to the coordinates of its idempotent.
     """
-    def unit(b):
-        return {b: Fraction(1)}
-
     if idempotents is None:
         idempotents = []
         for obj in cat.objects:
@@ -393,7 +390,7 @@ def karoubi_table(cat, grid, idempotents=None):
         for j, (q, _) in enumerate(pairs):
             base = cat.hom(p, q)
             images = [_compose_combos(cat, idems[j], _compose_combos(
-                cat, unit(b), idems[i])) for b in base]
+                cat, {b: Fraction(1)}, idems[i])) for b in base]
             rows, pivots = gauss_jordan(
                 [[m.get(b, Fraction(0)) for b in base] for m in images])
             names = tuple(f"{objects[i]}>{objects[j]}:{k}"

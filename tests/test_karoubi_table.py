@@ -13,8 +13,8 @@ from verlinde import corpus
 from verlinde.categories import (DEFAULT_GRID, CategoryFormatError,
                                  PresentedCategory, cyclic_table,
                                  field_category, group_algebra,
-                                 karoubi_completion, mat_completion,
-                                 matrix_algebra_category,
+                                 karoubi_completion, karoubi_idempotents,
+                                 mat_completion, matrix_algebra_category,
                                  product_field_algebra, validate_category)
 from verlinde.cli import main
 from verlinde.formats import serialize
@@ -144,3 +144,12 @@ def test_failure_texts_are_pinned():
                              r"constraint e'\.f = f = f\.e$"):
         completed.embed(("x", (1, 0, 0, 0)), ("x", (0, 0, 0, 1)),
                         m2.morphism("x", "x", {"e00": 1}))
+
+
+def test_idempotent_search_names_an_unknown_object():
+    # an empty End of a known object still has the one empty idempotent
+    assert karoubi_idempotents(mat_completion(field_category(), 1),
+                               "[]") == [()]
+    with pytest.raises(CategoryFormatError,
+                       match="unknown base object 'nope'"):
+        karoubi_idempotents(field_category(), "nope")
