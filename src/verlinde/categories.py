@@ -48,6 +48,7 @@ __all__ = [
     "KaroubiCategory",
     "SearchTooLargeError",
     "MAX_KAROUBI_CANDIDATES",
+    "MAX_COMPLETION_OBJECTS",
     "tensor_product",
     "character_vector",
     "iso_classes",
@@ -70,10 +71,14 @@ __all__ = [
 DEFAULT_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
 # the most grid candidates one idempotent search may try (|grid|^dim End)
 MAX_KAROUBI_CANDIDATES = 10 ** 6
+# the most objects a Mat or Karoubi completion may have: the builders
+# carve objects^2 hom spaces and tabulate objects^3 composites
+MAX_COMPLETION_OBJECTS = 128
 
 
 class SearchTooLargeError(ValueError):
-    """A grid search for idempotents would pass MAX_KAROUBI_CANDIDATES."""
+    """A grid search for idempotents would pass MAX_KAROUBI_CANDIDATES, or
+    a completion would have more than MAX_COMPLETION_OBJECTS objects."""
 
 
 class CategoryFormatError(ValueError):
@@ -372,10 +377,19 @@ def mat_completion(cat: PresentedCategory, bound: int) -> PresentedCategory:
 
     The empty sequence is kept as a zero object so additive identities
     exist.  Composition is block matrix composition over the base
-    structure constants.
+    structure constants.  Raises SearchTooLargeError before building
+    anything if sum_{k<=bound} |objects|^k passes MAX_COMPLETION_OBJECTS.
     """
     if bound < 1:
         raise ValueError(f"sequence bound {bound} must be >= 1")
+    # any bound past the limit gives more objects than it: cap the sum
+    reach = min(bound, MAX_COMPLETION_OBJECTS)
+    count = sum(len(cat.objects) ** k for k in range(reach + 1))
+    if count > MAX_COMPLETION_OBJECTS:
+        raise SearchTooLargeError(
+            f"Mat completion with bound {bound} would have "
+            f"{'at least ' if reach < bound else ''}{count} objects, more "
+            f"than {MAX_COMPLETION_OBJECTS}")
     sequences = [()]
     for length in range(1, bound + 1):
         sequences.extend(itertools.product(cat.objects, repeat=length))
@@ -575,7 +589,9 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     objects at a time, and the identity of (p, e) is the triple
     (e, e, e); all of it is `cat._product` on integer vectors.  A grid
     search first estimates |grid|^dim End(p) for every object and raises
-    SearchTooLargeError past the limit.
+    SearchTooLargeError past the limit; so does a list of more than
+    MAX_COMPLETION_OBJECTS objects, found or supplied, before any hom
+    space is carved.
     """
     pairs: list[tuple[str, tuple[Fraction, ...]]] = []
     if idempotents is not None:
@@ -594,6 +610,10 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
         for obj in cat.objects:
             for coeffs in karoubi_idempotents(cat, obj, grid):
                 pairs.append((obj, coeffs))
+    if len(pairs) > MAX_COMPLETION_OBJECTS:
+        raise SearchTooLargeError(
+            f"Karoubi completion would have {len(pairs)} objects, more than "
+            f"{MAX_COMPLETION_OBJECTS}")
 
     names = [karoubi_object_name(*pair) for pair in pairs]
     idems = [_idempotent(cat, pair) for pair in pairs]

@@ -4,10 +4,13 @@ Every scalar is a `fractions.Fraction`; nothing in this module ever
 rounds.  Each `Matrix` and `Tensor3` keeps one scaled-integer form,
 integer rows over one positive denominator (`scale_to_integers`), built
 on first use.  `@`, `apply`, `contract` and the one fraction-free
-Gauss-Jordan elimination behind rank, inverse and `rref` (after Bareiss,
-1968) work on plain `int`s and divide each result entry once, so every
-result is an eager `Fraction`.  All values are immutable after
-construction, so they are safe to share freely.
+elimination behind rank, inverse and `rref` (after Bareiss, 1968) work
+on plain `int`s and divide each result entry once; `rank` stops at the
+echelon form, `rref` and `inverse` go on to the reduced form.  Matrix
+results are eager `Fraction`s.  A `Tensor3` made by `from_integers`
+keeps the integer form it is given and builds its `Fraction` entries
+only when they are read.  All values are immutable after construction,
+so they are safe to share freely.
 
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`integer_rows`) and one associativity
@@ -166,7 +169,8 @@ class Matrix:
         return rows, tuple(pivots)
 
     def rank(self) -> int:
-        return len(_eliminate(list(self.integer_form[0]), self.cols)[1])
+        return len(_eliminate(list(self.integer_form[0]), self.cols,
+                              echelon=True)[1])
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -197,14 +201,17 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def _eliminate(m: list, cols: int) -> tuple[list, list[int]]:
+def _eliminate(m: list, cols: int,
+               echelon: bool = False) -> tuple[list, list[int]]:
     """Fraction-free Gauss-Jordan on integer rows: (rows, pivot columns).
 
     The rows of `m` (any positive scaling of each row gives the same
     result) are eliminated over the integers in place, every combined
     row divided by the gcd of its entries.  Row r, divided by its entry
     in column pivots[r], is row r of the reduced row echelon form; the
-    rows past the last pivot are zero.
+    rows past the last pivot are zero.  With `echelon` only the rows
+    below each pivot are cleared, which finds the same pivots (all
+    `rank` needs) but leaves the rows above them unreduced.
     """
     rows = len(m)
     pivots: list[int] = []
@@ -217,7 +224,8 @@ def _eliminate(m: list, cols: int) -> tuple[list, list[int]]:
             continue
         m[r], m[p] = m[p], m[r]
         prow, a = m[r], m[r][c]
-        for i, row in enumerate(m):
+        for i in range(r + 1 if echelon else 0, rows):
+            row = m[i]
             b = row[c]
             if b and i != r:
                 row = [a * x - b * y for x, y in zip(row, prow)]
@@ -229,9 +237,14 @@ def _eliminate(m: list, cols: int) -> tuple[list, list[int]]:
 
 class Tensor3:
     """Immutable dense rank-3 tensor indexed (i, j, k) over Fraction, plus
-    its cached `integer_form`, on which `contract` runs."""
+    its cached `integer_form`, on which `contract` runs.
 
-    __slots__ = ("dims", "entries", "_integer")
+    A tensor built from `Fraction`s holds its `entries` at once and
+    derives the integer form on first use; one built by `from_integers`
+    holds the integer form and derives its `entries` on first read.
+    """
+
+    __slots__ = ("dims", "_entries", "_integer")
 
     def __init__(self, entries: Iterable[Iterable[Iterable]],
                  dims: tuple[int, int, int] | None = None):
@@ -252,10 +265,36 @@ class Tensor3:
             if len(plane) != dims[1] or any(len(f) != dims[2] for f in plane):
                 raise DimensionMismatchError("ragged tensor literal")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "_entries", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
+
+    @classmethod
+    def from_integers(cls, planes, den: int) -> "Tensor3":
+        """The tensor planes[i][j][k] / den, for integer planes and
+        den > 0, stored as its integer form: divided by the gcd of den and
+        all entries, it is the form `scale_to_integers` would give."""
+        d1 = len(planes)
+        d2 = len(planes[0]) if d1 else 0
+        g = gcd(den, *(x for plane in planes for fibre in plane
+                       for x in fibre))
+        t = object.__new__(cls)
+        object.__setattr__(t, "dims", (d1, d2, len(planes[0][0]) if d2 else 0))
+        object.__setattr__(t, "_integer", (tuple(
+            tuple(tuple(x // g for x in fibre) for fibre in plane)
+            for plane in planes), den // g))
+        return t
+
+    @property
+    def entries(self) -> tuple:
+        """entries[i][j][k], as `Fraction`s, built once."""
+        if not hasattr(self, "_entries"):
+            planes, den = self._integer
+            object.__setattr__(self, "_entries", tuple(
+                tuple(tuple(Fraction(x, den) for x in fibre)
+                      for fibre in plane) for plane in planes))
+        return self._entries
 
     @classmethod
     def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
@@ -288,11 +327,13 @@ class Tensor3:
                 fibres[i * d2:(i + 1) * d2] for i in range(d1)), den))
         return self._integer
 
-    def contract(self, weights, den: int = 1) -> tuple[Fraction, ...]:
+    def contract(self, weights, den: int = 1,
+                 integers: bool = False) -> tuple[Fraction, ...]:
         """z[k] = sum_ij w[i][j] t[i][j][k] / den for a d1 x d2 weight array.
 
         Integer weights and entries are summed, zeros skipped; the result
-        always has d3 Fraction components.
+        always has d3 Fraction components.  With `integers` the weights
+        are plain ints already and are not scaled again.
         """
         d1, d2, d3 = self.dims
         if len(weights) != d1 or any(len(row) != d2 for row in weights):
@@ -300,7 +341,7 @@ class Tensor3:
                 f"cannot contract {d1}x{d2}x{d3} tensor with weights of "
                 f"{len(weights)} rows; expected {d1}x{d2}")
         planes, dt = self.integer_form
-        ws, dw = scale_to_integers(weights)
+        ws, dw = (weights, 1) if integers else scale_to_integers(weights)
         out = [0] * d3
         for wrow, plane in zip(ws, planes):
             for w, fibre in zip(wrow, plane):

@@ -15,11 +15,16 @@ formula.  Comultiplication is never user input: it is the adjoint of the
 multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
-element) is computed once per `FrobeniusAlgebra` object and cached on
-it, so no module-level table keeps an algebra alive.  Products, the
-derived data, word evaluation and basis changes (one integer
-conjugation of the structure tensor) run on the integer forms of
-`exact`; associativity is checked by `exact.associativity_failures`.
+element, the integer matrix of multiplication by the handle and the
+generator tables of words) is computed once per `FrobeniusAlgebra`
+object and cached on it, so no module-level table keeps an algebra
+alive.  Products, the derived data, genus invariants, word evaluation
+and basis changes (one integer conjugation of the structure tensor) run
+on the integer forms of `exact` and build `Fraction`s only for what a
+caller reads: a transported or derived structure tensor is made by
+`Tensor3.from_integers` and keeps its integer form, and a genus
+invariant is one `Fraction`.  Associativity is checked by
+`exact.associativity_failures`.
 """
 
 from __future__ import annotations
@@ -85,10 +90,11 @@ class DegeneratePairingError(ValueError):
 class FrobeniusAlgebra(Algebra):
     """A unital `Algebra` plus a counit functional eps.
 
-    The pairing, its inverse, the comultiplication and the handle
-    element are derived on first use and cached on the object, outside
-    equality and hashing, so they are freed with it.  A degenerate
-    pairing raises `DegeneratePairingError` on every request.
+    The pairing, its inverse, the comultiplication, the handle element,
+    the handle's integer action and the word generator tables are
+    derived on first use and cached on the object, outside equality and
+    hashing, so they are freed with it.  A degenerate pairing raises
+    `DegeneratePairingError` on every request.
     """
 
     counit: tuple[Fraction, ...]
@@ -121,12 +127,28 @@ class FrobeniusAlgebra(Algebra):
         # D[i][p][k] = sum_q ginv[p][q] m[q][i][k]; _mode gives it as [i][k][p]
         planes, dt = self.mult.integer_form
         ginv, dg = self._pairing_inverse.integer_form
-        return _from_integers(
+        return Tensor3.from_integers(
             [tuple(zip(*plane)) for plane in _mode(planes, ginv)], dt * dg)
 
     @cached_property
     def _handle(self) -> tuple[Fraction, ...]:
-        return self.mult.contract(*self._pairing_inverse.integer_form)
+        return self.mult.contract(*self._pairing_inverse.integer_form,
+                                  integers=True)
+
+    @cached_property
+    def _handle_action(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(r, d): x -> x w is the integer matrix r over d, with
+        r[k][i] = sum_j w[j] m[i][j][k] in the integer forms of w and m."""
+        planes, dt = self.mult.integer_form
+        (w,), dw = scale_to_integers((self._handle,))
+        return tuple(zip(*[[sum(map(mul, w, column)) for column in zip(*plane)]
+                           for plane in planes])), dt * dw
+
+    @cached_property
+    def _word_tables(self) -> dict:
+        """`_generator_table` by generator name, filled by `evaluate_word`
+        on the first use of each generator."""
+        return {}
 
 
 def _mode(planes, mat):
@@ -136,18 +158,13 @@ def _mode(planes, mat):
              for column in zip(*fibres)] for fibres in zip(*planes)]
 
 
-def _from_integers(planes, den: int) -> Tensor3:
-    """The Tensor3 of an n x n x n integer tensor divided by den."""
-    return Tensor3([[[Fraction(v, den) for v in fibre] for fibre in plane]
-                    for plane in planes], dims=(len(planes),) * 3)
-
-
 def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
     """x y: the structure constants contracted with the outer product."""
     (xs, ys), d = scale_to_integers((x, y))
     zero = (0,) * len(ys)
     return algebra.mult.contract(
-        [[a * b for b in ys] if a else zero for a in xs], d * d)
+        [[a * b for b in ys] if a else zero for a in xs], d * d,
+        integers=True)
 
 
 def apply_counit(algebra: FrobeniusAlgebra, x) -> Fraction:
@@ -213,13 +230,21 @@ def handle_element(algebra: FrobeniusAlgebra) -> tuple[Fraction, ...]:
 
 
 def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
-    """Closed-surface invariant eps(w^genus); genus 0 gives eps(1)."""
+    """Closed-surface invariant eps(w^genus); genus 0 gives eps(1).
+
+    The power 1 w ... w is kept as an integer vector over one
+    denominator, both divided by their gcd after each step.
+    """
     if genus < 0:
         raise ValueError(f"negative genus {genus}")
-    power = algebra.unit
+    (power, eps), den = scale_to_integers((algebra.unit, algebra.counit))
+    act, da = algebra._handle_action if genus else ((), 1)
+    d = den
     for _ in range(genus):
-        power = multiply_elements(algebra, power, handle_element(algebra))
-    return apply_counit(algebra, power)
+        power = [sum(map(mul, row, power)) for row in act]
+        g = gcd(d * da, *power)
+        power, d = [x // g for x in power], d * da // g
+    return Fraction(sum(map(mul, eps, power)), d * den)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +336,7 @@ def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
     state = {idx + idx: 1
              for idx in itertools.product(range(algebra.dim), repeat=inputs)}
     den = 1
-    tables: dict = {}
+    tables = algebra._word_tables
     for layer in word.layers:
         if not state:
             break
@@ -407,7 +432,7 @@ def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
     moved = _mode(_mode(_mode(planes, cols), cols), rows)
     return FrobeniusAlgebra(
         names=tuple(f"b{i}" for i in range(n)),
-        mult=_from_integers(moved, dm * dp * dp * dq),
+        mult=Tensor3.from_integers(moved, dm * dp * dp * dq),
         unit=pinv.apply(algebra.unit),
         counit=pt.apply(algebra.counit))
 

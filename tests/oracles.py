@@ -14,8 +14,10 @@ inverse and row reduction come from a textbook `Fraction` Gauss-Jordan,
 tensor contractions and matrix products from plain triple loops over
 `Fraction` entries, the trace form and the separability equations of an
 algebra from index loops over `mult[i, j, k]`, basis changes of an
-algebra from n^2 `Fraction` products, and cobordism words from a
-`Fraction` state with its own comultiplication.
+algebra from n^2 `Fraction` products, genus invariants from repeated
+`Fraction` products with a handle element built from the Gauss-Jordan
+inverse of the pairing, and cobordism words from a `Fraction` state with
+its own comultiplication.
 """
 
 from __future__ import annotations
@@ -562,6 +564,28 @@ def transport_by_products(algebra, p):
     counit = [sum((c[a] * algebra.counit[a] for a in range(n)), Fraction(0))
               for c in cols]
     return mult, back(algebra.unit), counit
+
+
+def genus_invariants(algebra, max_genus: int) -> list[Fraction]:
+    """eps(w^g) for g = 0 .. max_genus, each power 1 w ... w formed by one
+    more `Fraction` product on the right, w = sum_ij ginv[i][j] e_i e_j."""
+    n = algebra.dim
+    eps = algebra.counit
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pairing = [[sum(algebra.mult[i, j, k] * eps[k] for k in range(n))
+                for j in range(n)] for i in range(n)]
+    ginv = gauss_jordan_inverse(pairing)
+    handle = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            e_ij = _times(algebra, basis[i], basis[j])
+            handle = [h + ginv[i][j] * c for h, c in zip(handle, e_ij)]
+    power, values = list(algebra.unit), []
+    for g in range(max_genus + 1):
+        if g:
+            power = _times(algebra, power, handle)
+        values.append(sum((e * c for e, c in zip(eps, power)), Fraction(0)))
+    return values
 
 
 def fraction_word(algebra, word) -> dict[tuple[int, ...], Fraction]:

@@ -2,7 +2,9 @@
 
 Each record holds, per workload named in BENCHMARK.json and per
 end-to-end metric, the parent's and the change's medians over the
-alternating run pairs.
+alternating run pairs.  A record that claims a gain names the workload
+and the end-to-end metric first in its `claim`, and that metric's
+change median is below its parent median.
 """
 
 from __future__ import annotations
@@ -27,3 +29,19 @@ def test_every_bench_record_has_both_medians_for_every_metric():
                 for side in ("parent", "change"):
                     median = record["workloads"][w][m][side]["median"]
                     assert isinstance(median, Real), (path.name, w, m, side)
+
+
+def test_every_claimed_gain_names_a_metric_whose_median_fell():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if record.get("gain_claimed") is not True:
+            continue
+        workload, metric = record["claim"].split()[:2]
+        assert workload in workloads, (path.name, workload)
+        assert metric in metrics, (path.name, metric)
+        sides = record["workloads"][workload][metric]
+        assert sides["change"]["median"] < sides["parent"]["median"], (
+            path.name, workload, metric)

@@ -401,6 +401,57 @@ def test_karoubi_search_limit_is_inclusive(monkeypatch):
         karoubi_idempotents(big, "[x]")
 
 
+def _tripped(*args):
+    raise AssertionError(f"builder called with {args}")
+
+
+def test_mat_completion_refuses_before_enumerating_any_object(monkeypatch):
+    base = mat_completion(field_category(), 1)  # objects [] and [x]
+    monkeypatch.setattr(categories.itertools, "product", _tripped)
+    monkeypatch.setattr(categories, "mat_object_name", _tripped)
+    too_large = categories.SearchTooLargeError
+    # 1 + 2 + ... + 2^7 sequences of length <= 7 over two objects
+    with pytest.raises(too_large, match=r"bound 7 would have 255 objects, "
+                       r"more than 128"):
+        mat_completion(base, 7)
+    # a bound past the limit is refused without summing up to it
+    with pytest.raises(too_large, match=r"bound 1000000000 would have at "
+                       r"least 129 objects"):
+        mat_completion(field_category(), 10 ** 9)
+
+
+def test_mat_completion_object_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(categories, "MAX_COMPLETION_OBJECTS", 3)
+    assert len(mat_completion(field_category(), 2).objects) == 3
+    monkeypatch.setattr(categories, "MAX_COMPLETION_OBJECTS", 2)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"bound 2 would have 3 objects, more than 2"):
+        mat_completion(field_category(), 2)
+
+
+def test_karoubi_completion_refuses_before_carving_any_corner(monkeypatch):
+    # the default grid finds 289 idempotents in M_2 (x) k^2
+    cat = tensor_product(matrix_algebra_category(2),
+                         product_field_algebra(2).to_category())
+    monkeypatch.setattr(categories, "_Corner", _tripped)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"Karoubi completion would have 289 objects, "
+                       r"more than 128"):
+        karoubi_completion(cat)
+
+
+def test_karoubi_object_limit_counts_supplied_idempotents(monkeypatch):
+    cat = matrix_algebra_category(2)
+    supplied = [("x", (1, 0, 0, 1)), ("x", (1, 0, 0, 0))]
+    monkeypatch.setattr(categories, "MAX_COMPLETION_OBJECTS", 2)
+    assert len(karoubi_completion(cat, idempotents=supplied).objects) == 2
+    monkeypatch.setattr(categories, "MAX_COMPLETION_OBJECTS", 1)
+    monkeypatch.setattr(categories, "_Corner", _tripped)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"would have 2 objects, more than 1"):
+        karoubi_completion(cat, idempotents=supplied)
+
+
 def test_karoubi_explicit_idempotent_list():
     cat = matrix_algebra_category(2)
     completed = karoubi_completion(

@@ -14,7 +14,8 @@ from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
                      gauss_jordan_rank, naive_contract)
 from verlinde.exact import (DimensionMismatchError, Matrix,
                             SingularMatrixError, Tensor3, scale_to_integers)
-from verlinde.tqft import pairing_matrix, random_invertible
+from verlinde.tqft import (multiply_elements, pairing_matrix,
+                           random_invertible)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -119,6 +120,36 @@ def test_tensor3_equality_and_hash():
     assert hash(a) == hash(b)
 
 
+def _integer_cubes():
+    rng = random.Random(5)
+    dense = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+             for _ in range(3)]
+    yield dense, 35
+    yield [[[6 * x for x in fibre] for fibre in plane] for plane in dense], 12
+    yield [[[4, 6], [8, 10]], [[2, 0], [0, -12]]], 4
+    yield [[[0] * 2 for _ in range(2)] for _ in range(2)], 7
+    yield [], 5
+
+
+@pytest.mark.parametrize("planes,den", list(_integer_cubes()))
+def test_tensor3_from_integers_is_the_scaled_form(planes, den):
+    t = Tensor3.from_integers(planes, den)
+    fractions = [[[Fraction(x, den) for x in fibre] for fibre in plane]
+                 for plane in planes]
+    # the stored integer form, read before any entry is built
+    fibres, d = scale_to_integers(
+        [fibre for plane in fractions for fibre in plane])
+    ints, dt = t.integer_form
+    assert [fibre for plane in ints for fibre in plane] == list(fibres)
+    assert dt == d
+    assert t.entries == tuple(tuple(map(tuple, plane)) for plane in fractions)
+    assert all(type(x) is Fraction
+               for plane in t.entries for fibre in plane for x in fibre)
+    eager = Tensor3(fractions, dims=t.dims)
+    assert t == eager and hash(t) == hash(eager)
+    assert t.integer_form == eager.integer_form
+
+
 def test_tensor3_rejects_declared_shape_without_entries():
     with pytest.raises(DimensionMismatchError):
         Tensor3([], dims=(2, 2, 2))
@@ -190,6 +221,21 @@ def test_rref_rank_inverse_match_gauss_jordan(rows):
         assert m.inverse() == Matrix(expected)
 
 
+def _rank_cases():
+    rng = random.Random(4242)
+    cases = [_low_rank_rows(rng, rows, cols, k)
+             for rows, cols, k in ((12, 12, 5), (10, 30, 4), (30, 10, 4),
+                                   (6, 40, 6), (40, 6, 6), (20, 20, 19),
+                                   (15, 15, 15))]
+    return cases + [_random_rows(rng, 6, 30), _random_rows(rng, 30, 6)]
+
+
+@pytest.mark.parametrize("rows", _rank_cases())
+def test_echelon_rank_matches_gauss_jordan(rows):
+    # the seeded cases are checked with rref and inverse above
+    assert Matrix(rows).rank() == gauss_jordan_rank(rows)
+
+
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
 def test_rref_on_empty_shapes(rows, cols):
     m = Matrix([[0] * cols for _ in range(rows)], cols=cols)
@@ -233,6 +279,28 @@ def test_contract_matches_naive_loop_on_corpus_algebras(name):
     for w in weights:
         assert t.contract(w) == naive_contract(t, w)
         assert all(type(x) is Fraction for x in t.contract(w))
+
+
+@pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
+def test_products_of_elements_match_the_naive_contraction(name):
+    # multiply_elements hands its integer outer product to `contract`
+    # unscaled; the naive loop forms the same weights in Fraction
+    algebra = load(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        x, y = (_random_rows(rng, 1, algebra.dim)[0] for _ in range(2))
+        weights = [[a * b for b in y] for a in x]
+        expected = naive_contract(algebra.mult, weights)
+        assert multiply_elements(algebra, x, y) == expected
+
+
+def test_contract_takes_integer_weights_with_their_denominator():
+    t = load("fib.algebra").mult
+    rng = random.Random(3)
+    for _ in range(6):
+        weights = _random_rows(rng, 2, 2)
+        ints, d = scale_to_integers(weights)
+        assert t.contract(ints, d, integers=True) == t.contract(weights)
 
 
 def test_contract_matches_naive_loop_on_random_tensors():

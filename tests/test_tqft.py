@@ -11,7 +11,8 @@ import pytest
 
 from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
 from oracles import (fraction_word, frobenius_axiom_entries,
-                     s3_cayley_table, transport_by_products)
+                     genus_invariants, s3_cayley_table,
+                     transport_by_products)
 from verlinde import tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra)
@@ -410,6 +411,43 @@ def test_degenerate_fusion_pairing_raises():
                         coeffs=Tensor3.from_dict((2, 2, 2), data))
     with pytest.raises(DegeneratePairingError):
         frobenius_from_fusion(broken)
+
+
+def test_genus_invariants_match_the_fraction_product_loop():
+    # each algebra and five basis changes of it, whose structure tensors
+    # come from Tensor3.from_integers with nontrivial denominators
+    rng = random.Random(31)
+    bases = [load(name) for name in CORPUS_ALGEBRAS]
+    bases.extend(_stock_frobenius_algebras())
+    for a in bases:
+        for moved in [a] + [transport_basis(a, random_invertible(a.dim, rng))
+                            for _ in range(5)]:
+            expected = genus_invariants(moved, 30)
+            assert [genus_invariant(moved, g) for g in range(31)] == expected
+
+
+def test_genus_invariants_keep_the_product_order_off_associativity():
+    # three of the five raised copies are not associative, so there
+    # w (w w) and (w w) w can differ; genus_invariant must multiply on
+    # the right, as the oracle does
+    for a in _raised(load("fib.algebra")):
+        assert [genus_invariant(a, g) for g in range(8)] == (
+            genus_invariants(a, 7))
+
+
+def test_closed_words_on_a_degenerate_algebra_build_only_their_tables():
+    bad = FrobeniusAlgebra(
+        ("1", "x"),
+        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
+                                      (1, 0, 1): 1}),
+        (1, 0), (1, 0))
+    sphere = CobordismWord((("unit",), ("counit",)))
+    pairing_trace = CobordismWord((("cup",), ("cap",)))
+    for _ in range(2):
+        assert evaluate_word(bad, sphere) == 1
+        with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
+            evaluate_word(bad, pairing_trace)
+    assert genus_invariant(bad, 0) == 1
 
 
 def test_handle_element_values():
