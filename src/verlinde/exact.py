@@ -327,21 +327,26 @@ class Tensor3:
                 fibres[i * d2:(i + 1) * d2] for i in range(d1)), den))
         return self._integer
 
-    def contract(self, weights, den: int = 1,
-                 integers: bool = False) -> tuple[Fraction, ...]:
+    def contract(self, weights, den: int = 1) -> tuple[Fraction, ...]:
         """z[k] = sum_ij w[i][j] t[i][j][k] / den for a d1 x d2 weight array.
 
         Integer weights and entries are summed, zeros skipped; the result
-        always has d3 Fraction components.  With `integers` the weights
-        are plain ints already and are not scaled again.
+        always has d3 Fraction components.
         """
+        ws, dw = scale_to_integers(weights)
+        out, dt = self._contract_integers(ws)
+        d = dt * dw * den
+        return tuple(Fraction(x, d) for x in out)
+
+    def _contract_integers(self, ws) -> tuple[list[int], int]:
+        """(z, d) with z[k] / d = sum_ij ws[i][j] t[i][j][k], for a d1 x d2
+        array of plain ints; d is the tensor's own denominator."""
         d1, d2, d3 = self.dims
-        if len(weights) != d1 or any(len(row) != d2 for row in weights):
+        if len(ws) != d1 or any(len(row) != d2 for row in ws):
             raise DimensionMismatchError(
                 f"cannot contract {d1}x{d2}x{d3} tensor with weights of "
-                f"{len(weights)} rows; expected {d1}x{d2}")
+                f"{len(ws)} rows; expected {d1}x{d2}")
         planes, dt = self.integer_form
-        ws, dw = (weights, 1) if integers else scale_to_integers(weights)
         out = [0] * d3
         for wrow, plane in zip(ws, planes):
             for w, fibre in zip(wrow, plane):
@@ -349,8 +354,7 @@ class Tensor3:
                     for k, c in enumerate(fibre):
                         if c:
                             out[k] += w * c
-        d = dt * dw * den
-        return tuple(Fraction(x, d) for x in out)
+        return out, dt
 
     def nonzero(self):
         """Yield ((i, j, k), value) for every nonzero entry, in index order."""

@@ -131,16 +131,25 @@ class FrobeniusAlgebra(Algebra):
             [tuple(zip(*plane)) for plane in _mode(planes, ginv)], dt * dg)
 
     @cached_property
+    def _handle_integers(self) -> tuple[list[int], int]:
+        """(w, d): the handle element is w / d, both divided by their gcd;
+        w[k] = sum_ij ginv[i][j] m[i][j][k] in the integer forms."""
+        ginv, dg = self._pairing_inverse.integer_form
+        w, dt = self.mult._contract_integers(ginv)
+        g = gcd(dt * dg, *w)
+        return [x // g for x in w], dt * dg // g
+
+    @cached_property
     def _handle(self) -> tuple[Fraction, ...]:
-        return self.mult.contract(*self._pairing_inverse.integer_form,
-                                  integers=True)
+        w, d = self._handle_integers
+        return tuple(Fraction(x, d) for x in w)
 
     @cached_property
     def _handle_action(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(r, d): x -> x w is the integer matrix r over d, with
         r[k][i] = sum_j w[j] m[i][j][k] in the integer forms of w and m."""
         planes, dt = self.mult.integer_form
-        (w,), dw = scale_to_integers((self._handle,))
+        w, dw = self._handle_integers
         return tuple(zip(*[[sum(map(mul, w, column)) for column in zip(*plane)]
                            for plane in planes])), dt * dw
 
@@ -162,9 +171,10 @@ def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
     """x y: the structure constants contracted with the outer product."""
     (xs, ys), d = scale_to_integers((x, y))
     zero = (0,) * len(ys)
-    return algebra.mult.contract(
-        [[a * b for b in ys] if a else zero for a in xs], d * d,
-        integers=True)
+    out, dt = algebra.mult._contract_integers(
+        [[a * b for b in ys] if a else zero for a in xs])
+    d = dt * d * d
+    return tuple(Fraction(v, d) for v in out)
 
 
 def apply_counit(algebra: FrobeniusAlgebra, x) -> Fraction:

@@ -168,6 +168,23 @@ def test_complete_karoubi_refuses_an_oversized_search(run, tmp_path,
     assert "4^16" in err
 
 
+def test_complete_mat_refuses_past_the_object_limit_at_the_default_bound(
+        run, tmp_path, monkeypatch):
+    # five objects: 1 + 5 + 25 + 125 = 156 sequences of length <= 3
+    five = mat_completion(matrix_algebra_category(1), 4)
+    assert len(five.objects) == 5
+    (tmp_path / "five.category").write_text(serialize("category", five),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    # a built sequence fails the test at once
+    monkeypatch.setattr(categories, "mat_object_name", None)
+    code, out, err = run("complete", "--mode", "mat", "five.category")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: Mat completion with bound 3 would have 156 "
+                   "objects, more than 128\n")
+
+
 def test_report_text_mode_counts_functors(run):
     code, out, _ = run("report", "fib_x_z2.fusion")
     assert code == 0
