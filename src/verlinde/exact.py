@@ -6,11 +6,13 @@ integer rows over one positive denominator (`scale_to_integers`), built
 on first use.  `@`, `apply`, `contract` and the one fraction-free
 elimination behind rank, inverse and `rref` (after Bareiss, 1968) work
 on plain `int`s and divide each result entry once; `rank` stops at the
-echelon form, `rref` and `inverse` go on to the reduced form.  Matrix
-results are eager `Fraction`s.  A `Tensor3` made by `from_integers`
-keeps the integer form it is given and builds its `Fraction` entries
-only when they are read.  All values are immutable after construction,
-so they are safe to share freely.
+echelon form, `rref` and `inverse` go on to the reduced form, and
+`inverse` wraps an integer core that `tqft` reads directly.  The
+results of `@`, `inverse`, `apply`, `transpose` and `rref` are eager
+`Fraction`s.  A `Matrix` or `Tensor3` made by `from_integers` keeps the
+integer form it is given and builds its `Fraction` entries only when
+they are read.  All values are immutable after construction, so they
+are safe to share freely.
 
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`integer_rows`) and one associativity
@@ -55,6 +57,19 @@ def scale_to_integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
                   for row in rows]), den
 
 
+def _reduced(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den) of integer rows over den > 0, both divided by the gcd
+    of den and every entry: the form `scale_to_integers` gives of the
+    values rows / den."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+
+def _fractions(rows, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The values rows / den as `Fraction` rows."""
+    return tuple([tuple([Fraction(x, den) for x in row]) for row in rows])
+
+
 class DimensionMismatchError(ValueError):
     """Operand shapes do not line up; the message names both shapes."""
 
@@ -70,9 +85,16 @@ class SingularMatrixError(ValueError):
 
 class Matrix:
     """Immutable dense matrix over Fraction, row-major, plus its cached
-    `integer_form`, on which products, `apply` and elimination run."""
+    `integer_form`, on which products, `apply` and elimination run.
 
-    __slots__ = ("rows", "cols", "entries", "_integer")
+    A matrix built from entries holds them at once and derives the
+    integer form on first use, and so do the results of `@`, `inverse`
+    and `transpose`.  One built by `from_integers` (the derived matrices
+    of `tqft`) holds the integer form and builds its `entries` on first
+    read.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_integer")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -87,10 +109,22 @@ class Matrix:
             ncols = 0 if cols is None else cols
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_entries", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def from_integers(cls, rows, den: int) -> "Matrix":
+        """The matrix rows[i][j] / den, for integer rows and den > 0,
+        stored as its integer form: divided by the gcd of den and all
+        entries, it is the form `scale_to_integers` would give."""
+        rows, den = _reduced(rows, den)
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(m, "_integer", (rows, den))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -99,6 +133,18 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """entries[i][j], as `Fraction`s, built once."""
+        if not hasattr(self, "_entries"):
+            object.__setattr__(self, "_entries", _fractions(*self._integer))
+        return self._entries
+
+    def _eager(self) -> "Matrix":
+        """self with its entries built: public results are eager."""
+        self.entries
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,12 +178,14 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
+        if not self.rows:
+            return Matrix.zeros(0, other.cols)
         a, da = self.integer_form
         b, db = other.integer_form
         cols = list(zip(*b)) if b else [()] * other.cols
-        d = da * db
-        return Matrix([[Fraction(sum(map(mul, row, col)), d) for col in cols]
-                       for row in a], cols=other.cols)
+        return Matrix.from_integers(
+            [[sum(map(mul, row, col)) for col in cols] for row in a],
+            da * db)._eager()
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
@@ -172,7 +220,9 @@ class Matrix:
         return len(_eliminate(list(self.integer_form[0]), self.cols,
                               echelon=True)[1])
 
-    def inverse(self) -> "Matrix":
+    def _inverse_integers(self) -> tuple[list[list[int]], int]:
+        """(rows, d) with the inverse equal to rows / d, d > 0, from one
+        `_eliminate`; raises `SingularMatrixError`, carrying the rank."""
         if self.rows != self.cols:
             raise DimensionMismatchError(
                 f"cannot invert non-square {self.rows}x{self.cols} matrix")
@@ -184,8 +234,12 @@ class Matrix:
         r = sum(1 for c in pivots if c < n)
         if r < n:
             raise SingularMatrixError(rank=r, size=n)
-        return Matrix([[Fraction(x, row[i]) for x in row[n:]]
-                       for i, row in enumerate(m)], cols=n)
+        d = lcm(*(row[i] for i, row in enumerate(m)))
+        return [[x * (d // row[i]) for x in row[n:]]
+                for i, row in enumerate(m)], d
+
+    def inverse(self) -> "Matrix":
+        return Matrix.from_integers(*self._inverse_integers())._eager()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
@@ -239,9 +293,10 @@ class Tensor3:
     """Immutable dense rank-3 tensor indexed (i, j, k) over Fraction, plus
     its cached `integer_form`, on which `contract` runs.
 
-    A tensor built from `Fraction`s holds its `entries` at once and
-    derives the integer form on first use; one built by `from_integers`
-    holds the integer form and derives its `entries` on first read.
+    As for `Matrix`, a tensor built from `Fraction`s holds its `entries`
+    at once and derives the integer form on first use; one built by
+    `from_integers` holds the integer form and derives its `entries` on
+    first read.
     """
 
     __slots__ = ("dims", "_entries", "_integer")
@@ -277,13 +332,11 @@ class Tensor3:
         all entries, it is the form `scale_to_integers` would give."""
         d1 = len(planes)
         d2 = len(planes[0]) if d1 else 0
-        g = gcd(den, *(x for plane in planes for fibre in plane
-                       for x in fibre))
         t = object.__new__(cls)
         object.__setattr__(t, "dims", (d1, d2, len(planes[0][0]) if d2 else 0))
+        fibres, den = _reduced([f for plane in planes for f in plane], den)
         object.__setattr__(t, "_integer", (tuple(
-            tuple(tuple(x // g for x in fibre) for fibre in plane)
-            for plane in planes), den // g))
+            fibres[i * d2:(i + 1) * d2] for i in range(d1)), den))
         return t
 
     @property
@@ -292,8 +345,7 @@ class Tensor3:
         if not hasattr(self, "_entries"):
             planes, den = self._integer
             object.__setattr__(self, "_entries", tuple(
-                tuple(tuple(Fraction(x, den) for x in fibre)
-                      for fibre in plane) for plane in planes))
+                _fractions(plane, den) for plane in planes))
         return self._entries
 
     @classmethod

@@ -9,6 +9,7 @@ serialize(parse(file)) is byte-identical on canonical files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,8 +93,17 @@ def _int(token: str, source: str, line: int) -> int:
         raise ParseError(f"expected an integer, got {token!r}", source, line)
 
 
+# ASCII p or p/q: read with int() directly; every other token goes to
+# Fraction(token), which decides what it accepts
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _fraction(token: str, source: str, line: int) -> Fraction:
     try:
+        plain = _PLAIN_RATIONAL.fullmatch(token)
+        if plain is not None:
+            p, q = plain.groups()
+            return Fraction(int(p), int(q or 1))
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational p/q, got {token!r}",

@@ -18,13 +18,14 @@ The derived data (pairing, its inverse, comultiplication, handle
 element, the integer matrix of multiplication by the handle and the
 generator tables of words) is computed once per `FrobeniusAlgebra`
 object and cached on it, so no module-level table keeps an algebra
-alive.  Products, the derived data, genus invariants, word evaluation
-and basis changes (one integer conjugation of the structure tensor) run
-on the integer forms of `exact` and build `Fraction`s only for what a
-caller reads: a transported or derived structure tensor is made by
-`Tensor3.from_integers` and keeps its integer form, and a genus
-invariant is one `Fraction`.  Associativity is checked by
-`exact.associativity_failures`.
+alive.  Products, the derived data, genus invariants, word evaluation,
+random basis changes and their action (one integer conjugation of the
+structure tensor) run on the integer forms of `exact` and build
+`Fraction`s only for what a caller reads: derived matrices and tensors
+are made by `Matrix.from_integers` and `Tensor3.from_integers` and keep
+their integer form, inverses come from the integer core of
+`Matrix.inverse`, and a genus invariant is one `Fraction`.
+Associativity is checked by `exact.associativity_failures`.
 """
 
 from __future__ import annotations
@@ -109,14 +110,14 @@ class FrobeniusAlgebra(Algebra):
     def _pairing(self) -> Matrix:
         planes, dt = self.mult.integer_form
         (eps,), de = scale_to_integers((self.counit,))
-        d = dt * de
-        return Matrix([[Fraction(sum(map(mul, fibre, eps)), d)
-                        for fibre in plane] for plane in planes])
+        rows = [[sum(map(mul, fibre, eps)) for fibre in plane]
+                for plane in planes]
+        return Matrix.from_integers(rows, dt * de)
 
     @cached_property
     def _pairing_inverse(self) -> Matrix:
         try:
-            return self._pairing.inverse()
+            return Matrix.from_integers(*self._pairing._inverse_integers())
         except SingularMatrixError as err:
             raise DegeneratePairingError(
                 f"derived pairing is singular (rank {err.rank} of "
@@ -240,21 +241,29 @@ def handle_element(algebra: FrobeniusAlgebra) -> tuple[Fraction, ...]:
 
 
 def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
-    """Closed-surface invariant eps(w^genus); genus 0 gives eps(1).
+    """Closed-surface invariant eps(w^genus); genus 0 gives eps(1)."""
+    if genus < 0:
+        raise ValueError(f"negative genus {genus}")
+    return _genus_invariants(algebra, genus)[genus]
+
+
+def _genus_invariants(algebra: FrobeniusAlgebra,
+                      max_genus: int) -> list[Fraction]:
+    """eps(w^g) for g = 0..max_genus, one handle step per genus.
 
     The power 1 w ... w is kept as an integer vector over one
     denominator, both divided by their gcd after each step.
     """
-    if genus < 0:
-        raise ValueError(f"negative genus {genus}")
     (power, eps), den = scale_to_integers((algebra.unit, algebra.counit))
-    act, da = algebra._handle_action if genus else ((), 1)
+    act, da = algebra._handle_action if max_genus else ((), 1)
     d = den
-    for _ in range(genus):
+    values = [Fraction(sum(map(mul, eps, power)), d * den)]
+    for _ in range(max_genus):
         power = [sum(map(mul, row, power)) for row in act]
         g = gcd(d * da, *power)
         power, d = [x // g for x in power], d * da // g
-    return Fraction(sum(map(mul, eps, power)), d * den)
+        values.append(Fraction(sum(map(mul, eps, power)), d * den))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +352,19 @@ def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
     consecutive working strands.  A closed word collapses to a scalar.
     """
     inputs, outputs = word.signature()
+    tables = algebra._word_tables
+    # every table first, so a word raises on a degenerate pairing
+    # whenever it uses cup, cap or comult, wherever its state vanishes
+    for gen in dict.fromkeys(g for layer in word.layers for g in layer):
+        if gen not in tables:
+            tables[gen] = _generator_table(algebra, gen)
     state = {idx + idx: 1
              for idx in itertools.product(range(algebra.dim), repeat=inputs)}
     den = 1
-    tables = algebra._word_tables
     for layer in word.layers:
         if not state:
             break
         for gen in layer:
-            if gen not in tables:
-                tables[gen] = _generator_table(algebra, gen)
             den *= tables[gen][1]
         new_state: dict[tuple[int, ...], int] = {}
         for key, coeff in state.items():
@@ -415,36 +427,41 @@ def alternate_genus_words(genus: int) -> list[CobordismWord]:
 def random_invertible(dim: int, rng: random.Random) -> Matrix:
     """Random invertible L * U: L unit lower-triangular over [-2, 2], U
     upper-triangular, diagonal from {1, -1, 2}, a/b (|a| <= 2, b <= 2)
-    above it."""
-    lower = [[Fraction(1) if i == j
-              else Fraction(rng.randint(-2, 2)) if i > j else Fraction(0)
+    above it.  L and 2U are integer; their product is taken over 2."""
+    lower = [[1 if i == j else rng.randint(-2, 2) if i > j else 0
               for j in range(dim)] for i in range(dim)]
-    upper = [[Fraction(rng.choice([1, -1, 2])) if i == j
-              else Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if i < j
-              else Fraction(0)
-              for j in range(dim)] for i in range(dim)]
-    return Matrix(lower) @ Matrix(upper)
+    upper2 = [[2 * rng.choice([1, -1, 2]) if i == j
+               else rng.randint(-2, 2) * (2 // rng.randint(1, 2)) if i < j
+               else 0
+               for j in range(dim)] for i in range(dim)]
+    cols = list(zip(*upper2))
+    return Matrix.from_integers(
+        [[sum(map(mul, row, col)) for col in cols] for row in lower], 2)
 
 
 def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
     """The same algebra written in the basis e'_i = sum_a p[a][i] e_a.
 
     m'[i][j][k] = sum_abc p[a][i] p[b][j] m[a][b][c] p^-1[k][c] is three
-    integer mode products (`_mode`), divided once by the denominators.
+    integer mode products (`_mode`), divided once by the denominators;
+    the unit moves by p^-1 and the counit by the transpose of p.
     """
     n = algebra.dim
     if p.shape != (n, n):
         raise ValueError(f"basis change must be {n}x{n}")
-    pinv = p.inverse()
-    pt = p.transpose()
+    rows, dq = p._inverse_integers()
+    a, dp = p.integer_form
+    cols = tuple(zip(*a))
     planes, dm = algebra.mult.integer_form
-    (cols, dp), (rows, dq) = pt.integer_form, pinv.integer_form
     moved = _mode(_mode(_mode(planes, cols), cols), rows)
+    (unit, counit), d = scale_to_integers((algebra.unit, algebra.counit))
     return FrobeniusAlgebra(
         names=tuple(f"b{i}" for i in range(n)),
         mult=Tensor3.from_integers(moved, dm * dp * dp * dq),
-        unit=pinv.apply(algebra.unit),
-        counit=pt.apply(algebra.counit))
+        unit=tuple(Fraction(sum(map(mul, row, unit)), dq * d)
+                   for row in rows),
+        counit=tuple(Fraction(sum(map(mul, col, counit)), dp * d)
+                     for col in cols))
 
 
 def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
@@ -459,13 +476,12 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
     """
     report = Report("invariance suite")
     rng = random.Random(seed)
-    reference = [genus_invariant(algebra, g) for g in range(max_genus + 1)]
+    reference = _genus_invariants(algebra, max_genus)
 
     for t in range(trials):
         p = random_invertible(algebra.dim, rng)
-        moved = transport_basis(algebra, p)
-        for g in range(max_genus + 1):
-            got = genus_invariant(moved, g)
+        moved = _genus_invariants(transport_basis(algebra, p), max_genus)
+        for g, got in enumerate(moved):
             if got != reference[g]:
                 report.fail(
                     f"basis change {t}: genus {g} invariant {got} != "

@@ -14,7 +14,9 @@ inverse and row reduction come from a textbook `Fraction` Gauss-Jordan,
 tensor contractions and matrix products from plain triple loops over
 `Fraction` entries, the trace form and the separability equations of an
 algebra from index loops over `mult[i, j, k]`, basis changes of an
-algebra from n^2 `Fraction` products, genus invariants from repeated
+algebra from n^2 `Fraction` products, random basis changes from two
+`Fraction` triangular factors multiplied by a triple loop, genus
+invariants from repeated
 `Fraction` products with a handle element built from the Gauss-Jordan
 inverse of the pairing, and cobordism words from a `Fraction` state with
 its own comultiplication.
@@ -564,6 +566,24 @@ def transport_by_products(algebra, p):
     counit = [sum((c[a] * algebra.counit[a] for a in range(n)), Fraction(0))
               for c in cols]
     return mult, back(algebra.unit), counit
+
+
+def fraction_random_invertible(dim: int, rng) -> list[list[Fraction]]:
+    """L U from the draws `tqft.random_invertible` makes, in its order.
+
+    L is unit lower-triangular over [-2, 2]; U is upper-triangular with
+    its diagonal from {1, -1, 2} and a/b (|a| <= 2, b <= 2) above it;
+    both are `Fraction` lists, multiplied by a triple loop.
+    """
+    lower = [[Fraction(1) if i == j
+              else Fraction(rng.randint(-2, 2)) if i > j else Fraction(0)
+              for j in range(dim)] for i in range(dim)]
+    upper = [[Fraction(rng.choice([1, -1, 2])) if i == j
+              else Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if i < j
+              else Fraction(0)
+              for j in range(dim)] for i in range(dim)]
+    return [[sum((lower[i][k] * upper[k][j] for k in range(dim)),
+                 Fraction(0)) for j in range(dim)] for i in range(dim)]
 
 
 def genus_invariants(algebra, max_genus: int) -> list[Fraction]:

@@ -150,6 +150,37 @@ def test_tensor3_from_integers_is_the_scaled_form(planes, den):
     assert t.integer_form == eager.integer_form
 
 
+def _integer_matrices():
+    rng = random.Random(6)
+    dense = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+    yield dense, 35
+    yield [[6 * x for x in row] for row in dense], 12
+    yield [[4, -6], [8, 10]], 4
+    yield [[0] * 3 for _ in range(2)], 7
+    yield [[5]], 1
+    yield [], 5
+
+
+@pytest.mark.parametrize("rows,den", list(_integer_matrices()))
+def test_matrix_from_integers_is_the_scaled_form(rows, den):
+    m = Matrix.from_integers(rows, den)
+    fractions = [[Fraction(x, den) for x in row] for row in rows]
+    # the stored integer form, read before any entry is built
+    assert m.integer_form == scale_to_integers(fractions)
+    assert not hasattr(m, "_entries")
+    assert m.entries == tuple(map(tuple, fractions))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    eager = Matrix(fractions, cols=m.cols)
+    assert m.shape == eager.shape
+    assert m == eager and eager == m and hash(m) == hash(eager)
+    # two lazy matrices, and a lazy and an eager one that differ
+    twin = Matrix.from_integers(rows, den)
+    assert m == twin and hash(m) == hash(twin)
+    if rows:
+        other = Matrix.from_integers(rows, den + 1)
+        assert (other == m) == (not any(map(any, rows)))
+
+
 def test_tensor3_rejects_declared_shape_without_entries():
     with pytest.raises(DimensionMismatchError):
         Tensor3([], dims=(2, 2, 2))
@@ -264,6 +295,57 @@ def test_corpus_algebra_matrices_match_gauss_jordan(name):
                 m.inverse()
         else:
             assert m.inverse() == Matrix(expected)
+
+
+def _public_matrix_results(m: Matrix):
+    yield m @ m.transpose()
+    yield m.transpose() @ m
+    yield m.transpose()
+    if m.rows == m.cols:
+        try:
+            yield m.inverse()
+        except SingularMatrixError:
+            pass
+
+
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_public_results_build_their_entries_inside_the_call(rows):
+    lazy = Matrix.from_integers(*scale_to_integers(rows))
+    for m in (Matrix(rows), lazy):
+        for result in _public_matrix_results(m):
+            assert hasattr(result, "_entries")
+            assert all(type(x) is Fraction
+                       for row in result._entries for x in row)
+        assert all(type(x) is Fraction for x in m.apply([1] * m.cols))
+        assert all(type(x) is Fraction for row in m.rref()[0] for x in row)
+    assert lazy == Matrix(rows)
+
+
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_integer_inverse_core_matches_gauss_jordan(rows):
+    m = Matrix(rows)
+    if m.rows != m.cols:
+        with pytest.raises(DimensionMismatchError):
+            m._inverse_integers()
+        return
+    expected = gauss_jordan_inverse(rows)
+    if expected is None:
+        with pytest.raises(SingularMatrixError) as err:
+            m._inverse_integers()
+        assert err.value.rank == gauss_jordan_rank(rows)
+        return
+    ints, d = m._inverse_integers()
+    assert d > 0
+    assert [tuple(Fraction(x, d) for x in row) for row in ints] == expected
+    lazy = Matrix.from_integers(ints, d)
+    assert lazy.integer_form == scale_to_integers(expected)
+    assert lazy == m.inverse() == Matrix(expected)
+
+
+def test_integer_inverse_core_on_the_empty_matrix():
+    ints, d = Matrix.identity(0)._inverse_integers()
+    assert (list(ints), d) == ([], 1)
+    assert Matrix.from_integers(ints, d) == Matrix.identity(0)
 
 
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,40 @@ def test_algebra_missing_dim():
 def test_algebra_bad_fraction_token():
     with pytest.raises(ParseError, match="rational"):
         parse("algebra", "dim 1\nmult 0 0 0 one\n")
+
+
+# Fraction's string grammar changed in Python 3.11, so every token is
+# compared with Fraction(token) on the running interpreter
+FRACTION_TOKENS = (
+    "0", "7", "-7", "+7", "3/4", "-3/4", "+3/2", "10/20", "-0/5", "00/03",
+    "3/-2", "3/+2", "1_0", "1_0/2_0", "1.5", "1e3", "/2", "3/", "3/0",
+    "0/0", "-3/00", "3/4/5", "\u0663", "\u0663/4", "\u00b2", "+", "-",
+    "+-3", "0x10", "9" * 5000, "1/" + "9" * 5000)
+
+
+def _token_outcome(read, token):
+    try:
+        value = read(token)
+    except (ValueError, ZeroDivisionError, formats.ParseError):
+        return None
+    assert type(value) is Fraction
+    return value
+
+
+def _assert_reads_as_fraction(token):
+    got = _token_outcome(lambda t: formats._fraction(t, "t", 1), token)
+    assert got == _token_outcome(Fraction, token), token
+
+
+@pytest.mark.parametrize("token", FRACTION_TOKENS)
+def test_rational_tokens_read_as_fraction_reads_them(token):
+    _assert_reads_as_fraction(token)
+
+
+def test_short_rational_tokens_read_as_fraction_reads_them():
+    for length in range(1, 4):
+        for chars in itertools.product("0123+-/_.e\u0663", repeat=length):
+            _assert_reads_as_fraction("".join(chars))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -10,12 +11,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
-from oracles import (fraction_word, frobenius_axiom_entries,
-                     genus_invariants, s3_cayley_table,
-                     transport_by_products)
+from oracles import (fraction_random_invertible, fraction_word,
+                     frobenius_axiom_entries, genus_invariants,
+                     s3_cayley_table, transport_by_products)
 from verlinde import tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
-                                 group_algebra, matrix_algebra)
+                                 group_algebra, matrix_algebra,
+                                 product_field_algebra)
 from verlinde.exact import Matrix, Tensor3
 from verlinde.fusion import FusionRing, cyclic_ring
 from verlinde.surfaces import ColouredSurface, dim_V
@@ -91,6 +93,48 @@ def test_validate_frobenius_matches_the_fraction_oracle():
         entries, checked = frobenius_axiom_entries(a)
         assert report.entries == entries
         assert report.checked == checked
+
+
+def _report_lines(report):
+    return [*report.entries, f"checked {report.checked}"]
+
+
+def _pinned_texts():
+    """Lines of the validation reports, invariance suites and derived
+    data of the algebras of `_frobenius_families`, in turn."""
+    validate, suite, derived = [], [], []
+    for a in _frobenius_families():
+        validate += _report_lines(validate_frobenius(a))
+        derived.append(repr(pairing_matrix(a)))
+        try:
+            suite += _report_lines(invariance_suite(a, trials=3, max_genus=3))
+            derived.append(repr(handle_element(a)))
+        except DegeneratePairingError as err:
+            suite.append(f"degenerate: {err}")
+            derived.append(f"degenerate: {err}")
+    return {"validate": validate, "suite": suite, "derived": derived}
+
+
+# (sha256 of the lines joined by newlines, number of lines), recorded
+# before the pairing, its inverse and the basis changes were computed
+# on integer forms
+REPORT_PINS = {
+    "validate": (
+        "e1ca2607a00a5befbbb34787eeb3bcbf7daedf9ea6788196480eaea181b1517b",
+        1600),
+    "suite": (
+        "7baaa9fc7cd1565f280694656868e04bf7afef82651a535b5dc5b75198c27fe8",
+        479),
+    "derived": (
+        "7df868f89a00f888538368bd31019fc9c1dbc1a9723922f87752293aad105021",
+        254),
+}
+
+
+def test_reports_and_derived_data_are_pinned():
+    for kind, lines in _pinned_texts().items():
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert (digest, len(lines)) == REPORT_PINS[kind], kind
 
 
 def test_ground_field_with_unit_counit_one_is_valid():
@@ -278,6 +322,16 @@ def test_transport_basis_matches_the_product_oracle(monkeypatch):
             assert all(type(x) is Fraction for _, x in moved.mult.nonzero())
 
 
+def test_random_invertible_matches_the_fraction_construction():
+    for dim in range(7):
+        for seed in range(20):
+            rng, twin = random.Random(seed), random.Random(seed)
+            p = random_invertible(dim, rng)
+            assert p == Matrix(fraction_random_invertible(dim, twin),
+                               cols=dim)
+            assert rng.getstate() == twin.getstate()
+
+
 def test_perturbed_multiplication_breaks_invariance():
     a = load("ksquared.algebra")
     data = {idx: v for idx, v in a.mult.nonzero()}
@@ -448,6 +502,23 @@ def test_closed_words_on_a_degenerate_algebra_build_only_their_tables():
         with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
             evaluate_word(bad, pairing_trace)
     assert genus_invariant(bad, 0) == 1
+
+
+def test_degenerate_words_raise_in_either_layer_order():
+    # k^3 with counit (1, -1, 0): the pairing has rank 2 and eps(1) = 0,
+    # so the sphere's state vanishes before the later layers
+    k3 = product_field_algebra(3)
+    bad = FrobeniusAlgebra(k3.names, k3.mult, k3.unit, (1, -1, 0))
+    assert evaluate_word(bad, CobordismWord((("unit",), ("counit",)))) == 0
+    for layers in ((("unit",), ("counit",), ("cup",), ("cap",)),
+                   (("cup",), ("cap",), ("unit",), ("counit",)),
+                   (("unit",), ("counit",), ("unit",), ("comult",),
+                    ("mult",), ("counit",))):
+        with pytest.raises(DegeneratePairingError, match="rank 2 of 3"):
+            evaluate_word(bad, CobordismWord(layers))
+    assert evaluate_word(
+        bad, CobordismWord((("unit",), ("counit",), ("unit",), ("id",),
+                            ("counit",)))) == 0
 
 
 def test_handle_element_values():
