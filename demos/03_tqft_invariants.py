@@ -14,7 +14,8 @@ from verlinde import (CobordismWord, canonical_genus_word, evaluate_word,
                       frobenius_from_fusion, genus_invariant,
                       invariance_suite, pairing_matrix, validate_frobenius)
 from verlinde.fusion import fibonacci_ring
-from verlinde.tqft import handle_element, random_invertible, transport_basis
+from verlinde.tqft import (handle_element, random_genus_word,
+                           random_invertible, transport_basis)
 from verlinde.corpus import corpus_path
 from verlinde.formats import parse
 
@@ -34,11 +35,18 @@ print("torus word value:", evaluate_word(z2, torus_word))
 print("pairing-trace presentation [cup; cap]:",
       evaluate_word(z2, CobordismWord((("cup",), ("cap",)))))
 
-# Invariance: 10 random rational basis changes do not move any invariant.
+# Invariance: a random rational basis change moves no invariant, and
+# every presentation of a surface gives the same number.  The suite
+# compares the canonical word, a few re-bracketed ones and 10 random
+# connected words with the handle formula.
 rng = random.Random(0)
 moved = transport_basis(z2, random_invertible(z2.dim, rng))
 print("\nafter a random basis change:",
       [genus_invariant(moved, g) for g in range(5)])
+word = random_genus_word(2, rng)
+print("a random genus-2 word:",
+      "; ".join(" ".join(layer) for layer in word.layers),
+      "=", evaluate_word(z2, word))
 print("invariance suite:", invariance_suite(z2, trials=10, seed=0).render())
 
 # Fusion rings give Frobenius algebras; the torus invariant is the rank.

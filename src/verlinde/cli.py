@@ -89,7 +89,7 @@ def _cmd_validate(args) -> int:
             report.merge(pairing)
         elif doc.kind == "algebra":
             report = tqft.validate_frobenius(doc.payload)
-            if report.ok and args.trials:
+            if report.ok:
                 report.merge(tqft.invariance_suite(
                     doc.payload, trials=args.trials, seed=args.seed,
                     max_genus=min(args.max_genus, 3)))
@@ -262,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="axiom checks for data files")
     p.add_argument("files", nargs="+")
     p.add_argument("--kind", choices=formats.KINDS)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=int, default=5,
+                   help="random surface presentations per algebra")
     p.add_argument("--max-genus", type=int, default=2)
     p.set_defaults(func=_cmd_validate)
 

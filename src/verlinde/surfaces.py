@@ -150,6 +150,8 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     upstream and is reported with both values.  `checked` counts the
     re-evaluations compared with the canonical value.
     """
+    if trials < 0:
+        raise ValueError(f"trials {trials} must be >= 0")
     report = Report("gluing consistency")
     rng = random.Random(seed)
     genus, colours = surface.genus, tuple(surface.boundary)

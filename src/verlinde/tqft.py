@@ -11,8 +11,10 @@ Cobordism words present surfaces as layered compositions of the eight
 elementary generators (identity, swap, multiplication, comultiplication,
 unit, counit, cup, cap); `evaluate_word` compiles a word into a fold of
 exact tensor contractions, and closed words must reproduce the handle
-formula.  Comultiplication is never user input: it is the adjoint of the
-multiplication under the pairing.
+formula; `invariance_suite` checks that on the canonical word of each
+genus, a few fixed re-bracketed ones and seeded random connected words
+(`random_genus_word`).  Comultiplication is never user input: it is the
+adjoint of the multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
 element, the integer matrix of multiplication by the handle and the
@@ -34,7 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -59,6 +61,7 @@ __all__ = [
     "genus_invariant",
     "canonical_genus_word",
     "alternate_genus_words",
+    "random_genus_word",
     "evaluate_word",
     "invariance_suite",
     "transport_basis",
@@ -287,6 +290,10 @@ class CobordismWord:
 
     def signature(self) -> tuple[int, int]:
         """(inputs, outputs) of the whole word; raises on a broken chain."""
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple[int, int]:
         if not self.layers:
             return (0, 0)
         arity = sum(GENERATORS[g][0] for g in self.layers[0])
@@ -417,7 +424,113 @@ def alternate_genus_words(genus: int) -> list[CobordismWord]:
     if genus == 1:
         # the pairing trace: cup then cap
         words.append(CobordismWord((("cup",), ("cap",))))
+    if genus >= 2:
+        # the first two handles re-bracketed over three strands
+        layers = [("unit",), ("comult",), ("comult", "id"), ("mult", "id"),
+                  ("mult",)]
+        for _ in range(genus - 2):
+            layers.extend([("comult",), ("mult",)])
+        layers.append(("counit",))
+        words.append(CobordismWord(tuple(layers)))
+        # handles on the left leg of the pairing trace
+        layers = [("cup",)]
+        for _ in range(genus - 1):
+            layers.extend([("comult", "id"), ("mult", "id")])
+        layers.append(("cap",))
+        words.append(CobordismWord(tuple(layers)))
     return words
+
+
+@lru_cache(maxsize=16)
+def _genus_words(genus: int) -> tuple[CobordismWord, ...]:
+    """The canonical word and its alternates, built once per genus."""
+    return (canonical_genus_word(genus), *alternate_genus_words(genus))
+
+
+# most strands a random presentation holds between two layers
+WORD_WIDTH = 3
+
+
+def _relabel(comps) -> tuple[int, ...]:
+    """Component names renumbered in order of first appearance."""
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(c, len(names)) for c in comps)
+
+
+@lru_cache(maxsize=None)
+def _moves(comps: tuple[int, ...], loops: int):
+    """(all, closing): blocks of layers that keep a planar word connected
+    and closable with `loops` (0, 1 or more) further handles, each as
+    (layers, strand components after, handles made).
+
+    `comps` names the component of each strand.  Joining two strands of
+    one component makes a handle, and no component may close while
+    another is open.  The closing blocks are those that lower the number
+    of strands plus twice the handles still to make.
+    """
+    k = len(comps)
+    if not k:
+        return (((("unit",),), (0,), 0), ((("cup",),), (0, 0), 0)), ()
+
+    def at(i, gen, width=k):
+        return ("id",) * i + (gen,) + ("id",) * (width - i
+                                                 - GENERATORS[gen][0])
+
+    fresh = k  # no name in use, as names run 0, 1, ... in order
+    moves = [((("id",) * k,), comps, 0)]
+    for i, c in enumerate(comps):
+        if k < WORD_WIDTH:
+            moves.append(((at(i, "comult"),), comps[:i + 1] + comps[i:], 0))
+            if loops:
+                moves.append(((at(i, "comult"), at(i, "mult", k + 1)),
+                              comps, 1))
+        if comps.count(c) > 1 or (k == 1 and not loops):
+            moves.append(((at(i, "counit"),), comps[:i] + comps[i + 1:], 0))
+    for i in range(k + 1):
+        if k < WORD_WIDTH:
+            moves.append(((at(i, "unit"),), comps[:i] + (fresh,) + comps[i:],
+                          0))
+        if k + 2 <= WORD_WIDTH:
+            moves.append(((at(i, "cup"),),
+                          comps[:i] + (fresh, fresh) + comps[i:], 0))
+    for i in range(k - 1):
+        a, b = comps[i], comps[i + 1]
+        if a == b and not loops:
+            continue
+        joined = tuple(a if c == b else c for c in comps)
+        moves.append(((at(i, "mult"),), joined[:i] + joined[i + 1:],
+                      int(a == b)))
+        rest = joined[:i] + joined[i + 2:]
+        if a in rest or (not rest and loops == int(a == b)):
+            moves.append(((at(i, "cap"),), rest, int(a == b)))
+    if k == 1 and loops:
+        # a swapped handle, only on the one strand (see invariance_suite)
+        moves.append(((("comult",), ("swap",), ("mult",)), comps, 1))
+    moves = tuple((block, _relabel(after), made)
+                  for block, after, made in moves)
+    return moves, tuple(m for m in moves if len(m[1]) - 2 * m[2] < k)
+
+
+def random_genus_word(genus: int, rng: random.Random) -> CobordismWord:
+    """A random connected closed planar word of the genus-g surface.
+
+    Built bottom up on at most `WORD_WIDTH` strands from `_moves`: one to
+    four blocks drawn from all moves, then closing blocks until no strand
+    is left, so every draw ends, with exactly `genus` handles.
+    """
+    if genus < 0:
+        raise ValueError(f"negative genus {genus}")
+    comps: tuple[int, ...] = ()
+    layers: list[tuple[str, ...]] = []
+    spare = rng.randint(1, 4)
+    while True:
+        moves = _moves(comps, min(genus, 2))[spare <= 0]
+        spare -= 1
+        block, comps, made = rng.choice(moves)
+        layers.extend(block)
+        genus -= made
+        if not comps:
+            return CobordismWord(tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -466,35 +579,37 @@ def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
 
 def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
                      seed: int = 0, max_genus: int = 3) -> Report:
-    """Invariance of the surface invariants under presentation choices.
+    """Every presentation of a closed surface evaluates to eps(w^g).
 
-    (i) conjugating all structure tensors by random invertible rational
-    basis changes leaves every genus invariant unchanged; (ii) distinct
-    arity-valid words for the same genus evaluate to the same scalar.
-    Exact equality throughout.  `checked` counts the invariants and
-    word values compared with the handle formula.
+    For each genus 0..max_genus the canonical word and the
+    `alternate_genus_words` are compared with the handle formula; then
+    `trials` random presentations (`random_genus_word`, genus uniform in
+    0..max_genus, seeded by `seed`) are.  The random words are planar,
+    connected and at most three strands wide, so they differ from the
+    canonical word by identity padding, (co)associative re-bracketing,
+    the Frobenius relation, the unit and counit laws and cup/cap splices,
+    which hold in every algebra `validate_frobenius` accepts and fail
+    where associativity or the unit does.  A swapped handle
+    `comult; swap; mult` is drawn only while the word has one strand:
+    there it holds whenever eps(ab) = eps(ba) (trace counits, group
+    algebras, every commutative algebra), while a swap beside a second
+    strand is a different map on non-commutative algebras (on M_2 with
+    the trace counit it gives 2 against 8 at genus 2).  Exact equality
+    throughout; `checked` counts the word values compared.
     """
+    if trials < 0:
+        raise ValueError(f"trials {trials} must be >= 0")
+    if max_genus < 0:
+        raise ValueError(f"max_genus {max_genus} must be >= 0")
     report = Report("invariance suite")
-    rng = random.Random(seed)
     reference = _genus_invariants(algebra, max_genus)
-
-    for t in range(trials):
-        p = random_invertible(algebra.dim, rng)
-        moved = _genus_invariants(transport_basis(algebra, p), max_genus)
-        for g, got in enumerate(moved):
-            if got != reference[g]:
-                report.fail(
-                    f"basis change {t}: genus {g} invariant {got} != "
-                    f"{reference[g]}")
-
-    report.checked = trials * (max_genus + 1)
     for g in range(max_genus + 1):
-        words = alternate_genus_words(g)
+        canonical, *words = _genus_words(g)
         report.checked += 1 + len(words)
-        canonical = evaluate_word(algebra, canonical_genus_word(g))
-        if canonical != reference[g]:
+        got = evaluate_word(algebra, canonical)
+        if got != reference[g]:
             report.fail(
-                f"canonical word at genus {g} evaluates to {canonical}, "
+                f"canonical word at genus {g} evaluates to {got}, "
                 f"handle formula gives {reference[g]}")
         for k, word in enumerate(words):
             got = evaluate_word(algebra, word)
@@ -502,6 +617,17 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
                 report.fail(
                     f"alternate word {k} at genus {g} evaluates to {got}, "
                     f"expected {reference[g]}")
+    rng = random.Random(seed)
+    for t in range(trials):
+        g = rng.randint(0, max_genus)
+        word = random_genus_word(g, rng)
+        report.checked += 1
+        got = evaluate_word(algebra, word)
+        if got != reference[g]:
+            text = "; ".join(" ".join(layer) for layer in word.layers)
+            report.fail(
+                f"random word {t} at genus {g} ({text}) evaluates to "
+                f"{got}, expected {reference[g]}")
     return report
 
 

@@ -18,8 +18,8 @@ algebra from n^2 `Fraction` products, random basis changes from two
 `Fraction` triangular factors multiplied by a triple loop, genus
 invariants from repeated
 `Fraction` products with a handle element built from the Gauss-Jordan
-inverse of the pairing, and cobordism words from a `Fraction` state with
-its own comultiplication.
+inverse of the pairing, cobordism words from a `Fraction` state with
+its own comultiplication, and invariance-suite reports from those two.
 """
 
 from __future__ import annotations
@@ -666,3 +666,37 @@ def fraction_word(algebra, word) -> dict[tuple[int, ...], Fraction]:
                 new[full] = new.get(full, Fraction(0)) + value
         state = new
     return {key: v for key, v in state.items() if v}
+
+
+def invariance_entries(algebra, presentations):
+    """(entries, checked) of an invariance suite over `presentations`, or
+    None when the pairing is degenerate.
+
+    `presentations` lists (name, genus, word) in the suite's order; each
+    closed word is evaluated by `fraction_word` and compared with
+    `genus_invariants`, and a random word's entry spells out its layers.
+    """
+    n = algebra.dim
+    pairing = [[sum(algebra.mult[i, j, k] * algebra.counit[k]
+                    for k in range(n)) for j in range(n)] for i in range(n)]
+    if gauss_jordan_inverse(pairing) is None:
+        return None
+    reference = genus_invariants(algebra,
+                                 max(g for _, g, _ in presentations))
+    entries = []
+    for name, genus, word in presentations:
+        got = fraction_word(algebra, word).get((), Fraction(0))
+        want = reference[genus]
+        if got == want:
+            continue
+        if name == "canonical word":
+            entries.append(f"canonical word at genus {genus} evaluates to "
+                           f"{got}, handle formula gives {want}")
+            continue
+        if name.startswith("random"):
+            layers = "; ".join(" ".join(layer) for layer in word.layers)
+            name = f"{name} at genus {genus} ({layers})"
+        else:
+            name = f"{name} at genus {genus}"
+        entries.append(f"{name} evaluates to {got}, expected {want}")
+    return entries, len(presentations)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from verlinde import categories, corpus
+from verlinde import categories, corpus, tqft
 from verlinde.categories import mat_completion, matrix_algebra_category
 from verlinde.cli import main
 from verlinde.formats import serialize
@@ -74,6 +74,23 @@ def test_validate_all_corpus_files_exits_zero(run):
     code, out, err = run("validate", *names)
     assert code == 0
     assert all(": ok" in line for line in out.splitlines())
+
+
+def test_validate_runs_the_invariance_words_without_trials(run,
+                                                          monkeypatch):
+    # with no random presentation drawn, the canonical and alternate
+    # words are still compared with the handle formula
+    assert run("validate", "--trials", "0", "mat2.algebra")[0] == 0
+    monkeypatch.setattr(tqft, "evaluate_word", lambda algebra, word: -1)
+    code, out, _ = run("validate", "--trials", "0", "mat2.algebra")
+    assert code == 1
+    assert "canonical word at genus 0 evaluates to -1" in out
+
+
+def test_validate_refuses_a_negative_trial_count(run):
+    code, _, err = run("validate", "--trials", "-2", "mat2.algebra")
+    assert code == 2
+    assert "trials -2" in err
 
 
 def test_exit_status_one_on_axiom_failure(run, tmp_path, monkeypatch):

@@ -169,6 +169,11 @@ def test_gluing_consistency_counts_its_comparisons():
     assert verify_gluing_consistency(fib, S(1, (1,)), trials=3).checked == 10
 
 
+def test_gluing_consistency_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        verify_gluing_consistency(load("fib.fusion"), S(1, (1,)), trials=-3)
+
+
 def test_gluing_consistency_detects_broken_frobenius_symmetry():
     z3 = cyclic_ring(3)
     broken = FusionRing(dual=(0, 1, 2), unit=(0,), coeffs=z3.coeffs)

@@ -13,7 +13,8 @@ import pytest
 from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
 from oracles import (fraction_random_invertible, fraction_word,
                      frobenius_axiom_entries, genus_invariants,
-                     s3_cayley_table, transport_by_products)
+                     invariance_entries, s3_cayley_table,
+                     transport_by_products)
 from verlinde import tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra,
@@ -21,12 +22,13 @@ from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
 from verlinde.exact import Matrix, Tensor3
 from verlinde.fusion import FusionRing, cyclic_ring
 from verlinde.surfaces import ColouredSurface, dim_V
-from verlinde.tqft import (CobordismWord, DegeneratePairingError,
-                           FrobeniusAlgebra, WordTensor, WordTypeError,
-                           alternate_genus_words, canonical_genus_word,
-                           comultiplication_tensor, evaluate_word,
-                           frobenius_from_fusion, genus_invariant,
-                           handle_element, invariance_suite, pairing_matrix,
+from verlinde.tqft import (GENERATORS, CobordismWord,
+                           DegeneratePairingError, FrobeniusAlgebra,
+                           WordTensor, WordTypeError, alternate_genus_words,
+                           canonical_genus_word, comultiplication_tensor,
+                           evaluate_word, frobenius_from_fusion,
+                           genus_invariant, handle_element, invariance_suite,
+                           pairing_matrix, random_genus_word,
                            random_invertible, transport_basis,
                            validate_frobenius)
 
@@ -116,15 +118,17 @@ def _pinned_texts():
 
 
 # (sha256 of the lines joined by newlines, number of lines), recorded
-# before the pairing, its inverse and the basis changes were computed
-# on integer forms
+# before the pairing and its inverse were computed on integer forms; the
+# suite's lines were recorded from `oracles.invariance_entries` over the
+# words `_suite_presentations` draws, once the suite spent its trials on
+# random words instead of basis changes
 REPORT_PINS = {
     "validate": (
         "e1ca2607a00a5befbbb34787eeb3bcbf7daedf9ea6788196480eaea181b1517b",
         1600),
     "suite": (
-        "7baaa9fc7cd1565f280694656868e04bf7afef82651a535b5dc5b75198c27fe8",
-        479),
+        "0320ba20ad7b18fcc4fecae9be53e733c9eb91a0bd3edd9a29c45cb405e4b1d0",
+        996),
     "derived": (
         "7df868f89a00f888538368bd31019fc9c1dbc1a9723922f87752293aad105021",
         254),
@@ -287,12 +291,155 @@ def test_invariance_suite_passes(name):
     assert report.ok, report.render()
 
 
+def _suite_presentations(trials, seed, max_genus):
+    """(name, genus, word) of every word `invariance_suite` evaluates, in
+    its order, the random ones drawn as it draws them."""
+    out = []
+    for g in range(max_genus + 1):
+        out.append(("canonical word", g, canonical_genus_word(g)))
+        out += [(f"alternate word {k}", g, word)
+                for k, word in enumerate(alternate_genus_words(g))]
+    rng = random.Random(seed)
+    for t in range(trials):
+        g = rng.randint(0, max_genus)
+        out.append((f"random word {t}", g, random_genus_word(g, rng)))
+    return out
+
+
 def test_invariance_suite_counts_its_comparisons():
-    # 6 trials x 4 genera, then per genus the canonical word and the
-    # alternates: two each, three at genus 1
+    # per genus the canonical word and the alternates (two at genus 0,
+    # three at genus 1, four from genus 2), then one per trial
     report = invariance_suite(load("mat2.algebra"), trials=6, seed=2,
                               max_genus=3)
-    assert report.checked == 6 * 4 + 3 + 4 + 3 + 3
+    assert report.checked == 3 + 4 + 5 + 5 + 6
+    assert report.checked == len(_suite_presentations(6, 2, 3))
+
+
+def test_invariance_suite_matches_the_fraction_oracle():
+    # the algebras of dimension 9 cost the oracle seconds each; the pinned
+    # suite lines cover them
+    presentations = _suite_presentations(3, 0, 3)
+    for a in _frobenius_families():
+        if a.dim > 4:
+            continue
+        expected = invariance_entries(a, presentations)
+        if expected is None:
+            with pytest.raises(DegeneratePairingError):
+                invariance_suite(a, trials=3, max_genus=3)
+            continue
+        report = invariance_suite(a, trials=3, max_genus=3)
+        assert (report.entries, report.checked) == expected
+
+
+def test_invariance_suite_rejects_every_invalid_family():
+    rejected = degenerate = 0
+    for a in _frobenius_families():
+        valid = validate_frobenius(a).ok
+        try:
+            report = invariance_suite(a, trials=3, max_genus=3)
+        except DegeneratePairingError:
+            assert not valid
+            degenerate += 1
+            continue
+        assert report.ok == valid, report.render()
+        rejected += not valid
+    assert (rejected, degenerate) == (112, 1)
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": -2}, {"max_genus": -1}])
+def test_invariance_suite_refuses_counts_that_check_nothing(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        invariance_suite(load("mat2.algebra"), **kwargs)
+
+
+def test_invariance_suite_runs_its_words_without_trials():
+    report = invariance_suite(load("mat2.algebra"), trials=0, max_genus=2)
+    assert report.ok and report.checked == 3 + 4 + 5
+
+
+def _surface_of(word):
+    """(components, Euler characteristic) of the surface a word presents:
+    union-find over its generators, joined along the strands (an id or
+    swap passes its strands on untouched), and one per unit and counit,
+    minus one per mult and comult."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    euler = {"unit": 1, "counit": 1, "mult": -1, "comult": -1}
+    strands, chi = [], 0
+    for layer in word.layers:
+        pos, after = 0, []
+        for gen in layer:
+            n_in, n_out = GENERATORS[gen]
+            legs = strands[pos:pos + n_in]
+            pos += n_in
+            chi += euler.get(gen, 0)
+            if gen in ("id", "swap"):
+                after += legs[::-1]
+                continue
+            node = len(parent)
+            parent[node] = node
+            for leg in legs:
+                parent[find(leg)] = node
+            after += [node] * n_out
+        strands = after
+    return len({find(x) for x in parent}), chi
+
+
+def _drawn_words(seed, count=40, max_genus=3):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = rng.randint(0, max_genus)
+        out.append((g, random_genus_word(g, rng)))
+    return out
+
+
+def test_random_words_are_connected_closed_surfaces_of_their_genus():
+    for seed in range(10):
+        for g, word in _drawn_words(seed):
+            assert word.is_closed()
+            assert max(len(layer) for layer in word.layers) <= 3
+            components, chi = _surface_of(word)
+            assert (components, chi) == (1, 2 - 2 * g), word.layers
+
+
+def test_random_words_match_the_fraction_word_oracle():
+    words = _drawn_words(41)
+    for name in CORPUS_ALGEBRAS:
+        a = load(name)
+        reference = genus_invariants(a, 3)
+        for g, word in words:
+            expected = fraction_word(a, word).get((), Fraction(0))
+            assert evaluate_word(a, word) == expected == reference[g], (
+                name, word.layers)
+
+
+def test_random_words_without_a_swap_hold_for_a_non_symmetric_counit():
+    # eps = tr(diag(1, 2) x) on M_2 is a valid counit with eps(ab) !=
+    # eps(ba); only the swapped handle notices
+    m2 = matrix_algebra(2)
+    a = _frobenius(m2, [{"e00": 1, "e11": 2}.get(name, 0)
+                        for name in m2.names])
+    assert validate_frobenius(a).ok
+    reference = genus_invariants(a, 3)
+    for g, word in _drawn_words(42):
+        if not any("swap" in layer for layer in word.layers):
+            assert evaluate_word(a, word) == reference[g], word.layers
+    swapped = alternate_genus_words(2)[1]
+    assert evaluate_word(a, swapped) != reference[2]
+
+
+def test_random_words_repeat_for_a_seed():
+    assert _drawn_words(7) == _drawn_words(7)
+    assert _drawn_words(7) != _drawn_words(8)
+    with pytest.raises(ValueError, match="negative genus"):
+        random_genus_word(-1, random.Random(0))
 
 
 def test_transport_preserves_validation_and_invariants():
