@@ -470,7 +470,8 @@ def _moves(comps: tuple[int, ...], loops: int):
     """
     k = len(comps)
     if not k:
-        return (((("unit",),), (0,), 0), ((("cup",),), (0, 0), 0)), ()
+        starts = ((("unit",),), (0,), 0), ((("cup",),), (0, 0), 0)
+        return starts, starts
 
     def at(i, gen, width=k):
         return ("id",) * i + (gen,) + ("id",) * (width - i
@@ -512,7 +513,8 @@ def _moves(comps: tuple[int, ...], loops: int):
 
 
 def random_genus_word(genus: int, rng: random.Random) -> CobordismWord:
-    """A random connected closed planar word of the genus-g surface.
+    """A random connected closed word of the genus-g surface, planar but
+    for swapped handles on a lone strand.
 
     Built bottom up on at most `WORD_WIDTH` strands from `_moves`: one to
     four blocks drawn from all moves, then closing blocks until no strand
@@ -584,18 +586,19 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
     For each genus 0..max_genus the canonical word and the
     `alternate_genus_words` are compared with the handle formula; then
     `trials` random presentations (`random_genus_word`, genus uniform in
-    0..max_genus, seeded by `seed`) are.  The random words are planar,
-    connected and at most three strands wide, so they differ from the
-    canonical word by identity padding, (co)associative re-bracketing,
-    the Frobenius relation, the unit and counit laws and cup/cap splices,
-    which hold in every algebra `validate_frobenius` accepts and fail
-    where associativity or the unit does.  A swapped handle
-    `comult; swap; mult` is drawn only while the word has one strand:
-    there it holds whenever eps(ab) = eps(ba) (trace counits, group
-    algebras, every commutative algebra), while a swap beside a second
-    strand is a different map on non-commutative algebras (on M_2 with
-    the trace counit it gives 2 against 8 at genus 2).  Exact equality
-    throughout; `checked` counts the word values compared.
+    0..max_genus, seeded by `seed`) are.  The random words are connected
+    and at most three strands wide.  Apart from the swaps below they are
+    planar, so they differ from the canonical word by identity padding,
+    (co)associative re-bracketing, the Frobenius relation, the unit and
+    counit laws and cup/cap splices, which hold in every algebra
+    `validate_frobenius` accepts and fail where associativity or the
+    unit does.  A swapped handle `comult; swap; mult` is drawn only while
+    the word has one strand: there it holds whenever eps(ab) = eps(ba)
+    (trace counits, group algebras, every commutative algebra), while a
+    swap beside a second strand is a different map on non-commutative
+    algebras (on M_2 with the trace counit it gives 2 against 8 at
+    genus 2).  Exact equality throughout; `checked` counts the word
+    values compared.
     """
     if trials < 0:
         raise ValueError(f"trials {trials} must be >= 0")

@@ -117,11 +117,10 @@ def _pinned_texts():
     return {"validate": validate, "suite": suite, "derived": derived}
 
 
-# (sha256 of the lines joined by newlines, number of lines), recorded
-# before the pairing and its inverse were computed on integer forms; the
-# suite's lines were recorded from `oracles.invariance_entries` over the
-# words `_suite_presentations` draws, once the suite spent its trials on
-# random words instead of basis changes
+# (sha256 of the lines joined by newlines, number of lines); the validate
+# and derived lines were recorded before the pairing and its inverse were
+# computed on integer forms, the suite's lines from
+# `oracles.invariance_entries` over the words `_suite_presentations` draws
 REPORT_PINS = {
     "validate": (
         "e1ca2607a00a5befbbb34787eeb3bcbf7daedf9ea6788196480eaea181b1517b",
