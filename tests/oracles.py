@@ -689,14 +689,11 @@ def invariance_entries(algebra, presentations):
         want = reference[genus]
         if got == want:
             continue
-        if name == "canonical word":
-            entries.append(f"canonical word at genus {genus} evaluates to "
-                           f"{got}, handle formula gives {want}")
-            continue
+        where = f"{name} at genus {genus}"
         if name.startswith("random"):
             layers = "; ".join(" ".join(layer) for layer in word.layers)
-            name = f"{name} at genus {genus} ({layers})"
-        else:
-            name = f"{name} at genus {genus}"
-        entries.append(f"{name} evaluates to {got}, expected {want}")
+            where += f" ({layers})"
+        against = ("handle formula gives" if name == "canonical word"
+                   else "expected")
+        entries.append(f"{where} evaluates to {got}, {against} {want}")
     return entries, len(presentations)
