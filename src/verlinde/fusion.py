@@ -39,6 +39,7 @@ __all__ = [
     "FusionRing",
     "BlockStructureError",
     "multiply",
+    "combine_rows",
     "product_vector",
     "dual_vector",
     "inner_product",
@@ -152,6 +153,21 @@ def multiply(ring: FusionRing, x, y) -> tuple[int, ...]:
     return tuple(z)
 
 
+def combine_rows(vec, rows) -> tuple[int, ...]:
+    """The integer row combination sum_d vec[d] * rows[d], skipping zeros.
+
+    With ``rows[d] = table[d][a]`` it is the product vec * a; with the
+    rows of a square matrix it is the vector-matrix product.
+    """
+    z = [0] * len(vec)
+    for v, row in zip(vec, rows):
+        if v:
+            for c, m in enumerate(row):
+                if m:
+                    z[c] += v * m
+    return tuple(z)
+
+
 def product_vector(ring: FusionRing, labels) -> tuple[int, ...]:
     """Fold the labels into a single object vector, starting from the unit.
 
@@ -160,13 +176,7 @@ def product_vector(ring: FusionRing, labels) -> tuple[int, ...]:
     vec = ring.unit_vector()
     for a in labels:
         ring._check_label(a)
-        z = [0] * ring.rank
-        for d, v in enumerate(vec):
-            if v:
-                for c, m in enumerate(ring.table[d][a]):
-                    if m:
-                        z[c] += v * m
-        vec = tuple(z)
+        vec = combine_rows(vec, [plane[a] for plane in ring.table])
     return vec
 
 

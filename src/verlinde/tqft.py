@@ -330,7 +330,7 @@ def _generator_table(algebra: FrobeniusAlgebra, gen: str):
     """(table, den): `gen` sends the input indices `args` to the sum of
     c / den times the output indices, over (outputs, c) in table[args]."""
     n_in, n_out = GENERATORS[gen]
-    if gen in ("id", "swap"):
+    if gen == "swap":
         return {a: [(a[::-1], 1)] for a in
                 itertools.product(range(algebra.dim), repeat=n_in)}, 1
     if gen in ("unit", "counit"):
@@ -356,14 +356,16 @@ def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
     over one denominator `den`, of a tensor whose legs are the word's
     input strands (frozen) followed by the current working strands; a
     layer contracts each generator's integer table against its
-    consecutive working strands.  A closed word collapses to a scalar.
+    consecutive working strands.  An `id` has no table: its strand's
+    index is copied, and a layer of `id`s alone is skipped.  A closed
+    word collapses to a scalar.
     """
     inputs, outputs = word.signature()
     tables = algebra._word_tables
     # every table first, so a word raises on a degenerate pairing
     # whenever it uses cup, cap or comult, wherever its state vanishes
     for gen in dict.fromkeys(g for layer in word.layers for g in layer):
-        if gen not in tables:
+        if gen != "id" and gen not in tables:
             tables[gen] = _generator_table(algebra, gen)
     state = {idx + idx: 1
              for idx in itertools.product(range(algebra.dim), repeat=inputs)}
@@ -371,21 +373,32 @@ def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
     for layer in word.layers:
         if not state:
             break
+        # (first copied strand, first and past-last argument strand,
+        # table) per generator other than `id`
+        steps, pos, copied = [], 0, 0
         for gen in layer:
-            den *= tables[gen][1]
+            n_in = GENERATORS[gen][0]
+            if gen != "id":
+                table, gen_den = tables[gen]
+                den *= gen_den
+                steps.append((copied, pos, pos + n_in, table))
+                copied = pos + n_in
+            pos += n_in
+        if not steps:
+            continue
         new_state: dict[tuple[int, ...], int] = {}
         for key, coeff in state.items():
             working = key[inputs:]
             partials = [(key[:inputs], coeff)]
-            pos = 0
-            for gen in layer:
-                n_in = GENERATORS[gen][0]
-                expansion = tables[gen][0].get(working[pos:pos + n_in], ())
-                pos += n_in
-                partials = [(prefix + out, c * w)
+            for start, lo, hi, table in steps:
+                kept = working[start:lo]
+                expansion = table.get(working[lo:hi], ())
+                partials = [(prefix + kept + out, c * w)
                             for prefix, c in partials
                             for out, w in expansion]
+            tail = working[copied:]
             for full, value in partials:
+                full += tail
                 new_state[full] = new_state.get(full, 0) + value
         g = gcd(den, *new_state.values())
         state = {key: v // g for key, v in new_state.items() if v}

@@ -4,7 +4,9 @@ Nothing here reuses the library's evaluation paths: fusion
 multiplicities are read from the `Fraction` tensor `ring.coeffs`, never
 from the ring's integer table; surface dimensions are recomputed by
 naive convolution (and, for tiny cases, by literally expanding the
-product as a multiset of labels), the fusion-axiom, pairing and
+product as a multiset of labels), the in-order `dim_V` by one product
+with the handle vector per handle, gluing-consistency reports by
+branching over every label of every handle, the fusion-axiom, pairing and
 Frobenius-algebra reports by loops over every index, representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
@@ -24,6 +26,7 @@ its own comultiplication, and invariance-suite reports from those two.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -91,6 +94,92 @@ def list_expansion_dim(ring: FusionRing, genus: int, colours) -> int:
             new_states.extend(append(append(states, ring.dual[a]), a))
         states = new_states
     return sum(1 for a in states if a in ring.unit)
+
+
+def step_fold(ring: FusionRing, genus: int, colours) -> tuple[int, ...]:
+    """Unit times the colours, then genus many products with the handle.
+
+    The handle vector h = sum_a dual(a) * a is multiplied in one handle
+    at a time, x * h = sum_{d, b} x[d] h[b] N[d][b][.], so on a ring
+    that fails associativity this is the in-order answer of `dim_V`.
+    """
+    n = ring.rank
+    N = [[[_n(ring, a, b, c) for c in range(n)] for b in range(n)]
+         for a in range(n)]
+    handle = [sum(N[ring.dual[a]][a][c] for a in range(n))
+              for c in range(n)]
+    vec = list(brute_force_product(ring, colours))
+    for _ in range(genus):
+        vec = [sum(vec[d] * handle[b] * N[d][b][c]
+                   for d in range(n) for b in range(n)) for c in range(n)]
+    return tuple(vec)
+
+
+def step_fold_dim(ring: FusionRing, genus: int, colours) -> int:
+    return sum(step_fold(ring, genus, colours)[b] for b in ring.unit)
+
+
+def gluing_by_branching(ring: FusionRing, genus: int, colours, rng) -> int:
+    """Genus reduction by branching over every label of every handle.
+
+    Handle k is inserted as the pair (dual(a), a) at a position drawn in
+    the sequence of length len(colours) + 2k, one draw per handle, made
+    up front in that order; every fully inserted sequence is folded by
+    convolution.  rank^genus folds.
+    """
+    positions = [rng.randrange(len(colours) + 2 * k + 1)
+                 for k in range(genus)]
+
+    def branch(seq: tuple, level: int) -> int:
+        if level == genus:
+            return brute_force_dim(ring, 0, seq)
+        pos = positions[level]
+        return sum(branch(seq[:pos] + (ring.dual[a], a) + seq[pos:],
+                          level + 1) for a in range(ring.rank))
+
+    return branch(tuple(colours), 0)
+
+
+def gluing_entries(ring: FusionRing, genus: int, colours, trials: int,
+                   seed: int) -> list[str]:
+    """The entries of a gluing-consistency report, from the two oracles
+    above, with the checks in the library's order and random draws."""
+    rng = random.Random(seed)
+    colours = tuple(colours)
+    reference = step_fold_dim(ring, genus, colours)
+    entries = []
+    for _ in range(trials):
+        shuffled = list(colours)
+        rng.shuffle(shuffled)
+        got = step_fold_dim(ring, genus, shuffled)
+        if got != reference:
+            entries.append(f"boundary order {tuple(shuffled)} gives {got}, "
+                           f"canonical order gives {reference}")
+    for t in range(trials if genus else 0):
+        got = gluing_by_branching(ring, genus, colours, rng)
+        if got != reference:
+            entries.append(f"genus-reduction schedule {t} gives {got}, "
+                           f"direct evaluation gives {reference}")
+    for k, colour in enumerate(colours):
+        rest = colours[:k] + colours[k + 1:]
+        got = step_fold(ring, genus, rest)[ring.dual[colour]]
+        if got != reference:
+            entries.append(f"capping boundary {k} (colour {colour}) gives "
+                           f"{got}, direct evaluation gives {reference}")
+    for _ in range(trials):
+        g1 = rng.randint(0, genus)
+        keep = [rng.random() < 0.5 for _ in colours]
+        s1 = tuple(c for c, k in zip(colours, keep) if k)
+        s2 = tuple(c for c, k in zip(colours, keep) if not k)
+        glued = sum(step_fold_dim(ring, g1, s1 + (ring.dual[a],))
+                    * step_fold_dim(ring, genus - g1, s2 + (a,))
+                    for a in range(ring.rank))
+        if glued != reference:
+            entries.append(
+                f"split (genus {g1}+{genus - g1}, boundaries {s1}|{s2}) "
+                f"glued along one circle gives {glued}, direct evaluation "
+                f"gives {reference}")
+    return entries
 
 
 # ---------------------------------------------------------------------------

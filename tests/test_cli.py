@@ -36,6 +36,8 @@ GOLDEN_COMMANDS = [
     ("cli/invariant_genus2_z2group.txt",
      ("invariant", "--genus", "2", "z2group.algebra")),
     ("cli/validate_fib.txt", ("validate", "fib.fusion")),
+    ("cli/validate_unchecked.txt",
+     ("validate", "fib.surfaces", "fib.twist", "torus.word")),
     ("enumerate_rank2_maxcoeff1.txt",
      ("enumerate", "--rank", "2", "--max-coeff", "1")),
     ("cli/blocks_fib_x_z2.txt", ("blocks", "fib_x_z2.fusion")),
@@ -70,10 +72,16 @@ def test_documented_commands_are_deterministic(run):
 
 
 def test_validate_all_corpus_files_exits_zero(run):
+    # files with no check of their own say so instead of "ok"
     names = corpus.list_corpus()
     code, out, err = run("validate", *names)
     assert code == 0
-    assert all(": ok" in line for line in out.splitlines())
+    unchecked = (".surfaces", ".twist", ".word", ".idem")
+    assert out.splitlines() == [
+        f"{name}: not checked" if name.endswith(unchecked) else f"{name}: ok"
+        for name in names]
+    _, out, _ = run("--machine", "validate", "fib.twist", "fib.fusion")
+    assert out == "fib.twist.checked = false\nfib.fusion.ok = true\n"
 
 
 def test_validate_runs_the_invariance_words_without_trials(run,

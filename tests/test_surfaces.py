@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
+import random
 import weakref
 
 import pytest
 
 from conftest import CORPUS_RINGS, load, toy_ring
-from oracles import brute_force_dim, list_expansion_dim
+from oracles import (brute_force_dim, gluing_by_branching, gluing_entries,
+                     list_expansion_dim, step_fold_dim)
+from verlinde.exact import Tensor3
 from verlinde.fusion import (FusionRing, cyclic_ring, direct_product,
                              fibonacci_ring, verify_axioms)
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
-                               TwistFormatError, check_nontriviality, dim_V,
-                               dim_V_disjoint, modular_report,
-                               render_report_machine, render_report_text,
-                               sphere_dim, validate_twists,
-                               verify_gluing_consistency)
+                               TwistFormatError, _eval_by_gluing,
+                               check_nontriviality, dim_V, dim_V_disjoint,
+                               modular_report, render_report_machine,
+                               render_report_text, sphere_dim,
+                               validate_twists, verify_gluing_consistency)
 
 S = ColouredSurface
 
@@ -180,6 +184,140 @@ def test_gluing_consistency_detects_broken_frobenius_symmetry():
     report = verify_gluing_consistency(broken, S(0, (1, 1)), trials=4, seed=1)
     assert not report.ok
     assert any("capping" in e for e in report.entries)
+
+
+def _random_ring(rng, max_rank=4) -> FusionRing:
+    """Rank 2-`max_rank`, unit law on label 0, random entries elsewhere.
+
+    The dual is a random involution fixing 0.  Most such rings fail
+    associativity, which is what the gluing check exists to catch.
+    """
+    n = rng.randint(2, max_rank)
+    labels = list(range(1, n))
+    rng.shuffle(labels)
+    dual = list(range(n))
+    while len(labels) >= 2 and rng.random() < 0.5:
+        a, b = labels.pop(), labels.pop()
+        dual[a], dual[b] = b, a
+    data = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if a == 0 or b == 0:
+                    v = int(c == a + b)
+                else:
+                    v = rng.choice((0, 0, 1, 1, 2))
+                if v:
+                    data[a, b, c] = v
+    return FusionRing(dual=tuple(dual), unit=(0,),
+                      coeffs=Tensor3.from_dict((n, n, n), data))
+
+
+def _random_cases(seed, count, genera, max_rank=4):
+    """(ring, surface, seed) triples with 0-3 colours on random rings."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = _random_ring(rng, max_rank)
+        genus = rng.choice(genera)
+        colours = tuple(rng.randrange(ring.rank)
+                        for _ in range(rng.randint(0, 3)))
+        yield ring, S(genus, colours), rng.randrange(1 << 30)
+
+
+def test_dim_matches_step_fold_oracle_on_random_rings():
+    for ring, surface, _ in _random_cases(31, 300, range(41)):
+        assert dim_V(ring, surface) == step_fold_dim(
+            ring, surface.genus, surface.boundary), (ring, surface)
+
+
+def test_genus_reduction_matches_branching_oracle_on_random_rings():
+    # same value and the same draws, so the split trials that follow
+    # read the same random state
+    for ring, surface, seed in _random_cases(32, 300, (1, 2, 3)):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = _eval_by_gluing(ring, surface.genus, surface.boundary, ours)
+        assert got == gluing_by_branching(ring, surface.genus,
+                                          surface.boundary, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+class _Scripted:
+    """Stands in for the `rng` of a genus reduction: fixed positions."""
+
+    def __init__(self, positions):
+        self.positions = iter(positions)
+
+    def randrange(self, stop):
+        pos = next(self.positions)
+        assert 0 <= pos < stop
+        return pos
+
+
+def test_genus_reduction_of_nested_pairs_matches_branching_oracle():
+    # random draws rarely nest this deep: handle 2 inside handle 1, and
+    # inside handle 2 handles 3 and 4 side by side, with handle 5 in 4
+    positions = (0, 1, 2, 4, 5)
+    for ring, surface, _ in _random_cases(35, 100, (5,), max_rank=3):
+        got = _eval_by_gluing(ring, 5, surface.boundary,
+                              _Scripted(positions))
+        assert got == gluing_by_branching(ring, 5, surface.boundary,
+                                          _Scripted(positions))
+
+
+def test_gluing_reports_match_oracle_on_random_rings():
+    failing = 0
+    for ring, surface, seed in _random_cases(33, 300, (0, 1, 2, 3)):
+        entries = verify_gluing_consistency(ring, surface, trials=3,
+                                            seed=seed).entries
+        assert entries == gluing_entries(ring, surface.genus,
+                                         surface.boundary, 3, seed)
+        failing += surface.genus >= 2 and bool(entries)
+    assert failing > 50
+
+
+def test_gluing_reports_up_to_genus_one_are_pinned():
+    # one draw per handle is the old per-branch schedule at genus <= 1,
+    # so these 300 reports (119 of them failing) hash as they always have
+    digest, failing = hashlib.sha256(), 0
+    for ring, surface, seed in _random_cases(12, 300, (0, 1)):
+        entries = verify_gluing_consistency(ring, surface, trials=3,
+                                            seed=seed).entries
+        failing += bool(entries)
+        digest.update(("\n".join(entries) + "\n\n").encode())
+    assert failing == 119
+    assert digest.hexdigest() == (
+        "9b9855e6732f062815f63596d76e27b71d0335da4b51b034d5e2e91764243d6c")
+
+
+def test_fibonacci_closed_surfaces_follow_their_recurrence():
+    # R_h = [[2, 1], [1, 3]] has characteristic polynomial x^2 - 5x + 5
+    fib = fibonacci_ring()
+    want = [1, 2, 5]
+    while len(want) <= 10_000:
+        want.append(5 * want[-1] - 5 * want[-2])
+    for genus in (*range(40), 511, 512, 1000, 4097, 9999, 10_000):
+        assert dim_V(fib, S(genus)) == want[genus], genus
+
+
+def test_s3_representation_ring_closed_surfaces():
+    s3 = load("s3rep.fusion")
+    assert dim_V(s3, S(0)) == 1
+    for genus in (*range(1, 40), 257, 3000):
+        assert dim_V(s3, S(genus)) == (
+            6 ** (genus - 1) + 3 ** (genus - 1) + 2 ** (genus - 1)), genus
+
+
+def test_cyclic_ring_closed_surfaces_are_powers_of_the_order():
+    for n in range(1, 13):
+        ring = cyclic_ring(n)
+        for genus in (0, 1, 2, 3, 7, 64, 777):
+            assert dim_V(ring, S(genus)) == n ** genus, (n, genus)
+
+
+def test_gluing_consistency_at_genus_six_on_z12():
+    report = verify_gluing_consistency(cyclic_ring(12), S(6, (1, 2, 3, 4)))
+    assert report.ok, report.render()
+    assert report.checked == 3 * 8 + 4
 
 
 def test_disjoint_union_of_two_tori():

@@ -556,6 +556,39 @@ def test_words_match_the_fraction_state_oracle():
                 assert all(type(v) is Fraction for _, v in got.entries)
 
 
+def _id_padded(layers):
+    """The word with a layer of `id`s after every layer that leaves
+    strands, and with one more strand passed through on the left, and
+    on the right, of every layer."""
+    between = []
+    for layer in layers:
+        between.append(layer)
+        width = sum(GENERATORS[g][1] for g in layer)
+        if width:
+            between.append(("id",) * width)
+    return (tuple(between), tuple(("id",) + layer for layer in layers),
+            tuple(layer + ("id",) for layer in layers))
+
+
+def test_id_padded_words_match_the_fraction_state_oracle():
+    # an `id` copies its index without a table look-up
+    words = [CobordismWord(layers) for layers in ORACLE_WORDS]
+    for g in range(3):
+        words += [canonical_genus_word(g), *alternate_genus_words(g)]
+    for name in CORPUS_ALGEBRAS:
+        a = load(name)
+        for word in words:
+            for layers in _id_padded(word.layers):
+                padded = CobordismWord(layers)
+                expected = fraction_word(a, padded)
+                got = evaluate_word(a, padded)
+                if padded.is_closed():
+                    assert got == expected.get((), 0), (name, layers)
+                else:
+                    assert got.as_dict() == expected, (name, layers)
+        assert "id" not in a._word_tables
+
+
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
 def test_snake_identities_as_words(name):
     a = load(name)
