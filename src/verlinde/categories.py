@@ -293,7 +293,9 @@ def validate_category(cat: PresentedCategory) -> Report:
     The identity laws are `_product`s with the integer identity vectors.
     Associativity is `exact.associativity_failures` on the integer rows,
     each basis element h paired with the basis elements ending at its
-    source, so exactly the composable triples are visited.  A failing
+    source, so exactly the composable triples are covered; each pair
+    (h, g) is decided by one comparison of the rows (hg)f and h(gf) over
+    all f, and only a failing pair is walked f by f.  A failing
     equation is recomputed through `compose` for its report entry, and
     the associativity entries come in order of the (h, g, f) names.
     `checked` counts the identity equations (two per basis element) plus

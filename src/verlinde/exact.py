@@ -15,8 +15,10 @@ they are read.  All values are immutable after construction, so they
 are safe to share freely.
 
 Structure constants of fusion rings, algebras and linear categories
-share one sparse integer table (`integer_rows`) and one associativity
-check on it (`associativity_failures`).
+share one sparse integer table (`integer_rows`) and one exact
+associativity check on it (`associativity_failures`), which decides a
+pair (i, j) at a time by comparing the rows (e_i e_j) e_k and
+e_i (e_j e_k) over all k at once.
 """
 
 from __future__ import annotations
@@ -446,36 +448,92 @@ def associativity_failures(rows, partners):
     """Yield each (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
 
     `rows[i]` maps j to the nonzero {k: c} of e_i e_j over one common
-    denominator (`integer_rows`), so the comparison is exact.  It visits
-    i, j in `partners[i]`, k in `partners[j]`, in that order.  A product
-    e_i e_j = 1 * e_m is not summed: row m stands for it.
+    denominator (`integer_rows`); no entry is zero and none is empty.
+    The triples come in the order i, j in `partners[i]`, k in
+    `partners[j]`, for any `partners`, also ones that leave out keys of
+    the rows.
+
+    Each pair (i, j) is decided with one dict comparison of two rows
+    indexed by k, L[k] = (e_i e_j) e_k and R[k] = e_i (e_j e_k), both
+    without zero entries, so the comparison is exact.  When
+    e_i e_j = c * e_m, L is row m, scaled by c unless c = 1; otherwise
+    it is the sum of the rows of its terms.  When e_j e_k = c' * e_n,
+    R[k] is rows[i][n], scaled by c' unless c' = 1; otherwise a sum.
+    Only when L != R are the k in `partners[j]` walked, yielding those
+    where the rows differ.  So a pair costs one lookup per entry of row
+    j, the sums its other entries need and one comparison, in place of
+    two products per triple.  Each scaled row is built once per call.
     """
     empty: dict = {}
-    cols: list[dict] = [{} for _ in rows]  # cols[k][m] is rows[m][k]
-    single: list[dict] = [{} for _ in rows]  # m where e_i e_j = 1 * e_m
-    for m, row in enumerate(rows):
-        for k, combo in row.items():
-            cols[k][m] = combo
-            if len(combo) == 1 and 1 in combo.values():
-                single[m][k] = next(iter(combo))
+    memo: dict = {}  # (m, c) -> row m times c, kept for this call only
 
-    def product(terms, lookup):
-        out: dict = {}
-        for m, c in terms.items():
-            for t, v in lookup.get(m, empty).items():
-                out[t] = out.get(t, 0) + c * v
-        return out
+    def scaled(m, c):
+        if (m, c) not in memo:
+            times = c.__mul__
+            memo[m, c] = {k: dict(zip(combo, map(times, combo.values())))
+                          for k, combo in rows[m].items()}
+        return memo[m, c]
+
+    # row j as its entries e_j e_k = 1 * e_n, (k, n) in ones[j]; its
+    # entries e_j e_k = c * e_n, c != 1, as (c, [(k, n), ...]) in
+    # multiples[j], grouped by c; its other entries (k, combo) in others[j]
+    ones, multiples, others = [], [], []
+    for row in rows:
+        one, groups, other = [], {}, []
+        for k, combo in row.items():
+            if len(combo) > 1:
+                other.append((k, combo))
+                continue
+            (n, c), = combo.items()
+            if c == 1:
+                one.append((k, n))
+            else:
+                groups.setdefault(c, []).append((k, n))
+        ones.append(one)
+        multiples.append(groups.items())
+        others.append(other)
 
     for i, row in enumerate(rows):
         for j in partners[i]:
-            ij, m = row.get(j, empty), single[i].get(j)
-            rj, sj = rows[j], single[j]
-            for k in partners[j]:
-                n = sj.get(k)
-                lhs = (product(ij, cols[k]) if m is None
-                       else cols[k].get(m, empty))
-                rhs = (product(rj.get(k, empty), row) if n is None
-                       else row.get(n, empty))
-                if lhs != rhs and ({t: v for t, v in lhs.items() if v}
-                                   != {t: v for t, v in rhs.items() if v}):
-                    yield i, j, k
+            ij = row.get(j, empty)
+            if len(ij) == 1:
+                (m, c), = ij.items()
+                lhs = rows[m] if c == 1 else scaled(m, c)
+            else:
+                lhs = {}
+                for m, c in ij.items():
+                    for k, combo in rows[m].items():
+                        if (out := lhs.get(k)) is None:
+                            out = lhs[k] = {}
+                        for t, v in combo.items():
+                            out[t] = out.get(t, 0) + c * v
+            rhs = {}
+            for k, n in ones[j]:
+                if (r := row.get(n)) is not None:
+                    rhs[k] = r
+            for c, kn in multiples[j]:
+                src = scaled(i, c)
+                for k, n in kn:
+                    if (r := src.get(n)) is not None:
+                        rhs[k] = r
+            for k, combo in others[j]:
+                out = rhs[k] = {}
+                for n, c in combo.items():
+                    for t, v in row.get(n, empty).items():
+                        out[t] = out.get(t, 0) + c * v
+            if lhs != rhs and (lhs := _without_zeros(lhs)) != (
+                    rhs := _without_zeros(rhs)):
+                for k in partners[j]:
+                    if lhs.get(k) != rhs.get(k):
+                        yield i, j, k
+
+
+def _without_zeros(sums: dict) -> dict:
+    """The rows {k: {t: v}} of `sums` without zero entries or empty rows."""
+    out = {}
+    for k, row in sums.items():
+        if 0 in row.values():
+            row = {t: v for t, v in row.items() if v}
+        if row:
+            out[k] = row
+    return out

@@ -492,7 +492,10 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
             for orbit, v in zip(orbits, values):
                 for t in orbit:
                     N[t] = v
-            rows, _ = integer_rows(rank, ((t, v) for t, v in N.items() if v))
+            rows: list[dict] = [{} for _ in range(rank)]
+            for (a, b, c), v in N.items():
+                if v:
+                    rows[a].setdefault(b, {})[c] = v
             if next(associativity_failures(rows, partners), None) is not None:
                 continue
             key = _canonical_key(rank, dual, N)

@@ -77,27 +77,35 @@ def _unit_multiplicity(ring: FusionRing, vec) -> int:
     return sum(vec[b] for b in ring.unit)
 
 
-def _fold(ring: FusionRing, genus: int, colours) -> tuple[int, ...]:
+def _fold(ring: FusionRing, genus: int, colours,
+          powers: list) -> tuple[int, ...]:
     """Fold the colours strictly in the given order, then the handles.
 
     The handles are vec * R_h^genus, by repeated squaring of R_h.
+    `powers` holds R_h, R_h^2, R_h^4, ... as far as earlier folds of one
+    public call needed them, and is extended in place, so each call
+    builds R_h and each square at most once.
     """
     vec = product_vector(ring, colours)
-    if genus:
-        power = tuple(combine_rows(ring.handle, plane)
-                      for plane in ring.table)
-        while True:
-            if genus & 1:
-                vec = combine_rows(vec, power)
-            genus >>= 1
-            if not genus:
-                break
-            power = tuple(combine_rows(row, power) for row in power)
+    k = 0
+    while genus:
+        if k == len(powers):
+            if powers:
+                last = powers[-1]
+                powers.append(tuple(combine_rows(row, last) for row in last))
+            else:
+                powers.append(tuple(combine_rows(ring.handle, plane)
+                                    for plane in ring.table))
+        if genus & 1:
+            vec = combine_rows(vec, powers[k])
+        genus >>= 1
+        k += 1
     return vec
 
 
-def _eval_in_order(ring: FusionRing, genus: int, colours) -> int:
-    return _unit_multiplicity(ring, _fold(ring, genus, colours))
+def _eval_in_order(ring: FusionRing, genus: int, colours,
+                   powers: list) -> int:
+    return _unit_multiplicity(ring, _fold(ring, genus, colours, powers))
 
 
 def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
@@ -112,7 +120,7 @@ def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
     alive by no table of this module.  A colour out of range raises
     `ValueError`.
     """
-    return _eval_in_order(ring, surface.genus, surface.boundary)
+    return _eval_in_order(ring, surface.genus, surface.boundary, [])
 
 
 def dim_V_disjoint(ring: FusionRing, surfaces) -> int:
@@ -187,7 +195,7 @@ def _eval_by_gluing(ring: FusionRing, genus: int, colours: tuple[int, ...],
 
 
 def _eval_by_capping(ring: FusionRing, genus: int, colours: tuple[int, ...],
-                     cap_index: int) -> int:
+                     cap_index: int, powers: list) -> int:
     """Pair one boundary colour against the rest through the involution.
 
     Uses the duality of the pairing rather than the unit multiplicity,
@@ -195,7 +203,7 @@ def _eval_by_capping(ring: FusionRing, genus: int, colours: tuple[int, ...],
     Frobenius symmetry is broken.
     """
     rest = colours[:cap_index] + colours[cap_index + 1:]
-    return _fold(ring, genus, rest)[ring.dual[colours[cap_index]]]
+    return _fold(ring, genus, rest, powers)[ring.dual[colours[cap_index]]]
 
 
 def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
@@ -211,19 +219,21 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     re-evaluations compared with the canonical value.  Each genus
     reduction draws one insertion position per handle and costs
     O(g * n^4) at genus g and rank n; every other evaluation folds its
-    handles by repeated squaring, as `dim_V` does.
+    handles by repeated squaring, as `dim_V` does, from the powers of
+    R_h that the call builds once.
     """
     if trials < 0:
         raise ValueError(f"trials {trials} must be >= 0")
     report = Report("gluing consistency")
     rng = random.Random(seed)
     genus, colours = surface.genus, tuple(surface.boundary)
-    reference = _eval_in_order(ring, genus, colours)
+    powers: list = []
+    reference = _eval_in_order(ring, genus, colours, powers)
 
     for t in range(trials):
         shuffled = list(colours)
         rng.shuffle(shuffled)
-        got = _eval_in_order(ring, genus, tuple(shuffled))
+        got = _eval_in_order(ring, genus, tuple(shuffled), powers)
         if got != reference:
             report.fail(
                 f"boundary order {tuple(shuffled)} gives {got}, "
@@ -238,7 +248,7 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
                     f"direct evaluation gives {reference}")
 
     for k in range(len(colours)):
-        got = _eval_by_capping(ring, genus, colours, k)
+        got = _eval_by_capping(ring, genus, colours, k, powers)
         if got != reference:
             report.fail(
                 f"capping boundary {k} (colour {colours[k]}) gives {got}, "
@@ -251,8 +261,8 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
         s2 = tuple(c for c, k in zip(colours, keep) if not k)
         glued = 0
         for a in range(ring.rank):
-            glued += (_eval_in_order(ring, g1, s1 + (ring.dual[a],))
-                      * _eval_in_order(ring, genus - g1, s2 + (a,)))
+            glued += (_eval_in_order(ring, g1, s1 + (ring.dual[a],), powers)
+                      * _eval_in_order(ring, genus - g1, s2 + (a,), powers))
         if glued != reference:
             report.fail(
                 f"split (genus {g1}+{genus - g1}, boundaries {s1}|{s2}) "
@@ -394,37 +404,41 @@ def modular_report(ring: FusionRing, twists: TwistData | None = None,
     axiom_report = verify_axioms(ring)
     blocks_raw = block_decomposition(ring)
     subrings = [restrict_to_labels(ring, block) for block in blocks_raw]
+    # the handle powers of each ring, built once for all its surfaces
+    sub_powers: list[list] = [[] for _ in subrings]
+    powers: list = []
 
     summaries = []
-    for block, sub, beta in zip(blocks_raw, subrings, ring.unit):
+    for block, sub, beta, pw in zip(blocks_raw, subrings, ring.unit,
+                                    sub_powers):
         summaries.append(BlockSummary(
             labels=tuple(block),
             unit_component=beta,
             nontrivial=check_nontriviality(sub),
-            torus_dim=dim_V(sub, ColouredSurface(1))))
+            torus_dim=_eval_in_order(sub, 1, (), pw)))
 
     entries = []
     for name in sorted(surfaces or {}):
         surf = (surfaces or {})[name]
         per_block = []
-        for block, sub in zip(blocks_raw, subrings):
+        for block, sub, pw in zip(blocks_raw, subrings, sub_powers):
             if all(c in block for c in surf.boundary):
                 relabel = {a: i for i, a in enumerate(block)}
-                local = ColouredSurface(
-                    surf.genus, tuple(relabel[c] for c in surf.boundary))
-                per_block.append(dim_V(sub, local))
+                per_block.append(_eval_in_order(
+                    sub, surf.genus, [relabel[c] for c in surf.boundary], pw))
             else:
                 per_block.append(0)
         entries.append(SurfaceEntry(
             name=name, surface=surf,
-            total=dim_V(ring, surf), per_block=tuple(per_block)))
+            total=_eval_in_order(ring, surf.genus, surf.boundary, powers),
+            per_block=tuple(per_block)))
 
     return ModularReport(
         rank=ring.rank,
         r=len(ring.unit),
         blocks=tuple(summaries),
         functor_count=sum(1 for s in summaries if s.nontrivial),
-        torus_dim=dim_V(ring, ColouredSurface(1)),
+        torus_dim=_eval_in_order(ring, 1, (), powers),
         surfaces=tuple(entries),
         twist_report=(validate_twists(ring, twists)
                       if twists is not None else None),

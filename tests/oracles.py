@@ -7,7 +7,8 @@ naive convolution (and, for tiny cases, by literally expanding the
 product as a multiset of labels), the in-order `dim_V` by one product
 with the handle vector per handle, gluing-consistency reports by
 branching over every label of every handle, the fusion-axiom, pairing and
-Frobenius-algebra reports by loops over every index, representation-ring
+Frobenius-algebra reports by loops over every index, associativity on
+sparse integer rows by two sums per triple, representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
 sums over `compose_basis`, Karoubi completions by carving each corner
@@ -397,6 +398,34 @@ def s3_cayley_table() -> list[list[int]]:
         return tuple(p[q[i]] for i in range(3))
 
     return [[index[compose(p, q)] for q in elems] for p in elems]
+
+
+# ---------------------------------------------------------------------------
+# associativity on sparse integer rows, one triple at a time
+
+
+def associativity_by_triples(rows, partners) -> list[tuple[int, int, int]]:
+    """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in the order
+    i, j in partners[i], k in partners[j], on the rows of
+    `exact.integer_rows`: both products summed afresh for every triple
+    and compared without their zero entries."""
+    empty: dict = {}
+    failures = []
+    for i, row in enumerate(rows):
+        for j in partners[i]:
+            for k in partners[j]:
+                lhs: dict = {}
+                for m, c in row.get(j, empty).items():
+                    for t, v in rows[m].get(k, empty).items():
+                        lhs[t] = lhs.get(t, 0) + c * v
+                rhs: dict = {}
+                for n, c in rows[j].get(k, empty).items():
+                    for t, v in row.get(n, empty).items():
+                        rhs[t] = rhs.get(t, 0) + c * v
+                if ({t: v for t, v in lhs.items() if v}
+                        != {t: v for t, v in rhs.items() if v}):
+                    failures.append((i, j, k))
+    return failures
 
 
 # ---------------------------------------------------------------------------

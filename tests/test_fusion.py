@@ -371,6 +371,14 @@ def test_multiply_matches_fraction_contraction(name):
 
 
 @pytest.mark.parametrize("rank, max_coeff, count, digest", [
+    (2, 0, 1,
+     "3848875ac5b17268e7ac77a88619684eae44c86ceb3863242acba0ab5d38a9da"),
+    (2, 1, 2,
+     "bf004601f7a52ff3d445bd055004c0a8fe90fe2dd578ab7d1cfc11ac7ae40838"),
+    (2, 2, 3,
+     "d758a6ee444f6a72f31804070f7d4cddad0a736e8fe0c8d95d0bbf8371476073"),
+    (2, 3, 4,
+     "39702f59d56d9a35326dc3094486e29ab6242f39ccd274f104426690921d0266"),
     (3, 1, 5,
      "73bcb195eee39aa4c2eb5639f2c04cbfcfd495f91c62bf768de6e618727dd005"),
     (3, 2, 10,

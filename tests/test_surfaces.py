@@ -12,12 +12,12 @@ import pytest
 
 from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import (brute_force_dim, gluing_by_branching, gluing_entries,
-                     list_expansion_dim, step_fold_dim)
+                     list_expansion_dim, step_fold, step_fold_dim)
 from verlinde.exact import Tensor3
 from verlinde.fusion import (FusionRing, cyclic_ring, direct_product,
                              fibonacci_ring, verify_axioms)
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
-                               TwistFormatError, _eval_by_gluing,
+                               TwistFormatError, _eval_by_gluing, _fold,
                                check_nontriviality, dim_V, dim_V_disjoint,
                                modular_report, render_report_machine,
                                render_report_text, sphere_dim,
@@ -228,6 +228,17 @@ def test_dim_matches_step_fold_oracle_on_random_rings():
     for ring, surface, _ in _random_cases(31, 300, range(41)):
         assert dim_V(ring, surface) == step_fold_dim(
             ring, surface.genus, surface.boundary), (ring, surface)
+
+
+def test_folds_sharing_handle_powers_match_step_fold_in_any_order():
+    # one list of powers serves every fold of a call, whatever the genus
+    genera = (5, 0, 2, 9, 3, 16, 1, 16)
+    for ring, surface, _ in _random_cases(37, 100, (0,)):
+        powers: list = []
+        for genus in genera:
+            assert _fold(ring, genus, surface.boundary, powers) == step_fold(
+                ring, genus, surface.boundary), (ring, genus)
+        assert len(powers) == 5  # R_h, R_h^2, ..., R_h^16
 
 
 def test_genus_reduction_matches_branching_oracle_on_random_rings():
