@@ -19,6 +19,7 @@ from verlinde.exact import Tensor3, associativity_failures, integer_rows
 from verlinde.fusion import FusionRing, verify_axioms
 from verlinde.tqft import FrobeniusAlgebra, validate_frobenius
 
+
 def _random_rows(rng, n):
     """Sparse integer rows of rank n: entries c * e_m with c = 1 mostly,
     else signed, and sums of two or three terms whose signed
@@ -87,7 +88,7 @@ def test_associativity_failures_match_the_oracle_on_rescaled_algebras():
                        for c in combo.values())
             partners = [range(algebra.dim)] * algebra.dim
             assert list(associativity_failures(rows, partners)) == []
-            # one changed constant makes it fail somewhere
+            # with one constant negated, the output is the oracle's
             i, j = rng.choice([(i, j) for i, row in enumerate(rows)
                                for j in row])
             k = rng.choice(sorted(rows[i][j]))
@@ -99,15 +100,15 @@ def test_associativity_failures_match_the_oracle_on_rescaled_algebras():
 
 
 # one structure constant changed per copy, in turn by each of these
-CHANGES = (lambda c: -c, lambda c: 2 * c, lambda c: c + Fraction(1, 2),
-           lambda c: Fraction(0))
+CONSTANT_CHANGES = (lambda c: -c, lambda c: 2 * c,
+                    lambda c: c + Fraction(1, 2), lambda c: Fraction(0))
 
 
 def _one_constant_changed(cat, sample, added, seed):
     """Copies of `cat`, each with one structure constant changed.
 
     `sample` existing constants (all of them if None) go through
-    `CHANGES` in turn, one change per copy; then `added` zero constants
+    `CONSTANT_CHANGES` in turn, one per copy; then `added` zero constants
     of composable pairs become 1, which makes the entry a sum of terms.
     """
     rng = random.Random(seed)
@@ -118,7 +119,8 @@ def _one_constant_changed(cat, sample, added, seed):
     types = {b: pq for pq, names in cat.hom_pairs() for b in names}
     for t, (gf, h) in enumerate(slots):
         table = {key: dict(c) for key, c in base.items()}
-        table[gf][h] = CHANGES[t % len(CHANGES)](table[gf][h])
+        change = CONSTANT_CHANGES[t % len(CONSTANT_CHANGES)]
+        table[gf][h] = change(table[gf][h])
         yield _with_table(cat, table)
     pairs = sorted(base)
     for _ in range(added):
