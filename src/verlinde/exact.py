@@ -454,8 +454,9 @@ def associativity_failures(rows, partners):
     the rows.
 
     Each pair (i, j) is decided with one dict comparison of two rows
-    indexed by k, L[k] = (e_i e_j) e_k and R[k] = e_i (e_j e_k), both
-    without zero entries, so the comparison is exact.  When
+    indexed by k, L[k] = (e_i e_j) e_k and R[k] = e_i (e_j e_k),
+    compared without their zero entries (sums are stripped only when
+    they differ as summed), so the comparison is exact.  When
     e_i e_j = c * e_m, L is row m, scaled by c unless c = 1; otherwise
     it is the sum of the rows of its terms.  When e_j e_k = c' * e_n,
     R[k] is rows[i][n], scaled by c' unless c' = 1; otherwise a sum.
@@ -469,6 +470,7 @@ def associativity_failures(rows, partners):
 
     def scaled(m, c):
         if (m, c) not in memo:
+            # zip and map scale an entry without a comprehension's frame
             times = c.__mul__
             memo[m, c] = {k: dict(zip(combo, map(times, combo.values())))
                           for k, combo in rows[m].items()}
