@@ -767,12 +767,11 @@ class Algebra:
         basis = cat.hom(obj, obj)
         n = len(basis)
         # with one object the basis numbering is the order of hom(obj, obj)
-        data = {(i, j, k): Fraction(c, cat._den)
-                for i, row in enumerate(cat._rows)
-                for j, terms in row.items() for k, c in terms.items()}
+        planes = [[[row.get(j, {}).get(k, 0) for k in range(n)]
+                   for j in range(n)] for row in cat._rows]
         ident = cat.identity_coeffs(obj)
         return cls(names=basis,
-                   mult=Tensor3.from_dict((n, n, n), data),
+                   mult=Tensor3.from_integers(planes, cat._den),
                    unit=tuple(ident.get(b, Fraction(0)) for b in basis))
 
     def to_category(self, obj: str = "x") -> PresentedCategory:
@@ -780,9 +779,8 @@ class Algebra:
 
     def left_multiplication(self, i: int) -> Matrix:
         """Matrix of x -> e_i x in the chosen basis."""
-        n = self.dim
-        return Matrix([[self.mult[i, j, k] for j in range(n)]
-                       for k in range(n)])
+        planes, d = self.mult.integer_form
+        return Matrix.from_integers(list(zip(*planes[i])), d)
 
 
 def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
@@ -795,8 +793,8 @@ def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
     planes, d = algebra.mult.integer_form
     flat = [[x for fibre in plane for x in fibre] for plane in planes]
     flipped = [[x for col in zip(*plane) for x in col] for plane in planes]
-    gram = Matrix([[Fraction(sum(map(mul, a, b)), d * d) for b in flipped]
-                   for a in flat], cols=algebra.dim)
+    gram = Matrix.from_integers(
+        [[sum(map(mul, a, b)) for b in flipped] for a in flat], d * d)
     return gram.rank() == algebra.dim, gram
 
 
@@ -814,15 +812,15 @@ def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
         report.fail(f"coefficient matrix is {e.shape}, expected {(n, n)}")
         return report
 
-    mu = algebra.mult.contract(e.entries)
+    mu = algebra.mult.contract(*e.integer_form)
     if mu != algebra.unit:
         report.fail(f"multiplication map sends e to {mu}, "
                     f"expected the unit {algebra.unit}")
 
-    planes = algebra.mult.entries
+    planes, dm = algebra.mult.integer_form
     for r in range(n):  # sum_a m[r][a][c] e[a][d] = sum_b e[c][b] m[b][r][d]
-        left = Matrix(zip(*planes[r]), cols=n) @ e
-        right = e @ Matrix([plane[r] for plane in planes], cols=n)
+        left = Matrix.from_integers(list(zip(*planes[r])), dm) @ e
+        right = e @ Matrix.from_integers([plane[r] for plane in planes], dm)
         for c in range(n):
             for d in range(n):
                 if left[c, d] != right[c, d]:
@@ -888,8 +886,8 @@ def group_separability_idempotent(table: list[list[int]]) -> Matrix:
     n = len(table)
     identity = next(i for i in range(n)
                     if all(table[i][j] == j for j in range(n)))
-    return Matrix([[Fraction(int(table[i][j] == identity), n)
-                    for j in range(n)] for i in range(n)])
+    return Matrix.from_integers([[int(table[i][j] == identity)
+                                  for j in range(n)] for i in range(n)], n)
 
 
 def matrix_separability_idempotent(n: int) -> Matrix:
@@ -899,8 +897,9 @@ def matrix_separability_idempotent(n: int) -> Matrix:
     element to 1; without it the image is n times the identity.
     """
     # e_ij is basis element a = i n + j, and e_ji is (a % n) n + a // n
-    return Matrix([[Fraction(int(b == a % n * n + a // n), n)
-                    for b in range(n * n)] for a in range(n * n)])
+    return Matrix.from_integers([[int(b == a % n * n + a // n)
+                                  for b in range(n * n)]
+                                 for a in range(n * n)], n)
 
 
 def product_field_separability_idempotent(n: int) -> Matrix:

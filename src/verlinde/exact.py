@@ -1,18 +1,15 @@
 """Exact rational linear algebra: dense matrices and small rank-3 tensors.
 
-Every scalar is a `fractions.Fraction`; nothing in this module ever
-rounds.  Each `Matrix` and `Tensor3` keeps one scaled-integer form,
-integer rows over one positive denominator (`scale_to_integers`), built
-on first use.  `@`, `apply`, `contract` and the one fraction-free
-elimination behind rank, inverse and `rref` (after Bareiss, 1968) work
-on plain `int`s and divide each result entry once; `rank` stops at the
-echelon form, `rref` and `inverse` go on to the reduced form, and
-`inverse` wraps an integer core that `tqft` reads directly.  The
-results of `@`, `inverse`, `apply`, `transpose` and `rref` are eager
-`Fraction`s.  A `Matrix` or `Tensor3` made by `from_integers` keeps the
-integer form it is given and builds its `Fraction` entries only when
-they are read.  All values are immutable after construction, so they
-are safe to share freely.
+Nothing in this module ever rounds.  Each `Matrix` and `Tensor3` is
+stored as one scaled-integer form, integer rows over one positive
+denominator divided by their gcd (`scale_to_integers`), set when it is
+made; its `Fraction` entries are a view, built on first read.  `@`,
+`apply`, `contract` and the one fraction-free elimination behind rank,
+inverse and `rref` (after Bareiss, 1968) work on plain `int`s and
+divide each result entry once; `rank` stops at the echelon form, and
+`rref` and `inverse` go on to the reduced form.  The reduced form is
+canonical, so equality and hashing compare it.  All values are
+immutable after construction, so they are safe to share freely.
 
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`integer_rows`) and one exact
@@ -44,8 +41,13 @@ Rational = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce an int or a 'p/q' string to Fraction; Fractions pass through."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int or a 'p/q' string to Fraction; Fractions pass through,
+    and floats, which are not exact, raise `TypeError`."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError("entries must be ints or Fractions")
+    return Fraction(x)
 
 
 def scale_to_integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -63,13 +65,17 @@ def _reduced(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(rows, den) of integer rows over den > 0, both divided by the gcd
     of den and every entry: the form `scale_to_integers` gives of the
     values rows / den."""
+    if den <= 0:
+        raise ValueError(f"denominator {den} is not positive")
     g = gcd(den, *(x for row in rows for x in row))
     return tuple([tuple([x // g for x in row]) for row in rows]), den // g
 
 
 def _fractions(rows, den: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The values rows / den as `Fraction` rows."""
-    return tuple([tuple([Fraction(x, den) for x in row]) for row in rows])
+    """The values rows / den as `Fraction` rows, one `Fraction` object per
+    distinct value (structure constants repeat a few values)."""
+    value = {x: Fraction(x, den) for x in {x for row in rows for x in row}}
+    return tuple([tuple(map(value.__getitem__, row)) for row in rows])
 
 
 class DimensionMismatchError(ValueError):
@@ -85,68 +91,76 @@ class SingularMatrixError(ValueError):
         self.size = size
 
 
-class Matrix:
-    """Immutable dense matrix over Fraction, row-major, plus its cached
-    `integer_form`, on which products, `apply` and elimination run.
+def _shape(data, declared) -> tuple[int, ...]:
+    """The lengths of the nested sequences `data`, one per level of
+    `declared`.  All sequences of a level have one length, which is the
+    declared one unless that is None; below an empty level the declared
+    lengths stand, 0 where None."""
+    shape, level = [], [data]
+    for want in declared:
+        lengths = {len(x) for x in level}
+        if len(lengths) > 1:
+            raise DimensionMismatchError(
+                f"ragged data: lengths {sorted(lengths)} at depth "
+                f"{len(shape)}")
+        n = lengths.pop() if lengths else want or 0
+        if want is not None and n != want:
+            raise DimensionMismatchError(
+                f"declared length {want} at depth {len(shape)}, found {n}")
+        shape.append(n)
+        level = [y for x in level for y in x]
+    return tuple(shape)
 
-    A matrix built from entries holds them at once and derives the
-    integer form on first use, and so do the results of `@`, `inverse`
-    and `transpose`.  One built by `from_integers` (the derived matrices
-    of `tqft`) holds the integer form and builds its `entries` on first
-    read.
+
+class Matrix:
+    """Immutable dense rational matrix, row-major, stored as its
+    `integer_form` (rows, den): integer rows over den > 0, divided by
+    their gcd, on which products, `apply` and elimination run.
+
+    `entries` is the `Fraction` view, built on first read; a matrix
+    built from entries keeps its own `Fraction`s as that view.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_integer")
+    __slots__ = ("rows", "cols", "integer_form", "_entries")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise DimensionMismatchError("ragged rows in matrix literal")
-            if cols is not None and cols != ncols:
-                raise DimensionMismatchError(
-                    f"declared {cols} columns, rows have {ncols}")
-        else:
-            ncols = 0 if cols is None else cols
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_entries", rows)
+        self._set(*_shape(rows, (None, cols)), scale_to_integers(rows), rows)
+
+    def _set(self, rows: int, cols: int, form, entries=None) -> "Matrix":
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "integer_form", form)
+        object.__setattr__(self, "_entries", entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_integers(cls, rows, den: int) -> "Matrix":
-        """The matrix rows[i][j] / den, for integer rows and den > 0,
-        stored as its integer form: divided by the gcd of den and all
-        entries, it is the form `scale_to_integers` would give."""
-        rows, den = _reduced(rows, den)
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(m, "_integer", (rows, den))
-        return m
+        """The matrix rows[i][j] / den, for integer rows of one length and
+        den > 0; its integer form is rows and den divided by their gcd."""
+        return object.__new__(cls)._set(*_shape(rows, (None, None)),
+                                        _reduced(rows, den))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return object.__new__(cls)._set(n, n, (tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n)), 1))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return object.__new__(cls)._set(rows, cols,
+                                        (((0,) * cols,) * rows, 1))
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """entries[i][j], as `Fraction`s, built once."""
-        if not hasattr(self, "_entries"):
-            object.__setattr__(self, "_entries", _fractions(*self._integer))
+        if self._entries is None:
+            object.__setattr__(self, "_entries",
+                               _fractions(*self.integer_form))
         return self._entries
-
-    def _eager(self) -> "Matrix":
-        """self with its entries built: public results are eager."""
-        self.entries
-        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -159,19 +173,11 @@ class Matrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
-    @property
-    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """`scale_to_integers` of the entries, computed once."""
-        if not hasattr(self, "_integer"):
-            object.__setattr__(self, "_integer",
-                               scale_to_integers(self.entries))
-        return self._integer
-
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)],
-            cols=self.rows)
+        a, den = self.integer_form
+        return object.__new__(Matrix)._set(
+            self.cols, self.rows,
+            (tuple(zip(*a)) if a else ((),) * self.cols, den))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -187,12 +193,14 @@ class Matrix:
         cols = list(zip(*b)) if b else [()] * other.cols
         return Matrix.from_integers(
             [[sum(map(mul, row, col)) for col in cols] for row in a],
-            da * db)._eager()
+            da * db)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix([[c * x for x in row] for row in self.entries],
-                      cols=self.cols)
+        a, den = self.integer_form
+        return object.__new__(Matrix)._set(self.rows, self.cols, _reduced(
+            [[c.numerator * x for x in row] for row in a],
+            den * c.denominator))
 
     def apply(self, vector: Iterable) -> tuple[Fraction, ...]:
         """Matrix times column vector, returned as a tuple."""
@@ -222,9 +230,9 @@ class Matrix:
         return len(_eliminate(list(self.integer_form[0]), self.cols,
                               echelon=True)[1])
 
-    def _inverse_integers(self) -> tuple[list[list[int]], int]:
-        """(rows, d) with the inverse equal to rows / d, d > 0, from one
-        `_eliminate`; raises `SingularMatrixError`, carrying the rank."""
+    def inverse(self) -> "Matrix":
+        """The inverse, from one `_eliminate` of [a | den * I]; raises
+        `SingularMatrixError`, carrying the rank."""
         if self.rows != self.cols:
             raise DimensionMismatchError(
                 f"cannot invert non-square {self.rows}x{self.cols} matrix")
@@ -237,19 +245,17 @@ class Matrix:
         if r < n:
             raise SingularMatrixError(rank=r, size=n)
         d = lcm(*(row[i] for i, row in enumerate(m)))
-        return [[x * (d // row[i]) for x in row[n:]]
-                for i, row in enumerate(m)], d
-
-    def inverse(self) -> "Matrix":
-        return Matrix.from_integers(*self._inverse_integers())._eager()
+        return Matrix.from_integers(
+            [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(m)],
+            d)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
                 and self.shape == other.shape
-                and self.entries == other.entries)
+                and self.integer_form == other.integer_form)
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.entries))
+        return hash((self.shape, self.integer_form))
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]"
@@ -291,95 +297,81 @@ def _eliminate(m: list, cols: int,
     return m, pivots
 
 
-class Tensor3:
-    """Immutable dense rank-3 tensor indexed (i, j, k) over Fraction, plus
-    its cached `integer_form`, on which `contract` runs.
+def _planes(fibres, d1: int, d2: int) -> tuple:
+    """d1 planes of d2 consecutive `fibres` each."""
+    return tuple(fibres[i * d2:(i + 1) * d2] for i in range(d1))
 
-    As for `Matrix`, a tensor built from `Fraction`s holds its `entries`
-    at once and derives the integer form on first use; one built by
-    `from_integers` holds the integer form and derives its `entries` on
-    first read.
+
+class Tensor3:
+    """Immutable dense rank-3 rational tensor indexed (i, j, k), stored as
+    its `integer_form` (planes, den), on which `contract` runs.
+
+    As for `Matrix`, the form is reduced and `entries` is the `Fraction`
+    view, built on first read unless the tensor was built from entries.
     """
 
-    __slots__ = ("dims", "_entries", "_integer")
+    __slots__ = ("dims", "integer_form", "_entries")
 
     def __init__(self, entries: Iterable[Iterable[Iterable]],
                  dims: tuple[int, int, int] | None = None):
         data = tuple(tuple(tuple(rat(x) for x in fibre) for fibre in plane)
                      for plane in entries)
-        if data:
-            d1 = len(data)
-            d2 = len(data[0])
-            d3 = len(data[0][0]) if d2 else 0
-        else:
-            d1 = d2 = d3 = 0
-        if dims is None:
-            dims = (d1, d2, d3)
-        if d1 != dims[0] or (d2 and (d2, d3) != dims[1:]):
-            raise DimensionMismatchError(
-                f"tensor literal has shape {(d1, d2, d3)}, declared {dims}")
-        for plane in data:
-            if len(plane) != dims[1] or any(len(f) != dims[2] for f in plane):
-                raise DimensionMismatchError("ragged tensor literal")
+        dims = _shape(data, dims or (None,) * 3)
+        fibres, den = scale_to_integers(
+            [f for plane in data for f in plane])
+        self._set(dims, (_planes(fibres, *dims[:2]), den), data)
+
+    def _set(self, dims, form, entries=None) -> "Tensor3":
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_entries", data)
+        object.__setattr__(self, "integer_form", form)
+        object.__setattr__(self, "_entries", entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
     @classmethod
     def from_integers(cls, planes, den: int) -> "Tensor3":
-        """The tensor planes[i][j][k] / den, for integer planes and
-        den > 0, stored as its integer form: divided by the gcd of den and
-        all entries, it is the form `scale_to_integers` would give."""
-        d1 = len(planes)
-        d2 = len(planes[0]) if d1 else 0
-        t = object.__new__(cls)
-        object.__setattr__(t, "dims", (d1, d2, len(planes[0][0]) if d2 else 0))
+        """The tensor planes[i][j][k] / den, for integer planes of one
+        shape and den > 0; its integer form is planes and den divided by
+        their gcd."""
+        dims = _shape(planes, (None,) * 3)
         fibres, den = _reduced([f for plane in planes for f in plane], den)
-        object.__setattr__(t, "_integer", (tuple(
-            fibres[i * d2:(i + 1) * d2] for i in range(d1)), den))
-        return t
+        return object.__new__(cls)._set(dims,
+                                        (_planes(fibres, *dims[:2]), den))
 
     @property
     def entries(self) -> tuple:
         """entries[i][j][k], as `Fraction`s, built once."""
-        if not hasattr(self, "_entries"):
-            planes, den = self._integer
+        if self._entries is None:
+            planes, den = self.integer_form
             object.__setattr__(self, "_entries", tuple(
                 _fractions(plane, den) for plane in planes))
         return self._entries
 
     @classmethod
     def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
-        return cls([[[0] * d3 for _ in range(d2)] for _ in range(d1)],
-                   dims=(d1, d2, d3))
+        return object.__new__(cls)._set(
+            (d1, d2, d3), ((((0,) * d3,) * d2,) * d1, 1))
 
     @classmethod
     def from_dict(cls, dims: tuple[int, int, int], data: dict) -> "Tensor3":
+        """The tensor with entry v at each (i, j, k): v of `data`, zero
+        elsewhere; the lcm of the denominators of the v scales it."""
         d1, d2, d3 = dims
-        cube = [[[Fraction(0)] * d3 for _ in range(d2)] for _ in range(d1)]
+        data = {ijk: rat(v) for ijk, v in data.items()}
+        den = lcm(*{v.denominator for v in data.values()})
+        cube = [[[0] * d3 for _ in range(d2)] for _ in range(d1)]
         for (i, j, k), v in data.items():
             if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
                 raise IndexError(f"tensor index {(i, j, k)} out of {dims}")
-            cube[i][j][k] = rat(v)
-        return cls(cube, dims=dims)
+            cube[i][j][k] = v.numerator * (den // v.denominator)
+        return object.__new__(cls)._set(tuple(dims), (tuple(
+            tuple(map(tuple, plane)) for plane in cube), den))
 
     def __getitem__(self, ijk: tuple[int, int, int]) -> Fraction:
         i, j, k = ijk
         return self.entries[i][j][k]
-
-    @property
-    def integer_form(self) -> tuple[tuple, int]:
-        """(planes, d) with t[i][j][k] == planes[i][j][k] / d, computed once
-        by one `scale_to_integers` over all fibres."""
-        if not hasattr(self, "_integer"):
-            d1, d2, _ = self.dims
-            fibres, den = scale_to_integers(
-                [f for plane in self.entries for f in plane])
-            object.__setattr__(self, "_integer", (tuple(
-                fibres[i * d2:(i + 1) * d2] for i in range(d1)), den))
-        return self._integer
 
     def contract(self, weights, den: int = 1) -> tuple[Fraction, ...]:
         """z[k] = sum_ij w[i][j] t[i][j][k] / den for a d1 x d2 weight array.
@@ -421,10 +413,10 @@ class Tensor3:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor3)
                 and self.dims == other.dims
-                and self.entries == other.entries)
+                and self.integer_form == other.integer_form)
 
     def __hash__(self) -> int:
-        return hash((self.dims, self.entries))
+        return hash((self.dims, self.integer_form))
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims}, nonzero={list(self.nonzero())})"

@@ -19,20 +19,21 @@ semisimple category imposes on its Grothendieck ring:
 
 Object vectors are plain tuples of nonnegative multiplicities.
 
-Each ring keeps its multiplicities twice: the public `coeffs` tensor of
-`Fraction`s, which defines equality and serialization, and a derived
-table `table[a][b]` of plain `int` tuples indexed by c, built once at
-construction.  Products, the axiom checks, the block decomposition and
-restriction all read the table; associativity is the shared
-`exact.associativity_failures`, on the sparse rows of `coeffs`.
+Each ring keeps its multiplicities once, in the integer form of its
+`coeffs` tensor, whose denominator construction checks to be 1;
+`table[a][b]` is that form's row of `int`s indexed by c.  Products, the
+axiom checks, the block decomposition and restriction all read the
+table; associativity is the shared `exact.associativity_failures`, on
+the sparse rows of the table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .exact import Tensor3, associativity_failures, integer_rows
+from .exact import Tensor3, associativity_failures
 from .report import Report
 
 __all__ = [
@@ -67,8 +68,9 @@ class FusionRing:
     of labels ``a`` and ``b``.  Construction checks shapes and
     integrality only; the ring axioms are checked by `verify_axioms`.
     ``table[a][b]`` is the same row of multiplicities as a tuple of
-    `int`s, and ``handle`` the genus-adding vector sum_a Q_dual(a) Q_a;
-    both are derived at construction and take no part in equality.
+    `int`s, the integer form of ``coeffs``, and ``handle`` the
+    genus-adding vector sum_a Q_dual(a) Q_a; both are set at
+    construction and take no part in equality.
     """
 
     dual: tuple[int, ...]
@@ -92,18 +94,16 @@ class FusionRing:
         for a in itertools.chain(self.dual, self.unit):
             if not 0 <= a < n:
                 raise ValueError(f"label {a} out of range 0..{n - 1}")
-        table = []
-        for a, plane in enumerate(self.coeffs.entries):
-            rows = []
-            for b, fibre in enumerate(plane):
-                for c, v in enumerate(fibre):
-                    if v.denominator != 1 or v < 0:
-                        raise ValueError(
-                            f"coefficient N[{a}][{b}][{c}] = {v} is not a "
-                            "nonnegative integer")
-                rows.append(tuple(v.numerator for v in fibre))
-            table.append(tuple(rows))
-        object.__setattr__(self, "table", tuple(table))
+        table, den = self.coeffs.integer_form
+        bad = next(((a, b, c, x) for a, plane in enumerate(table)
+                    for b, fibre in enumerate(plane)
+                    for c, x in enumerate(fibre) if x < 0 or x % den), None)
+        if bad is not None:
+            a, b, c, x = bad
+            raise ValueError(
+                f"coefficient N[{a}][{b}][{c}] = {Fraction(x, den)} is not "
+                "a nonnegative integer")
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "handle", tuple(
             map(sum, zip(*(table[self.dual[a]][a] for a in range(n))))))
         if not self.names:
@@ -220,7 +220,9 @@ def verify_axioms(ring: FusionRing) -> Report:
                         f"commutativity: N[{a}][{b}][{c}] = "
                         f"{ab[c]} != {ba[c]} = N[{b}][{a}][{c}]")
 
-    rows, _ = integer_rows(n, ring.coeffs.nonzero())
+    rows = [{b: {c: v for c, v in enumerate(fibre) if v}
+             for b, fibre in enumerate(plane) if any(fibre)}
+            for plane in table]
     for a, b, c in associativity_failures(rows, [range(n)] * n):
         lhs = multiply(ring, table[a][b], ring.basis_vector(c))
         rhs = multiply(ring, ring.basis_vector(a), table[b][c])
@@ -326,8 +328,9 @@ def restrict_to_labels(ring: FusionRing, labels) -> FusionRing:
     if not unit:
         raise ValueError("label subset contains no unit component")
     table = ring.table
-    coeffs = Tensor3([[[table[a][b][c] for c in labels] for b in labels]
-                      for a in labels])
+    coeffs = Tensor3.from_integers(
+        [[[table[a][b][c] for c in labels] for b in labels]
+         for a in labels], 1)
     return FusionRing(
         dual=tuple(pos[ring.dual[a]] for a in labels),
         unit=unit,
@@ -502,12 +505,9 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
             if key in found:
                 continue
             canon_dual, flat = key
-            coeffs = Tensor3.from_dict(
-                (rank, rank, rank),
-                {(a, b, c): flat[(a * rank + b) * rank + c]
-                 for a in range(rank) for b in range(rank)
-                 for c in range(rank)
-                 if flat[(a * rank + b) * rank + c]})
+            coeffs = Tensor3.from_integers(
+                [[flat[(a * rank + b) * rank:(a * rank + b + 1) * rank]
+                  for b in range(rank)] for a in range(rank)], 1)
             ring = FusionRing(dual=canon_dual, unit=(0,), coeffs=coeffs)
             if verify_axioms(ring).ok:
                 found[key] = ring

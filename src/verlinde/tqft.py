@@ -22,11 +22,9 @@ generator tables of words) is computed once per `FrobeniusAlgebra`
 object and cached on it, so no module-level table keeps an algebra
 alive.  Products, the derived data, genus invariants, word evaluation,
 random basis changes and their action (one integer conjugation of the
-structure tensor) run on the integer forms of `exact` and build
-`Fraction`s only for what a caller reads: derived matrices and tensors
-are made by `Matrix.from_integers` and `Tensor3.from_integers` and keep
-their integer form, inverses come from the integer core of
-`Matrix.inverse`, and a genus invariant is one `Fraction`.
+structure tensor) run on the integer forms of `exact`, which are the
+stored form of every matrix and tensor, and build `Fraction`s only for
+what a caller reads: a genus invariant is one `Fraction`.
 Associativity is checked by `exact.associativity_failures`.
 """
 
@@ -120,7 +118,7 @@ class FrobeniusAlgebra(Algebra):
     @cached_property
     def _pairing_inverse(self) -> Matrix:
         try:
-            return Matrix.from_integers(*self._pairing._inverse_integers())
+            return self._pairing.inverse()
         except SingularMatrixError as err:
             raise DegeneratePairingError(
                 f"derived pairing is singular (rank {err.rank} of "
@@ -577,7 +575,7 @@ def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
     n = algebra.dim
     if p.shape != (n, n):
         raise ValueError(f"basis change must be {n}x{n}")
-    rows, dq = p._inverse_integers()
+    rows, dq = p.inverse().integer_form
     a, dp = p.integer_form
     cols = tuple(zip(*a))
     planes, dm = algebra.mult.integer_form
@@ -661,8 +659,7 @@ def frobenius_from_fusion(ring: FusionRing) -> FrobeniusAlgebra:
     n = ring.rank
     algebra = FrobeniusAlgebra(
         names=ring.names,
-        mult=Tensor3.from_dict(
-            (n, n, n), {idx: v for idx, v in ring.coeffs.nonzero()}),
+        mult=ring.coeffs,
         unit=tuple(Fraction(int(a in ring.unit)) for a in range(n)),
         counit=tuple(Fraction(int(a in ring.unit)) for a in range(n)))
     algebra._pairing_inverse  # raises DegeneratePairingError if singular

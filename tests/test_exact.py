@@ -13,7 +13,8 @@ from conftest import CORPUS_ALGEBRAS, load
 from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
                      gauss_jordan_rank, naive_contract)
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3, scale_to_integers)
+                            SingularMatrixError, Tensor3, rat,
+                            scale_to_integers)
 from verlinde.tqft import (multiply_elements, pairing_matrix,
                            random_invertible)
 
@@ -136,7 +137,7 @@ def test_tensor3_from_integers_is_the_scaled_form(planes, den):
     t = Tensor3.from_integers(planes, den)
     fractions = [[[Fraction(x, den) for x in fibre] for fibre in plane]
                  for plane in planes]
-    # the stored integer form, read before any entry is built
+    # the stored integer form
     fibres, d = scale_to_integers(
         [fibre for plane in fractions for fibre in plane])
     ints, dt = t.integer_form
@@ -145,9 +146,9 @@ def test_tensor3_from_integers_is_the_scaled_form(planes, den):
     assert t.entries == tuple(tuple(map(tuple, plane)) for plane in fractions)
     assert all(type(x) is Fraction
                for plane in t.entries for fibre in plane for x in fibre)
-    eager = Tensor3(fractions, dims=t.dims)
-    assert t == eager and hash(t) == hash(eager)
-    assert t.integer_form == eager.integer_form
+    literal = Tensor3(fractions, dims=t.dims)
+    assert t == literal and hash(t) == hash(literal)
+    assert t.integer_form == literal.integer_form
 
 
 def _integer_matrices():
@@ -165,20 +166,117 @@ def _integer_matrices():
 def test_matrix_from_integers_is_the_scaled_form(rows, den):
     m = Matrix.from_integers(rows, den)
     fractions = [[Fraction(x, den) for x in row] for row in rows]
-    # the stored integer form, read before any entry is built
+    # the stored integer form
     assert m.integer_form == scale_to_integers(fractions)
-    assert not hasattr(m, "_entries")
     assert m.entries == tuple(map(tuple, fractions))
     assert all(type(x) is Fraction for row in m.entries for x in row)
-    eager = Matrix(fractions, cols=m.cols)
-    assert m.shape == eager.shape
-    assert m == eager and eager == m and hash(m) == hash(eager)
-    # two lazy matrices, and a lazy and an eager one that differ
+    literal = Matrix(fractions, cols=m.cols)
+    assert m.shape == literal.shape
+    assert m == literal and literal == m and hash(m) == hash(literal)
+    # two matrices from the same integers, and two that differ
     twin = Matrix.from_integers(rows, den)
     assert m == twin and hash(m) == hash(twin)
     if rows:
         other = Matrix.from_integers(rows, den + 1)
         assert (other == m) == (not any(map(any, rows)))
+
+
+def test_integer_constructors_reject_ragged_rows_and_bad_denominators():
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_integers([[1, 2], [3]], 1)
+    with pytest.raises(DimensionMismatchError):
+        Tensor3.from_integers([[[1, 2], [3, 4]], [[5, 6], [7]]], 1)
+    with pytest.raises(DimensionMismatchError):
+        Tensor3.from_integers([[[1], [2]], [[3]]], 1)
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="not positive"):
+            Matrix.from_integers([[1, 2]], den)
+        with pytest.raises(ValueError, match="not positive"):
+            Tensor3.from_integers([[[1]]], den)
+    with pytest.raises(ValueError, match="not positive"):
+        Matrix.from_integers([], 0)
+
+
+def test_rat_refuses_floats():
+    for build in (lambda: rat(0.5), lambda: Matrix([[0.1]]),
+                  lambda: Matrix([[1]]).scale(2.0),
+                  lambda: Matrix([[1]]).apply([0.5]),
+                  lambda: Tensor3([[[0.25]]]),
+                  lambda: Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1.0})):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            build()
+    assert (rat(3), rat("-2/6"), rat(Fraction(1, 3))) == (
+        Fraction(3), Fraction(-1, 3), Fraction(1, 3))
+
+
+def _same_value_matrices():
+    """Groups of matrices built along different paths: equal inside a
+    group, different across groups."""
+    half = Fraction(1, 2)
+    m = Matrix([[half, Fraction(-2, 3)], [3, 0]])
+    yield [m, Matrix.from_integers([[3, -4], [18, 0]], 6),
+           Matrix.from_integers([[6, -8], [36, 0]], 12),
+           m.transpose().transpose(), m.scale(2).scale(half),
+           m.inverse().inverse(), Matrix.identity(2) @ m,
+           Matrix([["1/2", "-2/3"], ["3", "0"]])]
+    a = Matrix([[2, 1, 0], [1, 1, 0], [0, 3, half]])
+    yield [Matrix.identity(3), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+           Matrix.from_integers([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 2),
+           a @ a.inverse(), a.inverse() @ a,
+           Matrix.identity(3).transpose(), Matrix.identity(3).scale(1),
+           Matrix.identity(3).scale(half).scale(2)]
+    yield [Matrix.zeros(2, 3), Matrix([[0] * 3] * 2),
+           Matrix.from_integers([[0] * 3] * 2, 7),
+           Matrix([[1, 2, 3], [4, 5, 6]]).scale(0),
+           Matrix.zeros(3, 2).transpose(),
+           Matrix.zeros(2, 4) @ Matrix.zeros(4, 3)]
+    yield [Matrix.zeros(0, 3), Matrix([], cols=3),
+           Matrix.zeros(3, 0).transpose(), Matrix.zeros(0, 3).scale(5),
+           Matrix.zeros(0, 2) @ Matrix.zeros(2, 3)]
+    yield [Matrix.zeros(3, 0), Matrix([[], [], []]),
+           Matrix.from_integers([[], [], []], 4),
+           Matrix.zeros(0, 3).transpose()]
+    yield [Matrix.identity(0), Matrix([]), Matrix.from_integers([], 3),
+           Matrix.identity(0).inverse(), Matrix.zeros(0, 0).transpose()]
+
+
+def _same_value_tensors():
+    half = Fraction(1, 2)
+    yield [Tensor3([[[1, 0], [0, half]], [[0, 0], [3, 0]]]),
+           Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): half,
+                                         (1, 1, 0): 3}),
+           Tensor3.from_integers([[[2, 0], [0, 1]], [[0, 0], [6, 0]]], 2),
+           Tensor3.from_integers([[[6, 0], [0, 3]], [[0, 0], [18, 0]]], 6),
+           Tensor3([[["1", 0], [0, "1/2"]], [[0, 0], ["3", 0]]])]
+    yield [Tensor3.zeros(2, 1, 3), Tensor3([[[0] * 3]] * 2),
+           Tensor3.from_dict((2, 1, 3), {}),
+           Tensor3.from_dict((2, 1, 3), {(1, 0, 2): 0}),
+           Tensor3.from_integers([[[0] * 3]] * 2, 5)]
+    yield [Tensor3.zeros(2, 0, 5), Tensor3([[], []], dims=(2, 0, 5)),
+           Tensor3.from_dict((2, 0, 5), {})]
+
+
+@pytest.mark.parametrize("make", [_same_value_matrices, _same_value_tensors],
+                         ids=["Matrix", "Tensor3"])
+def test_equality_and_hash_agree_across_construction_paths(make):
+    groups = list(make())
+    for g, group in enumerate(groups):
+        first = group[0]
+        for x in group:
+            assert x == first and first == x and hash(x) == hash(first)
+            assert x.integer_form == first.integer_form
+            assert x.entries == first.entries
+            assert all(type(v) is Fraction for v in _flat(x.entries))
+        for other in groups[g + 1:]:
+            assert first != other[0]
+
+
+def _flat(entries):
+    for row in entries:
+        if isinstance(row, tuple):
+            yield from _flat(row)
+        else:
+            yield row
 
 
 def test_tensor3_rejects_declared_shape_without_entries():
@@ -297,28 +395,29 @@ def test_corpus_algebra_matrices_match_gauss_jordan(name):
             assert m.inverse() == Matrix(expected)
 
 
-def _public_matrix_results(m: Matrix):
-    yield m @ m.transpose()
-    yield m.transpose() @ m
-    yield m.transpose()
-    if m.rows == m.cols:
-        try:
-            yield m.inverse()
-        except SingularMatrixError:
-            pass
+def _public_matrix_results(m: Matrix, rows):
+    """Each public result of m, with its rows by the `Fraction` oracles."""
+    columns = Matrix([list(col) for col in zip(*rows)], cols=len(rows))
+    yield m @ m.transpose(), fraction_matmul(m, columns)
+    yield m.transpose() @ m, fraction_matmul(columns, m)
+    yield m.transpose(), columns.entries
+    if m.rows == m.cols and (inverse := gauss_jordan_inverse(rows)):
+        yield m.inverse(), inverse
 
 
 @pytest.mark.parametrize("rows", _elimination_cases())
 def test_public_results_build_their_entries_inside_the_call(rows):
-    lazy = Matrix.from_integers(*scale_to_integers(rows))
-    for m in (Matrix(rows), lazy):
-        for result in _public_matrix_results(m):
-            assert hasattr(result, "_entries")
+    # results store their integer form; read, their entries are the
+    # oracles' rows as Fractions
+    stored = Matrix.from_integers(*scale_to_integers(rows))
+    for m in (Matrix(rows), stored):
+        for result, expected in _public_matrix_results(m, rows):
+            assert result.entries == tuple(map(tuple, expected))
             assert all(type(x) is Fraction
-                       for row in result._entries for x in row)
+                       for row in result.entries for x in row)
         assert all(type(x) is Fraction for x in m.apply([1] * m.cols))
         assert all(type(x) is Fraction for row in m.rref()[0] for x in row)
-    assert lazy == Matrix(rows)
+    assert stored == Matrix(rows)
 
 
 @pytest.mark.parametrize("rows", _elimination_cases())
@@ -326,26 +425,28 @@ def test_integer_inverse_core_matches_gauss_jordan(rows):
     m = Matrix(rows)
     if m.rows != m.cols:
         with pytest.raises(DimensionMismatchError):
-            m._inverse_integers()
+            m.inverse()
         return
     expected = gauss_jordan_inverse(rows)
     if expected is None:
         with pytest.raises(SingularMatrixError) as err:
-            m._inverse_integers()
+            m.inverse()
         assert err.value.rank == gauss_jordan_rank(rows)
         return
-    ints, d = m._inverse_integers()
+    inverse = m.inverse()
+    ints, d = inverse.integer_form
     assert d > 0
     assert [tuple(Fraction(x, d) for x in row) for row in ints] == expected
-    lazy = Matrix.from_integers(ints, d)
-    assert lazy.integer_form == scale_to_integers(expected)
-    assert lazy == m.inverse() == Matrix(expected)
+    assert inverse.integer_form == scale_to_integers(expected)
+    assert inverse == Matrix(expected)
+    assert inverse.entries == tuple(expected)
 
 
 def test_integer_inverse_core_on_the_empty_matrix():
-    ints, d = Matrix.identity(0)._inverse_integers()
-    assert (list(ints), d) == ([], 1)
-    assert Matrix.from_integers(ints, d) == Matrix.identity(0)
+    inverse = Matrix.identity(0).inverse()
+    assert inverse.shape == (0, 0)
+    assert inverse.integer_form == ((), 1)
+    assert inverse == Matrix.identity(0)
 
 
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -310,6 +311,22 @@ def test_ring_construction_rejects_bad_data():
     with pytest.raises(ValueError):
         FusionRing(dual=(0, 1), unit=(0,),
                    coeffs=Tensor3.from_dict((2, 2, 2), {(0, 0, 0): -1}))
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({(1, 0, 1): Fraction(1, 2), (1, 1, 1): Fraction(3, 2)},
+     "N[1][0][1] = 1/2"),
+    ({(1, 0, 1): -1, (1, 1, 1): -2}, "N[1][0][1] = -1"),
+    ({(0, 1, 1): -2, (1, 0, 1): Fraction(1, 2)}, "N[0][1][1] = -2"),
+])
+def test_ring_construction_names_the_first_bad_coefficient(bad, message):
+    # the first entry in index order that is fractional or negative
+    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, **bad}
+    with pytest.raises(ValueError) as err:
+        FusionRing(dual=(0, 1), unit=(0,),
+                   coeffs=Tensor3.from_dict((2, 2, 2), data))
+    assert str(err.value) == (
+        f"coefficient {message} is not a nonnegative integer")
 
 
 # ---------------------------------------------------------------------------
