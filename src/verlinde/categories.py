@@ -86,7 +86,7 @@ class CategoryFormatError(ValueError):
 
 
 def _clean(coeffs: dict) -> dict[str, Fraction]:
-    return {k: rat(v) for k, v in coeffs.items() if rat(v) != 0}
+    return {k: c for k, v in coeffs.items() if (c := rat(v))}
 
 
 class Morphism:
@@ -343,7 +343,7 @@ def one_object_category(obj: str, basis_names, mult: Tensor3,
     for (i, j, k), c in mult.nonzero():
         compose.setdefault((basis_names[i], basis_names[j]),
                            {})[basis_names[k]] = c
-    identity = {basis_names[k]: rat(u) for k, u in enumerate(unit) if rat(u)}
+    identity = {basis_names[k]: c for k, u in enumerate(unit) if (c := rat(u))}
     return PresentedCategory(
         objects=(obj,),
         hom={(obj, obj): basis_names},
@@ -630,14 +630,14 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
             images = [cat._product(idems[j][0],
                                    cat._product({b: 1}, idems[i][0]))
                       for b in base]
-            rows, pivots = Matrix([[m.get(b, 0) for b in base]
-                                   for m in images]).rref()
-            ints, den = scale_to_integers(rows)
+            reduced, pivots = Matrix.from_integers(
+                [[m.get(b, 0) for b in base] for m in images], 1).rref()
+            ints, den = reduced.integer_form
             corner = _Corner(
                 p, q, tuple({b: c for b, c in zip(base, row) if c}
                             for row in ints),
                 den, tuple(base[c] for c in pivots),
-                tuple(f"{names[i]}>{names[j]}:{k}" for k in range(len(rows))))
+                tuple(f"{names[i]}>{names[j]}:{k}" for k in range(len(ints))))
             if corner.names:
                 hom[(names[i], names[j])] = corner.names
             line.append(corner)
@@ -821,6 +821,8 @@ def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
     for r in range(n):  # sum_a m[r][a][c] e[a][d] = sum_b e[c][b] m[b][r][d]
         left = Matrix.from_integers(list(zip(*planes[r])), dm) @ e
         right = e @ Matrix.from_integers([plane[r] for plane in planes], dm)
+        if left == right:
+            continue
         for c in range(n):
             for d in range(n):
                 if left[c, d] != right[c, d]:

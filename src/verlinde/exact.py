@@ -5,11 +5,14 @@ stored as one scaled-integer form, integer rows over one positive
 denominator divided by their gcd (`scale_to_integers`), set when it is
 made; its `Fraction` entries are a view, built on first read.  `@`,
 `apply`, `contract` and the one fraction-free elimination behind rank,
-inverse and `rref` (after Bareiss, 1968) work on plain `int`s and
-divide each result entry once; `rank` stops at the echelon form, and
-`rref` and `inverse` go on to the reduced form.  The reduced form is
-canonical, so equality and hashing compare it.  All values are
-immutable after construction, so they are safe to share freely.
+inverse and `rref` (after Bareiss, 1968) work on plain `int`s; `apply`
+and `contract` divide each result entry once, and a `Matrix` result is
+an integer form.  `rank` stops at the echelon form, and `rref` and
+`inverse` go on to the reduced form; the reduced rows `rref` returns
+are a `Matrix` whose pivot entries all equal its denominator.  The
+reduced form is canonical, so equality and hashing compare it.  All
+values are immutable after construction, so they are safe to share
+freely.
 
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`integer_rows`) and one exact
@@ -214,17 +217,20 @@ class Matrix:
         d = da * dv
         return tuple(Fraction(sum(map(mul, row, w)), d) for row in a)
 
-    def rref(self) -> tuple[tuple[tuple[Fraction, ...], ...],
-                            tuple[int, ...]]:
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form: (nonzero rows, their pivot columns).
 
-        The rows have leading 1 and come in pivot order; they are the
-        unique reduced basis of the row space.
+        The rows, a rank x cols matrix, have leading 1 and come in pivot
+        order; they are the unique reduced basis of the row space.  In
+        their integer form every pivot entry equals the denominator.
         """
         m, pivots = _eliminate(list(self.integer_form[0]), self.cols)
-        rows = tuple(tuple(Fraction(x, m[r][c]) for x in m[r])
-                     for r, c in enumerate(pivots))
-        return rows, tuple(pivots)
+        d = lcm(*(m[r][c] for r, c in enumerate(pivots)))
+        rows = [[x * (d // m[r][c]) for x in m[r]]
+                for r, c in enumerate(pivots)]
+        return (object.__new__(Matrix)._set(len(pivots), self.cols,
+                                            _reduced(rows, d)),
+                tuple(pivots))
 
     def rank(self) -> int:
         return len(_eliminate(list(self.integer_form[0]), self.cols,
@@ -403,12 +409,14 @@ class Tensor3:
         return out, dt
 
     def nonzero(self):
-        """Yield ((i, j, k), value) for every nonzero entry, in index order."""
-        for i, plane in enumerate(self.entries):
+        """Yield ((i, j, k), value) for every nonzero entry, in index order;
+        only those values are made `Fraction`s."""
+        planes, den = self.integer_form
+        for i, plane in enumerate(planes):
             for j, fibre in enumerate(plane):
                 for k, v in enumerate(fibre):
                     if v:
-                        yield (i, j, k), v
+                        yield (i, j, k), Fraction(v, den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor3)

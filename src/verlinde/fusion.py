@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Tensor3, associativity_failures
+from .exact import DimensionMismatchError, Tensor3, associativity_failures
 from .report import Report
 
 __all__ = [
@@ -130,6 +130,13 @@ class FusionRing:
     def unit_vector(self) -> tuple[int, ...]:
         return tuple(int(i in self.unit) for i in range(self.rank))
 
+    def _check_vectors(self, *vectors) -> None:
+        if any(len(v) != self.rank for v in vectors):
+            raise DimensionMismatchError(
+                "object vectors of length "
+                + " and ".join(str(len(v)) for v in vectors)
+                + f" for a ring of rank {self.rank}")
+
 
 # ---------------------------------------------------------------------------
 # ring operations
@@ -137,6 +144,7 @@ class FusionRing:
 
 def multiply(ring: FusionRing, x, y) -> tuple[int, ...]:
     """Bilinear product of object vectors: z[c] = sum x[a] y[b] N[a][b][c]."""
+    ring._check_vectors(x, y)
     n = ring.rank
     y_support = [(b, y[b]) for b in range(n) if y[b]]
     z = [0] * n
@@ -182,11 +190,13 @@ def product_vector(ring: FusionRing, labels) -> tuple[int, ...]:
 
 def dual_vector(ring: FusionRing, x) -> tuple[int, ...]:
     """Apply the involution: x*[a] = x[dual(a)]."""
+    ring._check_vectors(x)
     return tuple(x[ring.dual[a]] for a in range(ring.rank))
 
 
 def inner_product(ring: FusionRing, x, y) -> int:
     """Pairing multiplicity <x, y> = sum_a x[dual(a)] y[a]."""
+    ring._check_vectors(x, y)
     return sum(x[ring.dual[a]] * y[a] for a in range(ring.rank))
 
 

@@ -207,10 +207,9 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
     n = algebra.dim
     basis = [tuple(Fraction(int(j == i)) for j in range(n))
              for i in range(n)]
-    products = algebra.mult.entries  # products[i][j] is e_i e_j
-
     rows, _ = integer_rows(n, algebra.mult.nonzero())
     for i, j, k in associativity_failures(rows, [range(n)] * n):
+        products = algebra.mult.entries  # products[i][j] is e_i e_j
         lhs = multiply_elements(algebra, products[i][j], basis[k])
         rhs = multiply_elements(algebra, basis[i], products[j][k])
         report.fail(f"associativity at (e_{i} e_{j}) e_{k}: {lhs} != {rhs}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -267,6 +268,11 @@ def test_equality_and_hash_agree_across_construction_paths(make):
             assert x.integer_form == first.integer_form
             assert x.entries == first.entries
             assert all(type(v) is Fraction for v in _flat(x.entries))
+            if isinstance(x, Tensor3):
+                assert list(x.nonzero()) == [
+                    ((i, j, k), v) for i, plane in enumerate(x.entries)
+                    for j, fibre in enumerate(plane)
+                    for k, v in enumerate(fibre) if v]
         for other in groups[g + 1:]:
             assert first != other[0]
 
@@ -277,6 +283,18 @@ def _flat(entries):
             yield from _flat(row)
         else:
             yield row
+
+
+def test_nonzero_builds_no_fraction_view(monkeypatch):
+    tensors = [t for group in _same_value_tensors() for t in group]
+    expected = [[(ijk, t[ijk]) for ijk in itertools.product(
+        *map(range, t.dims)) if t[ijk]] for t in tensors]
+
+    def no_view(tensor):
+        raise AssertionError("Fraction view of a tensor read")
+
+    monkeypatch.setattr(Tensor3, "entries", property(no_view))
+    assert [list(t.nonzero()) for t in tensors] == expected
 
 
 def test_tensor3_rejects_declared_shape_without_entries():
@@ -337,7 +355,8 @@ def _elimination_cases():
 def test_rref_rank_inverse_match_gauss_jordan(rows):
     m = Matrix(rows)
     reduced, pivots = gauss_jordan(rows)
-    assert m.rref() == (tuple(reduced), tuple(pivots))
+    got, got_pivots = m.rref()
+    assert (got.entries, got_pivots) == (tuple(reduced), tuple(pivots))
     assert m.rank() == gauss_jordan_rank(rows)
     if m.rows != m.cols:
         return
@@ -348,6 +367,20 @@ def test_rref_rank_inverse_match_gauss_jordan(rows):
         assert err.value.rank == gauss_jordan_rank(rows)
     else:
         assert m.inverse() == Matrix(expected)
+
+
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_rref_pivot_entries_equal_the_denominator(rows):
+    # the integer form a caller reads off the reduced rows: each pivot
+    # column is den on its own row and 0 on every other
+    m = Matrix(rows)
+    reduced, pivots = m.rref()
+    assert reduced.shape == (len(pivots), m.cols)
+    ints, den = reduced.integer_form
+    for r, c in enumerate(pivots):
+        assert [row[c] for row in ints] == [
+            den if i == r else 0 for i in range(len(ints))]
+    assert reduced.integer_form == scale_to_integers(reduced.entries)
 
 
 def _rank_cases():
@@ -369,7 +402,8 @@ def test_echelon_rank_matches_gauss_jordan(rows):
 def test_rref_on_empty_shapes(rows, cols):
     m = Matrix([[0] * cols for _ in range(rows)], cols=cols)
     assert m.shape == (rows, cols)
-    assert m.rref() == ((), ())
+    reduced, pivots = m.rref()
+    assert (reduced.shape, reduced.entries, pivots) == ((0, cols), (), ())
     assert m.rank() == 0
     if rows == cols:
         assert m.inverse() == Matrix.identity(0)
@@ -386,7 +420,8 @@ def test_corpus_algebra_matrices_match_gauss_jordan(name):
     for m in matrices:
         rows = [list(row) for row in m.entries]
         reduced, pivots = gauss_jordan(rows)
-        assert m.rref() == (tuple(reduced), tuple(pivots))
+        got, got_pivots = m.rref()
+        assert (got.entries, got_pivots) == (tuple(reduced), tuple(pivots))
         expected = gauss_jordan_inverse(rows)
         if expected is None:
             with pytest.raises(SingularMatrixError):
@@ -416,7 +451,8 @@ def test_public_results_build_their_entries_inside_the_call(rows):
             assert all(type(x) is Fraction
                        for row in result.entries for x in row)
         assert all(type(x) is Fraction for x in m.apply([1] * m.cols))
-        assert all(type(x) is Fraction for row in m.rref()[0] for x in row)
+        assert all(type(x) is Fraction
+                   for row in m.rref()[0].entries for x in row)
     assert stored == Matrix(rows)
 
 

@@ -14,7 +14,7 @@ from oracles import (S3_CHARACTER_TABLE, S3_CLASS_SIZES, Z2_CHARACTER_TABLE,
                      Z2_CLASS_SIZES, brute_force_product,
                      frobenius_pairing_entries, fusion_axiom_entries,
                      fusion_from_characters, naive_contract)
-from verlinde.exact import Tensor3
+from verlinde.exact import DimensionMismatchError, Tensor3
 from verlinde.formats import serialize
 from verlinde.fusion import (BlockStructureError, FusionRing,
                              block_decomposition, cyclic_ring, direct_product,
@@ -179,6 +179,30 @@ def test_inner_product_symmetry_and_frobenius_adjunction(name):
         assert inner_product(ring, x, y) == inner_product(ring, y, x)
         assert (inner_product(ring, x, multiply(ring, y, z))
                 == inner_product(ring, multiply(ring, x, y), z))
+
+
+def test_multiply_checks_vector_lengths():
+    fib = load("fib.fusion")
+    for x, y, lengths in (((0, 1, 7), (0, 1), "3 and 2"),
+                          ((0, 1), (1,), "2 and 1")):
+        with pytest.raises(DimensionMismatchError, match=lengths):
+            multiply(fib, x, y)
+
+
+def test_inner_product_checks_vector_lengths():
+    fib = load("fib.fusion")
+    for x, y, lengths in (((0, 1, 5), (0, 1, 3), "3 and 3"),
+                          ((0, 1), (1,), "2 and 1")):
+        with pytest.raises(DimensionMismatchError, match=lengths):
+            inner_product(fib, x, y)
+
+
+def test_dual_vector_checks_vector_length():
+    z3 = cyclic_ring(3)
+    for x in ((0, 1, 0, 4), (0, 1)):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"length {len(x)} for a ring of rank 3"):
+            dual_vector(z3, x)
 
 
 @pytest.mark.parametrize("name", CORPUS_RINGS)

@@ -42,6 +42,19 @@ def test_corpus_algebras_validate(name):
     assert validate_frobenius(load(name)).ok
 
 
+@pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
+def test_validate_frobenius_builds_no_tensor_view_on_valid_algebras(
+        name, monkeypatch):
+    # the Fraction view of mult is read only for associativity failures
+    algebra = load(name)
+
+    def no_view(tensor):
+        raise AssertionError("Fraction view of a tensor built")
+
+    monkeypatch.setattr(Tensor3, "entries", property(no_view))
+    assert validate_frobenius(algebra).ok
+
+
 def test_frobenius_algebra_is_an_algebra_plus_counit():
     assert issubclass(FrobeniusAlgebra, Algebra)
     mult = Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1})
