@@ -19,6 +19,13 @@ the trace-form semisimplicity test and the separability-idempotent
 check.  Inside the module everything composes through `_product`;
 `Morphism`s are built only at the public boundary and for the text of a
 failing entry.
+
+Every builder (`one_object_category`, the completions, the tensor
+product) fills the integer table directly from integer rows, and so does
+`formats.parse` from integer numerators; only the public constructor,
+which takes any rational coefficients, reads them as `Fraction`s first.
+All paths run the same structural checks and give the same reduced
+table, so equal categories compare equal however they were made.
 """
 
 from __future__ import annotations
@@ -26,10 +33,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
-from .exact import (Matrix, Tensor3, associativity_failures, integer_rows,
-                    rat, scale_to_integers)
+from .exact import (Matrix, Tensor3, associativity_failures, rat,
+                    scale_to_integers, sparse_rows)
 from .report import Report
 
 __all__ = [
@@ -89,6 +97,16 @@ def _clean(coeffs: dict) -> dict[str, Fraction]:
     return {k: c for k, v in coeffs.items() if (c := rat(v))}
 
 
+def _check_name(kind: str, name: str) -> None:
+    if name.split() != [name]:  # empty, or holds whitespace
+        raise CategoryFormatError(f"bad {kind} name {name!r}")
+
+
+def _identity_error(p: str, b: str) -> CategoryFormatError:
+    return CategoryFormatError(
+        f"identity of {p}: term {b} not in hom({p},{p})")
+
+
 class Morphism:
     """A linear combination of hom basis elements with fixed source/target."""
 
@@ -128,21 +146,53 @@ class PresentedCategory:
     """Objects, hom bases, composition table, identities.
 
     The basis is numbered hom by hom in object order (`_names`,
-    `_number`); `_rows` and `_den` are the composition table as
-    `exact.integer_rows` builds it over that numbering.
+    `_number`; `_types[k]` is the (source, target) of basis element k
+    and `_span[(p, q)]` the numbers (start, stop) of hom(p, q)).  The
+    composition table is stored in integers over that numbering:
+    `_rows[g][f]` maps k to c for each term (c / `_den`) k of a nonzero
+    composite g . f, with f and k in ascending order and no c zero, and
+    `_identity[p]` is the identity of p as (x, d), the combination x / d
+    of the integer vector x over its numbers.  Each is reduced: `_den`
+    and d share no factor with all of their integers, so equal
+    categories have equal forms.
 
-    The constructor performs structural validation only (every name
-    resolves, compositions are typed correctly); the categorical axioms
-    are equations checked by `validate_category`.
+    The constructor takes names and coefficients (ints, `Fraction`s or
+    'p/q' strings); the builders and the parser fill the integer table
+    directly (`_from_rows`, `_from_names`).  Every path performs the same
+    structural validation (every name resolves, compositions are typed
+    correctly, every nonzero endomorphism space has an identity); the
+    categorical axioms are equations checked by `validate_category`.
     """
 
     def __init__(self, objects, hom, compose, identities):
+        def ratios(table):
+            return {key: {b: c.as_integer_ratio()
+                          for b, c in _clean(combo).items()}
+                    for key, combo in table.items()}
+        self._set_names(objects, hom, ratios(compose), ratios(identities))
+
+    @classmethod
+    def _from_rows(cls, objects, hom, rows, den, identities):
+        """The category with the basis of `hom` and the integer table of
+        `_set_table`."""
+        cat = object.__new__(cls)
+        cat._set_basis(objects, hom)
+        cat._set_table(rows, den, identities)
+        return cat
+
+    @classmethod
+    def _from_names(cls, *args):
+        """The category of `_set_names`: an integer table keyed by names."""
+        cat = object.__new__(cls)
+        cat._set_names(*args)
+        return cat
+
+    def _set_basis(self, objects, hom):
         self.objects: tuple[str, ...] = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
             raise CategoryFormatError("duplicate object names")
         for name in self.objects:
-            if not name or any(ch.isspace() for ch in name):
-                raise CategoryFormatError(f"bad object name {name!r}")
+            _check_name("object", name)
 
         self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
         self._basis: dict[str, tuple[str, str]] = {}
@@ -153,8 +203,7 @@ class PresentedCategory:
             if not basis:
                 continue
             for b in basis:
-                if not b or any(ch.isspace() for ch in b):
-                    raise CategoryFormatError(f"bad basis name {b!r}")
+                _check_name("basis", b)
                 if b in self._basis:
                     raise CategoryFormatError(f"duplicate basis name {b!r}")
                 self._basis[b] = (p, q)
@@ -162,40 +211,105 @@ class PresentedCategory:
         self._names = tuple(b for p in self.objects for q in self.objects
                             for b in self.hom(p, q))
         self._number = {b: i for i, b in enumerate(self._names)}
+        self._types = [self._basis[b] for b in self._names]
+        self._span = {pq: (self._number[basis[0]], self._number[basis[-1]] + 1)
+                      for pq, basis in self._hom.items()}
 
-        entries = []
+    def _set_names(self, objects, hom, compose, identities):
+        """Set the basis, then the table and the identities keyed by
+        names, each coefficient a pair (p, q), q > 0, of the rational
+        p / q: compose[(g, f)] = {h: (p, q)} is the composite g . f and
+        identities[obj] = {b: (p, q)} the identity of obj.  Each is read
+        as numerators over the lcm of its q; zero coefficients are
+        dropped before their names are read."""
+        self._set_basis(objects, hom)
+        number = self._number
+
+        def numbered(combo, d):
+            return dict(sorted([(number[b], p * (d // q))
+                                for b, (p, q) in combo.items() if p]))
+
+        den, ident_den = (lcm(*{q for combo in part.values()
+                                for _, q in combo.values()})
+                          for part in (compose, identities))
+        rows = [{} for _ in self._names]
         for (g, f), combo in compose.items():
-            if g not in self._basis or f not in self._basis:
+            if g not in number or f not in number:
                 raise CategoryFormatError(
                     f"compose({g},{f}): unknown basis element")
-            fp, fq = self._basis[f]
-            gp, gq = self._basis[g]
-            if fq != gp:
-                raise CategoryFormatError(
-                    f"compose({g},{f}): not composable "
-                    f"({f}: {fp}->{fq}, {g}: {gp}->{gq})")
-            gf = (self._number[g], self._number[f])
-            for h, c in _clean(combo).items():
-                if self._basis.get(h) != (fp, gq):
-                    raise CategoryFormatError(
-                        f"compose({g},{f}): result term {h} does not lie "
-                        f"in hom({fp},{gq})")
-                entries.append((gf + (self._number[h],), c))
-        entries.sort(key=lambda entry: entry[0])
-        self._rows, self._den = integer_rows(len(self._names), entries)
-
-        self._identity: dict[str, dict[str, Fraction]] = {}
+            try:
+                rows[number[g]][number[f]] = numbered(combo, den)
+            except KeyError as err:
+                raise self._typing_error(number[g], number[f],
+                                         err.args[0]) from None
+        idents = []
         for p in self.objects:
-            combo = _clean(identities.get(p, {}))
-            for b in combo:
-                if self._basis.get(b) != (p, p):
-                    raise CategoryFormatError(
-                        f"identity of {p}: term {b} not in hom({p},{p})")
-            if not combo and self.hom(p, p):
+            try:
+                idents.append((numbered(identities.get(p, {}), ident_den),
+                               ident_den))
+            except KeyError as err:
+                raise _identity_error(p, err.args[0]) from None
+        self._set_table([dict(sorted(row.items())) for row in rows], den,
+                        idents)
+
+    def _set_table(self, rows, den, identities):
+        """Check and store the composition table and the identities.
+
+        rows[g][f] = {k: c} over the basis numbers, f and k ascending and
+        c nonzero, is den times the composite g . f; an empty {} is
+        checked for its types and dropped.  identities[i] = (x, d) with
+        x ascending and nonzero is d times the identity of object i.
+        Both are reduced here, so any positive scaling gives one form;
+        the rows are kept and reduced in place, so no two entries may
+        share a dict.
+        """
+        types, span = self._types, self._span
+        common = den
+        for g, row in enumerate(rows):
+            for f, terms in list(row.items()):
+                if types[f][1] != types[g][0]:
+                    raise self._typing_error(g, f)
+                lo, hi = span.get((types[f][0], types[g][1]), (0, 0))
+                if not terms:
+                    del row[f]
+                elif min(terms) < lo or max(terms) >= hi:
+                    raise self._typing_error(g, f, self._names[next(
+                        k for k in terms if not lo <= k < hi)])
+                elif common != 1:
+                    common = gcd(common, *terms.values())
+        if common > 1:
+            for row in rows:
+                for terms in row.values():
+                    for k, c in terms.items():
+                        terms[k] = c // common
+        self._rows, self._den = rows, den // common
+
+        self._identity = {}
+        for p, (x, d) in zip(self.objects, identities):
+            lo, hi = span.get((p, p), (0, 0))
+            for k in x:
+                if not lo <= k < hi:
+                    raise _identity_error(p, self._names[k])
+            if not x and hi:
                 raise CategoryFormatError(
                     f"identity of {p} missing although hom({p},{p}) "
                     "is nonzero")
-            self._identity[p] = combo
+            common = gcd(d, *x.values())
+            self._identity[p] = ({k: c // common for k, c in x.items()},
+                                 d // common)
+
+    def _typing_error(self, g, f, h=None):
+        """The error for the composite g . f of basis numbers: not
+        composable, or else its term h outside hom(source f, target g)."""
+        (fp, fq), (gp, gq) = self._types[f], self._types[g]
+        gn, fn = self._names[g], self._names[f]
+        if fq != gp:
+            return CategoryFormatError(
+                f"compose({gn},{fn}): not composable "
+                f"({fn}: {fp}->{fq}, {gn}: {gp}->{gq})")
+        return CategoryFormatError(
+            f"compose({gn},{fn}): result term {h} does not lie "
+            f"in hom({fp},{gq})")
 
     # -- accessors ---------------------------------------------------------
 
@@ -227,15 +341,18 @@ class PresentedCategory:
         return Morphism(src, dst, {})
 
     def identity(self, p: str) -> Morphism:
-        return Morphism(p, p, self._identity[p])
+        return Morphism(p, p, self.identity_coeffs(p))
 
     def identity_coeffs(self, p: str) -> dict[str, Fraction]:
-        return dict(self._identity[p])
+        return self._named(*self._identity[p])
 
     def compose_basis(self, g: str, f: str) -> dict[str, Fraction]:
-        terms = self._rows[self._number[g]].get(self._number[f], {})
-        return {self._names[k]: Fraction(c, self._den)
-                for k, c in terms.items()}
+        return self._named(
+            self._rows[self._number[g]].get(self._number[f], {}), self._den)
+
+    def _named(self, x: dict[int, int], d: int) -> dict[str, Fraction]:
+        """The combination x / d of the integer vector x, by basis names."""
+        return {self._names[k]: Fraction(c, d) for k, c in x.items()}
 
     def _vector(self, coeffs: dict) -> tuple[dict[int, int], int]:
         """(x, d) with x / d the combination `coeffs` of basis names: x
@@ -263,16 +380,14 @@ class PresentedCategory:
             raise CategoryFormatError(
                 f"not composable: {f.src}->{f.dst} then {g.src}->{g.dst}")
         (x, dx), (y, dy) = self._vector(g.coeffs), self._vector(f.coeffs)
-        d = dx * dy * self._den
-        return Morphism(f.src, g.dst, {self._names[k]: Fraction(v, d)
-                                       for k, v in self._product(x, y).items()})
+        return Morphism(f.src, g.dst, self._named(self._product(x, y),
+                                                  dx * dy * self._den))
 
     def table_items(self):
         """((g, f), g . f) for every nonzero composite, in basis order."""
         for g, row in zip(self._names, self._rows):
-            for j in row:
-                f = self._names[j]
-                yield (g, f), self.compose_basis(g, f)
+            for f, terms in row.items():
+                yield (g, self._names[f]), self._named(terms, self._den)
 
     def __eq__(self, other):
         return (isinstance(other, PresentedCategory)
@@ -302,11 +417,10 @@ def validate_category(cat: PresentedCategory) -> Report:
     the composable triples.
     """
     report = Report("category axioms")
-    ident = {p: cat._vector(combo) for p, combo in cat._identity.items()}
     for b in sorted(cat._basis):
         p, q = cat.basis_type(b)
         n = cat._number[b]
-        (iq, dq), (ip, dp) = ident[q], ident[p]
+        (iq, dq), (ip, dp) = cat._identity[q], cat._identity[p]
         if cat._product(iq, {n: 1}) != {n: dq * cat._den}:
             left = cat.compose(cat.identity(q), cat.basis_morphism(b))
             report.fail(f"identity law: id_{q} . {b} = {left.coeffs} != {b}")
@@ -316,9 +430,9 @@ def validate_category(cat: PresentedCategory) -> Report:
 
     names = cat._names
     ending_at: dict[str, list[int]] = {}
-    for j, b in enumerate(names):
-        ending_at.setdefault(cat._basis[b][1], []).append(j)
-    partners = [ending_at.get(cat._basis[b][0], []) for b in names]
+    for j, (_, q) in enumerate(cat._types):
+        ending_at.setdefault(q, []).append(j)
+    partners = [ending_at.get(p, []) for p, _ in cat._types]
     for h, g, f in sorted((names[i], names[j], names[k]) for i, j, k
                           in associativity_failures(cat._rows, partners)):
         hm, gm, fm = (cat.basis_morphism(b) for b in (h, g, f))
@@ -337,18 +451,13 @@ def validate_category(cat: PresentedCategory) -> Report:
 
 def one_object_category(obj: str, basis_names, mult: Tensor3,
                         unit) -> PresentedCategory:
-    """An algebra presented as a category with a single object."""
-    basis_names = tuple(basis_names)
-    compose: dict[tuple[str, str], dict] = {}
-    for (i, j, k), c in mult.nonzero():
-        compose.setdefault((basis_names[i], basis_names[j]),
-                           {})[basis_names[k]] = c
-    identity = {basis_names[k]: c for k, u in enumerate(unit) if (c := rat(u))}
-    return PresentedCategory(
-        objects=(obj,),
-        hom={(obj, obj): basis_names},
-        compose=compose,
-        identities={obj: identity})
+    """An algebra presented as a category with a single object: its
+    table is the integer form of `mult`, the basis numbered in order."""
+    planes, den = mult.integer_form
+    (unit,), d = scale_to_integers((tuple(map(rat, unit)),))
+    return PresentedCategory._from_rows(
+        (obj,), {(obj, obj): basis_names}, sparse_rows(planes), den,
+        [({k: c for k, c in enumerate(unit) if c}, d)])
 
 
 def field_category(obj: str = "x", gen: str = "u") -> PresentedCategory:
@@ -397,37 +506,35 @@ def mat_completion(cat: PresentedCategory, bound: int) -> PresentedCategory:
         sequences.extend(itertools.product(cat.objects, repeat=length))
     names = {seq: mat_object_name(seq) for seq in sequences}
 
-    hom = {}
-    basis_home: dict[str, tuple[tuple, tuple, int, int, str]] = {}
-    for pseq in sequences:
-        for qseq in sequences:
-            basis = []
-            for i, qi in enumerate(qseq):
-                for j, pj in enumerate(pseq):
-                    for b in cat.hom(pj, qi):
-                        name = _mat_basis_name(names[pseq], names[qseq],
-                                               i, j, b)
-                        basis.append(name)
-                        basis_home[name] = (pseq, qseq, i, j, b)
-            if basis:
-                hom[(names[pseq], names[qseq])] = tuple(basis)
+    # entry (i, j) of a matrix from p to q holds hom(p[j], q[i]); its basis
+    # element b (a base number) is number[p, q, i, j, b]
+    hom, number = {}, {}
+    for pseq, qseq in itertools.product(sequences, repeat=2):
+        keys = [(pseq, qseq, i, j, b) for i, qi in enumerate(qseq)
+                for j, pj in enumerate(pseq)
+                for b in range(*cat._span.get((pj, qi), (0, 0)))]
+        if keys:
+            number.update(zip(keys, itertools.count(len(number))))
+            hom[names[pseq], names[qseq]] = tuple(
+                _mat_basis_name(names[pseq], names[qseq], i, j, cat._names[b])
+                for _, _, i, j, b in keys)
 
-    table = dict(cat.table_items())
-    compose = {}
-    for vname, (qseq, rseq, k, l, b2) in basis_home.items():
-        for uname, (pseq, qseq_u, i, j, b1) in basis_home.items():
-            if qseq_u == qseq and l == i and (b2, b1) in table:
-                compose[(vname, uname)] = {
-                    _mat_basis_name(names[pseq], names[rseq], k, j, h): c
-                    for h, c in table[(b2, b1)].items()}
-
-    identities = {name: {_mat_basis_name(name, name, i, i, b): c
-                         for i, p in enumerate(seq)
-                         for b, c in cat.identity_coeffs(p).items()}
-                  for seq, name in names.items()}
-    return PresentedCategory(
-        objects=tuple(names[s] for s in sequences),
-        hom=hom, compose=compose, identities=identities)
+    # (b2 at (k, l)) . (b1 at (l, j)) = (b2 . b1 at (k, j))
+    rows = [{number[pseq, qseq, l, j, b1]: {number[pseq, rseq, k, j, h]: c
+                                            for h, c in terms.items()}
+             for pseq in sequences for j, pj in enumerate(pseq)
+             for b1, terms in cat._rows[b2].items()
+             if cat._types[b1][0] == pj}
+            for qseq, rseq, k, l, b2 in number]
+    identities = []
+    for seq in sequences:
+        parts = [cat._identity[p] for p in seq]
+        d = lcm(*(dp for _, dp in parts))
+        identities.append(({number[seq, seq, i, i, k]: c * (d // dp)
+                            for i, (x, dp) in enumerate(parts)
+                            for k, c in x.items()}, d))
+    return PresentedCategory._from_rows(
+        tuple(names[s] for s in sequences), hom, rows, cat._den, identities)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +559,8 @@ def _idempotent(cat: PresentedCategory, pair) -> tuple[dict[int, int], int]:
 
 
 def _scaled(x: dict[int, int], s: int) -> dict[int, int]:
-    return {k: c * s for k, c in x.items()}
+    """x times s; x itself when s is 1."""
+    return x if s == 1 else {k: c * s for k, c in x.items()}
 
 
 def _check_search(cat: PresentedCategory, objects, grid) -> None:
@@ -491,7 +599,8 @@ class _Corner:
     `src` and `dst` are the base objects p and q; `rows` are the reduced
     rows of the subspace, integer vectors over the base numbering, all
     over the one denominator `den`, with the basis numbers of their
-    `pivots`; `names` are the completion's basis names, one per row.
+    `pivots`; in the completion they are the basis elements numbered
+    from `start` on.
     """
 
     src: str
@@ -499,17 +608,12 @@ class _Corner:
     rows: tuple[dict[int, int], ...]
     den: int
     pivots: tuple[int, ...]
-    names: tuple[str, ...]
+    start: int
 
-    def row(self, cat: PresentedCategory, k: int) -> Morphism:
-        """Row k as a morphism of the base category."""
-        return Morphism(self.src, self.dst, {
-            cat._names[b]: Fraction(c, self.den)
-            for b, c in self.rows[k].items()})
-
-    def express(self, w: dict[int, int], scale: int) -> dict[str, Fraction]:
-        """The coordinates of w / scale (w an integer vector), named by
-        `names`: w's pivot entries, checked to rebuild w from the rows."""
+    def express(self, w: dict[int, int]) -> dict[int, int]:
+        """The coordinates of the integer vector w in the rows, keyed by
+        the completion's basis numbers and over w's own scale: w's pivot
+        entries, checked to rebuild w from the rows."""
         coords = [w.get(p, 0) for p in self.pivots]
         rebuilt: dict[int, int] = {}
         for c, row in zip(coords, self.rows):
@@ -518,8 +622,7 @@ class _Corner:
         if {b: x for b, x in rebuilt.items() if x} != _scaled(w, self.den):
             raise CategoryFormatError(
                 "morphism escaped its carved-out hom subspace")
-        return {name: Fraction(c, scale)
-                for name, c in zip(self.names, coords) if c}
+        return {k: c for k, c in enumerate(coords, self.start) if c}
 
 
 class KaroubiCategory(PresentedCategory):
@@ -531,15 +634,18 @@ class KaroubiCategory(PresentedCategory):
     of the completion, and `base_morphism_of` goes the other way for
     basis elements.  `corners[i][j]` is the carved-out hom space from
     object i to object j, one `_Corner` per ordered pair of objects.
+    The composition table and identities are integer rows over the
+    completion's numbering, as `_set_table` takes them.
     """
 
-    def __init__(self, objects, hom, compose, identities, *, base, pairs,
-                 corners):
-        super().__init__(objects, hom, compose, identities)
+    def __init__(self, base, pairs, corners, objects, hom, rows, den,
+                 identities):
         self.base = base
         self.pairs = tuple(pairs)
         self._index = {pair: i for i, pair in enumerate(self.pairs)}
         self._corners = corners
+        self._set_basis(objects, hom)
+        self._set_table(rows, den, identities)
 
     def _index_of(self, pair) -> int:
         obj, coeffs = pair
@@ -557,7 +663,8 @@ class KaroubiCategory(PresentedCategory):
         src, dst = self.basis_type(basis_name)
         corner = self._corners[self.objects.index(src)][
             self.objects.index(dst)]
-        return corner.row(self.base, corner.names.index(basis_name))
+        return Morphism(corner.src, corner.dst, self.base._named(
+            corner.rows[self._number[basis_name] - corner.start], corner.den))
 
     def embed(self, src_pair, dst_pair, f: Morphism) -> Morphism:
         """The triple (e', f, e) as a morphism of the completion."""
@@ -575,7 +682,7 @@ class KaroubiCategory(PresentedCategory):
                 "morphism does not satisfy the triple constraint "
                 "e'.f = f = f.e")
         return Morphism(self.objects[i], self.objects[j],
-                        corner.express(x, d))
+                        self._named(corner.express(x), d))
 
 
 def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
@@ -621,8 +728,7 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     idems = [_idempotent(cat, pair) for pair in pairs]
 
     # carve out hom((p,e),(q,f)) = f . hom(p,q) . e with an rref basis
-    hom = {}
-    corners = []
+    hom, corners, count = {}, [], 0
     for i, (p, _) in enumerate(pairs):
         line = []
         for j, (q, _) in enumerate(pairs):
@@ -633,31 +739,33 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
             reduced, pivots = Matrix.from_integers(
                 [[m.get(b, 0) for b in base] for m in images], 1).rref()
             ints, den = reduced.integer_form
-            corner = _Corner(
+            line.append(_Corner(
                 p, q, tuple({b: c for b, c in zip(base, row) if c}
                             for row in ints),
-                den, tuple(base[c] for c in pivots),
-                tuple(f"{names[i]}>{names[j]}:{k}" for k in range(len(ints))))
-            if corner.names:
-                hom[(names[i], names[j])] = corner.names
-            line.append(corner)
+                den, tuple(base[c] for c in pivots), count))
+            if ints:
+                hom[names[i], names[j]] = tuple(
+                    f"{names[i]}>{names[j]}:{k}" for k in range(len(ints)))
+            count += len(ints)
         corners.append(tuple(line))
 
-    compose = {}
+    # the composite of rows v (j to k) and u (i to j) is a product over
+    # first.den * then.den * cat._den, which divides `den`
+    den = cat._den * lcm(*(c.den for line in corners for c in line)) ** 2
+    rows = [{} for _ in range(count)]
     for i, j, k in itertools.product(range(len(pairs)), repeat=3):
         first, then, target = corners[i][j], corners[j][k], corners[i][k]
-        scale = first.den * then.den * cat._den
-        for vname, v in zip(then.names, then.rows):
-            for uname, u in zip(first.names, first.rows):
-                combo = target.express(cat._product(v, u), scale)
-                if combo:
-                    compose[(vname, uname)] = combo
+        scale = den // (first.den * then.den * cat._den)
+        for g, v in enumerate(then.rows, then.start):
+            row = rows[g]
+            for f, u in enumerate(first.rows, first.start):
+                coords = target.express(cat._product(v, u))
+                if coords:
+                    row[f] = _scaled(coords, scale)
 
     return KaroubiCategory(
-        objects=tuple(names), hom=hom, compose=compose,
-        identities={name: corners[i][i].express(*idems[i])
-                    for i, name in enumerate(names)},
-        base=cat, pairs=pairs, corners=tuple(corners))
+        cat, pairs, tuple(corners), names, hom, rows, den,
+        [(corners[i][i].express(x), d) for i, (x, d) in enumerate(idems)])
 
 
 # ---------------------------------------------------------------------------
@@ -666,30 +774,37 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
 
 def tensor_product(a: PresentedCategory,
                    b: PresentedCategory) -> PresentedCategory:
-    """Object pairs, hom bases pairs, (f (x) f')(g (x) g') = fg (x) f'g'."""
-    obj_name = {(p, q): f"({p},{q})" for p in a.objects for q in b.objects}
+    """Object pairs, hom bases pairs, (f (x) f')(g (x) g') = fg (x) f'g'.
 
-    pair_name = {(f1, f2): f"({f1}|{f2})" for f1 in a._names
-                 for f2 in b._names}
-    hom = {(obj_name[(p1, p2)], obj_name[(q1, q2)]):
-           tuple(pair_name[(f1, f2)] for f1 in basis1 for f2 in basis2)
-           for (p1, q1), basis1 in a.hom_pairs()
-           for (p2, q2), basis2 in b.hom_pairs()}
+    The rows of g (x) g' are the products of the rows of g and g', over
+    the product of the two denominators.
+    """
+    objects = list(itertools.product(a.objects, b.objects))
+    obj_name = {pair: f"({pair[0]},{pair[1]})" for pair in objects}
 
-    compose = {}
-    right = list(b.table_items())
-    for (g1, f1), combo1 in a.table_items():
-        for (g2, f2), combo2 in right:
-            compose[(pair_name[(g1, g2)], pair_name[(f1, f2)])] = {
-                pair_name[(h1, h2)]: c1 * c2
-                for h1, c1 in combo1.items() for h2, c2 in combo2.items()}
+    # number[f1, f2] is the number of f1 (x) f2, hom by hom in object order
+    hom, number = {}, {}
+    for (p1, p2), (q1, q2) in itertools.product(objects, repeat=2):
+        keys = list(itertools.product(range(*a._span.get((p1, q1), (0, 0))),
+                                      range(*b._span.get((p2, q2), (0, 0)))))
+        if keys:
+            number.update(zip(keys, itertools.count(len(number))))
+            hom[obj_name[p1, p2], obj_name[q1, q2]] = tuple(
+                f"({a._names[f1]}|{b._names[f2]})" for f1, f2 in keys)
 
-    identities = {name: {pair_name[(b1, b2)]: c1 * c2
-                         for b1, c1 in a.identity_coeffs(p).items()
-                         for b2, c2 in b.identity_coeffs(q).items()}
-                  for (p, q), name in obj_name.items()}
-    return PresentedCategory(objects=tuple(obj_name.values()), hom=hom,
-                             compose=compose, identities=identities)
+    rows = [dict(sorted(
+        (number[f1, f2], {number[h1, h2]: c1 * c2 for h1, c1 in t1.items()
+                          for h2, c2 in t2.items()})
+        for f1, t1 in a._rows[g1].items() for f2, t2 in b._rows[g2].items()))
+        for g1, g2 in number]
+    identities = []
+    for p1, p2 in objects:
+        (x1, d1), (x2, d2) = a._identity[p1], b._identity[p2]
+        identities.append(({number[k1, k2]: c1 * c2 for k1, c1 in x1.items()
+                            for k2, c2 in x2.items()}, d1 * d2))
+    return PresentedCategory._from_rows(
+        [obj_name[pair] for pair in objects], hom, rows, a._den * b._den,
+        identities)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ values are immutable after construction, so they are safe to share
 freely.
 
 Structure constants of fusion rings, algebras and linear categories
-share one sparse integer table (`integer_rows`) and one exact
-associativity check on it (`associativity_failures`), which decides a
+share one sparse integer table (`sparse_rows` builds it from a tensor's
+integer form) and one exact associativity check on it
+(`associativity_failures`), which decides a
 pair (i, j) at a time by comparing the rows (e_i e_j) e_k and
 e_i (e_j e_k) over all k at once.
 """
@@ -34,7 +35,7 @@ __all__ = [
     "Matrix",
     "Tensor3",
     "scale_to_integers",
-    "integer_rows",
+    "sparse_rows",
     "associativity_failures",
     "DimensionMismatchError",
     "SingularMatrixError",
@@ -430,25 +431,20 @@ class Tensor3:
         return f"Tensor3(dims={self.dims}, nonzero={list(self.nonzero())})"
 
 
-def integer_rows(size: int, entries) -> tuple[list[dict], int]:
-    """Sparse integer structure rows of nonzero ((i, j, k), value) entries.
-
-    Returns (rows, den): den is the lcm of the denominators and
-    rows[i][j] maps k to den * value, in the order the entries come.
-    """
-    entries = list(entries)
-    den = lcm(*{v.denominator for _, v in entries})
-    rows: list[dict] = [{} for _ in range(size)]
-    for (i, j, k), v in entries:
-        rows[i].setdefault(j, {})[k] = v.numerator * (den // v.denominator)
-    return rows, den
+def sparse_rows(planes) -> list[dict]:
+    """The sparse rows of integer planes (a `Tensor3` integer form):
+    rows[i][j] maps k to planes[i][j][k] for its nonzero entries, and
+    holds j only when there is one, both in ascending order."""
+    return [{j: {k: c for k, c in enumerate(fibre) if c}
+             for j, fibre in enumerate(plane) if any(fibre)}
+            for plane in planes]
 
 
 def associativity_failures(rows, partners):
     """Yield each (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
 
     `rows[i]` maps j to the nonzero {k: c} of e_i e_j over one common
-    denominator (`integer_rows`); no entry is zero and none is empty.
+    denominator (`sparse_rows`); no entry is zero and none is empty.
     The triples come in the order i, j in `partners[i]`, k in
     `partners[j]`, for any `partners`, also ones that leave out keys of
     the rows.

@@ -98,16 +98,23 @@ def _int(token: str, source: str, line: int) -> int:
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _fraction(token: str, source: str, line: int) -> Fraction:
+def _ratio(token: str, source: str, line: int) -> tuple[int, int]:
+    """(p, q), q > 0, with p / q the rational `token`; not reduced."""
     try:
         plain = _PLAIN_RATIONAL.fullmatch(token)
-        if plain is not None:
-            p, q = plain.groups()
-            return Fraction(int(p), int(q or 1))
-        return Fraction(token)
+        if plain is None:
+            x = Fraction(token)
+            return x.numerator, x.denominator
+        p, q = int(plain[1]), int(plain[2] or 1)
+        if q:
+            return p, q
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational p/q, got {token!r}",
-                         source, line)
+        pass
+    raise ParseError(f"expected a rational p/q, got {token!r}", source, line)
+
+
+def _fraction(token: str, source: str, line: int) -> Fraction:
+    return Fraction(*_ratio(token, source, line))
 
 
 def _index(token: str, bound: int, source: str, line: int) -> int:
@@ -309,11 +316,14 @@ def _serialize_algebra(algebra: FrobeniusAlgebra) -> str:
 # presented categories
 
 
-def _parse_combination(tokens, source, lineno) -> dict[str, Fraction]:
-    """Parse `0` or `c1*b1 + c2*b2 + ...` given as a token list."""
+def _parse_combination(tokens, source, lineno,
+                       ratios) -> dict[str, tuple[int, int]]:
+    """Parse `0` or `c1*b1 + c2*b2 + ...` given as a token list, as
+    {b: (p, q)} with c = p / q; `ratios` keeps the (p, q) of each
+    coefficient token already read."""
     if tokens == ["0"]:
         return {}
-    combo: dict[str, Fraction] = {}
+    combo: dict[str, tuple[int, int]] = {}
     expect_term = True
     for token in tokens:
         if token == "+":
@@ -328,7 +338,9 @@ def _parse_combination(tokens, source, lineno) -> dict[str, Fraction]:
             raise ParseError(
                 f"expected coeff*name term, got {token!r}", source, lineno)
         coeff_str, name = token.split("*", 1)
-        coeff = _fraction(coeff_str, source, lineno)
+        coeff = ratios.get(coeff_str)
+        if coeff is None:
+            coeff = ratios[coeff_str] = _ratio(coeff_str, source, lineno)
         if name in combo:
             raise SemanticError(f"repeated term {name!r} in combination",
                                 source, lineno)
@@ -340,11 +352,14 @@ def _parse_combination(tokens, source, lineno) -> dict[str, Fraction]:
 
 
 def _parse_category(text: str, source: str) -> PresentedCategory:
+    """Read each distinct coefficient token once, as a pair (p, q) of
+    integers; `PresentedCategory` reads the pairs without a `Fraction`."""
     objects: list[str] = []
     hom: dict[tuple[str, str], list[str]] = {}
     basis_seen: set[str] = set()
-    compose: dict[tuple[str, str], dict[str, Fraction]] = {}
-    identities: dict[str, dict[str, Fraction]] = {}
+    compose: dict[tuple[str, str], dict[str, tuple[int, int]]] = {}
+    identities: dict[str, dict[str, tuple[int, int]]] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     last_line = 0
     for lineno, tokens in _lines(text, source):
         last_line = lineno
@@ -380,7 +395,8 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
             if (g, f) in compose:
                 raise SemanticError(f"duplicate compose entry ({g},{f})",
                                     source, lineno)
-            compose[(g, f)] = _parse_combination(tokens[4:], source, lineno)
+            compose[(g, f)] = _parse_combination(tokens[4:], source, lineno,
+                                                 ratios)
         elif head == "identity":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError("expected: identity <p> = <combination>",
@@ -391,24 +407,29 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
             if p in identities:
                 raise SemanticError(f"duplicate identity for {p!r}",
                                     source, lineno)
-            identities[p] = _parse_combination(tokens[3:], source, lineno)
+            identities[p] = _parse_combination(tokens[3:], source, lineno,
+                                               ratios)
         else:
             raise ParseError(f"unknown directive {head!r}", source, lineno)
     if not objects:
         raise SemanticError("missing object directives", source, 0)
     try:
-        return PresentedCategory(
-            objects=tuple(objects),
-            hom={k: tuple(v) for k, v in hom.items()},
-            compose=compose,
-            identities=identities)
+        return PresentedCategory._from_names(objects, hom, compose,
+                                             identities)
     except CategoryFormatError as err:
         raise SemanticError(str(err), source, last_line) from err
 
 
-def _combination_str(combo: dict[str, Fraction], order) -> str:
-    terms = [f"{combo[b]}*{b}" for b in order if b in combo]
-    return " + ".join(terms) if terms else "0"
+class _Coefficients(dict):
+    """The text 'c*' of c / den for each integer c, made once per value."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, c: int) -> str:
+        text = self[c] = f"{Fraction(c, self.den)}*"
+        return text
 
 
 def _serialize_category(cat: PresentedCategory) -> str:
@@ -417,14 +438,17 @@ def _serialize_category(cat: PresentedCategory) -> str:
         for q in cat.objects:
             for b in cat.hom(p, q):
                 lines.append(f"hom {p} {q} {b}")
-    # table_items walks the basis numbering, which is the order above
-    for (g, f), combo in cat.table_items():
-        terms = " + ".join(f"{c}*{h}" for h, c in combo.items())
-        lines.append(f"compose {g} {f} = {terms}")
+    # the integer rows follow the basis numbering, which is the order above
+    names, coeffs = cat._names, _Coefficients(cat._den)
+    for g, row in zip(names, cat._rows):
+        for f, terms in row.items():
+            body = " + ".join([coeffs[c] + names[k] for k, c in terms.items()])
+            lines.append(f"compose {g} {names[f]} = {body}")
     for p in cat.objects:
-        combo = cat.identity_coeffs(p)
-        lines.append(f"identity {p} = "
-                     f"{_combination_str(combo, cat.hom(p, p))}")
+        x, d = cat._identity[p]
+        coeffs = _Coefficients(d)
+        body = " + ".join([coeffs[c] + names[k] for k, c in x.items()])
+        lines.append(f"identity {p} = {body or 0}")
     return "\n".join(lines) + "\n"
 
 

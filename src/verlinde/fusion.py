@@ -33,7 +33,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import DimensionMismatchError, Tensor3, associativity_failures
+from .exact import (DimensionMismatchError, Tensor3, associativity_failures,
+                    sparse_rows)
 from .report import Report
 
 __all__ = [
@@ -230,10 +231,8 @@ def verify_axioms(ring: FusionRing) -> Report:
                         f"commutativity: N[{a}][{b}][{c}] = "
                         f"{ab[c]} != {ba[c]} = N[{b}][{a}][{c}]")
 
-    rows = [{b: {c: v for c, v in enumerate(fibre) if v}
-             for b, fibre in enumerate(plane) if any(fibre)}
-            for plane in table]
-    for a, b, c in associativity_failures(rows, [range(n)] * n):
+    for a, b, c in associativity_failures(sparse_rows(table),
+                                          [range(n)] * n):
         lhs = multiply(ring, table[a][b], ring.basis_vector(c))
         rhs = multiply(ring, ring.basis_vector(a), table[b][c])
         for e in range(n):

@@ -39,9 +39,9 @@ from math import gcd
 from operator import mul
 
 from .categories import Algebra
-from .exact import (Matrix, SingularMatrixError, Tensor3,
-                    associativity_failures, integer_rows, rat,
-                    scale_to_integers)
+from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
+                    Tensor3, associativity_failures, rat, scale_to_integers,
+                    sparse_rows)
 from .fusion import FusionRing
 from .report import Report
 
@@ -170,7 +170,14 @@ def _mode(planes, mat):
 
 
 def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
-    """x y: the structure constants contracted with the outer product."""
+    """x y: the structure constants contracted with the outer product.
+
+    Raises `DimensionMismatchError`, naming both lengths, unless x and y
+    both have `algebra.dim` components."""
+    if len(x) != algebra.dim or len(y) != algebra.dim:
+        raise DimensionMismatchError(
+            f"element vectors of length {len(x)} and {len(y)} for an "
+            f"algebra of dimension {algebra.dim}")
     (xs, ys), d = scale_to_integers((x, y))
     zero = (0,) * len(ys)
     out, dt = algebra.mult._contract_integers(
@@ -207,7 +214,7 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
     n = algebra.dim
     basis = [tuple(Fraction(int(j == i)) for j in range(n))
              for i in range(n)]
-    rows, _ = integer_rows(n, algebra.mult.nonzero())
+    rows = sparse_rows(algebra.mult.integer_form[0])
     for i, j, k in associativity_failures(rows, [range(n)] * n):
         products = algebra.mult.entries  # products[i][j] is e_i e_j
         lhs = multiply_elements(algebra, products[i][j], basis[k])

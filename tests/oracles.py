@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from verlinde.exact import Tensor3
 from verlinde.fusion import FusionRing
@@ -404,11 +405,25 @@ def s3_cayley_table() -> list[list[int]]:
 # associativity on sparse integer rows, one triple at a time
 
 
+def integer_rows(size: int, entries) -> tuple[list[dict], int]:
+    """Sparse integer structure rows of nonzero ((i, j, k), value) entries.
+
+    Returns (rows, den): den is the lcm of the denominators and
+    rows[i][j] maps k to den * value, in the order the entries come.
+    """
+    entries = list(entries)
+    den = lcm(*{v.denominator for _, v in entries})
+    rows: list[dict] = [{} for _ in range(size)]
+    for (i, j, k), v in entries:
+        rows[i].setdefault(j, {})[k] = v.numerator * (den // v.denominator)
+    return rows, den
+
+
 def associativity_by_triples(rows, partners) -> list[tuple[int, int, int]]:
     """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in the order
-    i, j in partners[i], k in partners[j], on the rows of
-    `exact.integer_rows`: both products summed afresh for every triple
-    and compared without their zero entries."""
+    i, j in partners[i], k in partners[j], on sparse integer rows as
+    `integer_rows` builds them: both products summed afresh for every
+    triple and compared without their zero entries."""
     empty: dict = {}
     failures = []
     for i, row in enumerate(rows):

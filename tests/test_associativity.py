@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import associativity_by_triples
+from oracles import associativity_by_triples, integer_rows
 from test_categories import _with_table
 from verlinde.categories import (cyclic_table, field_category, group_algebra,
                                  karoubi_completion, mat_completion,
                                  matrix_algebra, matrix_algebra_category,
                                  tensor_product, validate_category)
-from verlinde.exact import Tensor3, associativity_failures, integer_rows
+from verlinde.exact import Tensor3, associativity_failures
 from verlinde.fusion import FusionRing, verify_axioms
 from verlinde.tqft import FrobeniusAlgebra, validate_frobenius
 

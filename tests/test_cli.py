@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from verlinde import categories, corpus, tqft
+from verlinde import categories, cli, corpus, formats, tqft
 from verlinde.categories import mat_completion, matrix_algebra_category
 from verlinde.cli import main
 from verlinde.formats import serialize
-from verlinde.fusion import fibonacci_ring
+from verlinde.fusion import FusionRing, cyclic_ring, fibonacci_ring
 from verlinde.surfaces import ColouredSurface, dim_V
 
 DATA = Path(__file__).parent / "data"
@@ -108,6 +108,38 @@ def test_exit_status_one_on_axiom_failure(run, tmp_path, monkeypatch):
     code, out, _ = run("validate", "bad.fusion")
     assert code == 1
     assert "violation" in out
+
+
+def test_validate_lists_a_reciprocity_failure_once(run, tmp_path,
+                                                   monkeypatch):
+    # Fibonacci with N[1][1][0] = 2: the involution holds, and of the
+    # reciprocity equations only the two that read N[1][1][0] fail
+    bad = tmp_path / "bad.fusion"
+    bad.write_text("rank 2\ndual 0 0\ndual 1 1\nunit 0\nN 0 0 0 1\n"
+                   "N 0 1 1 1\nN 1 0 1 1\nN 1 1 0 2\nN 1 1 1 1\n",
+                   encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run("validate", "bad.fusion")
+    assert code == 1
+    assert out.splitlines() == [
+        "bad.fusion: 2 violation(s)",
+        "  frobenius symmetry: N[1][0][1] = 1 != 2 = N[1][1][0]",
+        "  frobenius symmetry: N[1][1][0] = 2 != 1 = N[0][1][1]"]
+
+
+def test_validate_checks_the_pairing_when_the_involution_fails(
+        run, monkeypatch):
+    # the text format pairs every dual, so the ring is made directly
+    ring = FusionRing(dual=(1, 2, 0), unit=(0,),
+                      coeffs=cyclic_ring(3).coeffs)
+    monkeypatch.setattr(cli, "_load", lambda path, kind: formats.Document(
+        "fusion", ring, path))
+    code, out, _ = run("validate", "cycle.fusion")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "  involution: dual(dual(0)) = 2 != 0"
+    assert not any("frobenius symmetry" in line for line in lines)
+    assert any(line.startswith("  <Q_") for line in lines)
 
 
 def test_exit_status_two_on_parse_error(run, tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from verlinde import tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra,
                                  product_field_algebra)
-from verlinde.exact import Matrix, Tensor3
+from verlinde.exact import DimensionMismatchError, Matrix, Tensor3
 from verlinde.fusion import FusionRing, cyclic_ring
 from verlinde.surfaces import ColouredSurface, dim_V
 from verlinde.tqft import (GENERATORS, CobordismWord,
@@ -53,6 +53,24 @@ def test_validate_frobenius_builds_no_tensor_view_on_valid_algebras(
 
     monkeypatch.setattr(Tensor3, "entries", property(no_view))
     assert validate_frobenius(algebra).ok
+
+
+def test_multiply_elements_checks_the_length_of_x():
+    fib = load("fib.algebra")
+    for x in ((1, 0, 0), (1,)):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^element vectors of length {len(x)} and 2 "
+                                 "for an algebra of dimension 2$"):
+            tqft.multiply_elements(fib, x, (1, 0))
+
+
+def test_multiply_elements_checks_the_length_of_y():
+    fib = load("fib.algebra")
+    for y in ((1, 0, 0), ()):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^element vectors of length 2 and {len(y)} "
+                                 "for an algebra of dimension 2$"):
+            tqft.multiply_elements(fib, (1, 0), y)
 
 
 def test_frobenius_algebra_is_an_algebra_plus_counit():
