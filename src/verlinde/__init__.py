@@ -11,7 +11,7 @@ idempotent completion (`categories`).  All arithmetic is exact rational
 
 from .exact import (DimensionMismatchError, Matrix, Rational,
                     SingularMatrixError, Tensor3, rat)
-from .report import Report
+from .report import Report, SearchTooLargeError
 from .fusion import (BlockStructureError, FusionRing, block_decomposition,
                      cyclic_ring, direct_product, dual_vector,
                      enumerate_fusion_rings, fibonacci_ring, inner_product,

@@ -38,7 +38,7 @@ from operator import mul
 
 from .exact import (Matrix, Tensor3, associativity_failures, rat,
                     scale_to_integers, sparse_rows)
-from .report import Report
+from .report import Report, SearchTooLargeError
 
 __all__ = [
     "CategoryFormatError",
@@ -82,11 +82,6 @@ MAX_KAROUBI_CANDIDATES = 10 ** 6
 # the most objects a Mat or Karoubi completion may have: the builders
 # carve objects^2 hom spaces and tabulate objects^3 composites
 MAX_COMPLETION_OBJECTS = 128
-
-
-class SearchTooLargeError(ValueError):
-    """A grid search for idempotents would pass MAX_KAROUBI_CANDIDATES, or
-    a completion would have more than MAX_COMPLETION_OBJECTS objects."""
 
 
 class CategoryFormatError(ValueError):

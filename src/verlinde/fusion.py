@@ -30,12 +30,13 @@ the sparse rows of the table.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (DimensionMismatchError, Tensor3, associativity_failures,
                     sparse_rows)
-from .report import Report
+from .report import Report, SearchTooLargeError
 
 __all__ = [
     "FusionRing",
@@ -54,6 +55,7 @@ __all__ = [
     "cyclic_ring",
     "fibonacci_ring",
     "enumerate_fusion_rings",
+    "MAX_ENUMERATION_CANDIDATES",
 ]
 
 
@@ -393,7 +395,13 @@ def fibonacci_ring() -> FusionRing:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration (the brute-force oracle for small ranks)
+# enumeration: a depth-first search over symmetry orbits, refused by an
+# estimate before it starts
+
+
+# the most work one enumeration may do, in steps that each cost about as
+# much as a candidate tensor (see `_enumeration_estimate`)
+MAX_ENUMERATION_CANDIDATES = 2 * 10 ** 7
 
 
 def _involutions_fixing_zero(n: int):
@@ -475,41 +483,196 @@ def _canonical_key(n: int, dual: tuple[int, ...], N: dict):
     return best
 
 
+def _enumeration_estimate(rank: int, max_coeff: int) -> tuple[int, int]:
+    """(candidate tensors, work estimate) of an enumeration, in closed form.
+
+    There are T(rank - 1) involutions fixing 0 (telephone numbers), and
+    each leaves C(rank + 1, 3) free orbits, whatever the involution: by
+    Burnside's lemma over the six symmetries of (a, b, c) that
+    commutativity and reciprocity generate, the m^3 free triples, m =
+    rank - 1, fall into (m^3 + 3m^2 + 2m) / 6 orbits.  The work counts,
+    in steps that each cost about as much as a candidate, every
+    candidate tensor and, per involution, rank^5 steps to compile its
+    equations and the (rank - 1)! relabellings of rank^3 entries of one
+    `_canonical_key`.  Up to rank 2 no equation is left to prune, so
+    every candidate is a ring, whose build and `verify_axioms` count
+    1000 steps; past rank 2 the equations leave few tensors (294 of the
+    10,485,760 candidates at (5, 1)), and those are not charged.
+    """
+    involutions, before = 1, 0  # T(0), T(-1)
+    for k in range(1, rank):
+        involutions, before = involutions + (k - 1) * before, involutions
+    candidates = involutions * (max_coeff + 1) ** math.comb(rank + 1, 3)
+    work = (candidates * (1000 if rank <= 2 else 1) + involutions
+            * (rank ** 5 + math.factorial(rank - 1) * rank ** 3))
+    return candidates, work
+
+
+def _compiled_equations(n: int, forced: dict, orbits) -> list[tuple]:
+    """The associativity equations of one involution, in the orbit values.
+
+    Equation (a, b, c, d) is sum_e N[a][b][e] N[e][c][d] =
+    sum_e N[b][c][e] N[a][e][d].  Only a < c and a, b, c, d >= 1 are
+    compiled: with the unit among a, b, c both sides agree by the unit
+    law, with d = 0 they are N[a][b][dual c] and N[b][c][dual a], one
+    orbit, and by commutativity equation (c, b, a, d) is equation
+    (a, b, c, d) with its sides swapped.  A factor is an orbit number,
+    or len(orbits) for a forced 1, and a term with a forced 0 is
+    dropped.  Each equation is a sorted tuple of (i, j, s),
+    meaning sum s * v[i] * v[j] = 0 with v[len(orbits)] = 1, its first s
+    positive; terms that cancel are dropped, equations that cancel to
+    nothing are left out and each other equation is kept once.
+    """
+    k = len(orbits)
+    slot = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for (a, b, c), v in forced.items():
+        if v:
+            slot[a][b][c] = k
+    for o, orbit in enumerate(orbits):
+        for a, b, c in orbit:
+            slot[a][b][c] = o
+    equations = set()
+    for a, b, c in itertools.product(range(1, n), repeat=3):
+        if a >= c:
+            continue
+        # (ab)c pairs N[a][b][e] with N[e][c], a(bc) N[b][c][e] with N[a][e]
+        sides = ([(x, slot[e][c], 1) for e, x in enumerate(slot[a][b])
+                  if x is not None]
+                 + [(x, slot[a][e], -1) for e, x in enumerate(slot[b][c])
+                    if x is not None])
+        for d in range(1, n):
+            terms: dict[tuple[int, int], int] = {}
+            for x, row, s in sides:
+                y = row[d]
+                if y is not None:
+                    pair = (x, y) if x <= y else (y, x)
+                    terms[pair] = terms.get(pair, 0) + s
+            eq = sorted((i, j, s) for (i, j), s in terms.items() if s)
+            if eq:
+                sign = 1 if eq[0][2] > 0 else -1
+                equations.add(tuple((i, j, sign * s) for i, j, s in eq))
+    return sorted(equations)
+
+
+def _search_plan(k: int, equations):
+    """The order in which to assign the k orbits, most constrained first,
+    and each equation filed under the position of the last orbit it reads.
+
+    Each step takes the orbit that closes the most equations given the
+    orbits before it (ties: the one read by the most equations, then the
+    lowest number).  An equation that reads no orbit, if any, is filed
+    under the first position.
+    """
+    reads = [{x for i, j, _ in eq for x in (i, j) if x < k}
+             for eq in equations]
+    readers: list[list[int]] = [[] for _ in range(k)]
+    for q, orbits in enumerate(reads):
+        for o in orbits:
+            readers[o].append(q)
+    unset = [set(orbits) for orbits in reads]
+    closes = [0] * k
+    for orbits in unset:
+        if len(orbits) == 1:
+            closes[next(iter(orbits))] += 1
+    order: list[int] = []
+    left = set(range(k))
+    while left:
+        o = max(left, key=lambda o: (closes[o], len(readers[o]), -o))
+        left.remove(o)
+        order.append(o)
+        for q in readers[o]:
+            unset[q].discard(o)
+            if len(unset[q]) == 1:
+                closes[next(iter(unset[q]))] += 1
+    position = {o: p for p, o in enumerate(order)}
+    filed: list[list[tuple]] = [[] for _ in range(k)]
+    for eq, orbits in zip(equations, reads):
+        filed[max(map(position.__getitem__, orbits), default=0)].append(eq)
+    return order, filed
+
+
+def _associative_values(max_coeff: int, order, filed):
+    """Yield each list of orbit values (the list is reused) that satisfies
+    every filed equation, testing each one as soon as its last orbit is
+    assigned and pruning at the first that fails.
+
+    Where a filed equation is linear in the orbit being assigned, as
+    s1 * v + s0 = 0 with s1 and s0 fixed by the orbits before it, that
+    equation picks the value: the one root when s1 != 0, none or all
+    when s1 = 0.
+    """
+    k = len(order)
+    values = [0] * k + [1]
+    steps = []
+    for o, checks in zip(order, filed):
+        pivot = next((eq for eq in checks
+                      if all(i != o or j != o for i, j, _ in eq)), None)
+        if pivot is not None:
+            pivot = ([(j if i == o else i, s) for i, j, s in pivot
+                      if o in (i, j)],
+                     [t for t in pivot if o not in t[:2]])
+        steps.append((o, checks, pivot))
+    every = range(max_coeff + 1)
+
+    def extend(depth):
+        if depth == k:
+            yield values
+            return
+        o, checks, pivot = steps[depth]
+        choices = every
+        if pivot is not None:
+            s1 = sum(s * values[j] for j, s in pivot[0])
+            s0 = sum(s * values[i] * values[j] for i, j, s in pivot[1])
+            if s1:
+                v, r = divmod(-s0, s1)
+                choices = (v,) if not r and 0 <= v <= max_coeff else ()
+            elif s0:
+                choices = ()
+        for v in choices:
+            values[o] = v
+            if all(sum(s * values[i] * values[j] for i, j, s in eq) == 0
+                   for eq in checks):
+                yield from extend(depth + 1)
+
+    return extend(0)
+
+
 def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
     """All fusion rings with irreducible self-dual unit, up to relabelling.
 
-    Exhausts involutions fixing label 0 and coefficient tensors with
-    entries bounded by max_coeff, keeps the tensors passing all axioms,
-    and returns one representative per relabelling class (permutations
-    fixing the unit label), in a deterministic canonical order.  Guard
-    rails: rank <= 4 and max_coeff <= 3.
+    For each involution fixing label 0, a depth-first search assigns the
+    free symmetry orbits values 0..max_coeff, most constrained first,
+    and prunes at the first associativity equation whose entries are all
+    fixed and which fails.  Every surviving tensor is put in canonical
+    form; one representative per relabelling class (permutations fixing
+    the unit label) that passes `verify_axioms` is returned, in a
+    deterministic canonical order.  Raises SearchTooLargeError, naming
+    the estimate, before any search whose work estimate passes
+    MAX_ENUMERATION_CANDIDATES, and ValueError on a rank below 1 or a
+    negative max_coeff.
     """
-    if not 1 <= rank <= 4:
-        raise ValueError(f"rank {rank} out of supported range 1..4")
-    if not 0 <= max_coeff <= 3:
-        raise ValueError(f"max_coeff {max_coeff} out of supported range 0..3")
+    if rank < 1:
+        raise ValueError(f"rank {rank} must be >= 1")
+    if max_coeff < 0:
+        raise ValueError(f"max_coeff {max_coeff} must be >= 0")
+    candidates, work = _enumeration_estimate(rank, max_coeff)
+    if work > MAX_ENUMERATION_CANDIDATES:
+        raise SearchTooLargeError(
+            f"enumerating rank {rank} with max_coeff {max_coeff} would try "
+            f"{candidates} candidate tensors, an estimated {work} steps, "
+            f"more than MAX_ENUMERATION_CANDIDATES = "
+            f"{MAX_ENUMERATION_CANDIDATES}")
 
     found: dict[tuple, FusionRing] = {}
-    partners = [range(rank)] * rank
     for dual in _involutions_fixing_zero(rank):
         forced = _forced_entries(rank, dual)
         orbits = _symmetry_orbits(rank, dual)
-        orbits = [tuple(t for t in orbit if t not in forced)
-                  for orbit in orbits]
-        orbits = [o for o in orbits if o]
-
-        for values in itertools.product(range(max_coeff + 1),
-                                        repeat=len(orbits)):
+        plan = _search_plan(len(orbits),
+                            _compiled_equations(rank, forced, orbits))
+        for values in _associative_values(max_coeff, *plan):
             N = dict(forced)
             for orbit, v in zip(orbits, values):
-                for t in orbit:
-                    N[t] = v
-            rows: list[dict] = [{} for _ in range(rank)]
-            for (a, b, c), v in N.items():
-                if v:
-                    rows[a].setdefault(b, {})[c] = v
-            if next(associativity_failures(rows, partners), None) is not None:
-                continue
+                N.update(dict.fromkeys(orbit, v))
             key = _canonical_key(rank, dual, N)
             if key in found:
                 continue

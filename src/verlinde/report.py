@@ -1,8 +1,18 @@
-"""Check reports: named lists of failed equations, empty iff everything held."""
+"""Check reports: named lists of failed equations, empty iff everything held.
+
+Also the error with which a search too large to run refuses, before it
+starts.
+"""
 
 from __future__ import annotations
 
-__all__ = ["Report"]
+__all__ = ["Report", "SearchTooLargeError"]
+
+
+class SearchTooLargeError(ValueError):
+    """A search would pass its named limit (MAX_KAROUBI_CANDIDATES or
+    MAX_COMPLETION_OBJECTS in `categories`, MAX_ENUMERATION_CANDIDATES in
+    `fusion`); raised, naming the estimate, before the search starts."""
 
 
 class Report:

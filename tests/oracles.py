@@ -8,7 +8,10 @@ product as a multiset of labels), the in-order `dim_V` by one product
 with the handle vector per handle, gluing-consistency reports by
 branching over every label of every handle, the fusion-axiom, pairing and
 Frobenius-algebra reports by loops over every index, associativity on
-sparse integer rows by two sums per triple, representation-ring
+sparse integer rows by two sums per triple, fusion-ring enumeration by
+building every candidate tensor and filtering it with those sums (it
+shares only the involutions, orbits and canonical key of the
+library's search), representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
 sums over `compose_basis`, Karoubi completions by carving each corner
@@ -33,7 +36,9 @@ from itertools import product
 from math import lcm
 
 from verlinde.exact import Tensor3
-from verlinde.fusion import FusionRing
+from verlinde.fusion import (FusionRing, _canonical_key, _forced_entries,
+                             _involutions_fixing_zero, _symmetry_orbits,
+                             verify_axioms)
 
 
 def _n(ring: FusionRing, a: int, b: int, c: int) -> int:
@@ -441,6 +446,47 @@ def associativity_by_triples(rows, partners) -> list[tuple[int, int, int]]:
                         != {t: v for t, v in rhs.items() if v}):
                     failures.append((i, j, k))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# fusion-ring enumeration by trying every candidate tensor
+
+
+def enumerate_by_exhaustion(rank: int, max_coeff: int) -> list[FusionRing]:
+    """The rings of `enumerate_fusion_rings(rank, max_coeff)`, in its order.
+
+    For every involution fixing 0, every assignment of 0..max_coeff to
+    the symmetry orbits is built in full and kept when
+    `associativity_by_triples` finds no failure on its `integer_rows`;
+    the survivors are deduplicated, checked and ordered by the library's
+    canonical key, as the search does.  No limit applies.
+    """
+    found: dict[tuple, FusionRing] = {}
+    partners = [range(rank)] * rank
+    for dual in _involutions_fixing_zero(rank):
+        forced = _forced_entries(rank, dual)
+        orbits = _symmetry_orbits(rank, dual)
+        for values in product(range(max_coeff + 1), repeat=len(orbits)):
+            N = dict(forced)
+            for orbit, v in zip(orbits, values):
+                for t in orbit:
+                    N[t] = v
+            rows, _ = integer_rows(rank, ((t, v) for t, v in N.items() if v))
+            if associativity_by_triples(rows, partners):
+                continue
+            key = _canonical_key(rank, dual, N)
+            if key in found:
+                continue
+            canon_dual, flat = key
+            ring = FusionRing(dual=canon_dual, unit=(0,),
+                              coeffs=Tensor3.from_integers(
+                                  [[flat[(a * rank + b) * rank:
+                                         (a * rank + b + 1) * rank]
+                                    for b in range(rank)]
+                                   for a in range(rank)], 1))
+            if verify_axioms(ring).ok:
+                found[key] = ring
+    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from verlinde import categories, cli, corpus, formats, tqft
+from verlinde import categories, cli, corpus, formats, fusion, tqft
 from verlinde.categories import mat_completion, matrix_algebra_category
 from verlinde.cli import main
 from verlinde.formats import serialize
@@ -257,6 +257,17 @@ def test_enumerate_golden_is_exactly_z2_and_fibonacci():
     from conftest import load
     assert rings[0].coeffs == load("z2.fusion").coeffs
     assert rings[1].coeffs == load("fib.fusion").coeffs
+
+
+def test_enumerate_refuses_with_its_estimate(run):
+    _, work = fusion._enumeration_estimate(5, 2)
+    code, out, err = run("enumerate", "--rank", "5", "--max-coeff", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: enumerating rank 5 with max_coeff 2 would try 34867844010 "
+        f"candidate tensors, an estimated {work} steps, more than "
+        "MAX_ENUMERATION_CANDIDATES = "
+        f"{fusion.MAX_ENUMERATION_CANDIDATES}\n")
 
 
 def test_dim_prints_integers_past_the_digit_limit(run):

@@ -12,16 +12,21 @@ import pytest
 from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import (S3_CHARACTER_TABLE, S3_CLASS_SIZES, Z2_CHARACTER_TABLE,
                      Z2_CLASS_SIZES, brute_force_product,
-                     frobenius_pairing_entries, fusion_axiom_entries,
-                     fusion_from_characters, naive_contract)
+                     enumerate_by_exhaustion, frobenius_pairing_entries,
+                     fusion_axiom_entries, fusion_from_characters,
+                     naive_contract)
+import verlinde
+from verlinde import categories, fusion
 from verlinde.exact import DimensionMismatchError, Tensor3
 from verlinde.formats import serialize
-from verlinde.fusion import (BlockStructureError, FusionRing,
-                             block_decomposition, cyclic_ring, direct_product,
-                             dual_vector, enumerate_fusion_rings,
-                             fibonacci_ring, inner_product, multiply,
-                             product_vector, restrict_to_labels, trivial_ring,
+from verlinde.fusion import (MAX_ENUMERATION_CANDIDATES, BlockStructureError,
+                             FusionRing, block_decomposition, cyclic_ring,
+                             direct_product, dual_vector,
+                             enumerate_fusion_rings, fibonacci_ring,
+                             inner_product, multiply, product_vector,
+                             restrict_to_labels, trivial_ring,
                              verify_axioms, verify_frobenius_pairing)
+from verlinde.report import SearchTooLargeError
 
 
 @pytest.mark.parametrize("name", CORPUS_RINGS)
@@ -318,11 +323,63 @@ def test_enumerate_is_deterministic():
     assert all(verify_axioms(r).ok for r in first)
 
 
-def test_enumerate_guard_rails():
-    with pytest.raises(ValueError):
-        enumerate_fusion_rings(5, 1)
-    with pytest.raises(ValueError):
-        enumerate_fusion_rings(2, 4)
+def test_enumerate_guard_rails(monkeypatch):
+    # both are refused by their estimate before any involution is set up
+    def tripped(n, dual):
+        raise AssertionError(f"search started for dual {dual}")
+
+    monkeypatch.setattr(fusion, "_symmetry_orbits", tripped)
+    limit = f"MAX_ENUMERATION_CANDIDATES = {MAX_ENUMERATION_CANDIDATES}"
+    for rank, max_coeff, candidates in ((5, 2, 34867844010),
+                                        (12, 0, 35696)):
+        _, work = fusion._enumeration_estimate(rank, max_coeff)
+        with pytest.raises(SearchTooLargeError) as err:
+            enumerate_fusion_rings(rank, max_coeff)
+        assert str(err.value) == (
+            f"enumerating rank {rank} with max_coeff {max_coeff} would try "
+            f"{candidates} candidate tensors, an estimated {work} steps, "
+            f"more than {limit}")
+    # one class, shared with the Karoubi and Mat searches
+    assert issubclass(SearchTooLargeError, ValueError)
+    assert SearchTooLargeError is categories.SearchTooLargeError
+    assert SearchTooLargeError is verlinde.SearchTooLargeError
+    for rank, max_coeff in ((0, 1), (-2, 0), (2, -1)):
+        with pytest.raises(ValueError, match="must be >= "):
+            enumerate_fusion_rings(rank, max_coeff)
+
+
+def test_enumerate_limit_is_inclusive(monkeypatch):
+    _, work = fusion._enumeration_estimate(3, 1)
+    monkeypatch.setattr(fusion, "MAX_ENUMERATION_CANDIDATES", work)
+    assert len(enumerate_fusion_rings(3, 1)) == 5
+    monkeypatch.setattr(fusion, "MAX_ENUMERATION_CANDIDATES", work - 1)
+    with pytest.raises(SearchTooLargeError, match=f"{work} steps"):
+        enumerate_fusion_rings(3, 1)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_enumeration_estimate_counts_the_candidates(rank):
+    # the closed form against the involutions and orbits the search uses
+    sizes = [len(fusion._symmetry_orbits(rank, dual))
+             for dual in fusion._involutions_fixing_zero(rank)]
+    for max_coeff in range(3):
+        candidates, work = fusion._enumeration_estimate(rank, max_coeff)
+        assert candidates == sum((max_coeff + 1) ** k for k in sizes)
+        assert work >= candidates
+
+
+@pytest.mark.parametrize("rank, max_coeff", [
+    (1, 0), (1, 1), (1, 2), (1, 3),
+    (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+    (3, 0), (3, 1), (3, 2), (3, 3),
+    (4, 1),
+])
+def test_enumerate_equals_the_exhaustive_oracle(rank, max_coeff):
+    def texts(rings):
+        return [serialize("fusion", r) for r in rings]
+
+    assert texts(enumerate_fusion_rings(rank, max_coeff)) == texts(
+        enumerate_by_exhaustion(rank, max_coeff))
 
 
 def test_ring_construction_rejects_bad_data():
@@ -428,6 +485,16 @@ def test_multiply_matches_fraction_contraction(name):
      "e7844e057b806eb41055c019d9fd8824d5e725025faed9e4a1691fc465ebd451"),
     (4, 1, 12,
      "bfa4a2140ba1d14384d466728767c5ac4cabae237b43bed67b206205d88d187f"),
+    # the rings x^2 = 1 + n x for n = 0..4
+    (2, 4, 5,
+     "c8972c571f632ab0011b33256dad3249797b6bac601c14c204604baf6eb6f62f"),
+    # made once outside the suite, where the old exhaustive loop and
+    # enumerate_by_exhaustion agreed; they take 15 s and 69 s on (4, 2),
+    # 4 and 23 minutes on (4, 3)
+    (4, 2, 63,
+     "9aeaf79784bf853b91f0d6d67efdf825fc9f03937c035326cf067ec1544652f9"),
+    (4, 3, 132,
+     "e998b18c87c90eb3a1b1e7bb3f9c01d68a69810da22d50abafeff5891dded49f"),
 ])
 def test_enumerate_output_is_pinned(rank, max_coeff, count, digest):
     rings = enumerate_fusion_rings(rank, max_coeff)
