@@ -14,6 +14,11 @@ reduced form is canonical, so equality and hashing compare it.  All
 values are immutable after construction, so they are safe to share
 freely.
 
+`combine_rows` is the one dense integer product of structure
+constants, sum_d vec[d] * rows[d]: `contract`, the products of fusion
+rings and algebras, their unit laws and the handle maps of `surfaces`
+and `tqft` are all built from it.
+
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`sparse_rows` builds it from a tensor's
 integer form) and one exact associativity check on it
@@ -35,6 +40,7 @@ __all__ = [
     "Matrix",
     "Tensor3",
     "scale_to_integers",
+    "combine_rows",
     "sparse_rows",
     "associativity_failures",
     "DimensionMismatchError",
@@ -386,28 +392,20 @@ class Tensor3:
         Integer weights and entries are summed, zeros skipped; the result
         always has d3 Fraction components.
         """
-        ws, dw = scale_to_integers(weights)
-        out, dt = self._contract_integers(ws)
-        d = dt * dw * den
-        return tuple(Fraction(x, d) for x in out)
-
-    def _contract_integers(self, ws) -> tuple[list[int], int]:
-        """(z, d) with z[k] / d = sum_ij ws[i][j] t[i][j][k], for a d1 x d2
-        array of plain ints; d is the tensor's own denominator."""
         d1, d2, d3 = self.dims
+        ws, dw = scale_to_integers(weights)
         if len(ws) != d1 or any(len(row) != d2 for row in ws):
             raise DimensionMismatchError(
                 f"cannot contract {d1}x{d2}x{d3} tensor with weights of "
                 f"{len(ws)} rows; expected {d1}x{d2}")
         planes, dt = self.integer_form
-        out = [0] * d3
-        for wrow, plane in zip(ws, planes):
-            for w, fibre in zip(wrow, plane):
-                if w:
-                    for k, c in enumerate(fibre):
-                        if c:
-                            out[k] += w * c
-        return out, dt
+        # sum_i combine_rows(w_i, plane_i), as one combination of the
+        # fibres of all planes
+        fibres = [f for plane in planes for f in plane]
+        out = (combine_rows([w for row in ws for w in row], fibres)
+               if fibres else (0,) * d3)
+        d = dt * dw * den
+        return tuple(Fraction(x, d) for x in out)
 
     def nonzero(self):
         """Yield ((i, j, k), value) for every nonzero entry, in index order;
@@ -429,6 +427,24 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims}, nonzero={list(self.nonzero())})"
+
+
+def combine_rows(vec, rows) -> tuple[int, ...]:
+    """The integer row combination sum_d vec[d] * rows[d], skipping zeros.
+
+    The one dense product of structure constants: with rows[d] =
+    table[d][a] it is vec * e_a, with rows[d] = table[a][d] it is
+    e_a * vec, and with the rows of a square matrix it is the
+    vector-matrix product.  The result is as wide as the rows (empty
+    when there are none), not as `vec`.
+    """
+    z = [0] * (len(rows[0]) if rows else 0)
+    for v, row in zip(vec, rows):
+        if v:
+            for c, m in enumerate(row):
+                if m:
+                    z[c] += v * m
+    return tuple(z)
 
 
 def sparse_rows(planes) -> list[dict]:

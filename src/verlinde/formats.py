@@ -132,25 +132,34 @@ def _arity(tokens, n: int, source: str, line: int) -> None:
             f"got {len(tokens) - 1}", source, line)
 
 
+def _header(entries, name: str, source: str) -> int:
+    """The value of the one `name` directive (`rank` or `dim`) among the
+    (line, tokens) `entries`: an integer >= 1, checked as it is read.  A
+    duplicate, a wrong arity, a non-integer or a value below 1 raises on
+    its line, and a missing directive on line 0."""
+    value = None
+    for lineno, tokens in entries:
+        if tokens[0] == name:
+            if value is not None:
+                raise SemanticError(f"duplicate {name} directive",
+                                    source, lineno)
+            _arity(tokens, 2, source, lineno)
+            value = _int(tokens[1], source, lineno)
+            if value < 1:
+                raise SemanticError(f"{name} {value} must be >= 1",
+                                    source, lineno)
+    if value is None:
+        raise SemanticError(f"missing {name}", source, 0)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fusion rings
 
 
 def _parse_fusion(text: str, source: str) -> FusionRing:
     entries = list(_lines(text, source))
-    rank = None
-    rank_line = 0
-    for lineno, tokens in entries:
-        if tokens[0] == "rank":
-            if rank is not None:
-                raise SemanticError("duplicate rank directive", source, lineno)
-            _arity(tokens, 2, source, lineno)
-            rank = _int(tokens[1], source, lineno)
-            rank_line = lineno
-    if rank is None:
-        raise SemanticError("missing rank", source, 0)
-    if rank < 1:
-        raise SemanticError(f"rank {rank} must be >= 1", source, rank_line)
+    rank = _header(entries, "rank", source)
 
     names: dict[int, str] = {}
     dual: dict[int, int] = {}
@@ -239,17 +248,7 @@ def _serialize_fusion(ring: FusionRing) -> str:
 
 def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
     entries = list(_lines(text, source))
-    dim = None
-    for lineno, tokens in entries:
-        if tokens[0] == "dim":
-            if dim is not None:
-                raise SemanticError("duplicate dim directive", source, lineno)
-            _arity(tokens, 2, source, lineno)
-            dim = _int(tokens[1], source, lineno)
-            if dim < 1:
-                raise SemanticError(f"dim {dim} must be >= 1", source, lineno)
-    if dim is None:
-        raise SemanticError("missing dim", source, 0)
+    dim = _header(entries, "dim", source)
 
     names: dict[int, str] = {}
     mult: dict[tuple[int, int, int], Fraction] = {}
@@ -567,17 +566,7 @@ def _serialize_word(word: CobordismWord) -> str:
 
 def _parse_idempotent(text: str, source: str) -> Matrix:
     entries = list(_lines(text, source))
-    dim = None
-    for lineno, tokens in entries:
-        if tokens[0] == "dim":
-            if dim is not None:
-                raise SemanticError("duplicate dim directive", source, lineno)
-            _arity(tokens, 2, source, lineno)
-            dim = _int(tokens[1], source, lineno)
-            if dim < 1:
-                raise SemanticError(f"dim {dim} must be >= 1", source, lineno)
-    if dim is None:
-        raise SemanticError("missing dim", source, 0)
+    dim = _header(entries, "dim", source)
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     seen = set()
     for lineno, tokens in entries:

@@ -23,8 +23,10 @@ Each ring keeps its multiplicities once, in the integer form of its
 `coeffs` tensor, whose denominator construction checks to be 1;
 `table[a][b]` is that form's row of `int`s indexed by c.  Products, the
 axiom checks, the block decomposition and restriction all read the
+table.  Every product of vectors, the unit law's Q_a * 1 included, is
+the one integer row product `exact.combine_rows` over rows of the
 table; associativity is the shared `exact.associativity_failures`, on
-the sparse rows of the table.
+the sparse rows of the table (`exact.sparse_rows`).
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (DimensionMismatchError, Tensor3, associativity_failures,
-                    sparse_rows)
+                    combine_rows, sparse_rows)
 from .report import Report, SearchTooLargeError
 
 __all__ = [
     "FusionRing",
     "BlockStructureError",
     "multiply",
-    "combine_rows",
     "product_vector",
     "dual_vector",
     "inner_product",
@@ -146,37 +147,12 @@ class FusionRing:
 
 
 def multiply(ring: FusionRing, x, y) -> tuple[int, ...]:
-    """Bilinear product of object vectors: z[c] = sum x[a] y[b] N[a][b][c]."""
+    """Bilinear product of object vectors: z[c] = sum x[a] y[b] N[a][b][c],
+    as the combination by x of the rows y * Q_a = sum_b y[b] N[a][b]."""
     ring._check_vectors(x, y)
-    n = ring.rank
-    y_support = [(b, y[b]) for b in range(n) if y[b]]
-    z = [0] * n
-    for a in range(n):
-        xa = x[a]
-        if not xa:
-            continue
-        rows = ring.table[a]
-        for b, yb in y_support:
-            xy = xa * yb
-            for c, m in enumerate(rows[b]):
-                if m:
-                    z[c] += xy * m
-    return tuple(z)
-
-
-def combine_rows(vec, rows) -> tuple[int, ...]:
-    """The integer row combination sum_d vec[d] * rows[d], skipping zeros.
-
-    With ``rows[d] = table[d][a]`` it is the product vec * a; with the
-    rows of a square matrix it is the vector-matrix product.
-    """
-    z = [0] * len(vec)
-    for v, row in zip(vec, rows):
-        if v:
-            for c, m in enumerate(row):
-                if m:
-                    z[c] += v * m
-    return tuple(z)
+    zero = (0,) * ring.rank
+    return combine_rows(x, [combine_rows(y, plane) if xa else zero
+                            for xa, plane in zip(x, ring.table)])
 
 
 def product_vector(ring: FusionRing, labels) -> tuple[int, ...]:
@@ -257,7 +233,7 @@ def verify_axioms(ring: FusionRing) -> Report:
 
     unit = ring.unit_vector()
     for a in range(n):
-        row = multiply(ring, ring.basis_vector(a), unit)
+        row = combine_rows(unit, table[a])  # Q_a * 1
         if row != ring.basis_vector(a):
             report.fail(
                 f"unit law: Q_{a} * 1 has multiplicities {row}, "

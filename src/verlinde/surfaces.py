@@ -28,8 +28,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import (FusionRing, block_decomposition, combine_rows,
-                     product_vector, restrict_to_labels, verify_axioms)
+from .exact import combine_rows
+from .fusion import (FusionRing, block_decomposition, product_vector,
+                     restrict_to_labels, verify_axioms)
 from .report import Report
 
 __all__ = [

@@ -17,14 +17,17 @@ genus, a few fixed re-bracketed ones and seeded random connected words
 adjoint of the multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
-element, the integer matrix of multiplication by the handle and the
+element, the integer rows of multiplication by the handle and the
 generator tables of words) is computed once per `FrobeniusAlgebra`
 object and cached on it, so no module-level table keeps an algebra
 alive.  Products, the derived data, genus invariants, word evaluation,
 random basis changes and their action (one integer conjugation of the
 structure tensor) run on the integer forms of `exact`, which are the
 stored form of every matrix and tensor, and build `Fraction`s only for
-what a caller reads: a genus invariant is one `Fraction`.
+what a caller reads: a genus invariant is one `Fraction`.  The product
+of elements, the unit laws, the handle element and each handle step
+are `exact.combine_rows` over rows of the structure tensor, and
+`validate_frobenius` builds no `Fraction` unless a check fails.
 Associativity is checked by `exact.associativity_failures`.
 """
 
@@ -40,8 +43,8 @@ from operator import mul
 
 from .categories import Algebra
 from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
-                    Tensor3, associativity_failures, rat, scale_to_integers,
-                    sparse_rows)
+                    Tensor3, associativity_failures, combine_rows, rat,
+                    scale_to_integers, sparse_rows)
 from .fusion import FusionRing
 from .report import Report
 
@@ -135,9 +138,12 @@ class FrobeniusAlgebra(Algebra):
     @cached_property
     def _handle_integers(self) -> tuple[list[int], int]:
         """(w, d): the handle element is w / d, both divided by their gcd;
-        w[k] = sum_ij ginv[i][j] m[i][j][k] in the integer forms."""
+        w = sum_i combine_rows(ginv_i, plane_i) in the integer forms, one
+        combination of the fibres of all planes."""
         ginv, dg = self._pairing_inverse.integer_form
-        w, dt = self.mult._contract_integers(ginv)
+        planes, dt = self.mult.integer_form
+        w = combine_rows([x for row in ginv for x in row],
+                         [f for plane in planes for f in plane])
         g = gcd(dt * dg, *w)
         return [x // g for x in w], dt * dg // g
 
@@ -148,12 +154,11 @@ class FrobeniusAlgebra(Algebra):
 
     @cached_property
     def _handle_action(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(r, d): x -> x w is the integer matrix r over d, with
-        r[k][i] = sum_j w[j] m[i][j][k] in the integer forms of w and m."""
+        """(r, d): x w is combine_rows(x, r) / d, with row r[i] = e_i w =
+        combine_rows(w, m[i]) in the integer forms of w and m."""
         planes, dt = self.mult.integer_form
         w, dw = self._handle_integers
-        return tuple(zip(*[[sum(map(mul, w, column)) for column in zip(*plane)]
-                           for plane in planes])), dt * dw
+        return tuple(combine_rows(w, plane) for plane in planes), dt * dw
 
     @cached_property
     def _word_tables(self) -> dict:
@@ -170,7 +175,8 @@ def _mode(planes, mat):
 
 
 def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
-    """x y: the structure constants contracted with the outer product.
+    """x y, as the combination by x of the rows y e_a = sum_b y[b] m[a][b]
+    in the integer forms.
 
     Raises `DimensionMismatchError`, naming both lengths, unless x and y
     both have `algebra.dim` components."""
@@ -179,9 +185,10 @@ def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
             f"element vectors of length {len(x)} and {len(y)} for an "
             f"algebra of dimension {algebra.dim}")
     (xs, ys), d = scale_to_integers((x, y))
-    zero = (0,) * len(ys)
-    out, dt = algebra.mult._contract_integers(
-        [[a * b for b in ys] if a else zero for a in xs])
+    planes, dt = algebra.mult.integer_form
+    zero = (0,) * algebra.dim
+    out = combine_rows(xs, [combine_rows(ys, plane) if a else zero
+                            for a, plane in zip(xs, planes)])
     d = dt * d * d
     return tuple(Fraction(v, d) for v in out)
 
@@ -212,10 +219,10 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
     """
     report = Report("frobenius algebra")
     n = algebra.dim
-    basis = [tuple(Fraction(int(j == i)) for j in range(n))
-             for i in range(n)]
-    rows = sparse_rows(algebra.mult.integer_form[0])
-    for i, j, k in associativity_failures(rows, [range(n)] * n):
+    basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    planes, dt = algebra.mult.integer_form
+    for i, j, k in associativity_failures(sparse_rows(planes),
+                                          [range(n)] * n):
         products = algebra.mult.entries  # products[i][j] is e_i e_j
         lhs = multiply_elements(algebra, products[i][j], basis[k])
         rhs = multiply_elements(algebra, basis[i], products[j][k])
@@ -225,12 +232,15 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
                 f"pairing invariance at (e_{i} e_{j}, e_{k}): "
                 "eps((ab)c) != eps(a(bc))")
 
-    for i in range(n):
-        left = multiply_elements(algebra, algebra.unit, basis[i])
-        right = multiply_elements(algebra, basis[i], algebra.unit)
-        if left != basis[i]:
+    (u,), du = scale_to_integers((algebra.unit,))
+    for i, e in enumerate(basis):
+        # 1 e_i and e_i 1 are these integer rows over du * dt
+        scaled = tuple(du * dt * x for x in e)
+        if combine_rows(u, [plane[i] for plane in planes]) != scaled:
+            left = multiply_elements(algebra, algebra.unit, e)
             report.fail(f"unit law: 1 * e_{i} = {left}")
-        if right != basis[i]:
+        if combine_rows(u, planes[i]) != scaled:
+            right = multiply_elements(algebra, e, algebra.unit)
             report.fail(f"unit law: e_{i} * 1 = {right}")
 
     g = pairing_matrix(algebra)
@@ -266,7 +276,7 @@ def _genus_invariants(algebra: FrobeniusAlgebra,
     d = den
     values = [Fraction(sum(map(mul, eps, power)), d * den)]
     for _ in range(max_genus):
-        power = [sum(map(mul, row, power)) for row in act]
+        power = combine_rows(power, act)
         g = gcd(d * da, *power)
         power, d = [x // g for x in power], d * da // g
         values.append(Fraction(sum(map(mul, eps, power)), d * den))
@@ -566,9 +576,7 @@ def random_invertible(dim: int, rng: random.Random) -> Matrix:
                else rng.randint(-2, 2) * (2 // rng.randint(1, 2)) if i < j
                else 0
                for j in range(dim)] for i in range(dim)]
-    cols = list(zip(*upper2))
-    return Matrix.from_integers(
-        [[sum(map(mul, row, col)) for col in cols] for row in lower], 2)
+    return Matrix.from_integers(lower, 1) @ Matrix.from_integers(upper2, 2)
 
 
 def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
@@ -581,19 +589,16 @@ def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
     n = algebra.dim
     if p.shape != (n, n):
         raise ValueError(f"basis change must be {n}x{n}")
-    rows, dq = p.inverse().integer_form
-    a, dp = p.integer_form
-    cols = tuple(zip(*a))
+    q, pt = p.inverse(), p.transpose()
+    rows, dq = q.integer_form
+    cols, dp = pt.integer_form
     planes, dm = algebra.mult.integer_form
     moved = _mode(_mode(_mode(planes, cols), cols), rows)
-    (unit, counit), d = scale_to_integers((algebra.unit, algebra.counit))
     return FrobeniusAlgebra(
         names=tuple(f"b{i}" for i in range(n)),
         mult=Tensor3.from_integers(moved, dm * dp * dp * dq),
-        unit=tuple(Fraction(sum(map(mul, row, unit)), dq * d)
-                   for row in rows),
-        counit=tuple(Fraction(sum(map(mul, col, counit)), dp * d)
-                     for col in cols))
+        unit=q.apply(algebra.unit),
+        counit=pt.apply(algebra.counit))
 
 
 def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,

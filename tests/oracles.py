@@ -688,6 +688,16 @@ def gauss_jordan_inverse(rows):
     return [row[n:] for row in reduced]
 
 
+def naive_combine_rows(vec, rows, width: int) -> tuple[int, ...]:
+    """sum_d vec[d] * rows[d] over `width` columns by a plain double loop,
+    zeros included."""
+    out = [0] * width
+    for d in range(len(rows)):
+        for c in range(width):
+            out[c] += vec[d] * rows[d][c]
+    return tuple(out)
+
+
 def naive_contract(t, weights) -> tuple[Fraction, ...]:
     """z[k] = sum_ij w[i][j] t[i, j, k] by a plain triple loop."""
     d1, d2, d3 = t.dims

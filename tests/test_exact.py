@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_ALGEBRAS, load
 from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
-                     gauss_jordan_rank, naive_contract)
+                     gauss_jordan_rank, naive_combine_rows, naive_contract)
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3, rat,
+                            SingularMatrixError, Tensor3, combine_rows, rat,
                             scale_to_integers)
 from verlinde.tqft import (multiply_elements, pairing_matrix,
                            random_invertible)
@@ -529,6 +529,19 @@ def test_contract_matches_naive_loop_on_random_tensors():
         t = Tensor3.from_dict(dims, data)
         w = _random_rows(rng, dims[0], dims[1])
         assert t.contract(w) == naive_contract(t, w)
+
+
+def test_combine_rows_matches_the_double_loop():
+    rng = random.Random(18)
+    for length, width in itertools.product(range(5), repeat=2):
+        for _ in range(20):
+            # about half the entries zero, the rest in -9..9
+            vec = [rng.choice((0, rng.randint(-9, 9))) for _ in range(length)]
+            rows = [[rng.choice((0, rng.randint(-9, 9)))
+                     for _ in range(width)] for _ in range(length)]
+            got = combine_rows(vec, rows)
+            assert type(got) is tuple
+            assert got == naive_combine_rows(vec, rows, width if rows else 0)
 
 
 # ---------------------------------------------------------------------------

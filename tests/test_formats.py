@@ -123,6 +123,29 @@ def test_empty_fusion_file_reports_missing_rank():
         parse("fusion", "")
 
 
+# the size header of each kind is read by one rule: a bad value is
+# reported on its own line, before a later duplicate
+@pytest.mark.parametrize("kind, name", [("fusion", "rank"),
+                                        ("algebra", "dim"),
+                                        ("idempotent", "dim")])
+@pytest.mark.parametrize("text, error, reason, line", [
+    ("# size\n{0} 1\n\n{0} 1\n", SemanticError, "duplicate {0} directive",
+     4),
+    ("{0} 0\n{0} 2\n", SemanticError, "{0} 0 must be >= 1", 1),
+    ("{0} -3\n", SemanticError, "{0} -3 must be >= 1", 1),
+    ("\n{0} two\n", ParseError, "expected an integer, got 'two'", 2),
+    ("{0} 1 2\n", ParseError,
+     "directive '{0}' takes 1 argument(s), got 2", 1),
+], ids=["duplicate", "zero", "negative", "non-integer", "arity"])
+def test_size_header_errors_name_their_line(kind, name, text, error, reason,
+                                            line):
+    with pytest.raises(ParseError) as err:
+        parse(kind, text.format(name), source="bad")
+    assert type(err.value) is error
+    assert err.value.reason == reason.format(name)
+    assert (err.value.source, err.value.line) == ("bad", line)
+
+
 def test_negative_coefficient_rejected_with_line():
     text = "rank 1\ndual 0 0\nunit 0\nN 0 0 0 -1\n"
     with pytest.raises(SemanticError, match="negative coefficient") as err:

@@ -30,7 +30,12 @@ from verlinde.report import SearchTooLargeError
 
 
 @pytest.mark.parametrize("name", CORPUS_RINGS)
-def test_corpus_rings_pass_axioms(name):
+def test_corpus_rings_pass_axioms(name, monkeypatch):
+    # the element product is used only to write the entry of a failure
+    def no_product(*args):
+        raise AssertionError("multiply called")
+
+    monkeypatch.setattr(fusion, "multiply", no_product)
     assert verify_axioms(load(name)).ok
 
 

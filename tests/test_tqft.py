@@ -45,13 +45,18 @@ def test_corpus_algebras_validate(name):
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
 def test_validate_frobenius_builds_no_tensor_view_on_valid_algebras(
         name, monkeypatch):
-    # the Fraction view of mult is read only for associativity failures
+    # the Fraction view of mult and the Fraction product are used only to
+    # write the entry of a failure
     algebra = load(name)
 
     def no_view(tensor):
         raise AssertionError("Fraction view of a tensor built")
 
+    def no_product(*args):
+        raise AssertionError("multiply_elements called")
+
     monkeypatch.setattr(Tensor3, "entries", property(no_view))
+    monkeypatch.setattr(tqft, "multiply_elements", no_product)
     assert validate_frobenius(algebra).ok
 
 
