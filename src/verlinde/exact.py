@@ -436,8 +436,13 @@ def combine_rows(vec, rows) -> tuple[int, ...]:
     table[d][a] it is vec * e_a, with rows[d] = table[a][d] it is
     e_a * vec, and with the rows of a square matrix it is the
     vector-matrix product.  The result is as wide as the rows (empty
-    when there are none), not as `vec`.
+    when there are none), not as `vec`.  A `vec` whose length is not the
+    number of rows raises `DimensionMismatchError`.
     """
+    if len(vec) != len(rows):
+        raise DimensionMismatchError(
+            f"cannot combine {len(rows)} rows by a vector of length "
+            f"{len(vec)}")
     z = [0] * (len(rows[0]) if rows else 0)
     for v, row in zip(vec, rows):
         if v:

@@ -17,8 +17,11 @@ from `ring.table`: colour c acts as R_c, whose row d is d * c, and the
 handle as R_h, whose row d is d * h.  Both maps are linear on every
 ring, valid or not, so the operators give exactly the in-order product.
 `dim_V` applies R_h^g by repeated squaring, O(n^3 log g) big-integer
-products for rank n, and the gluing check reduces the genus at
-O(g * n^4) per trial.
+products for rank n.  The gluing check reads unit multiplicities from
+the unit functional t_g = R_h^g * chi (chi the unit indicator column),
+built once per genus per call, so a reordering costs its colour steps
+and one dot product and a split one row combination plus O(n^2); it
+reduces the genus at O(g * n^4) per trial.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import combine_rows
 from .fusion import (FusionRing, block_decomposition, product_vector,
@@ -78,18 +82,15 @@ def _unit_multiplicity(ring: FusionRing, vec) -> int:
     return sum(vec[b] for b in ring.unit)
 
 
-def _fold(ring: FusionRing, genus: int, colours,
-          powers: list) -> tuple[int, ...]:
-    """Fold the colours strictly in the given order, then the handles.
+def _handle_powers(ring: FusionRing, genus: int, powers: list):
+    """Yield R_h^(2^k) for each set bit k of `genus`, lowest first.
 
-    The handles are vec * R_h^genus, by repeated squaring of R_h.
-    `powers` holds R_h, R_h^2, R_h^4, ... as far as earlier folds of one
-    public call needed them, and is extended in place, so each call
-    builds R_h and each square at most once.
+    `powers` holds R_h, R_h^2, R_h^4, ... as far as earlier uses within
+    one public call needed them, and is extended in place, so each call
+    builds R_h and each square at most once.  The yielded powers of R_h
+    commute, so they may be applied in any order.
     """
-    vec = product_vector(ring, colours)
-    k = 0
-    while genus:
+    for k in range(genus.bit_length()):
         if k == len(powers):
             if powers:
                 last = powers[-1]
@@ -97,11 +98,38 @@ def _fold(ring: FusionRing, genus: int, colours,
             else:
                 powers.append(tuple(combine_rows(ring.handle, plane)
                                     for plane in ring.table))
-        if genus & 1:
-            vec = combine_rows(vec, powers[k])
-        genus >>= 1
-        k += 1
+        if genus >> k & 1:
+            yield powers[k]
+
+
+def _fold(ring: FusionRing, genus: int, colours,
+          powers: list) -> tuple[int, ...]:
+    """Fold the colours strictly in the given order, then the handles.
+
+    The handles are vec * R_h^genus, by repeated squaring of R_h from
+    the shared `powers` (see `_handle_powers`).
+    """
+    vec = product_vector(ring, colours)
+    for power in _handle_powers(ring, genus, powers):
+        vec = combine_rows(vec, power)
     return vec
+
+
+def _unit_functional(ring: FusionRing, genus: int,
+                     powers: list) -> tuple[int, ...]:
+    """The column t_g = R_h^g * chi, chi the indicator of the unit.
+
+    The unit multiplicity of x * R_h^g is then the dot product x . t_g,
+    an identity of integer matrix products that holds on every ring.
+    """
+    t = ring.unit_vector()
+    for power in _handle_powers(ring, genus, powers):
+        t = tuple(_dot(row, t) for row in power)
+    return t
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
 
 
 def _eval_in_order(ring: FusionRing, genus: int, colours,
@@ -143,16 +171,39 @@ def sphere_dim(ring: FusionRing) -> int:
 # gluing consistency
 
 
+def _pair(vec, ops, right, dual) -> tuple[int, ...]:
+    """vec * sum_a R_dual(a) O_1 ... O_k R_a, for the operators `ops`."""
+    total = [0] * len(right)
+    for a, ra in enumerate(right):
+        v = combine_rows(vec, right[dual[a]])
+        for op in ops:
+            v = combine_rows(v, op)
+        for c, x in enumerate(combine_rows(v, ra)):
+            total[c] += x
+    return tuple(total)
+
+
+def _pair_operators(ring: FusionRing):
+    """The colour operators R_a, whose row d is d * a, and the operator
+    E = sum_a R_dual(a) R_a of a pair with nothing inside."""
+    right = [tuple(plane[a] for plane in ring.table)
+             for a in range(ring.rank)]
+    empty = tuple(_pair(ring.basis_vector(d), (), right, ring.dual)
+                  for d in range(ring.rank))
+    return right, empty
+
+
 def _eval_by_gluing(ring: FusionRing, genus: int, colours: tuple[int, ...],
-                    rng: random.Random) -> int:
+                    rng: random.Random, operators=None) -> int:
     """Genus reduction with one random insertion position per handle.
 
     Handle k inserts a pair (dual(a), a), summed over the label a, at a
     position drawn in the sequence built so far, so a later pair may land
     inside an earlier one; no colour ever does.  A pair around the
-    segment S contributes sum_a R_dual(a) S R_a.  Outermost pairs act on
-    the folded vector, so genus 1 costs rank folds; inner pairs become
-    matrices, built from their rows e_d at O(n^4) each.
+    segment S contributes sum_a R_dual(a) S R_a.  `operators` is
+    `_pair_operators(ring)`, built here when not given.  A pair with
+    nothing inside is one row combination with E; a pair around others
+    costs rank folds on the vector, and as an inner matrix O(n^4) more.
     """
     tokens = list(colours)
     for _ in range(genus):
@@ -168,23 +219,19 @@ def _eval_by_gluing(ring: FusionRing, genus: int, colours: tuple[int, ...],
         else:
             stack[-1].append(t)
 
-    n, dual = ring.rank, ring.dual
-    right = [tuple(plane[a] for plane in ring.table) for a in range(n)]
+    right, empty = operators or _pair_operators(ring)
 
     def pair(vec, ops):
-        total = [0] * n
-        for a in range(n):
-            v = combine_rows(vec, right[dual[a]])
-            for op in ops:
-                v = combine_rows(v, op)
-            for c, x in enumerate(combine_rows(v, right[a])):
-                total[c] += x
-        return total
+        if not ops:
+            return combine_rows(vec, empty)
+        return _pair(vec, ops, right, ring.dual)
 
     def operator(inner):
         """The matrix of a pair around the pairs `inner`."""
+        if not inner:
+            return empty
         ops = [operator(x) for x in inner]
-        return [pair(ring.basis_vector(d), ops) for d in range(n)]
+        return [pair(ring.basis_vector(d), ops) for d in range(ring.rank)]
 
     vec = ring.unit_vector()
     for item in stack[0]:
@@ -217,32 +264,49 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     glued back along one circle (the disjoint-union law combined with
     one gluing).  Any disagreement indicates a fusion-axiom failure
     upstream and is reported with both values.  `checked` counts the
-    re-evaluations compared with the canonical value.  Each genus
-    reduction draws one insertion position per handle and costs
-    O(g * n^4) at genus g and rank n; every other evaluation folds its
-    handles by repeated squaring, as `dim_V` does, from the powers of
-    R_h that the call builds once.
+    re-evaluations compared with the canonical value.
+
+    The call builds the powers of R_h once, and from them, once per
+    genus g it meets, the unit functional t_g (`_unit_functional`), so
+    the unit multiplicity of x * R_h^g is the dot product x . t_g.  At
+    rank n with m colours, the reference and each reordering cost the
+    m colour steps of `product_vector` and one dot product.  Each
+    genus reduction draws one insertion position per handle and costs
+    O(g * n^4) at genus g, from colour operators and an empty-pair
+    operator built once per call.  Each capping folds its handles by
+    repeated squaring, as `dim_V` does.  Each side of a split costs its
+    colour steps, one row combination with the n^3 structure constants
+    and n dot products of length n, not n complete folds.
     """
     if trials < 0:
         raise ValueError(f"trials {trials} must be >= 0")
     report = Report("gluing consistency")
     rng = random.Random(seed)
     genus, colours = surface.genus, tuple(surface.boundary)
+    n, dual = ring.rank, ring.dual
     powers: list = []
-    reference = _eval_in_order(ring, genus, colours, powers)
+    functionals: dict[int, tuple[int, ...]] = {}
+
+    def unit_functional(g):
+        if g not in functionals:
+            functionals[g] = _unit_functional(ring, g, powers)
+        return functionals[g]
+
+    reference = _dot(product_vector(ring, colours), unit_functional(genus))
 
     for t in range(trials):
         shuffled = list(colours)
         rng.shuffle(shuffled)
-        got = _eval_in_order(ring, genus, tuple(shuffled), powers)
+        got = _dot(product_vector(ring, shuffled), unit_functional(genus))
         if got != reference:
             report.fail(
                 f"boundary order {tuple(shuffled)} gives {got}, "
                 f"canonical order gives {reference}")
 
-    if genus > 0:
+    if genus > 0 and trials:
+        operators = _pair_operators(ring)
         for t in range(trials):
-            got = _eval_by_gluing(ring, genus, colours, rng)
+            got = _eval_by_gluing(ring, genus, colours, rng, operators)
             if got != reference:
                 report.fail(
                     f"genus-reduction schedule {t} gives {got}, "
@@ -255,15 +319,23 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
                 f"capping boundary {k} (colour {colours[k]}) gives {got}, "
                 f"direct evaluation gives {reference}")
 
+    # row d of `flat` is plane d of the table, so x combined with it is
+    # x * a for every label a, side by side
+    flat = [tuple(c for fibre in plane for c in fibre) for plane in ring.table]
+
+    def side(g, labels):
+        """Unit multiplicity of labels * a * h^g for every label a."""
+        y = combine_rows(product_vector(ring, labels), flat)
+        t_g = unit_functional(g)
+        return [_dot(y[a * n:a * n + n], t_g) for a in range(n)]
+
     for t in range(trials):
         g1 = rng.randint(0, genus)
         keep = [rng.random() < 0.5 for _ in colours]
         s1 = tuple(c for c, k in zip(colours, keep) if k)
         s2 = tuple(c for c, k in zip(colours, keep) if not k)
-        glued = 0
-        for a in range(ring.rank):
-            glued += (_eval_in_order(ring, g1, s1 + (ring.dual[a],), powers)
-                      * _eval_in_order(ring, genus - g1, s2 + (a,), powers))
+        u1, u2 = side(g1, s1), side(genus - g1, s2)
+        glued = sum(u1[dual[a]] * u2[a] for a in range(n))
         if glued != reference:
             report.fail(
                 f"split (genus {g1}+{genus - g1}, boundaries {s1}|{s2}) "

@@ -104,7 +104,12 @@ def list_expansion_dim(ring: FusionRing, genus: int, colours) -> int:
 
 
 def step_fold(ring: FusionRing, genus: int, colours) -> tuple[int, ...]:
-    """Unit times the colours, then genus many products with the handle.
+    """Unit times the colours, then genus many products with the handle."""
+    return handle_steps(ring, genus, brute_force_product(ring, colours))
+
+
+def handle_steps(ring: FusionRing, genus: int, vec) -> tuple[int, ...]:
+    """The object vector `vec`, then genus many products with the handle.
 
     The handle vector h = sum_a dual(a) * a is multiplied in one handle
     at a time, x * h = sum_{d, b} x[d] h[b] N[d][b][.], so on a ring
@@ -115,7 +120,7 @@ def step_fold(ring: FusionRing, genus: int, colours) -> tuple[int, ...]:
          for a in range(n)]
     handle = [sum(N[ring.dual[a]][a][c] for a in range(n))
               for c in range(n)]
-    vec = list(brute_force_product(ring, colours))
+    vec = list(vec)
     for _ in range(genus):
         vec = [sum(vec[d] * handle[b] * N[d][b][c]
                    for d in range(n) for b in range(n)) for c in range(n)]

@@ -544,6 +544,16 @@ def test_combine_rows_matches_the_double_loop():
             assert got == naive_combine_rows(vec, rows, width if rows else 0)
 
 
+@pytest.mark.parametrize("vec, rows", [((1, 2, 3), [(1, 0)]),
+                                       ((1,), [(1, 0), (0, 5)])])
+def test_combine_rows_refuses_a_vector_of_another_length(vec, rows):
+    # zipping would return (1, 0) for both
+    with pytest.raises(DimensionMismatchError,
+                       match=f"{len(rows)} rows by a vector of length "
+                             f"{len(vec)}"):
+        combine_rows(vec, rows)
+
+
 # ---------------------------------------------------------------------------
 # the integer product kernels against the Fraction triple loop
 

@@ -12,12 +12,14 @@ import pytest
 
 from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import (brute_force_dim, gluing_by_branching, gluing_entries,
-                     list_expansion_dim, step_fold, step_fold_dim)
+                     handle_steps, list_expansion_dim, step_fold,
+                     step_fold_dim)
 from verlinde.exact import Tensor3
 from verlinde.fusion import (FusionRing, cyclic_ring, direct_product,
                              fibonacci_ring, verify_axioms)
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
                                TwistFormatError, _eval_by_gluing, _fold,
+                               _unit_functional,
                                check_nontriviality, dim_V, dim_V_disjoint,
                                modular_report, render_report_machine,
                                render_report_text, sphere_dim,
@@ -213,15 +215,24 @@ def _random_ring(rng, max_rank=4) -> FusionRing:
                       coeffs=Tensor3.from_dict((n, n, n), data))
 
 
-def _random_cases(seed, count, genera, max_rank=4):
-    """(ring, surface, seed) triples with 0-3 colours on random rings."""
+def _random_cases(seed, count, genera, max_rank=4, max_colours=3):
+    """(ring, surface, seed) triples with 0-`max_colours` colours on
+    random rings."""
     rng = random.Random(seed)
     for _ in range(count):
         ring = _random_ring(rng, max_rank)
         genus = rng.choice(genera)
         colours = tuple(rng.randrange(ring.rank)
-                        for _ in range(rng.randint(0, 3)))
+                        for _ in range(rng.randint(0, max_colours)))
         yield ring, S(genus, colours), rng.randrange(1 << 30)
+
+
+def _corpus_sums():
+    """The direct sum of every pair of corpus rings: ranks 2-8, with two
+    unit components."""
+    return [direct_product(load(a), load(b))
+            for a, b in itertools.combinations_with_replacement(
+                CORPUS_RINGS, 2)]
 
 
 def test_dim_matches_step_fold_oracle_on_random_rings():
@@ -284,6 +295,42 @@ def test_gluing_reports_match_oracle_on_random_rings():
                                          surface.boundary, 3, seed)
         failing += surface.genus >= 2 and bool(entries)
     assert failing > 50
+
+
+def test_gluing_reports_match_oracle_on_the_workload_shapes():
+    # up to rank 6 and 4 colours on random rings, and on direct sums of
+    # corpus rings, as the benchmark's dim-verify sweeps ask
+    cases = list(_random_cases(19, 80, (0, 1, 2, 3), max_rank=6,
+                               max_colours=4))
+    rng = random.Random(19)
+    for ring in _corpus_sums():
+        colours = tuple(rng.randrange(ring.rank)
+                        for _ in range(rng.randint(0, 4)))
+        cases.append((ring, S(rng.randint(0, 3), colours),
+                      rng.randrange(1 << 30)))
+    failing = 0
+    for ring, surface, seed in cases:
+        report = verify_gluing_consistency(ring, surface, trials=3,
+                                           seed=seed)
+        assert report.entries == gluing_entries(
+            ring, surface.genus, surface.boundary, 3, seed), (ring, surface)
+        assert report.checked == (
+            (3 if surface.genus else 2) * 3 + len(surface.boundary))
+        failing += bool(report.entries)
+    assert failing > 40
+
+
+def test_unit_functional_gives_the_unit_multiplicity_of_handle_steps():
+    rng = random.Random(23)
+    rings = [ring for ring, _, _ in _random_cases(23, 20, (0,), max_rank=6)]
+    for ring in rings + _corpus_sums()[::4]:
+        powers: list = []
+        for genus in (0, 40, *rng.sample(range(1, 40), 6)):
+            x = [rng.randint(-3, 3) for _ in range(ring.rank)]
+            t = _unit_functional(ring, genus, powers)
+            assert sum(a * b for a, b in zip(x, t)) == sum(
+                handle_steps(ring, genus, x)[b] for b in ring.unit), (
+                ring, genus, x)
 
 
 def test_gluing_reports_up_to_genus_one_are_pinned():

@@ -20,7 +20,7 @@ from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra,
                                  product_field_algebra)
 from verlinde.exact import DimensionMismatchError, Matrix, Tensor3
-from verlinde.fusion import FusionRing, cyclic_ring
+from verlinde.fusion import FusionRing, cyclic_ring, enumerate_fusion_rings
 from verlinde.surfaces import ColouredSurface, dim_V
 from verlinde.tqft import (GENERATORS, CobordismWord,
                            DegeneratePairingError, FrobeniusAlgebra,
@@ -670,6 +670,19 @@ def test_algebra_invariants_agree_with_surface_dimensions(name):
     built = frobenius_from_fusion(ring)
     for g in range(4):
         assert genus_invariant(built, g) == dim_V(ring, ColouredSurface(g))
+
+
+@pytest.mark.parametrize("rank, max_coeff", [(3, 2), (4, 1)])
+def test_algebra_invariants_agree_with_surface_dimensions_at_high_genus(
+        rank, max_coeff):
+    # two independent paths: one handle step per genus on the algebra,
+    # and repeated squaring of R_h on the ring
+    rings = enumerate_fusion_rings(rank, max_coeff)
+    assert rings
+    for ring in rings:
+        values = tqft._genus_invariants(frobenius_from_fusion(ring), 1000)
+        for g in (0, 1, 2, 3, 10, 100, 1000):
+            assert values[g] == dim_V(ring, ColouredSurface(g)), (ring, g)
 
 
 def test_degenerate_fusion_pairing_raises():
