@@ -193,6 +193,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _grid(text: str) -> tuple[Fraction, ...]:
+    """The --grid values: each comma-separated token read as the file
+    formats read a rational coefficient."""
+    try:
+        return tuple(formats._fraction(t, "--grid", 0)
+                     for t in text.split(","))
+    except formats.ParseError as err:
+        raise _CliError(f"--grid {text}: {err.reason}") from None
+
+
 def _cmd_complete(args) -> int:
     doc = _load(args.file, args.kind)
     cat = doc.payload
@@ -203,8 +213,8 @@ def _cmd_complete(args) -> int:
     if args.mode == "mat":
         completed = categories.mat_completion(cat, args.bound)
     else:
-        grid = tuple(Fraction(t) for t in args.grid.split(","))
-        completed = categories.karoubi_completion(cat, grid=grid)
+        completed = categories.karoubi_completion(cat,
+                                                  grid=_grid(args.grid))
     check = categories.validate_category(completed)
     sys.stdout.write(formats.serialize("category", completed))
     if not check.ok:

@@ -9,7 +9,8 @@ inverse and `rref` (after Bareiss, 1968) work on plain `int`s; `apply`
 and `contract` divide each result entry once, and a `Matrix` result is
 an integer form.  `rank` stops at the echelon form, and `rref` and
 `inverse` go on to the reduced form; the reduced rows `rref` returns
-are a `Matrix` whose pivot entries all equal its denominator.  The
+are a `Matrix` whose pivot entries all equal its denominator, the form
+`rref_integers` gives of plain integer rows without a `Matrix`.  The
 reduced form is canonical, so equality and hashing compare it.  All
 values are immutable after construction, so they are safe to share
 freely.
@@ -40,6 +41,7 @@ __all__ = [
     "Matrix",
     "Tensor3",
     "scale_to_integers",
+    "rref_integers",
     "combine_rows",
     "sparse_rows",
     "associativity_failures",
@@ -231,13 +233,9 @@ class Matrix:
         order; they are the unique reduced basis of the row space.  In
         their integer form every pivot entry equals the denominator.
         """
-        m, pivots = _eliminate(list(self.integer_form[0]), self.cols)
-        d = lcm(*(m[r][c] for r, c in enumerate(pivots)))
-        rows = [[x * (d // m[r][c]) for x in m[r]]
-                for r, c in enumerate(pivots)]
+        rows, den, pivots = rref_integers(self.integer_form[0], self.cols)
         return (object.__new__(Matrix)._set(len(pivots), self.cols,
-                                            _reduced(rows, d)),
-                tuple(pivots))
+                                            (rows, den)), pivots)
 
     def rank(self) -> int:
         return len(_eliminate(list(self.integer_form[0]), self.cols,
@@ -308,6 +306,20 @@ def _eliminate(m: list, cols: int,
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
     return m, pivots
+
+
+def rref_integers(rows, cols: int) -> tuple[tuple[tuple[int, ...], ...],
+                                              int, tuple[int, ...]]:
+    """(reduced, den, pivots) for integer rows of length `cols`: the rows
+    reduced / den, in pivot order, are the nonzero rows of the reduced
+    row echelon form, so every pivot entry equals den, and no factor
+    divides den and all the integers.  The form depends on the row
+    space alone; `Matrix.rref` returns it as a `Matrix`."""
+    m, pivots = _eliminate(list(rows), cols)
+    d = lcm(*(m[r][c] for r, c in enumerate(pivots)))
+    reduced, den = _reduced([[x * (d // m[r][c]) for x in m[r]]
+                             for r, c in enumerate(pivots)], d)
+    return reduced, den, tuple(pivots)
 
 
 def _planes(fibres, d1: int, d2: int) -> tuple:

@@ -212,6 +212,26 @@ def test_complete_karoubi_splits_and_validates(run):
     assert "object x(1,0,0,0)" in out
 
 
+@pytest.mark.parametrize("grid, token", [("0,1/0", "1/0"), ("0,,1", ""),
+                                         ("1,half", "half")])
+def test_complete_karoubi_refuses_a_grid_token_that_is_not_rational(
+        run, grid, token):
+    code, out, err = run("complete", "--mode", "karoubi", "--grid", grid,
+                         "mat2.category")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --grid {grid}: expected a rational p/q, "
+                   f"got {token!r}\n")
+
+
+def test_complete_karoubi_reads_repeated_grid_values_once(run):
+    code, out, err = run("complete", "--mode", "karoubi", "--grid", "0,1,1",
+                         "mat2.category")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run("complete", "--mode", "karoubi",
+                                   "--grid", "1,0", "mat2.category")
+    assert out.count("object ") == 8
+
+
 def test_complete_karoubi_refuses_an_oversized_search(run, tmp_path,
                                                       monkeypatch):
     big = mat_completion(matrix_algebra_category(2), 2)

@@ -15,7 +15,7 @@ from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
                      gauss_jordan_rank, naive_combine_rows, naive_contract)
 from verlinde.exact import (DimensionMismatchError, Matrix,
                             SingularMatrixError, Tensor3, combine_rows, rat,
-                            scale_to_integers)
+                            rref_integers, scale_to_integers)
 from verlinde.tqft import (multiply_elements, pairing_matrix,
                            random_invertible)
 
@@ -381,6 +381,25 @@ def test_rref_pivot_entries_equal_the_denominator(rows):
         assert [row[c] for row in ints] == [
             den if i == r else 0 for i in range(len(ints))]
     assert reduced.integer_form == scale_to_integers(reduced.entries)
+
+
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_rref_integers_reads_the_row_space_alone(rows):
+    # the Karoubi builder carves hom spaces from unreduced integer images:
+    # rows rescaled by positive integers, shuffled and joined by sums of
+    # themselves must give the form `rref` gives, as the oracle reduces
+    ints, _ = Matrix(rows).integer_form
+    reduced, pivots = gauss_jordan(rows)
+    form = scale_to_integers(reduced)
+    rng = random.Random(len(rows) * 31 + len(rows[0]))
+    cols = len(rows[0])
+    for _ in range(3):
+        scales = rng.choices(range(1, 10), k=len(ints))
+        mixed = [[k * x for x in row] for row, k in zip(ints, scales)]
+        mixed += [[a - b for a, b in zip(*rng.sample(mixed, 2))]
+                  for _ in range(len(mixed) // 2)]
+        rng.shuffle(mixed)
+        assert rref_integers(mixed, cols) == (*form, tuple(pivots))
 
 
 def _rank_cases():

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from test_categories import _M2_SCALE, _perturbed, _rescaled
-from verlinde import corpus
+from verlinde import categories, corpus
 from verlinde.categories import (DEFAULT_GRID, CategoryFormatError,
                                  PresentedCategory, cyclic_table,
                                  field_category, group_algebra,
@@ -153,3 +153,65 @@ def test_idempotent_search_names_an_unknown_object():
     with pytest.raises(CategoryFormatError,
                        match="unknown base object 'nope'"):
         karoubi_idempotents(field_category(), "nope")
+
+
+def test_every_unit_perturbation_of_mat_field_2_escapes_or_matches():
+    # Mat(k, 2) has three objects, so the carved rows, their left maps
+    # and the escape equations are read per source object; each
+    # perturbed table either leaves some corner or completes exactly as
+    # the oracle does
+    perturbed = list(_perturbed(mat_completion(field_category(), 2),
+                                lambda c: c + 1))
+    assert len(perturbed) == 27
+    outcomes = []
+    for cat in perturbed:
+        try:
+            completed = karoubi_completion(cat)
+        except CategoryFormatError as err:
+            assert str(err) == ("morphism escaped its carved-out hom "
+                                "subspace")
+            with pytest.raises(ValueError, match="escaped"):
+                oracles.karoubi_table(cat, DEFAULT_GRID)
+            outcomes.append("escaped")
+            continue
+        objects, hom, table, identities = oracles.karoubi_table(
+            cat, DEFAULT_GRID)
+        assert completed.objects == objects
+        assert dict(completed.hom_pairs()) == hom
+        assert list(completed.table_items()) == table
+        assert {p: completed.identity_coeffs(p)
+                for p in completed.objects} == identities
+        outcomes.append("matched")
+    assert set(outcomes) == {"escaped", "matched"}
+
+
+def test_repeated_grid_values_give_the_completion_without_them():
+    m2 = matrix_algebra_category(2)
+    assert karoubi_idempotents(m2, "x", (0, 1, 1)) == karoubi_idempotents(
+        m2, "x", (1, 0))
+    assert len(karoubi_idempotents(m2, "x", (0, 1, 1))) == 8
+    repeated = (Fraction(1, 2), 0, 1, "1/2", -1, Fraction(2, 2), 0)
+    assert (serialize("category", karoubi_completion(m2, grid=repeated))
+            == serialize("category", karoubi_completion(m2)))
+
+
+def test_search_estimate_counts_distinct_grid_values(monkeypatch):
+    m2 = matrix_algebra_category(2)
+    # four distinct values: 4^4 = 256 candidates, whatever the repeats
+    monkeypatch.setattr(categories, "MAX_KAROUBI_CANDIDATES", 256)
+    grid = DEFAULT_GRID + DEFAULT_GRID[::-1]
+    assert len(karoubi_idempotents(m2, "x", grid)) == 17
+    monkeypatch.setattr(categories, "MAX_KAROUBI_CANDIDATES", 255)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"^idempotent search on x would try 4\^4 = 256 "
+                             r"candidates, more than 255$"):
+        karoubi_completion(m2, grid=grid)
+
+
+def test_a_supplied_idempotent_listed_twice_is_named():
+    m2 = matrix_algebra_category(2)
+    with pytest.raises(CategoryFormatError,
+                       match=r"^idempotent x\(1,0,0,1\) is supplied twice$"):
+        karoubi_completion(m2, idempotents=[
+            ("x", (1, 0, 0, 1)), ("x", (1, 0, 0, 0)),
+            ("x", (1, 0, 0, Fraction(2, 2)))])
