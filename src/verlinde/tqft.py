@@ -10,11 +10,17 @@ eps(w^g) for the handle element w = sum g^{ij} e_i e_j.
 Cobordism words present surfaces as layered compositions of the eight
 elementary generators (identity, swap, multiplication, comultiplication,
 unit, counit, cup, cap); `evaluate_word` compiles a word into a fold of
-exact tensor contractions, and closed words must reproduce the handle
-formula; `invariance_suite` checks that on the canonical word of each
-genus, a few fixed re-bracketed ones and seeded random connected words
-(`random_genus_word`).  Comultiplication is never user input: it is the
-adjoint of the multiplication under the pairing.
+exact tensor contractions, one `_contract` per layer, and closed words
+must reproduce the handle formula.  A layer with one generator other
+than `id` (every layer of the suite's words) maps each state key
+straight to its images.  `invariance_suite` checks the handle formula
+on the canonical word of each genus, a few fixed re-bracketed ones and
+seeded random connected words (`random_genus_word`), all in one pass
+over the trie of their layers, so a prefix the words share is
+contracted once; it tests first that eps(e_i e_j) = eps(e_j e_i), and
+leaves out the words with a swap when the counit is not a trace.
+Comultiplication is never user input: it is the adjoint of the
+multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
 element, the integer rows of multiplication by the handle and the
@@ -26,8 +32,11 @@ structure tensor) run on the integer forms of `exact`, which are the
 stored form of every matrix and tensor, and build `Fraction`s only for
 what a caller reads: a genus invariant is one `Fraction`.  The product
 of elements, the unit laws, the handle element and each handle step
-are `exact.combine_rows` over rows of the structure tensor, and
-`validate_frobenius` builds no `Fraction` unless a check fails.
+are `exact.combine_rows` over rows of the structure tensor, the word
+generator tables are read from the nonzero integer entries, and
+`validate_frobenius` builds no `Fraction` unless a check fails; its
+nondegeneracy check is the one elimination of the pairing, whose
+inverse the words then reuse.
 Associativity is checked by `exact.associativity_failures`.
 """
 
@@ -162,8 +171,8 @@ class FrobeniusAlgebra(Algebra):
 
     @cached_property
     def _word_tables(self) -> dict:
-        """`_generator_table` by generator name, filled by `evaluate_word`
-        on the first use of each generator."""
+        """`_generator_table` by generator name, filled by `_tables` on
+        the first use of each generator."""
         return {}
 
 
@@ -243,11 +252,11 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
             right = multiply_elements(algebra, e, algebra.unit)
             report.fail(f"unit law: e_{i} * 1 = {right}")
 
-    g = pairing_matrix(algebra)
-    r = g.rank()
-    if r != n:
-        report.fail(
-            f"pairing eps(e_i e_j) is degenerate: rank {r} of {n}")
+    try:
+        algebra._pairing_inverse  # one elimination, cached for the words
+    except DegeneratePairingError as err:
+        report.fail(f"pairing eps(e_i e_j) is degenerate: rank "
+                    f"{err.__cause__.rank} of {n}")
     report.checked = 2 * n ** 3 + 2 * n + 1
     return report
 
@@ -342,25 +351,91 @@ class WordTensor:
 
 def _generator_table(algebra: FrobeniusAlgebra, gen: str):
     """(table, den): `gen` sends the input indices `args` to the sum of
-    c / den times the output indices, over (outputs, c) in table[args]."""
-    n_in, n_out = GENERATORS[gen]
+    c / den times the output indices, over (outputs, c) in table[args],
+    read from the nonzero entries of the integer forms."""
+    n = algebra.dim
     if gen == "swap":
-        return {a: [(a[::-1], 1)] for a in
-                itertools.product(range(algebra.dim), repeat=n_in)}, 1
+        return {(a, b): [((b, a), 1)] for a in range(n) for b in range(n)}, 1
     if gen in ("unit", "counit"):
-        (arr,), den = scale_to_integers((getattr(algebra, gen),))
+        (vec,), den = scale_to_integers((getattr(algebra, gen),))
+        entries = [((i,), c) for i, c in enumerate(vec) if c]
+    elif gen in ("cup", "cap"):
+        rows, den = (algebra._pairing_inverse if gen == "cup"
+                     else algebra._pairing).integer_form
+        entries = [((i, j), c) for i, row in enumerate(rows)
+                   for j, c in enumerate(row) if c]
     else:
-        arr, den = getattr(algebra, {"mult": "mult", "comult": "_comult",
-                                     "cup": "_pairing_inverse",
-                                     "cap": "_pairing"}[gen]).integer_form
+        planes, den = (algebra.mult if gen == "mult"
+                       else algebra._comult).integer_form
+        entries = [((i, j, k), c) for i, plane in enumerate(planes)
+                   for j, fibre in enumerate(plane)
+                   for k, c in enumerate(fibre) if c]
+    n_in = GENERATORS[gen][0]
     table: dict = {}
-    for idx in itertools.product(range(algebra.dim), repeat=n_in + n_out):
-        c = arr
-        for i in idx:
-            c = c[i]
-        if c:
-            table.setdefault(idx[:n_in], []).append((idx[n_in:], c))
+    for idx, c in entries:
+        table.setdefault(idx[:n_in], []).append((idx[n_in:], c))
     return table, den
+
+
+def _tables(algebra: FrobeniusAlgebra, layers) -> dict:
+    """The algebra's generator tables, with every one `layers` use built
+    first, so a word raises on a degenerate pairing whenever it uses cup,
+    cap or comult, wherever its state vanishes."""
+    tables = algebra._word_tables
+    for gen in dict.fromkeys(g for layer in layers for g in layer):
+        if gen != "id" and gen not in tables:
+            tables[gen] = _generator_table(algebra, gen)
+    return tables
+
+
+def _contract(state: dict, den: int, layer, tables: dict,
+              offset: int = 0) -> tuple[dict, int]:
+    """(state, den) after one layer, both divided by their gcd.
+
+    Keys hold `offset` frozen input legs, then the working strands; each
+    generator's integer table is contracted against its consecutive
+    working strands, and an `id` copies its strand's index.  A layer
+    with one generator other than `id`, on key positions lo..hi, maps
+    each key straight to key[:lo] + out + key[hi:]; a layer of `id`s
+    alone is the identity.
+    """
+    # (first copied key position, first and past-last argument position,
+    # table) per generator other than `id`
+    steps, pos, copied = [], offset, offset
+    for gen in layer:
+        n_in = GENERATORS[gen][0]
+        if gen != "id":
+            table, gen_den = tables[gen]
+            den *= gen_den
+            steps.append((copied, pos, pos + n_in, table))
+            copied = pos + n_in
+        pos += n_in
+    if not steps:
+        return state, den
+    new_state: dict[tuple[int, ...], int] = {}
+    get = new_state.get
+    if len(steps) == 1:
+        _, lo, hi, table = steps[0]
+        for key, coeff in state.items():
+            head, tail = key[:lo], key[hi:]
+            for out, w in table.get(key[lo:hi], ()):
+                full = head + out + tail
+                new_state[full] = get(full, 0) + coeff * w
+    else:
+        for key, coeff in state.items():
+            partials = [(key[:offset], coeff)]
+            for start, lo, hi, table in steps:
+                kept = key[start:lo]
+                expansion = table.get(key[lo:hi], ())
+                partials = [(prefix + kept + out, c * w)
+                            for prefix, c in partials
+                            for out, w in expansion]
+            tail = key[copied:]
+            for full, value in partials:
+                full += tail
+                new_state[full] = get(full, 0) + value
+    g = gcd(den, *new_state.values())
+    return {key: v // g for key, v in new_state.items() if v}, den // g
 
 
 def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
@@ -368,59 +443,48 @@ def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):
 
     The state after each layer is the sparse integer coefficient table,
     over one denominator `den`, of a tensor whose legs are the word's
-    input strands (frozen) followed by the current working strands; a
-    layer contracts each generator's integer table against its
-    consecutive working strands.  An `id` has no table: its strand's
-    index is copied, and a layer of `id`s alone is skipped.  A closed
-    word collapses to a scalar.
+    input strands (frozen) followed by the current working strands;
+    `_contract` applies one layer.  A closed word collapses to a scalar.
     """
     inputs, outputs = word.signature()
-    tables = algebra._word_tables
-    # every table first, so a word raises on a degenerate pairing
-    # whenever it uses cup, cap or comult, wherever its state vanishes
-    for gen in dict.fromkeys(g for layer in word.layers for g in layer):
-        if gen != "id" and gen not in tables:
-            tables[gen] = _generator_table(algebra, gen)
+    tables = _tables(algebra, word.layers)
     state = {idx + idx: 1
              for idx in itertools.product(range(algebra.dim), repeat=inputs)}
     den = 1
     for layer in word.layers:
         if not state:
             break
-        # (first copied strand, first and past-last argument strand,
-        # table) per generator other than `id`
-        steps, pos, copied = [], 0, 0
-        for gen in layer:
-            n_in = GENERATORS[gen][0]
-            if gen != "id":
-                table, gen_den = tables[gen]
-                den *= gen_den
-                steps.append((copied, pos, pos + n_in, table))
-                copied = pos + n_in
-            pos += n_in
-        if not steps:
-            continue
-        new_state: dict[tuple[int, ...], int] = {}
-        for key, coeff in state.items():
-            working = key[inputs:]
-            partials = [(key[:inputs], coeff)]
-            for start, lo, hi, table in steps:
-                kept = working[start:lo]
-                expansion = table.get(working[lo:hi], ())
-                partials = [(prefix + kept + out, c * w)
-                            for prefix, c in partials
-                            for out, w in expansion]
-            tail = working[copied:]
-            for full, value in partials:
-                full += tail
-                new_state[full] = new_state.get(full, 0) + value
-        g = gcd(den, *new_state.values())
-        state = {key: v // g for key, v in new_state.items() if v}
-        den //= g
+        state, den = _contract(state, den, layer, tables, inputs)
     if (inputs, outputs) == (0, 0):
         return Fraction(state.get((), 0), den)
     return WordTensor(inputs=inputs, outputs=outputs, entries=tuple(
         sorted((key, Fraction(v, den)) for key, v in state.items())))
+
+
+def _evaluate_words(algebra: FrobeniusAlgebra, words) -> list[Fraction]:
+    """The scalars of the closed `words`, in order, from one depth-first
+    walk of the trie of their layers: a prefix several words share is
+    contracted once, and the walk holds one state per depth.  Every
+    table any word uses is built before the walk."""
+    tables = _tables(algebra, [layer for w in words for layer in w.layers])
+    trie: dict = {}
+    for i, word in enumerate(words):
+        node = trie
+        for layer in word.layers:
+            node = node.setdefault(layer, {})
+        node.setdefault(None, []).append(i)
+    values: list = [None] * len(words)
+
+    def walk(node, state, den):
+        for layer, child in node.items():
+            if layer is None:
+                for i in child:
+                    values[i] = Fraction(state.get((), 0), den)
+            else:
+                walk(child, *_contract(state, den, layer, tables))
+
+    walk(trie, {(): 1}, 1)
+    return values
 
 
 def canonical_genus_word(genus: int) -> CobordismWord:
@@ -619,8 +683,16 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
     (trace counits, group algebras, every commutative algebra), while a
     swap beside a second strand is a different map on non-commutative
     algebras (on M_2 with the trace counit it gives 2 against 8 at
-    genus 2).  Exact equality throughout; `checked` counts the word
-    values compared.
+    genus 2).  So the suite first compares eps(e_i e_j) with
+    eps(e_j e_i) over the n(n-1)/2 pairs i < j; if the counit is not a
+    trace it reports the first pair that differs and leaves out every
+    word with a swap, drawn as usual but neither evaluated nor counted.
+
+    The random words are drawn first, then all words are evaluated in
+    one pass (`_evaluate_words`) that contracts a shared prefix of
+    layers once: the canonical word of genus g, but for its counit, is
+    a prefix of that of genus g + 1.  Exact equality throughout;
+    `checked` counts the pairs and the word values compared.
     """
     if trials < 0:
         raise ValueError(f"trials {trials} must be >= 0")
@@ -628,31 +700,39 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
         raise ValueError(f"max_genus {max_genus} must be >= 0")
     report = Report("invariance suite")
     reference = _genus_invariants(algebra, max_genus)
+    # (name, genus, word) in the order of the entries
+    cases = []
     for g in range(max_genus + 1):
         canonical, *words = _genus_words(g)
-        report.checked += 1 + len(words)
-        got = evaluate_word(algebra, canonical)
-        if got != reference[g]:
-            report.fail(
-                f"canonical word at genus {g} evaluates to {got}, "
-                f"handle formula gives {reference[g]}")
-        for k, word in enumerate(words):
-            got = evaluate_word(algebra, word)
-            if got != reference[g]:
-                report.fail(
-                    f"alternate word {k} at genus {g} evaluates to {got}, "
-                    f"expected {reference[g]}")
+        cases.append(("canonical word", g, canonical))
+        cases += [(f"alternate word {k}", g, word)
+                  for k, word in enumerate(words)]
     rng = random.Random(seed)
     for t in range(trials):
         g = rng.randint(0, max_genus)
-        word = random_genus_word(g, rng)
-        report.checked += 1
-        got = evaluate_word(algebra, word)
-        if got != reference[g]:
+        cases.append((f"random word {t}", g, random_genus_word(g, rng)))
+    n = algebra.dim
+    pairing = algebra._pairing.integer_form[0]
+    report.checked += n * (n - 1) // 2
+    for i, j in itertools.combinations(range(n), 2):
+        if pairing[i][j] != pairing[j][i]:
+            report.fail(f"counit is not a trace: eps(e_{i} e_{j}) != "
+                        f"eps(e_{j} e_{i})")
+            cases = [case for case in cases if not any(
+                "swap" in layer for layer in case[2].layers)]
+            break
+    report.checked += len(cases)
+    values = _evaluate_words(algebra, [word for _, _, word in cases])
+    for (name, g, word), got in zip(cases, values):
+        if got == reference[g]:
+            continue
+        where = f"{name} at genus {g}"
+        if name.startswith("random"):
             text = "; ".join(" ".join(layer) for layer in word.layers)
-            report.fail(
-                f"random word {t} at genus {g} ({text}) evaluates to "
-                f"{got}, expected {reference[g]}")
+            where += f" ({text})"
+        against = ("handle formula gives" if name == "canonical word"
+                   else "expected")
+        report.fail(f"{where} evaluates to {got}, {against} {reference[g]}")
     return report
 
 

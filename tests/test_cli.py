@@ -89,10 +89,27 @@ def test_validate_runs_the_invariance_words_without_trials(run,
     # with no random presentation drawn, the canonical and alternate
     # words are still compared with the handle formula
     assert run("validate", "--trials", "0", "mat2.algebra")[0] == 0
-    monkeypatch.setattr(tqft, "evaluate_word", lambda algebra, word: -1)
+    # the suite evaluates all its words in one pass, not word by word
+    monkeypatch.setattr(tqft, "_evaluate_words",
+                        lambda algebra, words: [-1] * len(words))
     code, out, _ = run("validate", "--trials", "0", "mat2.algebra")
     assert code == 1
     assert "canonical word at genus 0 evaluates to -1" in out
+
+
+def test_validate_names_a_counit_that_is_not_a_trace(run, tmp_path,
+                                                     monkeypatch):
+    # mat2.algebra with eps = tr(diag(1, 2) x): a valid Frobenius algebra
+    # whose swapped-handle words are left out, with one entry saying why
+    text = corpus.corpus_path("mat2.algebra").read_text(encoding="utf-8")
+    assert "counit 3 1\n" in text
+    (tmp_path / "skew.algebra").write_text(
+        text.replace("counit 3 1\n", "counit 3 2\n"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run("validate", "skew.algebra")
+    assert code == 1
+    assert out == ("skew.algebra: 1 violation(s)\n"
+                   "  counit is not a trace: eps(e_1 e_2) != eps(e_2 e_1)\n")
 
 
 def test_validate_refuses_a_negative_trial_count(run):

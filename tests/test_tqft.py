@@ -15,7 +15,7 @@ from oracles import (fraction_random_invertible, fraction_word,
                      frobenius_axiom_entries, genus_invariants,
                      invariance_entries, s3_cayley_table,
                      transport_by_products)
-from verlinde import tqft
+from verlinde import exact, tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra,
                                  product_field_algebra)
@@ -156,14 +156,16 @@ def _pinned_texts():
 # (sha256 of the lines joined by newlines, number of lines); the validate
 # and derived lines were recorded before the pairing and its inverse were
 # computed on integer forms, the suite's lines from
-# `oracles.invariance_entries` over the words `_suite_presentations` draws
+# `oracles.invariance_entries` over the words `_suite_presentations` draws,
+# with the trace test (its pairs counted, swap words left out past a
+# failure) on every algebra, those of dimension 9 included
 REPORT_PINS = {
     "validate": (
         "e1ca2607a00a5befbbb34787eeb3bcbf7daedf9ea6788196480eaea181b1517b",
         1600),
     "suite": (
-        "0320ba20ad7b18fcc4fecae9be53e733c9eb91a0bd3edd9a29c45cb405e4b1d0",
-        996),
+        "36962bba72570b3eadfb4379241326d4543c528c3a25bceb0cd6f91944a58509",
+        954),
     "derived": (
         "7df868f89a00f888538368bd31019fc9c1dbc1a9723922f87752293aad105021",
         254),
@@ -342,12 +344,13 @@ def _suite_presentations(trials, seed, max_genus):
 
 
 def test_invariance_suite_counts_its_comparisons():
-    # per genus the canonical word and the alternates (two at genus 0,
-    # three at genus 1, four from genus 2), then one per trial
+    # the 6 pairs of the trace test, then per genus the canonical word and
+    # the alternates (two at genus 0, three at genus 1, four from genus
+    # 2), then one per trial
     report = invariance_suite(load("mat2.algebra"), trials=6, seed=2,
                               max_genus=3)
-    assert report.checked == 3 + 4 + 5 + 5 + 6
-    assert report.checked == len(_suite_presentations(6, 2, 3))
+    assert report.checked == 6 + 3 + 4 + 5 + 5 + 6
+    assert report.checked == 6 + len(_suite_presentations(6, 2, 3))
 
 
 def test_invariance_suite_matches_the_fraction_oracle():
@@ -390,7 +393,7 @@ def test_invariance_suite_refuses_counts_that_check_nothing(kwargs):
 
 def test_invariance_suite_runs_its_words_without_trials():
     report = invariance_suite(load("mat2.algebra"), trials=0, max_genus=2)
-    assert report.ok and report.checked == 3 + 4 + 5
+    assert report.ok and report.checked == 6 + 3 + 4 + 5
 
 
 def _surface_of(word):
@@ -468,6 +471,115 @@ def test_random_words_without_a_swap_hold_for_a_non_symmetric_counit():
             assert evaluate_word(a, word) == reference[g], word.layers
     swapped = alternate_genus_words(2)[1]
     assert evaluate_word(a, swapped) != reference[2]
+
+
+def _non_trace_mat2():
+    """M_2 with the valid counit eps = tr(diag(1, 2) x), not a trace."""
+    m2 = matrix_algebra(2)
+    return _frobenius(m2, [{"e00": 1, "e11": 2}.get(name, 0)
+                           for name in m2.names])
+
+
+def test_a_counit_that_is_not_a_trace_is_one_named_entry():
+    # eps(e01 e10) = eps(e00) = 1 but eps(e10 e01) = eps(e11) = 2; the
+    # swapped-handle words are drawn but neither evaluated nor counted
+    a = _non_trace_mat2()
+    assert validate_frobenius(a).ok
+    presentations = _suite_presentations(20, 0, 3)
+    planar = [p for p in presentations
+              if all("swap" not in layer for layer in p[2].layers)]
+    assert len(planar) < len(presentations)
+    report = invariance_suite(a)
+    assert report.entries == [
+        "counit is not a trace: eps(e_1 e_2) != eps(e_2 e_1)"]
+    assert report.checked == 6 + len(planar)
+    assert (report.entries, report.checked) == invariance_entries(
+        a, presentations)
+
+
+def test_a_non_trace_counit_still_fails_its_planar_words():
+    # raising a structure constant of the non-trace M_2 breaks
+    # associativity; the planar words must still notice
+    for broken in _raised(_non_trace_mat2()):
+        assert not validate_frobenius(broken).ok
+        report = invariance_suite(broken, trials=3, max_genus=3)
+        expected = invariance_entries(broken, _suite_presentations(3, 0, 3))
+        assert (report.entries, report.checked) == expected
+        assert any(not e.startswith("counit is not a trace")
+                   for e in report.entries), report.entries
+
+
+# closed words with layers of two or more generators other than `id`
+MULTI_GENERATOR_WORDS = (
+    (("unit",), ("comult",), ("comult", "unit", "id"), ("mult", "mult"),
+     ("mult",), ("counit",)),
+    (("cup",), ("comult", "unit", "id"), ("mult", "mult"), ("cap",)),
+    (("unit", "unit"), ("mult",), ("counit",)),
+    (("cup", "cup"), ("id", "mult", "id"), ("mult", "id"), ("cap",)),
+    (("cup", "unit"), ("swap", "id"), ("id", "mult"), ("cap",)),
+    (("unit", "cup"), ("mult", "counit"), ("counit",)),
+    (("cup", "unit"), ("counit", "id", "comult"), ("mult", "id"), ("cap",)),
+    (("unit", "cup"), ("comult", "id", "counit"), ("mult", "id"),
+     ("mult",), ("counit",)),
+)
+
+
+def _shared_pass_words():
+    """Closed words for the prefix-shared pass: drawn ones, the genus
+    words, the multi-generator ones, their id-padded closed forms, and
+    a few repeats, so several words end at one trie node."""
+    words = [word for _, word in _drawn_words(43)]
+    for g in range(4):
+        words += [canonical_genus_word(g), *alternate_genus_words(g)]
+    words += [CobordismWord(layers) for layers in MULTI_GENERATOR_WORDS]
+    padded = [CobordismWord(layers) for word in words
+              for layers in _id_padded(word.layers)]
+    words += [word for word in padded if word.is_closed()]
+    return words + words[:5]
+
+
+def test_the_prefix_shared_pass_matches_the_fraction_word_oracle():
+    words = _shared_pass_words()
+    algebras = [load(name) for name in CORPUS_ALGEBRAS]
+    algebras += _stock_frobenius_algebras()
+    algebras.append(_non_trace_mat2())
+    for name in ("ksquared.algebra", "fib.algebra", "mat2.algebra"):
+        algebras += _raised(load(name))
+    for a in algebras:
+        try:
+            a._pairing_inverse
+        except DegeneratePairingError:
+            with pytest.raises(DegeneratePairingError):
+                tqft._evaluate_words(a, words)
+            continue
+        expected = [fraction_word(a, word).get((), Fraction(0))
+                    for word in words]
+        assert tqft._evaluate_words(a, words) == expected, a.names
+        assert tqft._evaluate_words(a, words[:1]) == expected[:1]
+
+
+def test_validation_and_suite_eliminate_the_pairing_once(monkeypatch):
+    # one [g | den * I] inverse, whose rank names a degenerate pairing
+    valid = load("fib.algebra")
+    bad = FrobeniusAlgebra(
+        ("1", "x"),
+        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
+                                      (1, 0, 1): 1}),
+        (1, 0), (1, 0))
+    calls = []
+    eliminate = exact._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    assert validate_frobenius(valid).ok
+    assert invariance_suite(valid, trials=5, max_genus=2).ok
+    assert calls == [2 * valid.dim]
+    assert validate_frobenius(bad).entries == [
+        "pairing eps(e_i e_j) is degenerate: rank 1 of 2"]
+    assert calls == [2 * valid.dim, 2 * bad.dim]
 
 
 def test_random_words_repeat_for_a_seed():
