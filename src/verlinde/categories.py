@@ -27,14 +27,20 @@ idempotent e and base b leaving its object, to carve the hom spaces
 (one `exact.rref_integers` each), and v . b once per carved row v and
 base b ending at its source, so that every composite v . u is a sum
 over u's entries.  Each composite is then checked against the
-equations of its target hom space, one check per composite.
+equations of its target hom space, one check per composite.  Its
+objects come from a grid search (`karoubi_idempotents`) that reads the
+grid and the table of End(p) once per object, as integer equations;
+each candidate then costs a few integer products and stops at the first
+equation it fails.
 
 Every builder (`one_object_category`, the completions, the tensor
 product) fills the integer table directly from integer rows, and so does
 `formats.parse` from integer numerators; only the public constructor,
 which takes any rational coefficients, reads them as `Fraction`s first.
-All paths run the same structural checks and give the same reduced
-table, so equal categories compare equal however they were made.
+Every path gives the same reduced table, so equal categories compare
+equal however they were made.  The parser, the public constructor and
+`one_object_category` run the structural checks; the completions and the
+tensor product, whose tables are typed by construction, skip them.
 """
 
 from __future__ import annotations
@@ -164,10 +170,11 @@ class PresentedCategory:
 
     The constructor takes names and coefficients (ints, `Fraction`s or
     'p/q' strings); the builders and the parser fill the integer table
-    directly (`_from_rows`, `_from_names`).  Every path performs the same
-    structural validation (every name resolves, compositions are typed
-    correctly, every nonzero endomorphism space has an identity); the
-    categorical axioms are equations checked by `validate_category`.
+    directly (`_from_rows`, `_from_names`).  Every path but the
+    completions and the tensor product performs the same structural
+    validation (every name resolves, compositions are typed correctly,
+    every nonzero endomorphism space has an identity); the categorical
+    axioms are equations checked by `validate_category`.
     """
 
     def __init__(self, objects, hom, compose, identities):
@@ -178,12 +185,12 @@ class PresentedCategory:
         self._set_names(objects, hom, ratios(compose), ratios(identities))
 
     @classmethod
-    def _from_rows(cls, objects, hom, rows, den, identities):
+    def _from_rows(cls, objects, hom, rows, den, identities, checked=True):
         """The category with the basis of `hom` and the integer table of
         `_set_table`."""
         cat = object.__new__(cls)
         cat._set_basis(objects, hom)
-        cat._set_table(rows, den, identities)
+        cat._set_table(rows, den, identities, checked)
         return cat
 
     @classmethod
@@ -258,8 +265,9 @@ class PresentedCategory:
         self._set_table([dict(sorted(row.items())) for row in rows], den,
                         idents)
 
-    def _set_table(self, rows, den, identities):
-        """Check and store the composition table and the identities.
+    def _set_table(self, rows, den, identities, checked=True):
+        """Store the composition table and the identities, checked by
+        `_check_table` first unless checked is False.
 
         rows[g][f] = {k: c} over the basis numbers, f and k ascending and
         c nonzero, is den times the composite g . f; an empty {} is
@@ -267,10 +275,36 @@ class PresentedCategory:
         x ascending and nonzero is d times the identity of object i.
         Both are reduced here, so any positive scaling gives one form;
         the rows are kept and reduced in place, so no two entries may
-        share a dict.
+        share a dict.  The builders, whose tables are typed by
+        construction and hold no empty entry, pass checked=False and
+        skip the structural checks, not the reduction.
         """
-        types, span = self._types, self._span
+        if checked:
+            self._check_table(rows, identities)
         common = den
+        for terms in (terms for row in rows for terms in row.values()):
+            if common == 1:
+                break
+            common = gcd(common, *terms.values())
+        if common > 1:
+            for row in rows:
+                for terms in row.values():
+                    for k, c in terms.items():
+                        terms[k] = c // common
+        self._rows, self._den = rows, den // common
+
+        self._identity = {}
+        for p, (x, d) in zip(self.objects, identities):
+            common = gcd(d, *x.values())
+            self._identity[p] = ({k: c // common for k, c in x.items()},
+                                 d // common)
+
+    def _check_table(self, rows, identities):
+        """Raise the structural error of the first composite that is not
+        composable or has a term outside hom(source f, target g), and of
+        an identity with a term outside hom(p, p) or missing although
+        hom(p, p) is nonzero; drop the empty entries of the rows."""
+        types, span = self._types, self._span
         for g, row in enumerate(rows):
             for f, terms in list(row.items()):
                 if types[f][1] != types[g][0]:
@@ -281,17 +315,7 @@ class PresentedCategory:
                 elif min(terms) < lo or max(terms) >= hi:
                     raise self._typing_error(g, f, self._names[next(
                         k for k in terms if not lo <= k < hi)])
-                elif common != 1:
-                    common = gcd(common, *terms.values())
-        if common > 1:
-            for row in rows:
-                for terms in row.values():
-                    for k, c in terms.items():
-                        terms[k] = c // common
-        self._rows, self._den = rows, den // common
-
-        self._identity = {}
-        for p, (x, d) in zip(self.objects, identities):
+        for p, (x, _) in zip(self.objects, identities):
             lo, hi = span.get((p, p), (0, 0))
             for k in x:
                 if not lo <= k < hi:
@@ -300,9 +324,6 @@ class PresentedCategory:
                 raise CategoryFormatError(
                     f"identity of {p} missing although hom({p},{p}) "
                     "is nonzero")
-            common = gcd(d, *x.values())
-            self._identity[p] = ({k: c // common for k, c in x.items()},
-                                 d // common)
 
     def _typing_error(self, g, f, h=None):
         """The error for the composite g . f of basis numbers: not
@@ -540,7 +561,8 @@ def mat_completion(cat: PresentedCategory, bound: int) -> PresentedCategory:
                             for i, (x, dp) in enumerate(parts)
                             for k, c in x.items()}, d))
     return PresentedCategory._from_rows(
-        tuple(names[s] for s in sequences), hom, rows, cat._den, identities)
+        tuple(names[s] for s in sequences), hom, rows, cat._den, identities,
+        checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -584,21 +606,50 @@ def _grid_values(cat: PresentedCategory, objects, grid) -> list[Fraction]:
     return values
 
 
+def _solves(equations, scale: int, x) -> bool:
+    """Whether the integer vector x satisfies sum c x_g x_f = scale x_k
+    for each (k, [(g, f, c), ...]) of `equations`, stopping at the first
+    equation that fails."""
+    for k, terms in equations:
+        s = 0
+        for g, f, c in terms:
+            s += c * x[g] * x[f]
+        if s != scale * x[k]:
+            return False
+    return True
+
+
 def karoubi_idempotents(cat: PresentedCategory, obj: str,
                         grid=DEFAULT_GRID) -> list[tuple[Fraction, ...]]:
     """All solutions of e . e = e with coefficients drawn from the
     distinct values of the grid, in ascending product order.
 
+    Everything is read once: the grid's values as integers a / d over
+    one common denominator d, and the table of End(obj) as one integer
+    equation per basis element k, sum c x_g x_f = d `_den` x_k over the
+    nonzero entries c of `_rows`[g][f][k].  A candidate x is then a
+    tuple of those integers, and `_solves` tests it with a few integer
+    products, stopping at the first equation it fails.
+
     Raises SearchTooLargeError before the search if it would try more
-    than MAX_KAROUBI_CANDIDATES candidates.
+    than MAX_KAROUBI_CANDIDATES candidates, and CategoryFormatError for
+    an object cat does not have.
     """
-    found = []
-    for combo in itertools.product(_grid_values(cat, (obj,), grid),
-                                   repeat=cat.hom_dim(obj, obj)):
-        x, d = _idempotent(cat, (obj, combo))
-        if cat._product(x, x) == _scaled(x, d * cat._den):
-            found.append(combo)
-    return found
+    values = _grid_values(cat, (obj,), grid)
+    if obj not in cat.objects:
+        raise CategoryFormatError(f"unknown base object {obj!r}")
+    d = lcm(*(v.denominator for v in values))
+    ints = {v.numerator * (d // v.denominator): v for v in values}
+    lo, hi = cat._span.get((obj, obj), (0, 0))
+    equations = [(k, []) for k in range(hi - lo)]
+    for g in range(lo, hi):
+        for f, terms in cat._rows[g].items():
+            if lo <= f < hi:
+                for k, c in terms.items():
+                    equations[k - lo][1].append((g - lo, f - lo, c))
+    return [tuple(map(ints.get, x))
+            for x in itertools.product(ints, repeat=hi - lo)
+            if _solves(equations, d * cat._den, x)]
 
 
 def _escaped() -> CategoryFormatError:
@@ -657,7 +708,7 @@ class KaroubiCategory(PresentedCategory):
         self._index = {pair: i for i, pair in enumerate(self.pairs)}
         self._corners = corners
         self._set_basis(objects, hom)
-        self._set_table(rows, den, identities)
+        self._set_table(rows, den, identities, checked=False)
 
     def _index_of(self, pair) -> int:
         obj, coeffs = pair
@@ -862,7 +913,7 @@ def tensor_product(a: PresentedCategory,
                             for k2, c2 in x2.items()}, d1 * d2))
     return PresentedCategory._from_rows(
         [obj_name[pair] for pair in objects], hom, rows, a._den * b._den,
-        identities)
+        identities, checked=False)
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,9 @@ def _serialize_fusion(ring: FusionRing) -> str:
         if i <= ring.dual[i]:
             lines.append(f"dual {i} {ring.dual[i]}")
     lines.append("unit " + " ".join(str(b) for b in ring.unit))
-    for (a, b, c), v in ring.coeffs.nonzero():
-        lines.append(f"N {a} {b} {c} {int(v)}")
+    lines += [f"N {a} {b} {c} {v}" for a, plane in enumerate(ring.table)
+              for b, fibre in enumerate(plane)
+              for c, v in enumerate(fibre) if v]
     return "\n".join(lines) + "\n"
 
 

@@ -692,12 +692,15 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
     one pass (`_evaluate_words`) that contracts a shared prefix of
     layers once: the canonical word of genus g, but for its counit, is
     a prefix of that of genus g + 1.  Exact equality throughout;
-    `checked` counts the pairs and the word values compared.
+    `checked` counts the pairs and the word values compared.  A
+    degenerate pairing raises DegeneratePairingError before any of it,
+    whichever generators the words use.
     """
     if trials < 0:
         raise ValueError(f"trials {trials} must be >= 0")
     if max_genus < 0:
         raise ValueError(f"max_genus {max_genus} must be >= 0")
+    algebra._pairing_inverse  # raises DegeneratePairingError if singular
     report = Report("invariance suite")
     reference = _genus_invariants(algebra, max_genus)
     # (name, genus, word) in the order of the entries

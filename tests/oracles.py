@@ -14,7 +14,8 @@ shares only the involutions, orbits and canonical key of the
 library's search), representation-ring
 coefficients come from character-table inner products, category
 associativity is checked on every basis triple with plain `Fraction`
-sums over `compose_basis`, Karoubi completions by carving each corner
+sums over `compose_basis`, grid idempotents by one such composite per
+candidate, Karoubi completions by carving each corner
 with `gauss_jordan` and composing its rows with the same sums, rank,
 inverse and row reduction come from a textbook `Fraction` Gauss-Jordan,
 tensor contractions and matrix products from plain triple loops over
@@ -545,11 +546,27 @@ def _carved_coords(base, pivots, rows, names, m: dict) -> dict:
     return {name: c for name, c in zip(names, coords) if c}
 
 
+def karoubi_idempotents(cat, obj, grid) -> list[tuple[Fraction, ...]]:
+    """The coefficient tuples of End(obj) drawn from the distinct values
+    of the grid, in ascending product order, whose `Fraction` composite
+    e.e equals e; ValueError for an object cat does not have."""
+    if obj not in cat.objects:
+        raise ValueError(f"unknown base object {obj!r}")
+    basis = cat.hom(obj, obj)
+    found = []
+    for combo in product(sorted({Fraction(c) for c in grid}),
+                         repeat=len(basis)):
+        e = {b: c for b, c in zip(basis, combo) if c}
+        if _compose_combos(cat, e, e) == e:
+            found.append(combo)
+    return found
+
+
 def karoubi_table(cat, grid, idempotents=None):
     """(objects, hom, table, identities) of the Karoubi completion of cat.
 
-    The objects are the (object, coefficients) pairs on the grid with
-    e.e = e, tried in `sorted(grid)` product order (or the supplied
+    The objects are the (object, coefficients) pairs of
+    `karoubi_idempotents` on the grid, object by object (or the supplied
     pairs).  The hom space from (p, e) to (q, f) is the `gauss_jordan`
     row space of the images f.b.e of the basis of hom(p, q); a composite
     of two carved rows is read at the target's pivot columns and must
@@ -559,13 +576,8 @@ def karoubi_table(cat, grid, idempotents=None):
     `identities` maps each object to the coordinates of its idempotent.
     """
     if idempotents is None:
-        idempotents = []
-        for obj in cat.objects:
-            basis = cat.hom(obj, obj)
-            for combo in product(sorted(grid), repeat=len(basis)):
-                e = {b: Fraction(c) for b, c in zip(basis, combo) if c}
-                if _compose_combos(cat, e, e) == e:
-                    idempotents.append((obj, combo))
+        idempotents = [(obj, combo) for obj in cat.objects
+                       for combo in karoubi_idempotents(cat, obj, grid)]
     pairs = [(obj, tuple(Fraction(c) for c in coeffs))
              for obj, coeffs in idempotents]
     objects = tuple(f"{obj}(" + ",".join(str(c) for c in coeffs) + ")"

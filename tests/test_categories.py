@@ -376,10 +376,13 @@ def test_karoubi_search_refuses_before_trying_any_candidate(monkeypatch):
     # End([x,x]) of the bound-2 Mat completion of M_2 has dim 16: 4^16
     big = mat_completion(matrix_algebra_category(2), 2)
 
-    def tripped(cat, pair):
-        raise AssertionError(f"candidate {pair} tried")
+    def tripped(equations, scale, x):
+        raise AssertionError(f"candidate {x} tried")
 
-    monkeypatch.setattr(categories, "_idempotent", tripped)
+    # every grid candidate goes through `_solves`, and no idempotent is
+    # built before the refusal either
+    monkeypatch.setattr(categories, "_solves", tripped)
+    monkeypatch.setattr(categories, "_idempotent", _tripped)
     too_large = categories.SearchTooLargeError
     assert issubclass(too_large, ValueError)
     with pytest.raises(too_large, match=r"\[x,x\] would try 4\^16 = "

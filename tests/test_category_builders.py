@@ -47,8 +47,14 @@ ALGEBRAS = {
 
 
 def _assert_equals_the_dict_constructor(cat: PresentedCategory) -> None:
-    """`cat` equals the dict constructor fed with its own `Fraction`
-    views, row order and term order included (`serialize` prints both)."""
+    """`cat` passes every structural check of the integer path, which
+    the builders skip, and equals the dict constructor fed with its own
+    `Fraction` views, row order and term order included (`serialize`
+    prints both)."""
+    rows = [{f: dict(terms) for f, terms in row.items()} for row in cat._rows]
+    assert PresentedCategory._from_rows(
+        cat.objects, dict(cat.hom_pairs()), rows, cat._den,
+        [cat._identity[p] for p in cat.objects]) == cat
     named = _with_table(cat, dict(cat.table_items()))
     assert named == cat
     assert serialize("category", named) == serialize("category", cat)
@@ -117,6 +123,31 @@ def test_builders_and_parser_make_no_fraction_table(monkeypatch):
         text = corpus.corpus_path(name).read_text(encoding="utf-8")
         built.append(parse("category", text).payload)
     assert all(categories.validate_category(cat).ok for cat in built)
+
+
+def test_completions_and_tensor_products_skip_the_structural_checks(
+        monkeypatch):
+    m2, k2 = (matrix_algebra_category(2),
+              product_field_algebra(2).to_category())
+    monkeypatch.setattr(PresentedCategory, "_check_table", _tripped)
+    built = [karoubi_completion(m2), mat_completion(k2, 2),
+             tensor_product(m2, k2)]
+    monkeypatch.undo()
+    for cat in built:
+        _assert_equals_the_dict_constructor(cat)
+    # the parser, the dict constructor and one_object_category, whose
+    # unit is the caller's, still check
+    text = corpus.corpus_path("mat2.category").read_text(encoding="utf-8")
+    monkeypatch.setattr(PresentedCategory, "_check_table", _tripped)
+    for make in (lambda: parse("category", text),
+                 lambda: _with_table(m2, dict(m2.table_items())),
+                 field_category):
+        with pytest.raises(AssertionError, match="structural checks"):
+            make()
+
+
+def _tripped(self, rows, identities):
+    raise AssertionError("structural checks run")
 
 
 # u: x -> x, f: x -> y, v: y -> y, numbered 0, 1, 2

@@ -256,6 +256,7 @@ def test_complete_karoubi_refuses_an_oversized_search(run, tmp_path,
                                            encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     # a tried candidate fails the test at once instead of searching 4^16
+    monkeypatch.setattr(categories, "_solves", None)
     monkeypatch.setattr(categories, "_idempotent", None)
     code, out, err = run("complete", "--mode", "karoubi", "big.category")
     assert code == 2

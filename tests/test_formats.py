@@ -45,6 +45,30 @@ def test_completed_categories_roundtrip_through_the_format():
         assert parse("category", text).payload == cat
 
 
+def test_fusion_rings_are_serialized_from_their_integer_table(monkeypatch):
+    from verlinde.exact import Tensor3
+    from verlinde.fusion import enumerate_fusion_rings
+    rings = [load(name) for name in CORPUS_RINGS]
+    rings += enumerate_fusion_rings(3, 2)
+
+    def tripped(self):
+        raise AssertionError("a fusion ring was serialized from Fractions")
+
+    expected = []
+    for ring in rings:
+        n = ring.rank
+        entries = [f"N {a} {b} {c} {ring.coeffs[a, b, c].numerator}"
+                   for a, b, c in itertools.product(range(n), repeat=3)
+                   if ring.coeffs[a, b, c]]
+        head = serialize("fusion", ring).split("\nN ")[0].rstrip("\n")
+        expected.append("\n".join([head, *entries]) + "\n")
+    monkeypatch.setattr(Tensor3, "nonzero", tripped)
+    assert [serialize("fusion", ring) for ring in rings] == expected
+    # multiplicities past 1 are printed too
+    assert any(entry.startswith("N ") and entry.endswith(" 2")
+               for text in expected for entry in text.splitlines())
+
+
 def test_karoubi_mat2_serialization_is_pinned():
     from verlinde.categories import (karoubi_completion,
                                      matrix_algebra_category)

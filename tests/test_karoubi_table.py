@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,6 +155,87 @@ def test_idempotent_search_names_an_unknown_object():
     with pytest.raises(CategoryFormatError,
                        match="unknown base object 'nope'"):
         karoubi_idempotents(field_category(), "nope")
+
+
+# repeated, negative and mixed-denominator values, in no order
+SEARCH_GRIDS = (
+    DEFAULT_GRID,
+    (1, 0, "1/3", Fraction(-2, 5), 1, Fraction(1, 3), 0),
+    (2, Fraction(1, 2), -1, Fraction(-2, 5), 0, 1, Fraction(1, 3), -1),
+)
+
+
+def _random_one_object(rng: random.Random, dim: int) -> PresentedCategory:
+    """One object with a random table on u0..u(dim-1): composites of one
+    to dim terms with denominators, associative only by chance.  u0 is
+    idempotent and, half of the time on each side, a unit, so that
+    sums with it solve e.e = e now and then."""
+    names = tuple(f"u{i}" for i in range(dim))
+    values = (-1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+    compose = {}
+    for g, f in itertools.product(names, repeat=2):
+        if rng.random() < 0.7:
+            compose[g, f] = {h: rng.choice(values) for h in rng.sample(
+                names, rng.randint(1, dim))}
+    if rng.random() < 0.5:
+        compose.update({("u0", b): {b: 1} for b in names})
+    if rng.random() < 0.5:
+        compose.update({(b, "u0"): {b: 1} for b in names})
+    compose["u0", "u0"] = {"u0": 1}
+    return PresentedCategory(objects=("x",), hom={("x", "x"): names},
+                             compose=compose, identities={"x": {"u0": 1}})
+
+
+def _assert_search_matches_the_oracle(cat, objects, grids) -> int:
+    """The search equals the `Fraction` oracle on the objects and grids;
+    returns the number of nonzero idempotents found."""
+    nonzero = 0
+    for obj, grid in itertools.product(objects, grids):
+        found = karoubi_idempotents(cat, obj, grid)
+        assert found == oracles.karoubi_idempotents(cat, obj, grid)
+        assert all(type(c) is Fraction for combo in found for c in combo)
+        nonzero += sum(map(any, found))
+    return nonzero
+
+
+def test_idempotent_search_matches_the_oracle_on_random_tables():
+    rng = random.Random(2211)
+    nonzero, searches = 0, 0
+    for dim in (1, 2, 2, 3, 3, 3):
+        for _ in range(4):
+            searches += 2 * len(SEARCH_GRIDS)
+            cat = _random_one_object(rng, dim)
+            nonzero += _assert_search_matches_the_oracle(
+                cat, cat.objects, SEARCH_GRIDS)
+            # in Mat(cat, 2) the rows of End([x]) also hold composites
+            # with morphisms from [x, x], and End([]) is empty
+            nonzero += _assert_search_matches_the_oracle(
+                mat_completion(cat, 2), ("[]", "[x]"), SEARCH_GRIDS)
+    # u0 is a nonzero solution on x and on [x] on every grid; some
+    # tables have more solutions to agree on
+    assert nonzero > searches
+
+
+@pytest.mark.parametrize("name", sorted(set(BASES) - {"m2-supplied"}))
+def test_idempotent_search_matches_the_oracle_on_the_bases(name):
+    cat = BASES[name][0]()
+    assert _assert_search_matches_the_oracle(cat, cat.objects,
+                                             SEARCH_GRIDS) > 0
+
+
+def test_idempotent_search_edge_cases_match_the_oracle():
+    empty = mat_completion(field_category(), 1)
+    for grid in SEARCH_GRIDS + ((), (5,)):
+        assert karoubi_idempotents(empty, "[]", grid) == [()]
+        assert oracles.karoubi_idempotents(empty, "[]", grid) == [()]
+    # a grid without values has no candidate on a nonzero End
+    assert karoubi_idempotents(empty, "[x]", ()) == []
+    assert oracles.karoubi_idempotents(empty, "[x]", ()) == []
+    for grid in SEARCH_GRIDS:
+        with pytest.raises(CategoryFormatError, match="unknown base object"):
+            karoubi_idempotents(empty, "x", grid)
+        with pytest.raises(ValueError, match="unknown base object"):
+            oracles.karoubi_idempotents(empty, "x", grid)
 
 
 def test_every_unit_perturbation_of_mat_field_2_escapes_or_matches():

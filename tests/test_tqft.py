@@ -888,6 +888,21 @@ def test_degenerate_pairing_is_reported_on_every_request():
             handle_element(bad)
 
 
+def test_invariance_suite_refuses_a_degenerate_pairing_without_words():
+    # no word of genus 0 needs cup, cap or comult, so only the pairing's
+    # own check can see that its rank is 1 of 2
+    bad = FrobeniusAlgebra(
+        ("1", "x"),
+        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
+                                      (1, 0, 1): 1}),
+        (1, 0), (1, 0))
+    for trials in (0, 3):
+        with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
+            invariance_suite(bad, trials=trials, max_genus=0)
+    assert invariance_entries(bad, [("canonical word", 0,
+                                     canonical_genus_word(0))]) is None
+
+
 def test_algebra_is_freed_after_an_invariance_suite():
     # a counit no other test uses, so no equal algebra was seen before
     mat2 = load("mat2.algebra")
