@@ -18,7 +18,9 @@ freely.
 `combine_rows` is the one dense integer product of structure
 constants, sum_d vec[d] * rows[d]: `contract`, the products of fusion
 rings and algebras, their unit laws and the handle maps of `surfaces`
-and `tqft` are all built from it.
+and `tqft` are all built from it.  `power_apply`, A^e * column by
+repeated squaring, is the one integer matrix power: `surfaces` and
+`tqft` read every closed- and coloured-surface number from it.
 
 Structure constants of fusion rings, algebras and linear categories
 share one sparse integer table (`sparse_rows` builds it from a tensor's
@@ -43,6 +45,7 @@ __all__ = [
     "scale_to_integers",
     "rref_integers",
     "combine_rows",
+    "power_apply",
     "sparse_rows",
     "associativity_failures",
     "DimensionMismatchError",
@@ -462,6 +465,34 @@ def combine_rows(vec, rows) -> tuple[int, ...]:
                 if m:
                     z[c] += v * m
     return tuple(z)
+
+
+def power_apply(squares: list, exponent: int, column) -> tuple[int, ...]:
+    """A^exponent * column for the square integer matrix A = squares[0],
+    by repeated squaring.
+
+    `squares` holds A, A^2, A^4, ... and is extended in place, so uses
+    that share it build each square once; exponent 0 builds nothing and
+    may find it empty.  A negative exponent raises `ValueError`, and a
+    matrix that is not square or not as long as the column
+    `DimensionMismatchError`, where zipping would give a vector.
+    """
+    if exponent < 0:
+        raise ValueError(f"negative exponent {exponent}")
+    column = tuple(column)
+    if squares and any(len(row) != len(column)
+                       for row in (squares[0], *squares[0])):
+        raise DimensionMismatchError(
+            f"cannot apply a matrix of {len(squares[0])} rows that is not "
+            f"{len(column)} x {len(column)} to a column of length "
+            f"{len(column)}")
+    for k in range(exponent.bit_length()):
+        if k == len(squares):
+            squares.append(tuple(combine_rows(row, squares[-1])
+                                 for row in squares[-1]))
+        if exponent >> k & 1:
+            column = tuple(sum(map(mul, row, column)) for row in squares[k])
+    return column
 
 
 def sparse_rows(planes) -> list[dict]:

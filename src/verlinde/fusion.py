@@ -35,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (DimensionMismatchError, Tensor3, associativity_failures,
                     combine_rows, sparse_rows)
@@ -74,7 +75,8 @@ class FusionRing:
     ``table[a][b]`` is the same row of multiplicities as a tuple of
     `int`s, the integer form of ``coeffs``, and ``handle`` the
     genus-adding vector sum_a Q_dual(a) Q_a; both are set at
-    construction and take no part in equality.
+    construction and take no part in equality.  The colour operators
+    and the unit vector are cached on first use, outside equality.
     """
 
     dual: tuple[int, ...]
@@ -132,7 +134,18 @@ class FusionRing:
         return tuple(int(i == a) for i in range(self.rank))
 
     def unit_vector(self) -> tuple[int, ...]:
+        return self._unit_vector
+
+    @cached_property
+    def _unit_vector(self) -> tuple[int, ...]:
         return tuple(int(i in self.unit) for i in range(self.rank))
+
+    @cached_property
+    def _colour_operators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """R_a for each label a, whose row d is table[d][a] = d * a, so
+        vec * a is combine_rows(vec, R_a)."""
+        return tuple(tuple(plane[a] for plane in self.table)
+                     for a in range(self.rank))
 
     def _check_vectors(self, *vectors) -> None:
         if any(len(v) != self.rank for v in vectors):
@@ -158,12 +171,13 @@ def multiply(ring: FusionRing, x, y) -> tuple[int, ...]:
 def product_vector(ring: FusionRing, labels) -> tuple[int, ...]:
     """Fold the labels into a single object vector, starting from the unit.
 
-    Each step is the row combination vec <- sum_d vec[d] * table[d][a].
+    Each step is the row combination vec <- sum_d vec[d] * table[d][a],
+    with the colour operator R_a the ring keeps.
     """
     vec = ring.unit_vector()
     for a in labels:
         ring._check_label(a)
-        vec = combine_rows(vec, [plane[a] for plane in ring.table])
+        vec = combine_rows(vec, ring._colour_operators[a])
     return vec
 
 

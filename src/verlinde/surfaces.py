@@ -15,13 +15,14 @@ valid rings, checked empirically by `verify_gluing_consistency`.
 Surfaces are evaluated with integer right-multiplication operators read
 from `ring.table`: colour c acts as R_c, whose row d is d * c, and the
 handle as R_h, whose row d is d * h.  Both maps are linear on every
-ring, valid or not, so the operators give exactly the in-order product.
-`dim_V` applies R_h^g by repeated squaring, O(n^3 log g) big-integer
-products for rank n.  The gluing check reads unit multiplicities from
-the unit functional t_g = R_h^g * chi (chi the unit indicator column),
-built once per genus per call, so a reordering costs its colour steps
-and one dot product and a split one row combination plus O(n^2); it
-reduces the genus at O(g * n^4) per trial.
+ring, valid or not, and matrix products associate, so every number here
+is the in-order colour product dotted with R_h^g * column
+(`exact.power_apply`, O(n^3 log g) big-integer products for rank n):
+chi, the unit indicator, for a unit multiplicity and e_dual(c) for
+capping colour c.  The gluing check builds t_g = R_h^g * chi once per
+genus per call, so a reordering costs its colour steps and one dot
+product and a split one row combination plus O(n^2); it reduces the
+genus at O(g * n^4) per trial.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
-from .exact import combine_rows
+from .exact import combine_rows, power_apply
 from .fusion import (FusionRing, block_decomposition, product_vector,
                      restrict_to_labels, verify_axioms)
 from .report import Report
@@ -78,63 +80,22 @@ def handle_vector(ring: FusionRing) -> tuple[int, ...]:
     return ring.handle
 
 
-def _unit_multiplicity(ring: FusionRing, vec) -> int:
-    return sum(vec[b] for b in ring.unit)
-
-
-def _handle_powers(ring: FusionRing, genus: int, powers: list):
-    """Yield R_h^(2^k) for each set bit k of `genus`, lowest first.
-
-    `powers` holds R_h, R_h^2, R_h^4, ... as far as earlier uses within
-    one public call needed them, and is extended in place, so each call
-    builds R_h and each square at most once.  The yielded powers of R_h
-    commute, so they may be applied in any order.
-    """
-    for k in range(genus.bit_length()):
-        if k == len(powers):
-            if powers:
-                last = powers[-1]
-                powers.append(tuple(combine_rows(row, last) for row in last))
-            else:
-                powers.append(tuple(combine_rows(ring.handle, plane)
-                                    for plane in ring.table))
-        if genus >> k & 1:
-            yield powers[k]
-
-
-def _fold(ring: FusionRing, genus: int, colours,
-          powers: list) -> tuple[int, ...]:
-    """Fold the colours strictly in the given order, then the handles.
-
-    The handles are vec * R_h^genus, by repeated squaring of R_h from
-    the shared `powers` (see `_handle_powers`).
-    """
-    vec = product_vector(ring, colours)
-    for power in _handle_powers(ring, genus, powers):
-        vec = combine_rows(vec, power)
-    return vec
-
-
-def _unit_functional(ring: FusionRing, genus: int,
-                     powers: list) -> tuple[int, ...]:
-    """The column t_g = R_h^g * chi, chi the indicator of the unit.
-
-    The unit multiplicity of x * R_h^g is then the dot product x . t_g,
-    an identity of integer matrix products that holds on every ring.
-    """
-    t = ring.unit_vector()
-    for power in _handle_powers(ring, genus, powers):
-        t = tuple(_dot(row, t) for row in power)
-    return t
+def _handle_squares(ring: FusionRing, genus: int) -> list:
+    """The `power_apply` squares of R_h, whose row d is d * h: [R_h],
+    or [] at genus 0, so that genus 0 does no n^3 work."""
+    if not genus:
+        return []
+    return [tuple(combine_rows(ring.handle, plane) for plane in ring.table)]
 
 
 def _dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
-def _eval_in_order(ring: FusionRing, genus: int, colours,
-                   powers: list) -> int:
-    return _unit_multiplicity(ring, _fold(ring, genus, colours, powers))
+def _dim(ring: FusionRing, genus: int, colours, squares: list) -> int:
+    """The unit multiplicity of colours * h^genus, folded in order."""
+    return _dot(product_vector(ring, colours),
+                power_apply(squares, genus, ring.unit_vector()))
 
 
 def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
@@ -149,7 +110,8 @@ def dim_V(ring: FusionRing, surface: ColouredSurface) -> int:
     alive by no table of this module.  A colour out of range raises
     `ValueError`.
     """
-    return _eval_in_order(ring, surface.genus, surface.boundary, [])
+    genus = surface.genus
+    return _dim(ring, genus, surface.boundary, _handle_squares(ring, genus))
 
 
 def dim_V_disjoint(ring: FusionRing, surfaces) -> int:
@@ -186,8 +148,7 @@ def _pair(vec, ops, right, dual) -> tuple[int, ...]:
 def _pair_operators(ring: FusionRing):
     """The colour operators R_a, whose row d is d * a, and the operator
     E = sum_a R_dual(a) R_a of a pair with nothing inside."""
-    right = [tuple(plane[a] for plane in ring.table)
-             for a in range(ring.rank)]
+    right = ring._colour_operators
     empty = tuple(_pair(ring.basis_vector(d), (), right, ring.dual)
                   for d in range(ring.rank))
     return right, empty
@@ -239,19 +200,7 @@ def _eval_by_gluing(ring: FusionRing, genus: int, colours: tuple[int, ...],
             vec = pair(vec, [operator(x) for x in item])
         else:
             vec = combine_rows(vec, right[item])
-    return _unit_multiplicity(ring, vec)
-
-
-def _eval_by_capping(ring: FusionRing, genus: int, colours: tuple[int, ...],
-                     cap_index: int, powers: list) -> int:
-    """Pair one boundary colour against the rest through the involution.
-
-    Uses the duality of the pairing rather than the unit multiplicity,
-    so it disagrees with the direct evaluation precisely when the
-    Frobenius symmetry is broken.
-    """
-    rest = colours[:cap_index] + colours[cap_index + 1:]
-    return _fold(ring, genus, rest, powers)[ring.dual[colours[cap_index]]]
+    return _dot(vec, ring.unit_vector())
 
 
 def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
@@ -266,15 +215,15 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     upstream and is reported with both values.  `checked` counts the
     re-evaluations compared with the canonical value.
 
-    The call builds the powers of R_h once, and from them, once per
-    genus g it meets, the unit functional t_g (`_unit_functional`), so
-    the unit multiplicity of x * R_h^g is the dot product x . t_g.  At
+    The call builds the squares of R_h once, and from them, once per
+    genus g it meets, the unit functional t_g = R_h^g * chi, so the
+    unit multiplicity of x * R_h^g is the dot product x . t_g.  At
     rank n with m colours, the reference and each reordering cost the
     m colour steps of `product_vector` and one dot product.  Each
     genus reduction draws one insertion position per handle and costs
     O(g * n^4) at genus g, from colour operators and an empty-pair
-    operator built once per call.  Each capping folds its handles by
-    repeated squaring, as `dim_V` does.  Each side of a split costs its
+    operator built once per call.  Capping colour c dots the others
+    with R_h^g * e_dual(c).  Each side of a split costs its
     colour steps, one row combination with the n^3 structure constants
     and n dot products of length n, not n complete folds.
     """
@@ -284,13 +233,11 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
     rng = random.Random(seed)
     genus, colours = surface.genus, tuple(surface.boundary)
     n, dual = ring.rank, ring.dual
-    powers: list = []
-    functionals: dict[int, tuple[int, ...]] = {}
+    squares = _handle_squares(ring, genus)
 
+    @cache
     def unit_functional(g):
-        if g not in functionals:
-            functionals[g] = _unit_functional(ring, g, powers)
-        return functionals[g]
+        return power_apply(squares, g, ring.unit_vector())
 
     reference = _dot(product_vector(ring, colours), unit_functional(genus))
 
@@ -312,8 +259,9 @@ def verify_gluing_consistency(ring: FusionRing, surface: ColouredSurface,
                     f"genus-reduction schedule {t} gives {got}, "
                     f"direct evaluation gives {reference}")
 
-    for k in range(len(colours)):
-        got = _eval_by_capping(ring, genus, colours, k, powers)
+    for k, c in enumerate(colours):
+        got = _dot(product_vector(ring, colours[:k] + colours[k + 1:]),
+                   power_apply(squares, genus, ring.basis_vector(dual[c])))
         if got != reference:
             report.fail(
                 f"capping boundary {k} (colour {colours[k]}) gives {got}, "
@@ -477,33 +425,33 @@ def modular_report(ring: FusionRing, twists: TwistData | None = None,
     axiom_report = verify_axioms(ring)
     blocks_raw = block_decomposition(ring)
     subrings = [restrict_to_labels(ring, block) for block in blocks_raw]
-    # the handle powers of each ring, built once for all its surfaces
-    sub_powers: list[list] = [[] for _ in subrings]
-    powers: list = []
+    # the squares of R_h of each ring, built once for all its surfaces
+    sub_squares = [_handle_squares(sub, 1) for sub in subrings]
+    squares = _handle_squares(ring, 1)
 
     summaries = []
-    for block, sub, beta, pw in zip(blocks_raw, subrings, ring.unit,
-                                    sub_powers):
+    for block, sub, beta, sq in zip(blocks_raw, subrings, ring.unit,
+                                    sub_squares):
         summaries.append(BlockSummary(
             labels=tuple(block),
             unit_component=beta,
             nontrivial=check_nontriviality(sub),
-            torus_dim=_eval_in_order(sub, 1, (), pw)))
+            torus_dim=_dim(sub, 1, (), sq)))
 
     entries = []
     for name in sorted(surfaces or {}):
         surf = (surfaces or {})[name]
         per_block = []
-        for block, sub, pw in zip(blocks_raw, subrings, sub_powers):
+        for block, sub, sq in zip(blocks_raw, subrings, sub_squares):
             if all(c in block for c in surf.boundary):
                 relabel = {a: i for i, a in enumerate(block)}
-                per_block.append(_eval_in_order(
-                    sub, surf.genus, [relabel[c] for c in surf.boundary], pw))
+                per_block.append(_dim(
+                    sub, surf.genus, [relabel[c] for c in surf.boundary], sq))
             else:
                 per_block.append(0)
         entries.append(SurfaceEntry(
             name=name, surface=surf,
-            total=_eval_in_order(ring, surf.genus, surf.boundary, powers),
+            total=_dim(ring, surf.genus, surf.boundary, squares),
             per_block=tuple(per_block)))
 
     return ModularReport(
@@ -511,7 +459,7 @@ def modular_report(ring: FusionRing, twists: TwistData | None = None,
         r=len(ring.unit),
         blocks=tuple(summaries),
         functor_count=sum(1 for s in summaries if s.nontrivial),
-        torus_dim=_eval_in_order(ring, 1, (), powers),
+        torus_dim=_dim(ring, 1, (), squares),
         surfaces=tuple(entries),
         twist_report=(validate_twists(ring, twists)
                       if twists is not None else None),

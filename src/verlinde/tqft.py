@@ -5,7 +5,10 @@ Frobenius when the derived pairing g[i][j] = eps(e_i e_j) is
 nondegenerate; the identity eps((ab)c) = eps(a(bc)) then makes the
 pairing associative by construction.  Such an algebra evaluates any
 closed oriented surface to an exact scalar: the genus-g invariant is
-eps(w^g) for the handle element w = sum g^{ij} e_i e_j.
+eps(w^g) for the handle element w = sum g^{ij} e_i e_j, read as
+u . (A^g * eps) for the integer handle action A (row i is e_i w) from
+`exact.power_apply`: O(n^3 log g) products for one genus, one product
+per genus for a table of all genera up to G.
 
 Cobordism words present surfaces as layered compositions of the eight
 elementary generators (identity, swap, multiplication, comultiplication,
@@ -31,8 +34,8 @@ random basis changes and their action (one integer conjugation of the
 structure tensor) run on the integer forms of `exact`, which are the
 stored form of every matrix and tensor, and build `Fraction`s only for
 what a caller reads: a genus invariant is one `Fraction`.  The product
-of elements, the unit laws, the handle element and each handle step
-are `exact.combine_rows` over rows of the structure tensor, the word
+of elements, the unit laws, the handle element and its action are
+`exact.combine_rows` over rows of the structure tensor, the word
 generator tables are read from the nonzero integer entries, and
 `validate_frobenius` builds no `Fraction` unless a check fails; its
 nondegeneracy check is the one elimination of the pairing, whose
@@ -52,8 +55,8 @@ from operator import mul
 
 from .categories import Algebra
 from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
-                    Tensor3, associativity_failures, combine_rows, rat,
-                    scale_to_integers, sparse_rows)
+                    Tensor3, associativity_failures, combine_rows,
+                    power_apply, rat, scale_to_integers, sparse_rows)
 from .fusion import FusionRing
 from .report import Report
 
@@ -164,10 +167,11 @@ class FrobeniusAlgebra(Algebra):
     @cached_property
     def _handle_action(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(r, d): x w is combine_rows(x, r) / d, with row r[i] = e_i w =
-        combine_rows(w, m[i]) in the integer forms of w and m."""
+        combine_rows(w, m[i]) in the integer forms of w and m, reduced."""
         planes, dt = self.mult.integer_form
         w, dw = self._handle_integers
-        return tuple(combine_rows(w, plane) for plane in planes), dt * dw
+        return Matrix.from_integers(
+            [combine_rows(w, plane) for plane in planes], dt * dw).integer_form
 
     @cached_property
     def _word_tables(self) -> dict:
@@ -267,28 +271,31 @@ def handle_element(algebra: FrobeniusAlgebra) -> tuple[Fraction, ...]:
 
 
 def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
-    """Closed-surface invariant eps(w^genus); genus 0 gives eps(1)."""
+    """Closed-surface invariant eps(w^genus); genus 0 gives eps(1).
+
+    Matrix products associate, so u . (A^genus * eps) is the in-order
+    product 1 w ... w also off associativity."""
     if genus < 0:
         raise ValueError(f"negative genus {genus}")
-    return _genus_invariants(algebra, genus)[genus]
+    (u, eps), den = scale_to_integers((algebra.unit, algebra.counit))
+    act, da = algebra._handle_action if genus else ((), 1)
+    column = power_apply([act] if genus else [], genus, eps)
+    return Fraction(sum(map(mul, u, column)), den * den * da ** genus)
 
 
 def _genus_invariants(algebra: FrobeniusAlgebra,
                       max_genus: int) -> list[Fraction]:
-    """eps(w^g) for g = 0..max_genus, one handle step per genus.
-
-    The power 1 w ... w is kept as an integer vector over one
-    denominator, both divided by their gcd after each step.
-    """
-    (power, eps), den = scale_to_integers((algebra.unit, algebra.counit))
+    """eps(w^g) for g = 0..max_genus in one pass: u . t_g, the column
+    t_g = A^g * eps stepped by t <- A t (`exact.power_apply`)."""
+    if max_genus < 0:
+        raise ValueError(f"max_genus {max_genus} must be >= 0")
+    (u, t), den = scale_to_integers((algebra.unit, algebra.counit))
     act, da = algebra._handle_action if max_genus else ((), 1)
-    d = den
-    values = [Fraction(sum(map(mul, eps, power)), d * den)]
+    d = den * den
+    values = [Fraction(sum(map(mul, u, t)), d)]
     for _ in range(max_genus):
-        power = combine_rows(power, act)
-        g = gcd(d * da, *power)
-        power, d = [x // g for x in power], d * da // g
-        values.append(Fraction(sum(map(mul, eps, power)), d * den))
+        t, d = power_apply([act], 1, t), d * da
+        values.append(Fraction(sum(map(mul, u, t)), d))
     return values
 
 

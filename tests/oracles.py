@@ -715,6 +715,18 @@ def naive_combine_rows(vec, rows, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def naive_power_columns(a, max_exponent: int, column) -> list[tuple]:
+    """a^e * column for e = 0 .. max_exponent, each one more
+    matrix-vector product by a plain double loop, zeros included."""
+    n = len(a)
+    columns = [tuple(column)]
+    for _ in range(max_exponent):
+        t = columns[-1]
+        columns.append(tuple(sum(a[i][j] * t[j] for j in range(n))
+                             for i in range(n)))
+    return columns
+
+
 def naive_contract(t, weights) -> tuple[Fraction, ...]:
     """z[k] = sum_ij w[i][j] t[i, j, k] by a plain triple loop."""
     d1, d2, d3 = t.dims

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from verlinde import categories, cli, corpus, formats, fusion, tqft
+from verlinde import categories, corpus, fusion, tqft
 from verlinde.categories import mat_completion, matrix_algebra_category
 from verlinde.cli import main
 from verlinde.formats import serialize
-from verlinde.fusion import FusionRing, cyclic_ring, fibonacci_ring
+from verlinde.fusion import fibonacci_ring
 from verlinde.surfaces import ColouredSurface, dim_V
 
 DATA = Path(__file__).parent / "data"
@@ -142,21 +142,6 @@ def test_validate_lists_a_reciprocity_failure_once(run, tmp_path,
         "bad.fusion: 2 violation(s)",
         "  frobenius symmetry: N[1][0][1] = 1 != 2 = N[1][1][0]",
         "  frobenius symmetry: N[1][1][0] = 2 != 1 = N[0][1][1]"]
-
-
-def test_validate_checks_the_pairing_when_the_involution_fails(
-        run, monkeypatch):
-    # the text format pairs every dual, so the ring is made directly
-    ring = FusionRing(dual=(1, 2, 0), unit=(0,),
-                      coeffs=cyclic_ring(3).coeffs)
-    monkeypatch.setattr(cli, "_load", lambda path, kind: formats.Document(
-        "fusion", ring, path))
-    code, out, _ = run("validate", "cycle.fusion")
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[1] == "  involution: dual(dual(0)) = 2 != 0"
-    assert not any("frobenius symmetry" in line for line in lines)
-    assert any(line.startswith("  <Q_") for line in lines)
 
 
 def test_exit_status_two_on_parse_error(run, tmp_path, monkeypatch):
@@ -322,3 +307,31 @@ def test_dim_prints_integers_past_the_digit_limit(run):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+def test_invariant_at_genus_20000_equals_the_surface_dimension(run):
+    # the algebra of the Fibonacci ring evaluates a closed surface to the
+    # dimension of its space, by the same squaring kernel
+    code, out, err = run("invariant", "fib.algebra", "--genus", "20000")
+    assert (code, err) == (0, "")
+    assert out == run("dim", "fib.fusion", "--genus", "20000")[1]
+
+
+def test_invariant_table_is_one_pass_of_the_genus_invariants(
+        run, monkeypatch):
+    # the table never asks for one genus at a time
+    monkeypatch.setattr(tqft, "genus_invariant", None)
+    code, out, _ = run("--machine", "invariant", "fib.algebra",
+                       "--max-genus", "4")
+    assert code == 0
+    assert out.splitlines() == [f"genus.{g}.invariant = {v}" for g, v in
+                                enumerate((1, 2, 5, 15, 50))]
+
+
+@pytest.mark.parametrize("args", [
+    ("invariant", "fib.algebra", "--max-genus", "-1"),
+    ("report", "fib.fusion", "--max-genus", "-1"),
+    ("validate", "fib.algebra", "--max-genus", "-1"),
+])
+def test_a_negative_max_genus_exits_two(run, args):
+    assert run(*args) == (2, "", "error: max_genus -1 must be >= 0\n")

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_ALGEBRAS, load
 from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
-                     gauss_jordan_rank, naive_combine_rows, naive_contract)
+                     gauss_jordan_rank, naive_combine_rows, naive_contract,
+                     naive_power_columns)
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3, combine_rows, rat,
-                            rref_integers, scale_to_integers)
+                            SingularMatrixError, Tensor3, combine_rows,
+                            power_apply, rat, rref_integers,
+                            scale_to_integers)
 from verlinde.tqft import (multiply_elements, pairing_matrix,
                            random_invertible)
 
@@ -571,6 +573,49 @@ def test_combine_rows_refuses_a_vector_of_another_length(vec, rows):
                        match=f"{len(rows)} rows by a vector of length "
                              f"{len(vec)}"):
         combine_rows(vec, rows)
+
+
+def test_power_apply_matches_repeated_products_in_any_order():
+    # one shared list of squares serves exponents 0-70 asked in random
+    # order, on matrices with negative entries and about half zeros
+    rng = random.Random(29)
+    for n in range(5):
+        for _ in range(6):
+            a = tuple(tuple(rng.choice((0, rng.randint(-4, 4)))
+                            for _ in range(n)) for _ in range(n))
+            column = [rng.randint(-5, 5) for _ in range(n)]
+            expected = naive_power_columns(a, 70, column)
+            squares = [a]
+            for e in rng.sample(range(71), 71):
+                got = power_apply(squares, e, column)
+                assert type(got) is tuple
+                assert got == expected[e], (a, column, e)
+            assert len(squares) == 7  # A, A^2, ..., A^64
+            assert squares[0] is a
+
+
+def test_power_apply_at_exponent_zero_builds_no_square():
+    assert power_apply([], 0, [3, -1]) == (3, -1)
+    squares = [((1, 2), (3, 4))]
+    assert power_apply(squares, 0, (5, 6)) == (5, 6)
+    assert len(squares) == 1
+
+
+@pytest.mark.parametrize("squares, exponent, column, error", [
+    ([((1, 2), (3, 4))], -1, (1, 1), ValueError),
+    ([((1, 2), (3, 4))], 1, (1, 1, 1), DimensionMismatchError),
+    ([((1, 2), (3, 4))], 1, (1,), DimensionMismatchError),
+    ([((1, 2), (3, 4))], 0, (1,), DimensionMismatchError),
+    ([((1, 2, 0), (3, 4, 0))], 1, (1, 1), DimensionMismatchError),
+    ([((1, 2), (3, 4, 0))], 1, (1, 1), DimensionMismatchError),
+])
+def test_power_apply_refuses_what_zipping_would_answer(
+        squares, exponent, column, error):
+    text = ("negative exponent -1" if error is ValueError else
+            f"cannot apply a matrix of 2 rows that is not {len(column)} x "
+            f"{len(column)} to a column of length {len(column)}")
+    with pytest.raises(error, match=text):
+        power_apply(squares, exponent, column)
 
 
 # ---------------------------------------------------------------------------

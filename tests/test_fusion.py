@@ -271,6 +271,28 @@ def test_product_vector_matches_dictionary_convolution(name):
                 ring, labels)
 
 
+def test_colour_operators_and_unit_vector_are_kept_once_outside_equality():
+    from verlinde.surfaces import _pair_operators
+    parsed = [load(name) for name in CORPUS_RINGS]
+    enumerated = enumerate_fusion_rings(3, 1)
+    # parsing builds neither, and enumeration no colour operator (its
+    # axiom checks read the unit vector)
+    assert not any({"_colour_operators", "_unit_vector"} & set(vars(ring))
+                   for ring in parsed)
+    assert not any("_colour_operators" in vars(ring) for ring in enumerated)
+    for ring in parsed + enumerated:
+        twin = FusionRing(ring.dual, ring.unit, ring.coeffs, ring.names)
+        ops = ring._colour_operators
+        assert ops == tuple(tuple(plane[a] for plane in ring.table)
+                            for a in range(ring.rank))
+        assert ring.unit_vector() == tuple(int(a in ring.unit)
+                                           for a in range(ring.rank))
+        assert ring.unit_vector() is ring.unit_vector()
+        assert _pair_operators(ring)[0] is ops
+        assert (twin, hash(twin), repr(twin)) == (ring, hash(ring),
+                                                  repr(ring))
+
+
 @pytest.mark.parametrize("label", [2, 5, -1])
 def test_out_of_range_labels_are_rejected(label):
     fib = fibonacci_ring()

@@ -14,12 +14,12 @@ from conftest import CORPUS_RINGS, load, toy_ring
 from oracles import (brute_force_dim, gluing_by_branching, gluing_entries,
                      handle_steps, list_expansion_dim, step_fold,
                      step_fold_dim)
-from verlinde.exact import Tensor3
+from verlinde.exact import Tensor3, power_apply
 from verlinde.fusion import (FusionRing, cyclic_ring, direct_product,
-                             fibonacci_ring, verify_axioms)
+                             fibonacci_ring, product_vector, verify_axioms)
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
-                               TwistFormatError, _eval_by_gluing, _fold,
-                               _unit_functional,
+                               TwistFormatError, _eval_by_gluing,
+                               _handle_squares,
                                check_nontriviality, dim_V, dim_V_disjoint,
                                modular_report, render_report_machine,
                                render_report_text, sphere_dim,
@@ -242,14 +242,20 @@ def test_dim_matches_step_fold_oracle_on_random_rings():
 
 
 def test_folds_sharing_handle_powers_match_step_fold_in_any_order():
-    # one list of powers serves every fold of a call, whatever the genus
+    # one list of squares of R_h serves every number of a call, whatever
+    # the genus; entry c of the fold is its dot product with R_h^g * e_c
     genera = (5, 0, 2, 9, 3, 16, 1, 16)
     for ring, surface, _ in _random_cases(37, 100, (0,)):
-        powers: list = []
+        squares = _handle_squares(ring, 1)
+        x = product_vector(ring, surface.boundary)
         for genus in genera:
-            assert _fold(ring, genus, surface.boundary, powers) == step_fold(
-                ring, genus, surface.boundary), (ring, genus)
-        assert len(powers) == 5  # R_h, R_h^2, ..., R_h^16
+            fold = tuple(
+                sum(a * b for a, b in zip(x, power_apply(
+                    squares, genus, ring.basis_vector(c))))
+                for c in range(ring.rank))
+            assert fold == step_fold(ring, genus, surface.boundary), (
+                ring, genus)
+        assert len(squares) == 5  # R_h, R_h^2, ..., R_h^16
 
 
 def test_genus_reduction_matches_branching_oracle_on_random_rings():
@@ -324,10 +330,10 @@ def test_unit_functional_gives_the_unit_multiplicity_of_handle_steps():
     rng = random.Random(23)
     rings = [ring for ring, _, _ in _random_cases(23, 20, (0,), max_rank=6)]
     for ring in rings + _corpus_sums()[::4]:
-        powers: list = []
+        squares = _handle_squares(ring, 1)
         for genus in (0, 40, *rng.sample(range(1, 40), 6)):
             x = [rng.randint(-3, 3) for _ in range(ring.rank)]
-            t = _unit_functional(ring, genus, powers)
+            t = power_apply(squares, genus, ring.unit_vector())
             assert sum(a * b for a, b in zip(x, t)) == sum(
                 handle_steps(ring, genus, x)[b] for b in ring.unit), (
                 ring, genus, x)

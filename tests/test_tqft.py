@@ -829,6 +829,27 @@ def test_genus_invariants_keep_the_product_order_off_associativity():
             genus_invariants(a, 7))
 
 
+def test_squared_and_stepped_invariants_match_the_fraction_loop_to_200():
+    # genus_invariant squares the handle action, _genus_invariants steps
+    # it; both against one Fraction product per genus, on every corpus
+    # and stock algebra and a basis change of each (denominators), the
+    # non-trace M_2, and non-associative raised copies of fib and of it
+    rng = random.Random(53)
+    algebras = [load(name) for name in CORPUS_ALGEBRAS]
+    algebras.extend(_stock_frobenius_algebras())
+    algebras.extend([transport_basis(a, random_invertible(a.dim, rng))
+                     for a in algebras])
+    algebras.append(_non_trace_mat2())
+    algebras.extend(list(_raised(load("fib.algebra")))[:2])
+    algebras.extend(list(_raised(_non_trace_mat2()))[:2])
+    genera = sorted({*range(9), 200, *rng.sample(range(9, 200), 8)})
+    for a in algebras:
+        expected = genus_invariants(a, 200)
+        assert tqft._genus_invariants(a, 200) == expected, a
+        got = [genus_invariant(a, g) for g in genera]
+        assert got == [expected[g] for g in genera], a
+
+
 def test_closed_words_on_a_degenerate_algebra_build_only_their_tables():
     bad = FrobeniusAlgebra(
         ("1", "x"),
