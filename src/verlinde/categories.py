@@ -13,12 +13,11 @@ elements, checked by `validate_category`.
 On top of this the module provides the additive completion (objects
 become finite sequences, morphisms matrices), the Karoubi completion
 (objects become idempotents (p, e), morphisms triples (e', f, e) with
-the composition law (e'', f', e')(e', f, e) = (e'', f'f, e)), the tensor
-product of categories, and the one-object special case of algebras with
-the trace-form semisimplicity test and the separability-idempotent
-check.  Inside the module everything composes through `_product`;
-`Morphism`s are built only at the public boundary and for the text of a
-failing entry.
+the composition law (e'', f', e')(e', f, e) = (e'', f'f, e)) and the
+tensor product of categories.  Inside the module everything composes
+through `_product`; `Morphism`s are built only at the public boundary
+and for the text of a failing entry.  It re-exports the algebras of
+`tqft`, which `Algebra.to_category` makes one-object categories.
 
 The Karoubi completion is the costly builder (Karoubi(M_2) has 17
 objects, 289 basis morphisms and 4,913 nonzero composites), so it makes
@@ -50,11 +49,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
-from .exact import (Matrix, Tensor3, associativity_failures, rat,
-                    rref_integers, scale_to_integers, sparse_rows)
+from .exact import (Tensor3, associativity_failures, rat, rref_integers,
+                    scale_to_integers, sparse_rows)
 from .report import Report, SearchTooLargeError
+from .tqft import (Algebra, cyclic_table, dual_numbers_algebra, field_algebra,
+                   group_algebra, group_separability_idempotent,
+                   matrix_algebra, matrix_separability_idempotent,
+                   product_field_algebra,
+                   product_field_separability_idempotent,
+                   trace_form_semisimple, verify_separability_idempotent)
 
 __all__ = [
     "CategoryFormatError",
@@ -952,182 +956,3 @@ def indecomposable_objects(cat: PresentedCategory,
                 for e in karoubi_idempotents(cat, obj, grid)):
             out.append(obj)
     return out
-
-
-# ---------------------------------------------------------------------------
-# algebras (one-object categories)
-
-
-@dataclass(frozen=True)
-class Algebra:
-    """Finite dimensional unital algebra by structure constants.
-
-    ``mult[i][j][k]`` is the coefficient of e_k in e_i e_j.
-    """
-
-    names: tuple[str, ...]
-    mult: Tensor3
-    unit: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = len(self.names)
-        if self.mult.dims != (n, n, n):
-            raise ValueError(
-                f"multiplication tensor dims {self.mult.dims} for "
-                f"dimension {n}")
-        object.__setattr__(self, "unit", tuple(rat(x) for x in self.unit))
-        if len(self.unit) != n:
-            raise ValueError("unit vector length mismatch")
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    @classmethod
-    def from_category(cls, cat: PresentedCategory) -> "Algebra":
-        if len(cat.objects) != 1:
-            raise ValueError("an algebra is a category with one object")
-        obj = cat.objects[0]
-        basis = cat.hom(obj, obj)
-        n = len(basis)
-        # with one object the basis numbering is the order of hom(obj, obj)
-        planes = [[[row.get(j, {}).get(k, 0) for k in range(n)]
-                   for j in range(n)] for row in cat._rows]
-        ident = cat.identity_coeffs(obj)
-        return cls(names=basis,
-                   mult=Tensor3.from_integers(planes, cat._den),
-                   unit=tuple(ident.get(b, Fraction(0)) for b in basis))
-
-    def to_category(self, obj: str = "x") -> PresentedCategory:
-        return one_object_category(obj, self.names, self.mult, self.unit)
-
-    def left_multiplication(self, i: int) -> Matrix:
-        """Matrix of x -> e_i x in the chosen basis."""
-        planes, d = self.mult.integer_form
-        return Matrix.from_integers(list(zip(*planes[i])), d)
-
-
-def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
-    """Gram matrix T[i][j] = trace(L_i L_j); semisimple iff full rank.
-
-    T[i][j] = sum_bc m[i][c][b] m[j][b][c] is summed over the integer
-    form of `mult` and divided once.  Valid over characteristic zero,
-    which is all this package supports.
-    """
-    planes, d = algebra.mult.integer_form
-    flat = [[x for fibre in plane for x in fibre] for plane in planes]
-    flipped = [[x for col in zip(*plane) for x in col] for plane in planes]
-    gram = Matrix.from_integers(
-        [[sum(map(mul, a, b)) for b in flipped] for a in flat], d * d)
-    return gram.rank() == algebra.dim, gram
-
-
-def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
-    """Check a candidate separability idempotent e in A (x) A^op.
-
-    e is given by its coefficient matrix over basis pairs; the checks
-    are (i) the multiplication map sends e to 1 and (ii) r.e = e.r for
-    every basis element r, acting through the two-sided bimodule
-    structure.  Exact equalities; failures are listed.
-    """
-    report = Report("separability idempotent")
-    n = algebra.dim
-    if e.shape != (n, n):
-        report.fail(f"coefficient matrix is {e.shape}, expected {(n, n)}")
-        return report
-
-    mu = algebra.mult.contract(*e.integer_form)
-    if mu != algebra.unit:
-        report.fail(f"multiplication map sends e to {mu}, "
-                    f"expected the unit {algebra.unit}")
-
-    planes, dm = algebra.mult.integer_form
-    for r in range(n):  # sum_a m[r][a][c] e[a][d] = sum_b e[c][b] m[b][r][d]
-        left = Matrix.from_integers(list(zip(*planes[r])), dm) @ e
-        right = e @ Matrix.from_integers([plane[r] for plane in planes], dm)
-        if left == right:
-            continue
-        for c in range(n):
-            for d in range(n):
-                if left[c, d] != right[c, d]:
-                    report.fail(
-                        f"e does not commute with basis element {r}: "
-                        f"component ({c},{d}) gives {left[c, d]} != "
-                        f"{right[c, d]}")
-    report.checked = n + n ** 3
-    return report
-
-
-# ---------------------------------------------------------------------------
-# stock algebras and their separability idempotents
-
-
-def field_algebra() -> Algebra:
-    return Algebra(("1",), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}), (1,))
-
-
-def product_field_algebra(n: int) -> Algebra:
-    """k^n with componentwise multiplication."""
-    data = {(i, i, i): 1 for i in range(n)}
-    return Algebra(tuple(f"e{i}" for i in range(n)),
-                   Tensor3.from_dict((n, n, n), data),
-                   tuple(Fraction(1) for _ in range(n)))
-
-
-def cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-def group_algebra(table: list[list[int]],
-                  names: tuple[str, ...] = ()) -> Algebra:
-    """Group algebra from a Cayley table table[i][j] = index of g_i g_j."""
-    n = len(table)
-    identity = next(i for i in range(n)
-                    if all(table[i][j] == j and table[j][i] == j
-                           for j in range(n)))
-    data = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
-    return Algebra(names or tuple(f"g{i}" for i in range(n)),
-                   Tensor3.from_dict((n, n, n), data),
-                   tuple(Fraction(int(i == identity)) for i in range(n)))
-
-
-def matrix_algebra(n: int) -> Algebra:
-    """Matrix units e_ij, flattened row-major: e_ij e_jl = e_il."""
-    data = {(i * n + j, j * n + l, i * n + l): 1
-            for i in range(n) for j in range(n) for l in range(n)}
-    return Algebra(tuple(f"e{i}{j}" for i in range(n) for j in range(n)),
-                   Tensor3.from_dict((n * n,) * 3, data),
-                   tuple(int(i == j) for i in range(n) for j in range(n)))
-
-
-def dual_numbers_algebra() -> Algebra:
-    """k[x]/(x^2): the smallest algebra with a nonzero nilpotent."""
-    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-    return Algebra(("1", "x"), Tensor3.from_dict((2, 2, 2), data),
-                   (Fraction(1), Fraction(0)))
-
-
-def group_separability_idempotent(table: list[list[int]]) -> Matrix:
-    """(1/|G|) sum_g g (x) g^{-1}; needs |G| invertible, always true here."""
-    n = len(table)
-    identity = next(i for i in range(n)
-                    if all(table[i][j] == j for j in range(n)))
-    return Matrix.from_integers([[int(table[i][j] == identity)
-                                  for j in range(n)] for i in range(n)], n)
-
-
-def matrix_separability_idempotent(n: int) -> Matrix:
-    """(1/n) sum_{ij} e_ij (x) e_ji for the n x n matrix algebra.
-
-    The 1/n normalisation is what makes the multiplication map send the
-    element to 1; without it the image is n times the identity.
-    """
-    # e_ij is basis element a = i n + j, and e_ji is (a % n) n + a // n
-    return Matrix.from_integers([[int(b == a % n * n + a // n)
-                                  for b in range(n * n)]
-                                 for a in range(n * n)], n)
-
-
-def product_field_separability_idempotent(n: int) -> Matrix:
-    """sum_i e_i (x) e_i for k^n."""
-    return Matrix.identity(n)

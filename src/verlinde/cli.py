@@ -27,12 +27,18 @@ class _CheckFailed(Exception):
     """An axiom precondition failed; its report was printed: exit status 1."""
 
 
-def _load(path: str, kind: str | None = None) -> formats.Document:
+def _load(path: str, need: str | None,
+          kind: str | None = None) -> formats.Document:
+    """Parse `path` as `kind`, else as its extension names; a kind other
+    than `need`, the one the command reads, is refused unparsed."""
     guessed = kind or formats.kind_for_path(path)
     if guessed is None:
         raise _CliError(
             f"{path}: cannot infer document kind from extension; "
             "pass --kind")
+    if need is not None and guessed != need:
+        raise _CliError(f"{path}: a file of kind {guessed}, where kind "
+                        f"{need} is needed")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -82,7 +88,7 @@ def _require_valid_algebra(doc: formats.Document) -> tqft.FrobeniusAlgebra:
 def _cmd_validate(args) -> int:
     ok = True
     for path in args.files:
-        doc = _load(path, args.kind)
+        doc = _load(path, None, args.kind)
         if doc.kind == "fusion":
             report = fusion.verify_axioms(doc.payload)
         elif doc.kind == "algebra":
@@ -104,7 +110,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    doc = _load(args.file, args.kind)
+    doc = _load(args.file, "fusion", args.kind)
     ring = _require_valid_ring(doc)
     blocks = fusion.block_decomposition(ring)
     for i, block in enumerate(blocks):
@@ -118,7 +124,9 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    doc = _load(args.ring, args.kind)
+    doc = _load(args.ring, "fusion", args.kind)
+    table = (_load(args.surfaces, "surface-list").payload
+             if args.surfaces else {})
     ring = _require_valid_ring(doc)
     ok = True
     if args.genus is not None:
@@ -129,27 +137,24 @@ def _cmd_dim(args) -> int:
             report = surfaces.verify_gluing_consistency(
                 ring, surface, trials=args.trials, seed=args.seed)
             ok = _print_report(report, "gluing", args.machine) and ok
-    if args.surfaces:
-        table = _load(args.surfaces).payload
-        for name in sorted(table):
-            surface = table[name]
-            value = surfaces.dim_V(ring, surface)
-            if args.machine:
-                print(f"surface.{name}.dim = {value}")
-            else:
-                print(f"dim V({name}) = {value}")
-            if args.verify:
-                report = surfaces.verify_gluing_consistency(
-                    ring, surface, trials=args.trials, seed=args.seed)
-                ok = _print_report(report, f"gluing.{name}",
-                                   args.machine) and ok
+    for name in sorted(table):
+        surface = table[name]
+        value = surfaces.dim_V(ring, surface)
+        if args.machine:
+            print(f"surface.{name}.dim = {value}")
+        else:
+            print(f"dim V({name}) = {value}")
+        if args.verify:
+            report = surfaces.verify_gluing_consistency(
+                ring, surface, trials=args.trials, seed=args.seed)
+            ok = _print_report(report, f"gluing.{name}", args.machine) and ok
     if args.genus is None and not args.surfaces:
         raise _CliError("dim: pass --genus or --surfaces")
     return 0 if ok else 1
 
 
 def _cmd_invariant(args) -> int:
-    doc = _load(args.algebra, args.kind)
+    doc = _load(args.algebra, "algebra", args.kind)
     algebra = _require_valid_algebra(doc)
     if args.genus is not None:
         print(tqft.genus_invariant(algebra, args.genus))
@@ -164,10 +169,9 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_evalword(args) -> int:
-    adoc = _load(args.algebra)
+    adoc = _load(args.algebra, "algebra")
+    word = _load(args.word, "word").payload
     algebra = _require_valid_algebra(adoc)
-    wdoc = _load(args.word)
-    word = wdoc.payload
     try:
         result = tqft.evaluate_word(algebra, word)
     except tqft.WordTypeError as err:
@@ -199,7 +203,7 @@ def _grid(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_complete(args) -> int:
-    doc = _load(args.file, args.kind)
+    doc = _load(args.file, "category", args.kind)
     cat = doc.payload
     base_report = categories.validate_category(cat)
     if not base_report.ok:
@@ -219,8 +223,8 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_check_separable(args) -> int:
-    algebra = _load(args.algebra).payload
-    edoc = _load(args.idempotent)
+    algebra = _load(args.algebra, "algebra").payload
+    edoc = _load(args.idempotent, "idempotent")
     report = categories.verify_separability_idempotent(algebra, edoc.payload)
     semisimple, gram = categories.trace_form_semisimple(algebra)
     if args.machine:
@@ -234,7 +238,7 @@ def _cmd_check_separable(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = _load(args.ring, args.kind)
+    doc = _load(args.ring, "fusion", args.kind)
     ring = doc.payload
     if args.max_genus < 0:
         raise ValueError(f"max_genus {args.max_genus} must be >= 0")
@@ -242,10 +246,10 @@ def _cmd_report(args) -> int:
     for g in range(args.max_genus + 1):
         table[f"closed_g{g}"] = surfaces.ColouredSurface(g)
     if args.surfaces:
-        table.update(_load(args.surfaces).payload)
+        table.update(_load(args.surfaces, "surface-list").payload)
     twists = None
     if args.twists:
-        mapping = _load(args.twists).payload
+        mapping = _load(args.twists, "twist").payload
         twists = surfaces.TwistData.from_mapping(ring.rank, mapping)
     rep = surfaces.modular_report(ring, twists=twists, surfaces=table)
     if args.machine:

@@ -485,9 +485,9 @@ def _enumeration_estimate(rank: int, max_coeff: int) -> tuple[int, int]:
     candidate tensor and, per involution, rank^5 steps to compile its
     equations and the (rank - 1)! relabellings of rank^3 entries of one
     `_canonical_key`.  Up to rank 2 no equation is left to prune, so
-    every candidate is a ring, whose build and `verify_axioms` count
-    1000 steps; past rank 2 the equations leave few tensors (294 of the
-    10,485,760 candidates at (5, 1)), and those are not charged.
+    every candidate is a ring, whose build counts 1000 steps; past rank
+    2 the equations leave few tensors (294 of the 10,485,760 candidates
+    at (5, 1)), and those are not charged.
     """
     involutions, before = 1, 0  # T(0), T(-1)
     for k in range(1, rank):
@@ -635,11 +635,12 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
     and prunes at the first associativity equation whose entries are all
     fixed and which fails.  Every surviving tensor is put in canonical
     form; one representative per relabelling class (permutations fixing
-    the unit label) that passes `verify_axioms` is returned, in a
-    deterministic canonical order.  Raises SearchTooLargeError, naming
-    the estimate, before any search whose work estimate passes
-    MAX_ENUMERATION_CANDIDATES, and ValueError on a rank below 1 or a
-    negative max_coeff.
+    the unit label) is returned, in a deterministic canonical order.  The
+    orbits, the forced entries and the equations impose every axiom of
+    `verify_axioms`, so the rings are not checked again.  Raises
+    SearchTooLargeError, naming the estimate, before any search whose
+    work estimate passes MAX_ENUMERATION_CANDIDATES, and ValueError on a
+    rank below 1 or a negative max_coeff.
     """
     if rank < 1:
         raise ValueError(f"rank {rank} must be >= 1")
@@ -670,7 +671,6 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
             coeffs = Tensor3.from_integers(
                 [[flat[(a * rank + b) * rank:(a * rank + b + 1) * rank]
                   for b in range(rank)] for a in range(rank)], 1)
-            ring = FusionRing(dual=canon_dual, unit=(0,), coeffs=coeffs)
-            if verify_axioms(ring).ok:
-                found[key] = ring
+            found[key] = FusionRing(dual=canon_dual, unit=(0,),
+                                    coeffs=coeffs)
     return [found[key] for key in sorted(found)]

@@ -1,4 +1,9 @@
-"""Frobenius algebras, closed-surface invariants, and cobordism words.
+"""Unital and Frobenius algebras, surface invariants and cobordism words.
+
+`Algebra` is a unital algebra by structure constants; with it come the
+trace-form semisimplicity test, the separability-idempotent check and
+the stock algebras, which `categories` re-exports.  `to_category` makes
+an algebra a one-object category, importing `categories` only then.
 
 A finite dimensional algebra with unit u and counit functional eps is
 Frobenius when the derived pairing g[i][j] = eps(e_i e_j) is
@@ -53,7 +58,6 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from .categories import Algebra
 from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
                     Tensor3, associativity_failures, combine_rows,
                     power_apply, rat, scale_to_integers, sparse_rows)
@@ -101,6 +105,113 @@ class WordTypeError(ValueError):
 
 class DegeneratePairingError(ValueError):
     """The derived pairing eps(e_i e_j) is singular."""
+
+
+# ---------------------------------------------------------------------------
+# unital and Frobenius algebras
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """Finite dimensional unital algebra by structure constants.
+
+    ``mult[i][j][k]`` is the coefficient of e_k in e_i e_j.
+    """
+
+    names: tuple[str, ...]
+    mult: Tensor3
+    unit: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        n = len(self.names)
+        if self.mult.dims != (n, n, n):
+            raise ValueError(
+                f"multiplication tensor dims {self.mult.dims} for "
+                f"dimension {n}")
+        object.__setattr__(self, "unit", tuple(rat(x) for x in self.unit))
+        if len(self.unit) != n:
+            raise ValueError("unit vector length mismatch")
+
+    @property
+    def dim(self) -> int:
+        return len(self.names)
+
+    @classmethod
+    def from_category(cls, cat) -> "Algebra":
+        """End(x) of a one-object `categories.PresentedCategory` x."""
+        if len(cat.objects) != 1:
+            raise ValueError("an algebra is a category with one object")
+        obj = cat.objects[0]
+        basis = cat.hom(obj, obj)
+        n = len(basis)
+        # with one object the basis numbering is the order of hom(obj, obj)
+        planes = [[[row.get(j, {}).get(k, 0) for k in range(n)]
+                   for j in range(n)] for row in cat._rows]
+        ident = cat.identity_coeffs(obj)
+        return cls(names=basis,
+                   mult=Tensor3.from_integers(planes, cat._den),
+                   unit=tuple(ident.get(b, Fraction(0)) for b in basis))
+
+    def to_category(self, obj: str = "x"):
+        """This algebra as a `categories.PresentedCategory` on one object."""
+        from .categories import one_object_category
+        return one_object_category(obj, self.names, self.mult, self.unit)
+
+    def left_multiplication(self, i: int) -> Matrix:
+        """Matrix of x -> e_i x in the chosen basis."""
+        planes, d = self.mult.integer_form
+        return Matrix.from_integers(list(zip(*planes[i])), d)
+
+
+def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
+    """Gram matrix T[i][j] = trace(L_i L_j); semisimple iff full rank.
+
+    T[i][j] = sum_bc m[i][c][b] m[j][b][c] is summed over the integer
+    form of `mult` and divided once.  Valid over characteristic zero,
+    which is all this package supports.
+    """
+    planes, d = algebra.mult.integer_form
+    flat = [[x for fibre in plane for x in fibre] for plane in planes]
+    flipped = [[x for col in zip(*plane) for x in col] for plane in planes]
+    gram = Matrix.from_integers(
+        [[sum(map(mul, a, b)) for b in flipped] for a in flat], d * d)
+    return gram.rank() == algebra.dim, gram
+
+
+def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
+    """Check a candidate separability idempotent e in A (x) A^op.
+
+    e is given by its coefficient matrix over basis pairs; the checks
+    are (i) the multiplication map sends e to 1 and (ii) r.e = e.r for
+    every basis element r, acting through the two-sided bimodule
+    structure.  Exact equalities; failures are listed.
+    """
+    report = Report("separability idempotent")
+    n = algebra.dim
+    if e.shape != (n, n):
+        report.fail(f"coefficient matrix is {e.shape}, expected {(n, n)}")
+        return report
+
+    mu = algebra.mult.contract(*e.integer_form)
+    if mu != algebra.unit:
+        report.fail(f"multiplication map sends e to {mu}, "
+                    f"expected the unit {algebra.unit}")
+
+    planes, dm = algebra.mult.integer_form
+    for r in range(n):  # sum_a m[r][a][c] e[a][d] = sum_b e[c][b] m[b][r][d]
+        left = algebra.left_multiplication(r) @ e
+        right = e @ Matrix.from_integers([plane[r] for plane in planes], dm)
+        if left == right:
+            continue
+        for c in range(n):
+            for d in range(n):
+                if left[c, d] != right[c, d]:
+                    report.fail(
+                        f"e does not commute with basis element {r}: "
+                        f"component ({c},{d}) gives {left[c, d]} != "
+                        f"{right[c, d]}")
+    report.checked = n + n ** 3
+    return report
 
 
 @dataclass(frozen=True)
@@ -206,10 +317,6 @@ def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, d) for v in out)
 
 
-def apply_counit(algebra: FrobeniusAlgebra, x) -> Fraction:
-    return sum(a * b for a, b in zip(algebra.counit, x))
-
-
 def pairing_matrix(algebra: FrobeniusAlgebra) -> Matrix:
     """Derived pairing g[i][j] = eps(e_i e_j)."""
     return algebra._pairing
@@ -231,7 +338,7 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
     associativity does, so it is evaluated on the failing triples only.
     """
     report = Report("frobenius algebra")
-    n = algebra.dim
+    n, eps = algebra.dim, algebra.counit
     basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     planes, dt = algebra.mult.integer_form
     for i, j, k in associativity_failures(sparse_rows(planes),
@@ -240,7 +347,7 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
         lhs = multiply_elements(algebra, products[i][j], basis[k])
         rhs = multiply_elements(algebra, basis[i], products[j][k])
         report.fail(f"associativity at (e_{i} e_{j}) e_{k}: {lhs} != {rhs}")
-        if apply_counit(algebra, lhs) != apply_counit(algebra, rhs):
+        if sum(map(mul, eps, lhs)) != sum(map(mul, eps, rhs)):
             report.fail(
                 f"pairing invariance at (e_{i} e_{j}, e_{k}): "
                 "eps((ab)c) != eps(a(bc))")
@@ -747,7 +854,90 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
 
 
 # ---------------------------------------------------------------------------
-# from fusion rings
+# stock algebras and their separability idempotents
+
+
+def field_algebra() -> Algebra:
+    return Algebra(("1",), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}), (1,))
+
+
+def product_field_algebra(n: int) -> Algebra:
+    """k^n with componentwise multiplication."""
+    data = {(i, i, i): 1 for i in range(n)}
+    return Algebra(tuple(f"e{i}" for i in range(n)),
+                   Tensor3.from_dict((n, n, n), data),
+                   tuple(Fraction(1) for _ in range(n)))
+
+
+def cyclic_table(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _group_identity(table: list[list[int]]) -> int:
+    """The index e with table[e][j] = table[j][e] = j for every j."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
+            return e
+    raise ValueError("group table has no two-sided identity")
+
+
+def group_algebra(table: list[list[int]],
+                  names: tuple[str, ...] = ()) -> Algebra:
+    """Group algebra from a Cayley table table[i][j] = index of g_i g_j;
+    a table without a two-sided identity raises `ValueError`."""
+    n, identity = len(table), _group_identity(table)
+    data = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
+    return Algebra(names or tuple(f"g{i}" for i in range(n)),
+                   Tensor3.from_dict((n, n, n), data),
+                   tuple(Fraction(int(i == identity)) for i in range(n)))
+
+
+def matrix_algebra(n: int) -> Algebra:
+    """Matrix units e_ij, flattened row-major: e_ij e_jl = e_il."""
+    data = {(i * n + j, j * n + l, i * n + l): 1
+            for i in range(n) for j in range(n) for l in range(n)}
+    return Algebra(tuple(f"e{i}{j}" for i in range(n) for j in range(n)),
+                   Tensor3.from_dict((n * n,) * 3, data),
+                   tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
+def dual_numbers_algebra() -> Algebra:
+    """k[x]/(x^2): the smallest algebra with a nonzero nilpotent."""
+    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    return Algebra(("1", "x"), Tensor3.from_dict((2, 2, 2), data),
+                   (Fraction(1), Fraction(0)))
+
+
+def group_separability_idempotent(table: list[list[int]]) -> Matrix:
+    """(1/|G|) sum_g g (x) g^{-1}; needs |G| invertible, always true here.
+
+    Raises `ValueError` unless every row holds the identity exactly
+    once, which gives each g its one inverse."""
+    n, identity = len(table), _group_identity(table)
+    for i, row in enumerate(table):
+        if (k := row.count(identity)) != 1:
+            raise ValueError(f"row {i} of the group table holds the "
+                             f"identity {k} times")
+    return Matrix.from_integers([[int(table[i][j] == identity)
+                                  for j in range(n)] for i in range(n)], n)
+
+
+def matrix_separability_idempotent(n: int) -> Matrix:
+    """(1/n) sum_{ij} e_ij (x) e_ji for the n x n matrix algebra.
+
+    The 1/n normalisation is what makes the multiplication map send the
+    element to 1; without it the image is n times the identity.
+    """
+    # e_ij is basis element a = i n + j, and e_ji is (a % n) n + a // n
+    return Matrix.from_integers([[int(b == a % n * n + a // n)
+                                  for b in range(n * n)]
+                                 for a in range(n * n)], n)
+
+
+def product_field_separability_idempotent(n: int) -> Matrix:
+    """sum_i e_i (x) e_i for k^n."""
+    return Matrix.identity(n)
 
 
 def frobenius_from_fusion(ring: FusionRing) -> FrobeniusAlgebra:

@@ -631,6 +631,20 @@ def test_group_algebra_separability_idempotent():
     assert report.ok, report.render()
 
 
+@pytest.mark.parametrize("table", [[[1, 1], [1, 1]], [[0, 1], [0, 1]]])
+def test_a_table_without_a_two_sided_identity_is_refused(table):
+    with pytest.raises(ValueError, match="no two-sided identity"):
+        group_algebra(table)
+    with pytest.raises(ValueError, match="no two-sided identity"):
+        group_separability_idempotent(table)
+
+
+def test_separability_needs_the_identity_once_in_every_row():
+    table = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]  # g1 and g2 share an inverse
+    with pytest.raises(ValueError, match="row 1 .* identity 2 times"):
+        group_separability_idempotent(table)
+
+
 def test_matrix_algebra_separability_idempotent():
     report = verify_separability_idempotent(
         matrix_algebra(2), matrix_separability_idempotent(2))

@@ -179,6 +179,31 @@ def test_unknown_extension_requires_kind(run, tmp_path, monkeypatch):
     assert code == 0
 
 
+WRONG_KIND = [
+    (("check-separable", "fib.fusion", "mat2.idem"), "fib.fusion"),
+    (("check-separable", "mat2.algebra", "fib.fusion"), "fib.fusion"),
+    (("invariant", "fib.fusion"), "fib.fusion"),
+    (("dim", "mat2.algebra", "--genus", "1"), "mat2.algebra"),
+    (("blocks", "mat2.category"), "mat2.category"),
+    (("complete", "fib.fusion", "--mode", "mat"), "fib.fusion"),
+    (("evalword", "fib.algebra", "fib.fusion"), "fib.fusion"),
+    (("report", "fib.algebra"), "fib.algebra"),
+    (("dim", "fib.fusion", "--genus", "1", "--surfaces", "fib.twist"),
+     "fib.twist"),
+    (("report", "fib.fusion", "--surfaces", "fib.twist"), "fib.twist"),
+    (("report", "fib.fusion", "--twists", "fib.surfaces"), "fib.surfaces"),
+]
+
+
+@pytest.mark.parametrize("args,path", WRONG_KIND,
+                         ids=[" ".join(a) for a, _ in WRONG_KIND])
+def test_a_file_of_the_wrong_kind_is_a_load_error(run, args, path):
+    code, out, err = run(*args)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_dim_with_boundary_flag(run):
     code, out, _ = run("dim", "fib.fusion", "--genus", "0",
                        "--boundary", "1", "1", "1")

@@ -348,6 +348,10 @@ def test_enumerate_is_deterministic():
     second = enumerate_fusion_rings(3, 1)
     assert first == second
     assert all(verify_axioms(r).ok for r in first)
+    # the search imposes every axiom itself and does not check its rings
+    for rank, max_coeff in ((2, 6), (3, 3), (4, 2), (5, 1)):
+        assert all(verify_axioms(r).ok
+                   for r in enumerate_fusion_rings(rank, max_coeff))
 
 
 def test_enumerate_guard_rails(monkeypatch):
