@@ -29,9 +29,11 @@ class _CheckFailed(Exception):
 
 def _load(path: str, need: str | None,
           kind: str | None = None) -> formats.Document:
-    """Parse `path` as `kind`, else as its extension names; a kind other
-    than `need`, the one the command reads, is refused unparsed."""
-    guessed = kind or formats.kind_for_path(path)
+    """Parse `path` as `kind`, else as its extension names, else as
+    `need`, the one kind the command reads there; a kind other than
+    `need` is refused unparsed.  Only `validate`, which reads every
+    kind, has no `need`, so only it asks for --kind."""
+    guessed = kind or formats.kind_for_path(path) or need
     if guessed is None:
         raise _CliError(
             f"{path}: cannot infer document kind from extension; "

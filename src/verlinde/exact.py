@@ -7,8 +7,14 @@ made; its `Fraction` entries are a view, built on first read.  `@`,
 `apply`, `contract` and the one fraction-free elimination behind rank,
 inverse and `rref` (after Bareiss, 1968) work on plain `int`s; `apply`
 and `contract` divide each result entry once, and a `Matrix` result is
-an integer form.  `rank` stops at the echelon form, and `rref` and
-`inverse` go on to the reduced form; the reduced rows `rref` returns
+an integer form.  `@` takes dot products of small matrices and packs
+each row of a large right operand into one integer (Kronecker
+substitution, `_packed_product`): one multiplication per entry of the
+left operand in place of one per term of each dot product.  The
+elimination combines two rows with multipliers divided by their gcd,
+so most combined rows need no division by their content.  `rank`
+stops at the echelon form, and `rref` and `inverse` go on to the
+reduced form; the reduced rows `rref` returns
 are a `Matrix` whose pivot entries all equal its denominator, the form
 `rref_integers` gives of plain integer rows without a `Matrix`.  The
 reduced form is canonical, so equality and hashing compare it.  All
@@ -33,6 +39,7 @@ e_i (e_j e_k) over all k at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable
@@ -53,6 +60,13 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+# `@` packs its right operand (`_packed_product`) when the rows, the
+# inner size and the columns all reach this.  On square integer forms
+# of 3 to 120 bits (CPython 3.11, 2-core VM) the two paths are level at
+# 12 and 13; from 14 on packing is faster, and below 12 the dot
+# products are
+_PACKED_PRODUCT_SIZE = 14
 
 
 def rat(x) -> Fraction:
@@ -195,6 +209,9 @@ class Matrix:
             (tuple(zip(*a)) if a else ((),) * self.cols, den))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product of the integer forms over da * db: dot products,
+        or `_packed_product` once the rows, the inner size and the
+        columns all reach `_PACKED_PRODUCT_SIZE`; the integers agree."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -205,10 +222,12 @@ class Matrix:
             return Matrix.zeros(0, other.cols)
         a, da = self.integer_form
         b, db = other.integer_form
-        cols = list(zip(*b)) if b else [()] * other.cols
-        return Matrix.from_integers(
-            [[sum(map(mul, row, col)) for col in cols] for row in a],
-            da * db)
+        if min(self.rows, self.cols, other.cols) >= _PACKED_PRODUCT_SIZE:
+            rows = _packed_product(a, b)
+        else:
+            cols = list(zip(*b)) if b else [()] * other.cols
+            rows = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        return Matrix.from_integers(rows, da * db)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
@@ -277,17 +296,51 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
+def _packed_product(a, b) -> list[list[int]]:
+    """The integer matrix product a b by Kronecker substitution (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 8.4).
+
+    Row t of b is packed into the one int sum_j b[t][j] 2^(w j), in
+    slots of w = 8 s bits that hold any entry of b or of the product
+    (at most k max|a| max|b| for inner size k) with a sign bit to
+    spare.  Row i of the product is then sum_t a[i][t] packed[t], plus
+    2^(w-1) in every slot so that none is negative and no slot borrows
+    from the next; its bytes, s to a slot, less 2^(w-1), are the entries.
+    """
+    n = len(b[0])
+    ma = max(map(abs, chain.from_iterable(a)))
+    mb = max(map(abs, chain.from_iterable(b)))
+    s = (len(b) * ma * mb + mb).bit_length() // 8 + 1
+    half, size = 1 << (8 * s - 1), n * s
+    bias = int.from_bytes(half.to_bytes(s, "little") * n, "little")
+    # the slots of b[t] + 2^(w-1) are nonnegative, so their bytes pack it
+    packed = [int.from_bytes(b"".join([(x + half).to_bytes(s, "little")
+                                       for x in row]), "little") - bias
+              for row in b]
+    out = []
+    for row in a:
+        data = (sum(map(mul, row, packed)) + bias).to_bytes(size, "little")
+        out.append([int.from_bytes(data[o:o + s], "little") - half
+                     for o in range(0, size, s)])
+    return out
+
+
 def _eliminate(m: list, cols: int,
                echelon: bool = False) -> tuple[list, list[int]]:
     """Fraction-free Gauss-Jordan on integer rows: (rows, pivot columns).
 
     The rows of `m` (any positive scaling of each row gives the same
-    result) are eliminated over the integers in place, every combined
-    row divided by the gcd of its entries.  Row r, divided by its entry
-    in column pivots[r], is row r of the reduced row echelon form; the
-    rows past the last pivot are zero.  With `echelon` only the rows
-    below each pivot are cleared, which finds the same pivots (all
-    `rank` needs) but leaves the rows above them unreduced.
+    result) are eliminated over the integers in place.  A row with entry
+    b in the column of pivot a becomes (a/g) row - (b/g) pivot row, for
+    g = gcd(a, b), divided by the gcd of its entries: the primitive row
+    a row - b pivot row would give, from smaller products and most often
+    with no division left to do.  Row r, divided by its entry in column
+    pivots[r], is row r of the reduced row echelon form; the rows past
+    the last pivot are zero.  With `echelon` only the rows below each
+    pivot are cleared, which finds the same pivots (all `rank` needs)
+    but leaves the rows above them unreduced; the rows below a pivot,
+    like the pivot row, are zero left of its column, so only the
+    columns from the pivot on are combined.
     """
     rows = len(m)
     pivots: list[int] = []
@@ -300,13 +353,23 @@ def _eliminate(m: list, cols: int,
             continue
         m[r], m[p] = m[p], m[r]
         prow, a = m[r], m[r][c]
-        for i in range(r + 1 if echelon else 0, rows):
-            row = m[i]
-            b = row[c]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+        if echelon:
+            zeros, tail = [0] * c, prow[c:]
+            for i in range(r + 1, rows):
+                if b := m[i][c]:
+                    g = gcd(a, b)
+                    x, y = (a // g, b // g) if g > 1 else (a, b)
+                    row = [x * u - y * v for u, v in zip(m[i][c:], tail)]
+                    g = gcd(*row)
+                    m[i] = zeros + ([u // g for u in row] if g > 1 else row)
+        else:
+            for i in range(rows):
+                if i != r and (b := m[i][c]):
+                    g = gcd(a, b)
+                    x, y = (a // g, b // g) if g > 1 else (a, b)
+                    row = [x * u - y * v for u, v in zip(m[i], prow)]
+                    g = gcd(*row)
+                    m[i] = [u // g for u in row] if g > 1 else row
         pivots.append(c)
     return m, pivots
 

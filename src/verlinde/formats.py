@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .categories import CategoryFormatError, PresentedCategory
 from .exact import Matrix, Tensor3
@@ -566,10 +567,11 @@ def _serialize_word(word: CobordismWord) -> str:
 
 
 def _parse_idempotent(text: str, source: str) -> Matrix:
+    """Read each entry as a pair (p, q), and build the matrix from integer
+    rows over the lcm of the q, without a `Fraction` per entry."""
     entries = list(_lines(text, source))
     dim = _header(entries, "dim", source)
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    seen = set()
+    ratios: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, tokens in entries:
         if tokens[0] == "dim":
             continue
@@ -579,12 +581,15 @@ def _parse_idempotent(text: str, source: str) -> Matrix:
         _arity(tokens, 4, source, lineno)
         i = _index(tokens[1], dim, source, lineno)
         j = _index(tokens[2], dim, source, lineno)
-        if (i, j) in seen:
+        if (i, j) in ratios:
             raise SemanticError(f"duplicate entry for ({i},{j})",
                                 source, lineno)
-        seen.add((i, j))
-        rows[i][j] = _fraction(tokens[3], source, lineno)
-    return Matrix(rows)
+        ratios[i, j] = _ratio(tokens[3], source, lineno)
+    den = lcm(*(q for _, q in ratios.values()))
+    rows = [[0] * dim for _ in range(dim)]
+    for (i, j), (p, q) in ratios.items():
+        rows[i][j] = p * (den // q)
+    return Matrix.from_integers(rows, den)
 
 
 def _serialize_idempotent(e: Matrix) -> str:

@@ -219,10 +219,10 @@ class FrobeniusAlgebra(Algebra):
     """A unital `Algebra` plus a counit functional eps.
 
     The pairing, its inverse, the comultiplication, the handle element,
-    the handle's integer action and the word generator tables are
-    derived on first use and cached on the object, outside equality and
-    hashing, so they are freed with it.  A degenerate pairing raises
-    `DegeneratePairingError` on every request.
+    the handle's integer action and its squares and the word generator
+    tables are derived on first use and cached on the object, outside
+    equality and hashing, so they are freed with it.  A degenerate
+    pairing raises `DegeneratePairingError` on every request.
     """
 
     counit: tuple[Fraction, ...]
@@ -283,6 +283,14 @@ class FrobeniusAlgebra(Algebra):
         w, dw = self._handle_integers
         return Matrix.from_integers(
             [combine_rows(w, plane) for plane in planes], dt * dw).integer_form
+
+    @cached_property
+    def _handle_squares(self) -> list:
+        """[A, A^2, A^4, ...] for A the integer handle action (the rows
+        of `_handle_action`): `power_apply` extends it in place, so each
+        square is built once for all the genus invariants asked of the
+        algebra."""
+        return [self._handle_action[0]]
 
     @cached_property
     def _word_tables(self) -> dict:
@@ -381,12 +389,15 @@ def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
     """Closed-surface invariant eps(w^genus); genus 0 gives eps(1).
 
     Matrix products associate, so u . (A^genus * eps) is the in-order
-    product 1 w ... w also off associativity."""
+    product 1 w ... w also off associativity.  The squares of A are
+    kept on the algebra, so later calls reuse them."""
     if genus < 0:
         raise ValueError(f"negative genus {genus}")
     (u, eps), den = scale_to_integers((algebra.unit, algebra.counit))
-    act, da = algebra._handle_action if genus else ((), 1)
-    column = power_apply([act] if genus else [], genus, eps)
+    if not genus:
+        return Fraction(sum(map(mul, u, eps)), den * den)
+    column = power_apply(algebra._handle_squares, genus, eps)
+    da = algebra._handle_action[1]
     return Fraction(sum(map(mul, u, column)), den * den * da ** genus)
 
 

@@ -17,7 +17,9 @@ associativity is checked on every basis triple with plain `Fraction`
 sums over `compose_basis`, grid idempotents by one such composite per
 candidate, Karoubi completions by carving each corner
 with `gauss_jordan` and composing its rows with the same sums, rank,
-inverse and row reduction come from a textbook `Fraction` Gauss-Jordan,
+inverse and row reduction come from a textbook `Fraction` Gauss-Jordan
+(and the stored rows of the integer elimination from its previous
+kernel, which combined rows with unreduced multipliers),
 tensor contractions and matrix products from plain triple loops over
 `Fraction` entries, the trace form and the separability equations of an
 algebra from index loops over `mult[i, j, k]`, basis changes of an
@@ -34,7 +36,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from verlinde.exact import Tensor3
 from verlinde.fusion import (FusionRing, _canonical_key, _forced_entries,
@@ -703,6 +705,35 @@ def gauss_jordan_inverse(rows):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in reduced]
+
+
+def full_multiplier_eliminate(m: list, cols: int,
+                              echelon: bool = False) -> tuple[list,
+                                                              list[int]]:
+    """The fraction-free elimination `exact._eliminate` replaced: each
+    row b at a pivot a becomes a row - b pivot row over all columns,
+    then divided by the gcd of its entries.  Same contract; the rows it
+    stores are the ones `_eliminate` must store."""
+    rows = len(m)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        prow, a = m[r], m[r][c]
+        for i in range(r + 1 if echelon else 0, rows):
+            row = m[i]
+            b = row[c]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return m, pivots
 
 
 def naive_combine_rows(vec, rows, width: int) -> tuple[int, ...]:

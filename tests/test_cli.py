@@ -204,6 +204,55 @@ def test_a_file_of_the_wrong_kind_is_a_load_error(run, args, path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+ONE_KIND_ARGUMENTS = [
+    ("evalword", "fib.algebra", "sphere.word"),
+    ("evalword", "ksquared.algebra", "torus.word"),
+    ("check-separable", "mat2.algebra", "mat2.idem"),
+    ("dim", "fib.fusion", "--surfaces", "fib.surfaces"),
+    ("report", "fib.fusion", "--surfaces", "fib.surfaces",
+     "--twists", "fib.twist"),
+    ("blocks", "fib_x_z2.fusion"),
+    ("invariant", "fib.algebra"),
+    ("complete", "onepoint.category", "--mode", "mat"),
+]
+
+
+@pytest.mark.parametrize("args", ONE_KIND_ARGUMENTS, ids=" ".join)
+def test_a_txt_file_is_read_as_the_one_kind_its_argument_holds(
+        run, args, tmp_path, monkeypatch):
+    # each corpus file copied to <stem>_<extension>.txt gives the output
+    # of the original, with the new names
+    expected = run(*args)
+    assert expected[0] == 0
+    renamed = {}
+    for arg in args:
+        if "." in arg:
+            stem, ext = arg.rsplit(".", 1)
+            renamed[arg] = f"{stem}_{ext}.txt"
+            (tmp_path / renamed[arg]).write_text(
+                corpus.corpus_path(arg).read_text("utf-8"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(*(renamed.get(arg, arg) for arg in args))
+    for old, new in renamed.items():
+        expected = tuple(part.replace(old, new) if isinstance(part, str)
+                         else part for part in expected)
+    assert (code, out, err) == expected
+
+
+def test_validate_still_needs_kind_for_a_txt_file(run, tmp_path,
+                                                  monkeypatch):
+    (tmp_path / "fib.txt").write_text(
+        corpus.corpus_path("fib.algebra").read_text("utf-8"),
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run("validate", "fib.txt")
+    assert (code, out) == (2, "")
+    assert err == ("error: fib.txt: cannot infer document kind from "
+                   "extension; pass --kind\n")
+    code, out, _ = run("validate", "--kind", "algebra", "fib.txt")
+    assert (code, out) == (0, "fib.txt: ok\n")
+
+
 def test_dim_with_boundary_flag(run):
     code, out, _ = run("dim", "fib.fusion", "--genus", "0",
                        "--boundary", "1", "1", "1")

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_ALGEBRAS, load
-from oracles import (fraction_matmul, gauss_jordan, gauss_jordan_inverse,
-                     gauss_jordan_rank, naive_combine_rows, naive_contract,
-                     naive_power_columns)
+from oracles import (fraction_matmul, full_multiplier_eliminate,
+                     gauss_jordan, gauss_jordan_inverse, gauss_jordan_rank,
+                     naive_combine_rows, naive_contract, naive_power_columns)
+from verlinde import exact
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3, combine_rows,
-                            power_apply, rat, rref_integers,
+                            SingularMatrixError, Tensor3, _eliminate,
+                            combine_rows, power_apply, rat, rref_integers,
                             scale_to_integers)
 from verlinde.tqft import (multiply_elements, pairing_matrix,
                            random_invertible)
@@ -655,3 +656,123 @@ def test_dense_matrix_times_its_inverse(d):
     assert m @ inv == Matrix.identity(d)
     assert inv @ m == Matrix.identity(d)
     assert m @ inv == Matrix(fraction_matmul(m, inv))
+
+
+# ---------------------------------------------------------------------------
+# the elimination against its previous kernel, and the packed product
+
+
+def _lu_rows(d: int, rank: int, rng) -> list[list[int]]:
+    """Integer L U of rank exactly `rank`: the first `rank` columns of a
+    unit lower-triangular L times the first `rank` rows of an upper
+    triangular U with diagonal from {1, -1, 2, 3}."""
+    lower = [[1 if i == j else rng.randint(-3, 3) if i > j else 0
+              for j in range(rank)] for i in range(d)]
+    upper = [[rng.choice((1, -1, 2, 3)) if i == j
+              else rng.randint(-3, 3) if i < j else 0
+              for j in range(d)] for i in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)]
+            if upper else [0] * d for row in lower]
+
+
+def _assert_same_elimination(rows: list, cols: int, echelon: bool):
+    got, pivots = _eliminate(list(rows), cols, echelon)
+    want, want_pivots = full_multiplier_eliminate(list(rows), cols, echelon)
+    assert pivots == want_pivots
+    assert [list(row) for row in got] == [list(row) for row in want]
+
+
+def _augmented(ints, den):
+    n = len(ints)
+    return [row + tuple(den if i == j else 0 for j in range(n))
+            for i, row in enumerate(ints)]
+
+
+@pytest.mark.parametrize("echelon", [False, True])
+@pytest.mark.parametrize("rows", _elimination_cases())
+def test_eliminate_stores_the_rows_of_the_full_multiplier_kernel(
+        rows, echelon):
+    # reduced multipliers and the column range change only the work:
+    # every stored row, not only the pivots, is the previous kernel's
+    ints, den = Matrix(rows).integer_form
+    _assert_same_elimination(ints, len(rows[0]), echelon)
+    if len(rows) == len(rows[0]):
+        _assert_same_elimination(_augmented(ints, den), 2 * len(rows),
+                                 echelon)
+
+
+@pytest.mark.parametrize("d", [10, 20, 30, 40])
+def test_eliminate_matches_the_full_multiplier_kernel_on_lu_matrices(d):
+    rng = random.Random(d)
+    for rank in (d, 3 * d // 4, 1):
+        ints = [tuple(row) for row in _lu_rows(d, rank, rng)]
+        _assert_same_elimination(ints, d, echelon=True)
+        _assert_same_elimination(ints, d, echelon=False)
+        _assert_same_elimination(_augmented(ints, 36), 2 * d, echelon=False)
+        m = Matrix.from_integers(ints, 36)
+        assert m.rank() == rank
+        if rank < d:
+            with pytest.raises(SingularMatrixError) as err:
+                m.inverse()
+            assert err.value.rank == rank
+
+
+def _product_operand(rng, rows: int, cols: int) -> list[list[Fraction]]:
+    """Mixed-sign entries over small denominators, with a zero last row
+    and a zero first column when there are two or more, and entries of
+    2^200 and more in size."""
+    big = 2 ** 200
+    m = [[Fraction(rng.choice((-1, 1)) * rng.choice(
+        (0, rng.randint(1, 9), big + rng.randint(0, 9))), rng.randint(1, 4))
+        for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        m[-1] = [Fraction(0)] * cols
+    if cols > 1:
+        for row in m:
+            row[0] = Fraction(0)
+    return m
+
+
+PRODUCT_SHAPES = [
+    (13, 13, 13), (14, 14, 14), (15, 15, 15),
+    (13, 14, 14), (14, 13, 14), (14, 14, 13),
+    (16, 15, 16), (16, 16, 16), (16, 17, 16),
+    (1, 40, 40), (40, 40, 1), (40, 1, 40), (1, 40, 1),
+    (17, 3, 17), (3, 17, 3), (17, 17, 3),
+]
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES,
+                         ids=["x".join(map(str, s)) for s in PRODUCT_SHAPES])
+def test_matmul_matches_the_fraction_loop_on_both_sides_of_packing(
+        shape, monkeypatch):
+    rows, inner, cols = shape
+    packed = []
+    product = exact._packed_product
+
+    def counted(a, b):
+        packed.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(exact, "_packed_product", counted)
+    rng = random.Random(rows * 1000 + inner * 10 + cols)
+    a = Matrix(_product_operand(rng, rows, inner), cols=inner)
+    b = Matrix(_product_operand(rng, inner, cols), cols=cols)
+    got = a @ b
+    assert got.entries == tuple(map(tuple, fraction_matmul(a, b)))
+    assert got.integer_form == scale_to_integers(got.entries)
+    assert bool(packed) == (min(shape) >= exact._PACKED_PRODUCT_SIZE)
+
+
+@pytest.mark.parametrize("left_zero", [True, False])
+def test_packed_product_with_a_zero_operand(left_zero):
+    # the slots must hold the other operand's entries even when the
+    # product bound k max|a| max|b| is 0
+    n = exact._PACKED_PRODUCT_SIZE
+    big = [[(-1) ** (i + j) * (2 ** 200 + i * n + j) for j in range(n)]
+           for i in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    a, b = (zero, big) if left_zero else (big, zero)
+    assert exact._packed_product(a, b) == zero
+    assert (Matrix.from_integers(a, 1) @ Matrix.from_integers(b, 1)
+            == Matrix.zeros(n, n))

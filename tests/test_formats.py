@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (CORPUS_ALGEBRAS, CORPUS_CATEGORIES, CORPUS_RINGS, load)
 from verlinde import corpus, formats
+from verlinde.exact import Matrix
 from verlinde.formats import ParseError, SemanticError, parse, serialize
 
 
@@ -324,3 +325,47 @@ def test_parse_error_message_carries_position():
         assert str(err).startswith("ring.fusion:4: ")
     else:
         raise AssertionError("expected SemanticError")
+
+
+IDEMPOTENT_TEXTS = [
+    "dim 3\n",
+    "dim 2\ne 0 0 1\ne 1 1 1\n",
+    "dim 2\ne 0 1 2/4\ne 1 0 -6/8\ne 1 1 0/5\n",
+    "dim 3\ne 0 0 +5/10\ne 2 1 -0\ne 1 2 0.25\ne 2 2 1e3\ne 0 2 7/3\n",
+    "dim 2\ne 0 0 4/6\ne 0 1 8/6\ne 1 0 -12/6\ne 1 1 2\n",
+    "dim 2\ne 0 0 123456789012345678901234567890/7\ne 1 1 -1/3\n",
+]
+
+
+@pytest.mark.parametrize("text", IDEMPOTENT_TEXTS)
+def test_idempotent_parses_to_the_matrix_of_its_fractions(text):
+    # the parser builds integer rows over the lcm of the denominators as
+    # written; the matrix is the one its entries as Fractions give
+    dim = int(text.split()[1])
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for line in text.splitlines()[1:]:
+        _, i, j, value = line.split()
+        rows[int(i)][int(j)] = Fraction(value)
+    got = parse("idempotent", text).payload
+    want = Matrix(rows)
+    assert got == want
+    assert got.shape == want.shape
+    assert got.integer_form == want.integer_form
+    assert got.entries == want.entries
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("dim 2\ne 0 0 1\ne 1 1 1\ne 0 0 2\n", SemanticError,
+     "m.idem:4: duplicate entry for (0,0)"),
+    ("dim 2\ne 0 0 1\ne 1 1 1/0\n", ParseError,
+     "m.idem:3: expected a rational p/q, got '1/0'"),
+    ("dim 2\ne 0 0 half\n", ParseError,
+     "m.idem:2: expected a rational p/q, got 'half'"),
+    ("dim 2\ne 0 0 1\ne 0 2 1\n", SemanticError,
+     "m.idem:3: index 2 out of range 0..1"),
+    ("dim 2\ne 0 0 1 2\n", ParseError, "m.idem:2: "),
+])
+def test_idempotent_errors_name_their_line(text, error, message):
+    with pytest.raises(error) as err:
+        parse("idempotent", text, source="m.idem")
+    assert str(err.value).startswith(message)

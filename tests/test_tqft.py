@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from oracles import (fraction_random_invertible, fraction_word,
                      frobenius_axiom_entries, genus_invariants,
                      invariance_entries, s3_cayley_table,
                      transport_by_products)
-from verlinde import exact, tqft
+from verlinde import exact, formats, tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
                                  group_algebra, matrix_algebra,
                                  product_field_algebra)
@@ -818,6 +820,56 @@ def test_genus_invariants_match_the_fraction_product_loop():
                             for _ in range(5)]:
             expected = genus_invariants(moved, 30)
             assert [genus_invariant(moved, g) for g in range(31)] == expected
+
+
+def _perfbench_modules(monkeypatch):
+    """perfbench's generator and oracle, whose genus invariants are
+    closed forms in the algebra's kind."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return (importlib.import_module("gen"),
+            importlib.import_module("oracle"))
+
+
+@pytest.mark.parametrize("order", [range(7), range(6, -1, -1),
+                                   (3, 0, 6, 1, 4, 2, 5, 3)])
+def test_genus_invariants_in_any_order_match_the_closed_forms(
+        order, monkeypatch):
+    # the squares each call leaves on the algebra must serve later calls
+    # of any genus, higher or lower
+    gen, closed = _perfbench_modules(monkeypatch)
+    specs = [gen.cyclic_group(3), gen.s3_group(), gen.matrix_alg(2),
+             gen.product_alg((Fraction(1, 2), Fraction(3), Fraction(-2))),
+             gen.dual_numbers(), gen.fusion_alg(gen.fibonacci())]
+    for spec in specs:
+        a = formats.parse("algebra", spec.text()).payload
+        table = tqft._genus_invariants(a, 6)
+        for g in order:
+            assert genus_invariant(a, g) == table[g] == (
+                closed.genus_invariant(spec, g)), (spec.closed, g)
+
+
+def test_a_second_genus_invariant_builds_no_new_square(monkeypatch):
+    built = []
+    combine = exact.combine_rows
+
+    def counted(vec, rows):  # power_apply builds each square row by row
+        built.append(1)
+        return combine(vec, rows)
+
+    monkeypatch.setattr(exact, "combine_rows", counted)
+    a = load("fib.algebra")
+    assert genus_invariant(a, 5) == 175
+    squares = list(a._handle_squares)
+    assert len(squares) == 3 and len(built) == 2 * a.dim  # A^2 and A^4
+    for g in (5, 4, 1, 0, 7, 5):
+        genus_invariant(a, g)
+    assert len(built) == 2 * a.dim
+    assert all(x is y for x, y in zip(a._handle_squares, squares,
+                                      strict=True))
+    assert genus_invariant(a, 8) == 8125
+    assert len(a._handle_squares) == 4 and len(built) == 3 * a.dim
+    assert all(x is y for x, y in zip(a._handle_squares, squares))
 
 
 def test_genus_invariants_keep_the_product_order_off_associativity():
