@@ -4,22 +4,26 @@ Nothing in this module ever rounds.  Each `Matrix` and `Tensor3` is
 stored as one scaled-integer form, integer rows over one positive
 denominator divided by their gcd (`scale_to_integers`), set when it is
 made; its `Fraction` entries are a view, built on first read.  `@`,
-`apply`, `contract` and the one fraction-free elimination behind rank,
-inverse and `rref` (after Bareiss, 1968) work on plain `int`s; `apply`
-and `contract` divide each result entry once, and a `Matrix` result is
-an integer form.  `@` takes dot products of small matrices and packs
+`apply`, `contract`, rank, inverse and the one fraction-free
+elimination (after Bareiss, 1968) work on plain `int`s; `apply` and
+`contract` divide each result entry once, and a `Matrix` result is an
+integer form.  `@` takes dot products of small matrices and packs
 each row of a large right operand into one integer (Kronecker
 substitution, `_packed_product`): one multiplication per entry of the
 left operand in place of one per term of each dot product.  The
 elimination combines two rows with multipliers divided by their gcd,
-so most combined rows need no division by their content.  `rank`
-stops at the echelon form, and `rref` and `inverse` go on to the
-reduced form; the reduced rows `rref` returns
-are a `Matrix` whose pivot entries all equal its denominator, the form
-`rref_integers` gives of plain integer rows without a `Matrix`.  The
-reduced form is canonical, so equality and hashing compare it.  All
-values are immutable after construction, so they are safe to share
-freely.
+so most combined rows need no division by their content.  `rref` is
+its reduced form; the reduced rows it returns are a `Matrix` whose
+pivot entries all equal its denominator, the form `rref_integers`
+gives of plain integer rows without a `Matrix`.  `inverse` and `rank`
+of large matrices recurse on 2 x 2 blocks, the leading block and its
+Schur complement, so that most of their work is products by the same
+kernel as `@` (Strassen, 1969; Bunch and Hopcroft, 1974); small
+matrices, and those whose leading block is singular, are eliminated,
+to the echelon form for `rank` and the reduced form for `inverse`.
+The reduced form of a matrix is canonical, so equality and hashing
+compare it, and every route gives the same inverse.  All values are
+immutable after construction, so they are safe to share freely.
 
 `combine_rows` is the one dense integer product of structure
 constants, sum_d vec[d] * rows[d]: `contract`, the products of fusion
@@ -65,8 +69,21 @@ Rational = Fraction
 # inner size and the columns all reach this.  On square integer forms
 # of 3 to 120 bits (CPython 3.11, 2-core VM) the two paths are level at
 # 12 and 13; from 14 on packing is faster, and below 12 the dot
-# products are
+# products are.
 _PACKED_PRODUCT_SIZE = 14
+
+# `inverse` recurses on 2 x 2 blocks (`_inverse`) from this many rows
+# on.  Interleaved best-of-15 timings of `perfbench/gen.py`'s invertible
+# L U (CPython 3.11, 2-core VM), elimination -> recursion: level at 8
+# and 9, 0.25 -> 0.22 ms at 10, 0.47 -> 0.36 at 12, 2.05 -> 1.21 at 20
+# and 14.7 -> 4.95 at 40.
+_BLOCK_INVERSE_SIZE = 10
+# `rank` recurses (`_rank`) once the rows and the columns reach this.
+# On the Gram matrix N^T N of an N of rank 3/4 of its size the recursion
+# is faster from 20 on (1.65 -> 1.12 ms at 20, 5.06 -> 3.05 at 30, 14.3
+# -> 7.1 at 40), but on N, whose integer form has small entries, it is
+# 0.05-0.1 ms slower at 16 and 24, and level from 25 on.
+_BLOCK_RANK_SIZE = 25
 
 
 def rat(x) -> Fraction:
@@ -209,9 +226,7 @@ class Matrix:
             (tuple(zip(*a)) if a else ((),) * self.cols, den))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product of the integer forms over da * db: dot products,
-        or `_packed_product` once the rows, the inner size and the
-        columns all reach `_PACKED_PRODUCT_SIZE`; the integers agree."""
+        """The `_product` of the integer forms over da * db."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -222,12 +237,7 @@ class Matrix:
             return Matrix.zeros(0, other.cols)
         a, da = self.integer_form
         b, db = other.integer_form
-        if min(self.rows, self.cols, other.cols) >= _PACKED_PRODUCT_SIZE:
-            rows = _packed_product(a, b)
-        else:
-            cols = list(zip(*b)) if b else [()] * other.cols
-            rows = [[sum(map(mul, row, col)) for col in cols] for row in a]
-        return Matrix.from_integers(rows, da * db)
+        return Matrix.from_integers(_product(a, b, other.cols), da * db)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
@@ -260,27 +270,20 @@ class Matrix:
                                             (rows, den)), pivots)
 
     def rank(self) -> int:
-        return len(_eliminate(list(self.integer_form[0]), self.cols,
-                              echelon=True)[1])
+        """The rank, by `_rank`: block recursion from `_BLOCK_RANK_SIZE`
+        rows and columns on, one echelon `_eliminate` below."""
+        return _rank(self.integer_form[0], self.cols)
 
     def inverse(self) -> "Matrix":
-        """The inverse, from one `_eliminate` of [a | den * I]; raises
-        `SingularMatrixError`, carrying the rank."""
+        """The inverse, by `_inverse`: block recursion from
+        `_BLOCK_INVERSE_SIZE` rows on, one `_eliminate` of [a | den * I]
+        below; raises `SingularMatrixError`, carrying the rank."""
         if self.rows != self.cols:
             raise DimensionMismatchError(
                 f"cannot invert non-square {self.rows}x{self.cols} matrix")
-        n = self.rows
         a, den = self.integer_form
-        m, pivots = _eliminate(
-            [row + tuple(den if i == j else 0 for j in range(n))
-             for i, row in enumerate(a)], 2 * n)
-        r = sum(1 for c in pivots if c < n)
-        if r < n:
-            raise SingularMatrixError(rank=r, size=n)
-        d = lcm(*(row[i] for i, row in enumerate(m)))
-        return Matrix.from_integers(
-            [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(m)],
-            d)
+        return object.__new__(Matrix)._set(self.rows, self.cols,
+                                           _inverse(a, den))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
@@ -323,6 +326,105 @@ def _packed_product(a, b) -> list[list[int]]:
         out.append([int.from_bytes(data[o:o + s], "little") - half
                      for o in range(0, size, s)])
     return out
+
+
+def _product(a, b, cols: int) -> list[list[int]]:
+    """The integer matrix product of rows a and rows b of `cols` entries:
+    dot products, or `_packed_product` once the rows, the inner size and
+    the columns all reach `_PACKED_PRODUCT_SIZE`; the integers agree."""
+    if min(len(a), len(b), cols) >= _PACKED_PRODUCT_SIZE:
+        return _packed_product(a, b)
+    columns = list(zip(*b)) if b else [()] * cols
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
+
+
+def _schur(a, k: int, x, d: int):
+    """(p, s, g) for the blocks [[A, B], [C, D]] of the square or
+    rectangular integer rows a, A of size k, and x / d = A^-1: p = x B,
+    and s = (d D - C p) / g, the Schur complement times d / g for its
+    content g (s is zero and g = 0 when the complement is zero)."""
+    cols = len(a[0]) - k
+    p = _product(x, [row[k:] for row in a[:k]], cols)
+    cp = _product([row[:k] for row in a[k:]], p, cols)
+    s = [[d * u - v for u, v in zip(row[k:], w)] for row, w in zip(a[k:],
+                                                                     cp)]
+    g = gcd(*chain.from_iterable(s))
+    return p, [[u // g for u in row] for row in s] if g > 1 else s, g
+
+
+def _inverse(a, s: int = 1) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(x, d), reduced, with x / d = s a^-1 and d > 0, for square integer
+    rows a; a singular a raises `SingularMatrixError`, carrying its rank.
+
+    Below `_BLOCK_INVERSE_SIZE` rows, one `_eliminate` of [a | s I].
+    From it on, by the blocks [[A, B], [C, D]] of a, A of half the size
+    (Strassen, 1969; Bunch and Hopcroft, 1974): A^-1 = x / d and the
+    inverse y / e of the Schur complement S = (d D - C x B) / g come
+    from two recursions, and with p = x B and q = C x the inverse is
+    [[g e x + p y q, -d p y], [-d y q, d^2 y]] / (g e d), from the six
+    products x B, C x, C p, p y, y q and (p y) q, reduced once.  When A
+    is singular, a is eliminated as below the size; when S is, the rank
+    of a is the size of A plus the rank of S.
+    """
+    n = len(a)
+    k = n // 2
+    if n < _BLOCK_INVERSE_SIZE:
+        return _eliminated_inverse(a, s)
+    try:
+        x, d = _inverse([row[:k] for row in a[:k]])
+    except SingularMatrixError:
+        return _eliminated_inverse(a, s)
+    p, schur, g = _schur(a, k, x, d)
+    if not g:
+        raise SingularMatrixError(rank=k, size=n)
+    try:
+        y, e = _inverse(schur)
+    except SingularMatrixError as err:
+        raise SingularMatrixError(rank=k + err.rank, size=n) from None
+    q = _product([row[:k] for row in a[k:]], x, k)
+    py, yq = _product(p, y, n - k), _product(y, q, k)
+    f, dd = g * e, d * d
+    rows = [[f * u + v for u, v in zip(xr, w)] + [-d * v for v in pr]
+            for xr, w, pr in zip(x, _product(py, q, k), py)]
+    rows += [[-d * v for v in qr] + [dd * v for v in yr]
+             for qr, yr in zip(yq, y)]
+    if s != 1:
+        rows = [[s * u for u in row] for row in rows]
+    return _reduced(rows, f * d)
+
+
+def _eliminated_inverse(a, s: int):
+    """`_inverse` by one `_eliminate` of [a | s I]."""
+    n = len(a)
+    m, pivots = _eliminate(
+        [[*row, *(s if i == j else 0 for j in range(n))]
+         for i, row in enumerate(a)], 2 * n)
+    r = sum(1 for c in pivots if c < n)
+    if r < n:
+        raise SingularMatrixError(rank=r, size=n)
+    d = lcm(*(row[i] for i, row in enumerate(m)))
+    return _reduced([[x * (d // row[i]) for x in row[n:]]
+                     for i, row in enumerate(m)], d)
+
+
+def _rank(a, cols: int) -> int:
+    """The rank of integer rows a of `cols` entries.
+
+    Below `_BLOCK_RANK_SIZE` rows or columns, one echelon `_eliminate`.
+    From it on, when the leading block A of half the smaller side is
+    invertible (`_inverse`), the rank is its size plus the rank of the
+    Schur complement, and the size alone when that is zero; when A is
+    singular, a is eliminated as below the size.
+    """
+    k = min(len(a), cols) // 2
+    if min(len(a), cols) < _BLOCK_RANK_SIZE:
+        return len(_eliminate(list(a), cols, echelon=True)[1])
+    try:
+        x, d = _inverse([row[:k] for row in a[:k]])
+    except SingularMatrixError:
+        return len(_eliminate(list(a), cols, echelon=True)[1])
+    _, schur, g = _schur(a, k, x, d)
+    return k + (_rank(schur, cols - k) if g else 0)
 
 
 def _eliminate(m: list, cols: int,

@@ -19,7 +19,9 @@ candidate, Karoubi completions by carving each corner
 with `gauss_jordan` and composing its rows with the same sums, rank,
 inverse and row reduction come from a textbook `Fraction` Gauss-Jordan
 (and the stored rows of the integer elimination from its previous
-kernel, which combined rows with unreduced multipliers),
+kernel, which combined rows with unreduced multipliers, and the integer
+forms of inverses and ranks from that kernel, as `Matrix` computed them
+before it recursed on blocks),
 tensor contractions and matrix products from plain triple loops over
 `Fraction` entries, the trace form and the separability equations of an
 algebra from index loops over `mult[i, j, k]`, basis changes of an
@@ -734,6 +736,32 @@ def full_multiplier_eliminate(m: list, cols: int,
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
     return m, pivots
+
+
+def elimination_inverse(a, den: int):
+    """(rank, form) for the square integer rows a over den: the integer
+    form (rows, d) of (a / den)^-1, divided by its gcd, from one
+    `full_multiplier_eliminate` of [a | den I], or None when the rank is
+    short.  The inverse as `Matrix.inverse` computed it by elimination
+    alone."""
+    n = len(a)
+    m, pivots = full_multiplier_eliminate(
+        [list(row) + [den if i == j else 0 for j in range(n)]
+         for i, row in enumerate(a)], 2 * n)
+    rank = sum(1 for c in pivots if c < n)
+    if rank < n:
+        return rank, None
+    d = lcm(*(m[i][i] for i in range(n)))
+    rows = [[x * (d // m[i][i]) for x in m[i][n:]] for i in range(n)]
+    g = gcd(d, *(x for row in rows for x in row))
+    return rank, (tuple(tuple(x // g for x in row) for row in rows), d // g)
+
+
+def echelon_rank(a, cols: int) -> int:
+    """The rank of integer rows a of `cols` entries, from the echelon
+    form of `full_multiplier_eliminate`, as `Matrix.rank` computed it
+    by elimination alone."""
+    return len(full_multiplier_eliminate(list(a), cols, echelon=True)[1])
 
 
 def naive_combine_rows(vec, rows, width: int) -> tuple[int, ...]:

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_ALGEBRAS, load
-from oracles import (fraction_matmul, full_multiplier_eliminate,
-                     gauss_jordan, gauss_jordan_inverse, gauss_jordan_rank,
+from oracles import (echelon_rank, elimination_inverse, fraction_matmul,
+                     full_multiplier_eliminate, gauss_jordan,
+                     gauss_jordan_inverse, gauss_jordan_rank,
                      naive_combine_rows, naive_contract, naive_power_columns)
 from verlinde import exact
 from verlinde.exact import (DimensionMismatchError, Matrix,
@@ -776,3 +777,191 @@ def test_packed_product_with_a_zero_operand(left_zero):
     assert exact._packed_product(a, b) == zero
     assert (Matrix.from_integers(a, 1) @ Matrix.from_integers(b, 1)
             == Matrix.zeros(n, n))
+
+
+# ---------------------------------------------------------------------------
+# inverse and rank by block recursion, against elimination alone
+
+
+# both sides of _BLOCK_INVERSE_SIZE (10) and _BLOCK_RANK_SIZE (25), odd
+# and even, and sizes whose blocks split again
+BLOCK_SIZES = [1, 2, 3, 5, 8, 9, 10, 11, 12, 13, 16, 19, 20, 21, 24, 25, 26,
+               27, 31, 40, 47, 60]
+
+
+def _upper(d: int, rng) -> list[list[int]]:
+    """Upper triangular with diagonal from {1, -1, 2, 3}."""
+    return [[rng.choice((1, -1, 2, 3)) if i == j
+             else rng.randint(-3, 3) if i < j else 0
+             for j in range(d)] for i in range(d)]
+
+
+def _times(a, b) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _swap_blocks(d: int) -> list[list[int]]:
+    """[[0, 1], [1, 0]] blocks on the diagonal, and a 1 last when d is
+    odd."""
+    return [[int(j == (i ^ 1 if i ^ 1 < d else i)) for j in range(d)]
+            for i in range(d)]
+
+
+def _block_input(kind: str, d: int, rng) -> Matrix:
+    if kind == "lu":
+        return Matrix.from_integers(_lu_rows(d, d, rng), 36)
+    if kind == "mixed_denominators":
+        # rows over 1..7 and columns times 1..5: invertible, and no one
+        # denominator scales every entry
+        r = [rng.randint(1, 7) for _ in range(d)]
+        c = [rng.randint(1, 5) for _ in range(d)]
+        return Matrix([[x * Fraction(c[j], r[i]) for j, x in enumerate(row)]
+                       for i, row in enumerate(_lu_rows(d, d, rng))])
+    if kind == "past_2_200":
+        # L U with a first row of U past 2^200: every row of L U with a
+        # first entry in L holds such entries, and the inverse, which is
+        # linear in that row, too
+        upper = _upper(d, rng)
+        upper[0][1:] = [rng.choice((-1, 1)) * (2 ** 200 + rng.randint(0, 99))
+                        for _ in range(d - 1)]
+        lower = [[1 if i == j else rng.randint(-2, 2) if i > j else 0
+                  for j in range(d)] for i in range(d)]
+        return Matrix.from_integers(_times(lower, upper), 1)
+    if kind == "permutation":
+        perm = list(range(d))
+        rng.shuffle(perm)
+        return Matrix.from_integers(
+            [[int(perm[i] == j) for j in range(d)] for i in range(d)], 1)
+    if kind == "swap_blocks":
+        return Matrix.from_integers(_times(_swap_blocks(d), _upper(d, rng)), 1)
+    raise ValueError(kind)
+
+
+BLOCK_KINDS = ["lu", "mixed_denominators", "past_2_200", "permutation",
+               "swap_blocks"]
+
+
+def _assert_inverse_and_rank_match_elimination(m: Matrix):
+    a, den = m.integer_form
+    rank, form = elimination_inverse(a, den)
+    assert m.rank() == rank == echelon_rank(a, m.cols)
+    if form is None:
+        with pytest.raises(SingularMatrixError) as err:
+            m.inverse()
+        assert (err.value.rank, err.value.size) == (rank, m.rows)
+    else:
+        inv = m.inverse()
+        assert inv == Matrix.from_integers(*form)
+        assert inv.integer_form == form
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+def test_inverse_and_rank_match_elimination_on_both_sides_of_the_cutoffs(
+        kind):
+    rng = random.Random(kind)
+    for d in BLOCK_SIZES:
+        m = _block_input(kind, d, rng)
+        _assert_inverse_and_rank_match_elimination(m)
+    assert m.inverse() @ m == Matrix.identity(d)
+    if kind == "past_2_200":
+        assert max(map(abs, itertools.chain(*m.integer_form[0]))) > 2 ** 200
+
+
+@pytest.mark.parametrize("d", [9, 12, 26, 31])
+def test_singular_matrices_of_every_rank_carry_their_rank(d):
+    # a rank short of the leading block's size makes that block
+    # singular; a larger one leaves a singular Schur complement
+    rng = random.Random(d)
+    for rank in range(d + 1):
+        m = Matrix.from_integers(_lu_rows(d, rank, rng), 6)
+        _assert_inverse_and_rank_match_elimination(m)
+
+
+@pytest.mark.parametrize("d", [40, 60])
+@pytest.mark.parametrize("rank_of", [0, 1, 0.25, 0.5, 0.75, 0.98])
+def test_large_singular_matrices_carry_their_rank(d, rank_of):
+    rank = max(0, min(d - 1, round(rank_of * d)))
+    m = Matrix.from_integers(_lu_rows(d, rank, random.Random(rank)), 6)
+    _assert_inverse_and_rank_match_elimination(m)
+    gram = m.transpose() @ m
+    assert gram.rank() == rank == echelon_rank(gram.integer_form[0], d)
+
+
+RANK_SHAPES = [(1, 60), (60, 1), (13, 40), (40, 13), (24, 60), (60, 24),
+               (25, 26), (26, 25), (30, 60), (60, 30), (47, 31), (31, 47)]
+
+
+@pytest.mark.parametrize("shape", RANK_SHAPES,
+                         ids=["x".join(map(str, s)) for s in RANK_SHAPES])
+def test_rank_of_tall_and_wide_matrices_matches_elimination(shape):
+    rows, cols = shape
+    rng = random.Random(rows * 100 + cols)
+    for rank in sorted({0, 1, min(shape) // 2, min(shape) - 1, min(shape)}):
+        left = [[rng.randint(-3, 3) for _ in range(rank)]
+                for _ in range(rows)]
+        right = [[rng.randint(-5, 5) for _ in range(cols)]
+                 for _ in range(rank)]
+        m = Matrix.from_integers(_times(left, right) if right
+                                 else [[0] * cols] * rows, 6)
+        assert m.rank() == echelon_rank(m.integer_form[0], cols) <= rank
+        assert m.transpose().rank() == m.rank()
+
+
+def _recorded(monkeypatch, name: str) -> list:
+    """Replace `exact.<name>` by a wrapper that records the row and column
+    counts of its first argument at each call, recursive calls too."""
+    calls, f = [], getattr(exact, name)
+
+    def recorded(a, *args):
+        calls.append((len(a), len(a[0]) if a else 0))
+        return f(a, *args)
+
+    monkeypatch.setattr(exact, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 9, 10, 11, 20, 40])
+def test_inverse_recurses_at_and_above_the_cutoff_only(d, monkeypatch):
+    blocks = _recorded(monkeypatch, "_schur")
+    eliminated = _recorded(monkeypatch, "_eliminated_inverse")
+    m = Matrix.from_integers(_lu_rows(d, d, random.Random(d)), 36)
+    assert m.inverse() @ m == Matrix.identity(d)
+    cutoff = exact._BLOCK_INVERSE_SIZE
+    assert bool(blocks) == (d >= cutoff)
+    assert all(n >= cutoff for n, _ in blocks)
+    # LU inputs have invertible leading blocks: nothing falls back
+    assert eliminated and all(n < cutoff for n, _ in eliminated)
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (25, 25), (24, 60), (25, 60),
+                                   (60, 25), (40, 40), (60, 60)])
+def test_rank_recurses_at_and_above_the_cutoff_only(shape, monkeypatch):
+    rows, cols = shape
+    # inner inverses by elimination, so every block step is the rank's
+    monkeypatch.setattr(exact, "_BLOCK_INVERSE_SIZE", 10 ** 6)
+    blocks = _recorded(monkeypatch, "_schur")
+    rng = random.Random(rows * 100 + cols)
+    m = Matrix(_times(_lu_rows(rows, rows, rng),
+                      [[rng.randint(-3, 3) for _ in range(cols)]
+                       for _ in range(rows)]), cols=cols)
+    assert m.rank() == echelon_rank(m.integer_form[0], cols)
+    cutoff = exact._BLOCK_RANK_SIZE
+    assert bool(blocks) == (min(shape) >= cutoff)
+    assert all(min(n, c) >= cutoff for n, c in blocks)
+
+
+@pytest.mark.parametrize("kind", ["reversal", "permutation", "swap_blocks"])
+def test_a_singular_leading_block_falls_back_and_inverts_exactly(
+        kind, monkeypatch):
+    d = 22  # leading block 11 x 11, which splits a swap block
+    eliminated = _recorded(monkeypatch, "_eliminated_inverse")
+    m = (Matrix.from_integers([[int(i + j == d - 1) for j in range(d)]
+                               for i in range(d)], 1) if kind == "reversal"
+         else _block_input(kind, d, random.Random(kind)))
+    inv = m.inverse()
+    assert (d, d) in eliminated
+    assert m @ inv == Matrix.identity(d)
+    assert inv.integer_form == elimination_inverse(*m.integer_form)[1]
+    if kind != "swap_blocks":
+        assert inv == m.transpose()
