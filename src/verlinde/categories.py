@@ -6,8 +6,8 @@ composition, kept as the sparse integer table of its total algebra
 (+) hom(p, q) over a basis numbered once (Mitchell, "Rings with several
 objects", 1972).  Composition is bilinear by construction; the one
 product on that table is `PresentedCategory._product` of integer vectors
-over the numbering.  Associativity (`exact.associativity_failures` on
-composable triples) and the identity laws are equations on basis
+over the numbering.  Associativity (`exact.light_associativity_failures`
+on composable triples) and the identity laws are equations on basis
 elements, checked by `validate_category`.
 
 On top of this the module provides the additive completion (objects
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import (Tensor3, associativity_failures, rat, rref_integers,
-                    scale_to_integers, sparse_rows)
+from .exact import (Tensor3, light_associativity_failures, rat,
+                    rref_integers, scale_to_integers, sparse_rows)
 from .report import Report, SearchTooLargeError
 from .tqft import (Algebra, cyclic_table, dual_numbers_algebra, field_algebra,
                    group_algebra, group_separability_idempotent,
@@ -437,15 +437,17 @@ def validate_category(cat: PresentedCategory) -> Report:
     """Check the identity laws and associativity on composable basis triples.
 
     The identity laws are `_product`s with the integer identity vectors.
-    Associativity is `exact.associativity_failures` on the integer rows,
-    each basis element h paired with the basis elements ending at its
-    source, so exactly the composable triples are covered; each pair
-    (h, g) is decided by one comparison of the rows (hg)f and h(gf) over
-    all f, and only a failing pair is walked f by f.  A failing
-    equation is recomputed through `compose` for its report entry, and
-    the associativity entries come in order of the (h, g, f) names.
-    `checked` counts the identity equations (two per basis element) plus
-    the composable triples.
+    Associativity is `exact.light_associativity_failures` on the integer
+    rows, each basis element h paired with the basis elements ending at
+    its source: the composable triples whose middle factor g is in a
+    certified generating set decide it, and all composable triples are
+    walked when one of those fails or the set would not be cheaper.  A
+    failing equation is recomputed through `compose` for its report
+    entry, and the associativity entries come in order of the (h, g, f)
+    names.  `checked` counts the identity equations (two per basis
+    element) plus the equations the associativity check evaluated: the
+    composable triples when it walked them all, else the triples through
+    the generators and the certificate's lookups.
     """
     report = Report("category axioms")
     for b in sorted(cat._basis):
@@ -463,16 +465,16 @@ def validate_category(cat: PresentedCategory) -> Report:
     ending_at: dict[str, list[int]] = {}
     for j, (_, q) in enumerate(cat._types):
         ending_at.setdefault(q, []).append(j)
-    partners = [ending_at.get(p, []) for p, _ in cat._types]
-    for h, g, f in sorted((names[i], names[j], names[k]) for i, j, k
-                          in associativity_failures(cat._rows, partners)):
+    failures, evaluated = light_associativity_failures(
+        cat._rows, [ending_at.get(p, []) for p, _ in cat._types])
+    for h, g, f in sorted((names[i], names[j], names[k])
+                          for i, j, k in failures):
         hm, gm, fm = (cat.basis_morphism(b) for b in (h, g, f))
         lhs = cat.compose(cat.compose(hm, gm), fm)
         rhs = cat.compose(hm, cat.compose(gm, fm))
         report.fail(f"associativity on ({h},{g},{f}): "
                     f"{lhs.coeffs} != {rhs.coeffs}")
-    report.checked = 2 * len(names) + sum(
-        len(partners[j]) for js in partners for j in js)
+    report.checked = 2 * len(names) + evaluated
     return report
 
 

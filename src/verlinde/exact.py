@@ -37,7 +37,10 @@ share one sparse integer table (`sparse_rows` builds it from a tensor's
 integer form) and one exact associativity check on it
 (`associativity_failures`), which decides a
 pair (i, j) at a time by comparing the rows (e_i e_j) e_k and
-e_i (e_j e_k) over all k at once.
+e_i (e_j e_k) over all k at once.  `light_associativity_failures`
+walks only the triples whose middle factor is in a generating set that
+a certificate proves generates (Light's test), and falls back to the
+full walk when the set cannot pay or a triple fails.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "power_apply",
     "sparse_rows",
     "associativity_failures",
+    "light_associativity_failures",
     "DimensionMismatchError",
     "SingularMatrixError",
 ]
@@ -669,14 +673,14 @@ def sparse_rows(planes) -> list[dict]:
             for plane in planes]
 
 
-def associativity_failures(rows, partners):
+def associativity_failures(rows, partners, thirds=None):
     """Yield each (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
 
     `rows[i]` maps j to the nonzero {k: c} of e_i e_j over one common
     denominator (`sparse_rows`); no entry is zero and none is empty.
     The triples come in the order i, j in `partners[i]`, k in
-    `partners[j]`, for any `partners`, also ones that leave out keys of
-    the rows.
+    `thirds[j]` (`partners[j]` if None), for any such lists, also ones
+    that leave out keys of the rows.
 
     Each pair (i, j) is decided with one dict comparison of two rows
     indexed by k, L[k] = (e_i e_j) e_k and R[k] = e_i (e_j e_k),
@@ -685,13 +689,15 @@ def associativity_failures(rows, partners):
     e_i e_j = c * e_m, L is row m, scaled by c unless c = 1; otherwise
     it is the sum of the rows of its terms.  When e_j e_k = c' * e_n,
     R[k] is rows[i][n], scaled by c' unless c' = 1; otherwise a sum.
-    Only when L != R are the k in `partners[j]` walked, yielding those
+    Only when L != R are the k in `thirds[j]` walked, yielding those
     where the rows differ.  So a pair costs one lookup per entry of row
     j, the sums its other entries need and one comparison, in place of
     two products per triple.  Each scaled row is built once per call.
     """
     empty: dict = {}
     memo: dict = {}  # (m, c) -> row m times c, kept for this call only
+    if thirds is None:
+        thirds = partners
 
     def scaled(m, c):
         if (m, c) not in memo:
@@ -750,9 +756,86 @@ def associativity_failures(rows, partners):
                         out[t] = out.get(t, 0) + c * v
             if lhs != rhs and (lhs := _without_zeros(lhs)) != (
                     rhs := _without_zeros(rhs)):
-                for k in partners[j]:
+                for k in thirds[j]:
                     if lhs.get(k) != rhs.get(k):
                         yield i, j, k
+
+
+def light_associativity_failures(rows, partners) -> tuple[list, int]:
+    """The list of `associativity_failures(rows, partners)` and the number
+    of equations evaluated for it, by Light's test (Clifford and Preston,
+    The Algebraic Theory of Semigroups I, 1961, section 1.2).
+
+    The a with (x a) y = x (a y) for all x, y form a subspace closed
+    under the product: for two of them, (x (a b)) y = ((x a) b) y =
+    (x a)(b y) = x (a (b y)) = x ((a b) y), by bilinearity alone, for
+    any number of objects and without identities.  So if every basis
+    element is a multiple of a product of generators S, the triples with
+    middle factor in S decide associativity, given that the triples
+    `partners` leaves out hold, as a category's non-composable ones do
+    (both sides are zero).  `_light_generators` finds S with a
+    certificate, or gives up when it cannot pay; then, and when the walk
+    over S finds any failure, the full walk runs and its list and triple
+    count are the answer.  Otherwise the count is the triples through S
+    plus the certificate's lookups.
+    """
+    into = [0] * len(rows)  # into[j]: the i with j in partners[i]
+    for js in partners:
+        for j in js:
+            into[j] += 1
+    through = [d * len(partners[j]) for j, d in enumerate(into)]
+    full = sum(through)
+    found = _light_generators(rows, through, full)
+    if found is not None:
+        gens, equations = set(found[0]), found[1]
+        restricted = {}  # partners lists are often shared: filter each once
+        for js in partners:
+            if id(js) not in restricted:
+                restricted[id(js)] = [j for j in js if j in gens]
+        if not any(True for _ in associativity_failures(
+                rows, [restricted[id(js)] for js in partners], partners)):
+            return [], equations
+    return list(associativity_failures(rows, partners)), full
+
+
+def _light_generators(rows, through, full):
+    """(S, equations) for Light's test, or None when the full walk's
+    `full` triples are cheaper.
+
+    S grows in basis order: b is generated when a generated x and an
+    s in S have x s or s x = c * e_b with c != 0 (a multi-term or zero
+    composite makes nothing), and an element not generated when its turn
+    comes joins S.  Each pair of a generated x and an s in S is read
+    once, two lookups, so with n elements the certificate ends at
+    |S| (2n - |S| + 1) lookups; with `through[b]`, the triples with
+    middle factor b, S costs `equations` = its triples plus those
+    lookups.  Once that would reach `full`, S is given up.
+    """
+    n = len(rows)
+    generated = [False] * n
+    gens, members = [], []  # S, and the generated elements
+    walked = 0
+    for b in range(n):
+        if generated[b]:
+            continue
+        walked += through[b]
+        if walked + (len(gens) + 1) * (2 * n - len(gens)) >= full:
+            return None
+        gens.append(b)
+        generated[b] = True
+        members.append(b)
+        queue = [(x, (b,)) for x in members]  # pairs (x, s) still to read
+        while queue:
+            x, ss = queue.pop()
+            for s in ss:
+                for c in (rows[x].get(s), rows[s].get(x)):
+                    if c is not None and len(c) == 1:
+                        (m, v), = c.items()
+                        if v and not generated[m]:
+                            generated[m] = True
+                            members.append(m)
+                            queue.append((m, gens))
+    return gens, walked + len(gens) * (2 * n - len(gens) + 1)
 
 
 def _without_zeros(sums: dict) -> dict:

@@ -8,7 +8,9 @@ product as a multiset of labels), the in-order `dim_V` by one product
 with the handle vector per handle, gluing-consistency reports by
 branching over every label of every handle, the fusion-axiom, pairing and
 Frobenius-algebra reports by loops over every index, associativity on
-sparse integer rows by two sums per triple, fusion-ring enumeration by
+sparse integer rows by two sums per triple, the generators of Light's
+test by re-reading every product of a generated element and a
+generator until nothing new is made, fusion-ring enumeration by
 building every candidate tensor and filtering it with those sums (it
 shares only the involutions, orbits and canonical key of the
 library's search), representation-ring
@@ -456,6 +458,33 @@ def associativity_by_triples(rows, partners) -> list[tuple[int, int, int]]:
                         != {t: v for t, v in rhs.items() if v}):
                     failures.append((i, j, k))
     return failures
+
+
+def light_generators(rows) -> list[int]:
+    """The generators S of Light's test on sparse integer rows, by their
+    definition: each basis element, in order, that is not generated
+    joins S, and then every product x s and s x of a generated x and an
+    s in S is read again until none makes a new element (a single term
+    c * e_m, c != 0, with e_m not yet generated).
+    """
+    gens: list[int] = []
+    generated: set[int] = set()
+    for b in range(len(rows)):
+        if b in generated:
+            continue
+        gens.append(b)
+        generated.add(b)
+        grown = True
+        while grown:
+            grown = False
+            for x, s in product(sorted(generated), gens):
+                for combo in (rows[x].get(s, {}), rows[s].get(x, {})):
+                    terms = [m for m, v in combo.items() if v]
+                    if (len(combo) == 1 and terms
+                            and terms[0] not in generated):
+                        generated.add(terms[0])
+                        grown = True
+    return gens
 
 
 # ---------------------------------------------------------------------------

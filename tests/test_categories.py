@@ -161,7 +161,10 @@ def test_doubled_m2_constant_report_text_is_pinned():
 def test_karoubi_mat2_counts_checked_equations():
     completed = karoubi_completion(matrix_algebra_category(2))
     assert len(completed._basis) == 289
-    assert validate_category(completed).checked == 2 * 289 + 104_329
+    # Light's test: 33 generators, the 10,693 composable triples through
+    # them (of 104,329) and 33 * (2 * 289 - 33 + 1) certificate lookups
+    assert validate_category(completed).checked == (
+        2 * 289 + 10_693 + 18_018)
 
 
 def test_identity_law_failure_reported():
