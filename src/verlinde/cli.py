@@ -63,24 +63,13 @@ def _print_report(report, label: str, machine: bool) -> bool:
     return report.ok
 
 
-def _require_valid_ring(doc: formats.Document) -> fusion.FusionRing:
-    ring = doc.payload
-    report = fusion.verify_axioms(ring)
+def _require_valid(doc: formats.Document, check, kind: str):
+    report = check(doc.payload)
     if not report.ok:
         for entry in report.entries:
             print(f"  {entry}")
-        raise _CheckFailed(f"{doc.source}: fusion axioms fail")
-    return ring
-
-
-def _require_valid_algebra(doc: formats.Document) -> tqft.FrobeniusAlgebra:
-    algebra = doc.payload
-    report = tqft.validate_frobenius(algebra)
-    if not report.ok:
-        for entry in report.entries:
-            print(f"  {entry}")
-        raise _CheckFailed(f"{doc.source}: frobenius axioms fail")
-    return algebra
+        raise _CheckFailed(f"{doc.source}: {kind} axioms fail")
+    return doc.payload
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +102,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_blocks(args) -> int:
     doc = _load(args.file, "fusion", args.kind)
-    ring = _require_valid_ring(doc)
+    ring = _require_valid(doc, fusion.verify_axioms, "fusion")
     blocks = fusion.block_decomposition(ring)
     for i, block in enumerate(blocks):
         labels = " ".join(str(a) for a in block)
@@ -129,7 +118,7 @@ def _cmd_dim(args) -> int:
     doc = _load(args.ring, "fusion", args.kind)
     table = (_load(args.surfaces, "surface-list").payload
              if args.surfaces else {})
-    ring = _require_valid_ring(doc)
+    ring = _require_valid(doc, fusion.verify_axioms, "fusion")
     ok = True
     if args.genus is not None:
         surface = surfaces.ColouredSurface(args.genus,
@@ -157,7 +146,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_invariant(args) -> int:
     doc = _load(args.algebra, "algebra", args.kind)
-    algebra = _require_valid_algebra(doc)
+    algebra = _require_valid(doc, tqft.validate_frobenius, "frobenius")
     if args.genus is not None:
         print(tqft.genus_invariant(algebra, args.genus))
     else:
@@ -173,7 +162,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_evalword(args) -> int:
     adoc = _load(args.algebra, "algebra")
     word = _load(args.word, "word").payload
-    algebra = _require_valid_algebra(adoc)
+    algebra = _require_valid(adoc, tqft.validate_frobenius, "frobenius")
     try:
         result = tqft.evaluate_word(algebra, word)
     except tqft.WordTypeError as err:

@@ -19,14 +19,15 @@ Cobordism words present surfaces as layered compositions of the eight
 elementary generators (identity, swap, multiplication, comultiplication,
 unit, counit, cup, cap); `evaluate_word` compiles a word into a fold of
 exact tensor contractions, one `_contract` per layer, and closed words
-must reproduce the handle formula.  A layer with one generator other
-than `id` (every layer of the suite's words) maps each state key
-straight to its images.  `invariance_suite` checks the handle formula
-on the canonical word of each genus, a few fixed re-bracketed ones and
-seeded random connected words (`random_genus_word`), all in one pass
-over the trie of their layers, so a prefix the words share is
-contracted once; it tests first that eps(e_i e_j) = eps(e_j e_i), and
-leaves out the words with a swap when the counit is not a trace.
+must reproduce the handle formula.  Each generator other than `id` is
+one step that maps each state key straight to its images, and a layer
+of several is their composite, g (x) h = (g (x) id) . (id (x) h).
+`invariance_suite` checks the handle formula on the canonical word of
+each genus, a few fixed re-bracketed ones and seeded random connected
+words (`random_genus_word`), all in one pass over the trie of their
+layers, so a prefix the words share is contracted once; it tests first
+that eps(e_i e_j) = eps(e_j e_i), and leaves out the words with a swap
+when the counit is not a trace.
 Comultiplication is never user input: it is the adjoint of the
 multiplication under the pairing.
 
@@ -517,50 +518,34 @@ def _contract(state: dict, den: int, layer, tables: dict,
               offset: int = 0) -> tuple[dict, int]:
     """(state, den) after one layer, both divided by their gcd.
 
-    Keys hold `offset` frozen input legs, then the working strands; each
-    generator's integer table is contracted against its consecutive
-    working strands, and an `id` copies its strand's index.  A layer
-    with one generator other than `id`, on key positions lo..hi, maps
-    each key straight to key[:lo] + out + key[hi:]; a layer of `id`s
-    alone is the identity.
+    Keys hold `offset` frozen input legs, then the working strands.  A
+    layer is the composite of its generators, each applied on its own:
+    a generator other than `id`, on key positions lo..hi as the
+    generators before it left the key, maps each key to
+    key[:lo] + out + key[hi:], and the position then advances by its
+    outputs; an `id` only advances it, so a layer of `id`s alone is
+    the identity.
     """
-    # (first copied key position, first and past-last argument position,
-    # table) per generator other than `id`
-    steps, pos, copied = [], offset, offset
+    pos, start = offset, state
     for gen in layer:
-        n_in = GENERATORS[gen][0]
+        n_in, n_out = GENERATORS[gen]
         if gen != "id":
             table, gen_den = tables[gen]
             den *= gen_den
-            steps.append((copied, pos, pos + n_in, table))
-            copied = pos + n_in
-        pos += n_in
-    if not steps:
+            hi = pos + n_in
+            new_state: dict[tuple[int, ...], int] = {}
+            get = new_state.get
+            for key, coeff in state.items():
+                head, tail = key[:pos], key[hi:]
+                for out, w in table.get(key[pos:hi], ()):
+                    full = head + out + tail
+                    new_state[full] = get(full, 0) + coeff * w
+            state = new_state
+        pos += n_out
+    if state is start:
         return state, den
-    new_state: dict[tuple[int, ...], int] = {}
-    get = new_state.get
-    if len(steps) == 1:
-        _, lo, hi, table = steps[0]
-        for key, coeff in state.items():
-            head, tail = key[:lo], key[hi:]
-            for out, w in table.get(key[lo:hi], ()):
-                full = head + out + tail
-                new_state[full] = get(full, 0) + coeff * w
-    else:
-        for key, coeff in state.items():
-            partials = [(key[:offset], coeff)]
-            for start, lo, hi, table in steps:
-                kept = key[start:lo]
-                expansion = table.get(key[lo:hi], ())
-                partials = [(prefix + kept + out, c * w)
-                            for prefix, c in partials
-                            for out, w in expansion]
-            tail = key[copied:]
-            for full, value in partials:
-                full += tail
-                new_state[full] = get(full, 0) + value
-    g = gcd(den, *new_state.values())
-    return {key: v // g for key, v in new_state.items() if v}, den // g
+    g = gcd(den, *state.values())
+    return {key: v // g for key, v in state.items() if v}, den // g
 
 
 def evaluate_word(algebra: FrobeniusAlgebra, word: CobordismWord):

@@ -682,6 +682,9 @@ ORACLE_WORDS = (
     (("id", "cup"), ("cap", "id")), (("cup", "id"), ("id", "mult")),
     (("comult",), ("id", "comult"), ("mult", "id"), ("mult",)),
     (("comult", "unit"), ("swap", "id"), ("id", "mult"), ("cap",)),
+    # a generator that changes the strand count before one at offset > 0
+    (("mult", "comult"),), (("cap", "id", "comult"),),
+    (("comult", "counit", "mult"),), (("counit", "swap"),),
 )
 
 
