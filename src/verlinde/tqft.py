@@ -32,10 +32,16 @@ Comultiplication is never user input: it is the adjoint of the
 multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
-element, the integer rows of multiplication by the handle and the
-generator tables of words) is computed once per `FrobeniusAlgebra`
-object and cached on it, so no module-level table keeps an algebra
-alive.  Products, the derived data, genus invariants, word evaluation,
+element, the integer rows of multiplication by the handle and their
+squares, and the generator tables of words) is a function of the
+structure constants, unit and counit, not of the basis names.  So it
+is computed once per structure, in a `_Derived` record that every
+equal `FrobeniusAlgebra` shares: `_derived_record` keys it by the
+integer forms and keeps the `DERIVED_RECORDS` most recently used
+records.  A record holds no algebra, and an algebra looks its record up
+on its first read of derived data, so parsing looks up nothing; the
+checks and every word are still evaluated on every call.
+Products, the derived data, genus invariants, word evaluation,
 random basis changes and their action (one integer conjugation of the
 structure tensor) run on the integer forms of `exact`, which are the
 stored form of every matrix and tensor, and build `Fraction`s only for
@@ -57,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
                     Tensor3, associativity_failures, combine_rows,
@@ -221,9 +227,13 @@ class FrobeniusAlgebra(Algebra):
 
     The pairing, its inverse, the comultiplication, the handle element,
     the handle's integer action and its squares and the word generator
-    tables are derived on first use and cached on the object, outside
-    equality and hashing, so they are freed with it.  A degenerate
-    pairing raises `DegeneratePairingError` on every request.
+    tables are read from the `_Derived` record of the algebra's
+    structure, which every equal algebra shares; the record is looked up
+    on the first such read and kept on the object, outside equality and
+    hashing.  The squares and the tables grow in place as genera and
+    generators are asked for, and each entry is still a function of the
+    structure alone.  A degenerate pairing raises
+    `DegeneratePairingError` on every request.
     """
 
     counit: tuple[Fraction, ...]
@@ -235,69 +245,108 @@ class FrobeniusAlgebra(Algebra):
             raise ValueError("counit vector length mismatch")
 
     @cached_property
-    def _pairing(self) -> Matrix:
-        planes, dt = self.mult.integer_form
-        (eps,), de = scale_to_integers((self.counit,))
-        rows = [[sum(map(mul, fibre, eps)) for fibre in plane]
-                for plane in planes]
-        return Matrix.from_integers(rows, dt * de)
+    def _derived(self) -> _Derived:
+        (unit,), du = scale_to_integers((self.unit,))
+        (counit,), dc = scale_to_integers((self.counit,))
+        return _derived_record(self.mult.integer_form, (unit, du),
+                              (counit, dc))
+
+    _pairing = property(attrgetter("_derived.pairing"))
+    _pairing_inverse = property(attrgetter("_derived.pairing_inverse"))
+    _comult = property(attrgetter("_derived.comult"))
+    _handle_integers = property(attrgetter("_derived.handle_integers"))
+    _handle = property(attrgetter("_derived.handle"))
+    _handle_action = property(attrgetter("_derived.handle_action"))
+    _handle_squares = property(attrgetter("_derived.handle_squares"))
+    _word_tables = property(attrgetter("_derived.word_tables"))
+
+
+class _Derived:
+    """The derived data of one structure (mult, unit, counit), each value
+    built on first use from the integer forms (planes, den) of `mult`
+    and (vector, den) of the counit; the word tables, which `_tables`
+    fills from an algebra of the structure, also read its unit.  It
+    holds no algebra, so once `_derived_record` drops it and no algebra
+    of the structure is left, it is freed."""
+
+    def __init__(self, mult, counit):
+        (self.planes, self.dt), self.counit = mult, counit
 
     @cached_property
-    def _pairing_inverse(self) -> Matrix:
+    def pairing(self) -> Matrix:
+        eps, de = self.counit
+        rows = [[sum(map(mul, fibre, eps)) for fibre in plane]
+                for plane in self.planes]
+        return Matrix.from_integers(rows, self.dt * de)
+
+    @cached_property
+    def pairing_inverse(self) -> Matrix:
         try:
-            return self._pairing.inverse()
+            return self.pairing.inverse()
         except SingularMatrixError as err:
             raise DegeneratePairingError(
                 f"derived pairing is singular (rank {err.rank} of "
-                f"{self.dim})") from err
+                f"{len(self.planes)})") from err
 
     @cached_property
-    def _comult(self) -> Tensor3:
+    def comult(self) -> Tensor3:
         # D[i][p][k] = sum_q ginv[p][q] m[q][i][k]; _mode gives it as [i][k][p]
-        planes, dt = self.mult.integer_form
-        ginv, dg = self._pairing_inverse.integer_form
+        ginv, dg = self.pairing_inverse.integer_form
         return Tensor3.from_integers(
-            [tuple(zip(*plane)) for plane in _mode(planes, ginv)], dt * dg)
+            [tuple(zip(*plane)) for plane in _mode(self.planes, ginv)],
+            self.dt * dg)
 
     @cached_property
-    def _handle_integers(self) -> tuple[list[int], int]:
+    def handle_integers(self) -> tuple[list[int], int]:
         """(w, d): the handle element is w / d, both divided by their gcd;
         w = sum_i combine_rows(ginv_i, plane_i) in the integer forms, one
         combination of the fibres of all planes."""
-        ginv, dg = self._pairing_inverse.integer_form
-        planes, dt = self.mult.integer_form
+        ginv, dg = self.pairing_inverse.integer_form
         w = combine_rows([x for row in ginv for x in row],
-                         [f for plane in planes for f in plane])
-        g = gcd(dt * dg, *w)
-        return [x // g for x in w], dt * dg // g
+                         [f for plane in self.planes for f in plane])
+        g = gcd(self.dt * dg, *w)
+        return [x // g for x in w], self.dt * dg // g
 
     @cached_property
-    def _handle(self) -> tuple[Fraction, ...]:
-        w, d = self._handle_integers
+    def handle(self) -> tuple[Fraction, ...]:
+        w, d = self.handle_integers
         return tuple(Fraction(x, d) for x in w)
 
     @cached_property
-    def _handle_action(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def handle_action(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(r, d): x w is combine_rows(x, r) / d, with row r[i] = e_i w =
         combine_rows(w, m[i]) in the integer forms of w and m, reduced."""
-        planes, dt = self.mult.integer_form
-        w, dw = self._handle_integers
+        w, dw = self.handle_integers
         return Matrix.from_integers(
-            [combine_rows(w, plane) for plane in planes], dt * dw).integer_form
+            [combine_rows(w, plane) for plane in self.planes],
+            self.dt * dw).integer_form
 
     @cached_property
-    def _handle_squares(self) -> list:
+    def handle_squares(self) -> list:
         """[A, A^2, A^4, ...] for A the integer handle action (the rows
-        of `_handle_action`): `power_apply` extends it in place, so each
+        of `handle_action`): `power_apply` extends it in place, so each
         square is built once for all the genus invariants asked of the
-        algebra."""
-        return [self._handle_action[0]]
+        structure."""
+        return [self.handle_action[0]]
 
     @cached_property
-    def _word_tables(self) -> dict:
-        """`_generator_table` by generator name, filled by `_tables` on
-        the first use of each generator."""
+    def word_tables(self) -> dict:
+        """`_generator_table` by generator name, filled in place by
+        `_tables` on the first use of each generator."""
         return {}
+
+
+# most structures whose derived data `_derived_record` keeps
+DERIVED_RECORDS = 32
+
+
+@lru_cache(maxsize=DERIVED_RECORDS)
+def _derived_record(mult, unit, counit) -> _Derived:
+    """The one `_Derived` record of the structure whose integer forms are
+    mult, unit and counit; past `DERIVED_RECORDS` records, the least
+    recently used is dropped.  The key holds ints only, and no names,
+    which no derived value reads."""
+    return _Derived(mult, counit)
 
 
 def _mode(planes, mat):
@@ -391,7 +440,8 @@ def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
 
     Matrix products associate, so u . (A^genus * eps) is the in-order
     product 1 w ... w also off associativity.  The squares of A are
-    kept on the algebra, so later calls reuse them."""
+    kept in the structure's record, so later calls on any equal algebra
+    reuse them."""
     if genus < 0:
         raise ValueError(f"negative genus {genus}")
     (u, eps), den = scale_to_integers((algebra.unit, algebra.counit))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from verlinde import corpus, formats
+import pytest
+
+from verlinde import corpus, formats, tqft
 from verlinde.exact import Tensor3
 from verlinde.fusion import FusionRing
 
@@ -12,6 +14,13 @@ CORPUS_ALGEBRAS = ("ground.algebra", "ksquared.algebra",
                    "dual_numbers.algebra", "z2group.algebra",
                    "z3group.algebra", "mat2.algebra", "fib.algebra")
 CORPUS_CATEGORIES = ("onepoint.category", "mat2.category")
+
+
+@pytest.fixture(autouse=True)
+def cold_derived_table():
+    """Empty the table of shared Frobenius derived data before each test,
+    so a test that counts derived work does not see an earlier test's."""
+    tqft._derived_record.cache_clear()
 
 
 def load(name: str):

@@ -19,10 +19,14 @@ from oracles import (fraction_random_invertible, fraction_word,
                      transport_by_products)
 from verlinde import exact, formats, tqft
 from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
-                                 group_algebra, matrix_algebra,
-                                 product_field_algebra)
+                                 group_algebra, group_separability_idempotent,
+                                 matrix_algebra,
+                                 matrix_separability_idempotent,
+                                 product_field_algebra, trace_form_semisimple,
+                                 verify_separability_idempotent)
 from verlinde.exact import DimensionMismatchError, Matrix, Tensor3
 from verlinde.fusion import FusionRing, cyclic_ring, enumerate_fusion_rings
+from verlinde.report import Report
 from verlinde.surfaces import ColouredSurface, dim_V
 from verlinde.tqft import (GENERATORS, CobordismWord,
                            DegeneratePairingError, FrobeniusAlgebra,
@@ -990,6 +994,183 @@ def test_algebra_is_freed_after_an_invariance_suite():
     del algebra
     gc.collect()
     assert ref() is None
+
+
+def _renamed(a: FrobeniusAlgebra) -> FrobeniusAlgebra:
+    """`a` under other basis names: the same structure."""
+    return FrobeniusAlgebra(tuple(f"r{i}" for i in range(a.dim)), a.mult,
+                            a.unit, a.counit)
+
+
+def _counted_eliminations(monkeypatch) -> list:
+    calls = []
+    eliminate = exact._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    return calls
+
+
+def test_algebras_that_differ_only_in_names_share_one_record(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    a = load("fib.algebra")
+    b = _renamed(a)
+    assert invariance_suite(a, trials=5, max_genus=2).ok
+    assert calls == [2 * a.dim]
+    assert invariance_suite(b, trials=5, max_genus=2).ok
+    assert validate_frobenius(b).ok
+    assert calls == [2 * a.dim]
+    assert b._derived is a._derived
+    assert b._word_tables is a._word_tables
+    assert tqft._derived_record.cache_info().currsize == 1
+
+
+def test_algebras_of_another_unit_counit_or_mult_share_nothing(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    a = load("fib.algebra")
+    planes, den = a.mult.integer_form
+    other_unit = FrobeniusAlgebra(a.names, a.mult, (2, 0), a.counit)
+    scaled_counit = FrobeniusAlgebra(
+        a.names, a.mult, a.unit, tuple(Fraction(7, 3) * c for c in a.counit))
+    # the same numerators over another denominator
+    halved = FrobeniusAlgebra(a.names, Tensor3.from_integers(planes, 2 * den),
+                              a.unit, a.counit)
+    sphere = CobordismWord((("unit",), ("counit",)))
+    assert evaluate_word(a, sphere) == 1
+    assert genus_invariant(a, 2) == 5
+    for b in (other_unit, scaled_counit, halved):
+        assert evaluate_word(b, sphere) == fraction_word(b, sphere)[()]
+        assert genus_invariant(b, 2) == genus_invariants(b, 2)[2]
+        assert b._derived is not a._derived
+    assert evaluate_word(other_unit, sphere) == 2
+    assert pairing_matrix(scaled_counit) == pairing_matrix(a).scale(
+        Fraction(7, 3))
+    assert pairing_matrix(halved) == pairing_matrix(a).scale(Fraction(1, 2))
+    # other_unit has a's pairing, but its own record eliminates it again
+    assert calls == [2 * a.dim] * 4
+    assert tqft._derived_record.cache_info().currsize == 4
+
+
+def _ksquared_with_counit(c) -> FrobeniusAlgebra:
+    k2 = load("ksquared.algebra")
+    return FrobeniusAlgebra(k2.names, k2.mult, k2.unit, (1, c))
+
+
+def test_the_table_holds_its_bound_and_drops_the_least_recent_record():
+    bound = tqft.DERIVED_RECORDS
+    first = [_ksquared_with_counit(c)._derived for c in range(1, bound + 1)]
+    assert tqft._derived_record.cache_info().currsize == bound
+    # a second algebra of structure 1 makes it the most recently used
+    assert _ksquared_with_counit(1)._derived is first[0]
+    _ksquared_with_counit(bound + 1)._derived
+    assert tqft._derived_record.cache_info().currsize == bound
+    # so 1 and 3 were kept, and 2 was dropped and gets a new record
+    assert _ksquared_with_counit(1)._derived is first[0]
+    assert _ksquared_with_counit(3)._derived is first[2]
+    assert _ksquared_with_counit(2)._derived is not first[1]
+    assert tqft._derived_record.cache_info().currsize == bound
+
+
+def test_an_evicted_record_is_freed():
+    a = _ksquared_with_counit(1)
+    assert genus_invariant(a, 3) == 2
+    ref = weakref.ref(a._derived)
+    del a
+    for c in range(2, tqft.DERIVED_RECORDS + 2):
+        _ksquared_with_counit(c)._derived
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_degenerate_pairing_raises_for_every_equal_algebra(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    bad = FrobeniusAlgebra(
+        ("1", "x"),
+        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
+                                      (1, 0, 1): 1}),
+        (1, 0), (1, 0))
+    for b in (bad, _renamed(bad), _renamed(bad)):
+        for _ in range(2):
+            with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
+                handle_element(b)
+            with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
+                invariance_suite(b, trials=2, max_genus=1)
+            assert validate_frobenius(b).entries == [
+                "pairing eps(e_i e_j) is degenerate: rank 1 of 2"]
+    # the failed inverse is never kept: every request eliminates again
+    assert calls == [2 * bad.dim] * 18
+
+
+def test_parsing_and_algebra_calls_make_no_lookup(monkeypatch):
+    def no_lookup(*args):
+        raise AssertionError("derived data looked up")
+
+    monkeypatch.setattr(tqft, "_derived_record", no_lookup)
+    for name in CORPUS_ALGEBRAS:
+        a = load(name)
+        text = formats.serialize("algebra", a)
+        assert formats.parse("algebra", text).payload == a
+        assert trace_form_semisimple(a)[0] == (name != "dual_numbers.algebra")
+    for n in (1, 2):
+        algebra = matrix_algebra(n)
+        assert trace_form_semisimple(algebra)[0]
+        assert verify_separability_idempotent(
+            algebra, matrix_separability_idempotent(n)).ok
+    table = cyclic_table(3)
+    assert verify_separability_idempotent(
+        group_algebra(table), group_separability_idempotent(table)).ok
+
+
+def _outcome(call, *args):
+    try:
+        result = call(*args)
+    except DegeneratePairingError as err:
+        return "raises", str(err)
+    if isinstance(result, Report):
+        return result.entries, result.checked
+    return result
+
+
+def _public_results(a: FrobeniusAlgebra, cold: bool) -> list:
+    """Every public result on a fresh copy of `a` per call; with `cold`
+    the table of derived data is emptied before each call."""
+    calls = [(validate_frobenius,)]
+    calls += [(invariance_suite, 3, seed, 2) for seed in (0, 1, 2)]
+    calls += [(genus_invariant, g) for g in range(9)]
+    calls += [(evaluate_word, CobordismWord(layers))
+              for layers in ORACLE_WORDS]
+    results = []
+    for call, *args in calls:
+        if cold:
+            tqft._derived_record.cache_clear()
+        copy = FrobeniusAlgebra(a.names, a.mult, a.unit, a.counit)
+        results.append(_outcome(call, copy, *args))
+    return results
+
+
+def test_every_result_is_equal_on_a_cold_and_a_warm_table():
+    algebras = [load(name) for name in CORPUS_ALGEBRAS]
+    rng = random.Random(72)
+    moved = [transport_basis(a, random_invertible(a.dim, rng))
+             for a in algebras]
+    algebras += list(_stock_frobenius_algebras()) + moved
+    for name in ("ksquared.algebra", "fib.algebra", "mat2.algebra"):
+        algebras += _raised(load(name))
+    k2, m2 = load("ksquared.algebra"), load("mat2.algebra")
+    planes, den = m2.mult.integer_form
+    algebras += [FrobeniusAlgebra(k2.names, k2.mult, (1, 0), k2.counit),
+                 FrobeniusAlgebra(k2.names, k2.mult, k2.unit, (1, 0)),
+                 FrobeniusAlgebra(m2.names,
+                                  Tensor3.from_integers(planes, 3 * den),
+                                  m2.unit, m2.counit)]
+    cold = [_public_results(a, cold=True) for a in algebras]
+    tqft._derived_record.cache_clear()
+    for a, expected in zip(algebras, cold):
+        _public_results(_renamed(a), cold=False)
+        assert _public_results(a, cold=False) == expected, a
 
 
 def test_invariance_under_direct_sum_at_genus_one():
