@@ -33,11 +33,14 @@ each candidate then costs a few integer products and stops at the first
 equation it fails.
 
 Every builder (`one_object_category`, the completions, the tensor
-product) fills the integer table directly from integer rows, and so does
-`formats.parse` from integer numerators; only the public constructor,
-which takes any rational coefficients, reads them as `Fraction`s first.
-Every path gives the same reduced table, so equal categories compare
-equal however they were made.  The parser, the public constructor and
+product) fills the integer table directly from integer rows.
+`formats.parse` and the public constructor share `_set_names`, which
+numbers a table keyed by names: the parser hands it each coefficient
+token with its integer numerator over the lcm of the document's
+denominators, and the constructor, which takes any rational
+coefficients, its `Fraction`s with theirs.  Every path gives the same
+reduced table, so equal categories compare equal however they were
+made.  The parser, the public constructor and
 `one_object_category` run the structural checks; the completions and the
 tensor product, whose tables are typed by construction, skip them.
 """
@@ -106,7 +109,14 @@ MAX_COMPLETION_OBJECTS = 128
 
 
 class CategoryFormatError(ValueError):
-    """Malformed presentation: unknown names, bad targets, bad identities."""
+    """Malformed presentation: unknown names, bad targets, bad identities.
+
+    `directive` holds the leading tokens of the text directive at fault,
+    ["compose", g, f] or ["identity", p], and is empty for the rest."""
+
+    def __init__(self, message: str, directive=()):
+        super().__init__(message)
+        self.directive = directive
 
 
 def _clean(coeffs: dict) -> dict[str, Fraction]:
@@ -120,7 +130,7 @@ def _check_name(kind: str, name: str) -> None:
 
 def _identity_error(p: str, b: str) -> CategoryFormatError:
     return CategoryFormatError(
-        f"identity of {p}: term {b} not in hom({p},{p})")
+        f"identity of {p}: term {b} not in hom({p},{p})", ["identity", p])
 
 
 class Morphism:
@@ -182,11 +192,13 @@ class PresentedCategory:
     """
 
     def __init__(self, objects, hom, compose, identities):
-        def ratios(table):
-            return {key: {b: c.as_integer_ratio()
-                          for b, c in _clean(combo).items()}
-                    for key, combo in table.items()}
-        self._set_names(objects, hom, ratios(compose), ratios(identities))
+        tables = [{key: _clean(combo) for key, combo in table.items()}
+                  for table in (compose, identities)]
+        values = {c for table in tables for combo in table.values()
+                  for c in combo.values()}
+        den = lcm(*(c.denominator for c in values))
+        self._set_names(objects, hom, *tables, den, {
+            c: c.numerator * (den // c.denominator) for c in values}.get)
 
     @classmethod
     def _from_rows(cls, objects, hom, rows, den, identities, checked=True):
@@ -232,38 +244,38 @@ class PresentedCategory:
         self._span = {pq: (self._number[basis[0]], self._number[basis[-1]] + 1)
                       for pq, basis in self._hom.items()}
 
-    def _set_names(self, objects, hom, compose, identities):
+    def _set_names(self, objects, hom, compose, identities, den,
+                   numerator):
         """Set the basis, then the table and the identities keyed by
-        names, each coefficient a pair (p, q), q > 0, of the rational
-        p / q: compose[(g, f)] = {h: (p, q)} is the composite g . f and
-        identities[obj] = {b: (p, q)} the identity of obj.  Each is read
-        as numerators over the lcm of its q; zero coefficients are
-        dropped before their names are read."""
+        names: compose[(g, f)] = {h: x} is the composite g . f and
+        identities[obj] = {b: x} the identity of obj, each coefficient
+        numerator(x) / den.  Terms whose coefficient is zero are dropped
+        before their names are read."""
         self._set_basis(objects, hom)
         number = self._number
 
-        def numbered(combo, d):
-            return dict(sorted([(number[b], p * (d // q))
-                                for b, (p, q) in combo.items() if p]))
+        def numbered(combo):
+            terms = {}
+            for b, x in combo.items():
+                c = numerator(x)
+                if c:
+                    terms[number[b]] = c
+            return dict(sorted(terms.items())) if len(terms) > 1 else terms
 
-        den, ident_den = (lcm(*{q for combo in part.values()
-                                for _, q in combo.values()})
-                          for part in (compose, identities))
         rows = [{} for _ in self._names]
         for (g, f), combo in compose.items():
             if g not in number or f not in number:
                 raise CategoryFormatError(
                     f"compose({g},{f}): unknown basis element")
             try:
-                rows[number[g]][number[f]] = numbered(combo, den)
+                rows[number[g]][number[f]] = numbered(combo)
             except KeyError as err:
                 raise self._typing_error(number[g], number[f],
                                          err.args[0]) from None
         idents = []
         for p in self.objects:
             try:
-                idents.append((numbered(identities.get(p, {}), ident_den),
-                               ident_den))
+                idents.append((numbered(identities.get(p, {})), den))
             except KeyError as err:
                 raise _identity_error(p, err.args[0]) from None
         self._set_table([dict(sorted(row.items())) for row in rows], den,
@@ -310,15 +322,17 @@ class PresentedCategory:
         hom(p, p) is nonzero; drop the empty entries of the rows."""
         types, span = self._types, self._span
         for g, row in enumerate(rows):
-            for f, terms in list(row.items()):
-                if types[f][1] != types[g][0]:
+            gp, gq = types[g]
+            for f, terms in row.items():
+                fp, fq = types[f]
+                if fq != gp:
                     raise self._typing_error(g, f)
-                lo, hi = span.get((types[f][0], types[g][1]), (0, 0))
-                if not terms:
-                    del row[f]
-                elif min(terms) < lo or max(terms) >= hi:
-                    raise self._typing_error(g, f, self._names[next(
-                        k for k in terms if not lo <= k < hi)])
+                lo, hi = span.get((fp, gq), (0, 0))
+                for k in terms:
+                    if not lo <= k < hi:
+                        raise self._typing_error(g, f, self._names[k])
+            if not all(row.values()):
+                rows[g] = {f: terms for f, terms in row.items() if terms}
         for p, (x, _) in zip(self.objects, identities):
             lo, hi = span.get((p, p), (0, 0))
             for k in x:
@@ -337,10 +351,10 @@ class PresentedCategory:
         if fq != gp:
             return CategoryFormatError(
                 f"compose({gn},{fn}): not composable "
-                f"({fn}: {fp}->{fq}, {gn}: {gp}->{gq})")
+                f"({fn}: {fp}->{fq}, {gn}: {gp}->{gq})", ["compose", gn, fn])
         return CategoryFormatError(
             f"compose({gn},{fn}): result term {h} does not lie "
-            f"in hom({fp},{gq})")
+            f"in hom({fp},{gq})", ["compose", gn, fn])
 
     # -- accessors ---------------------------------------------------------
 

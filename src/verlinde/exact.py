@@ -117,7 +117,9 @@ def _reduced(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     values rows / den."""
     if den <= 0:
         raise ValueError(f"denominator {den} is not positive")
-    g = gcd(den, *(x for row in rows for x in row))
+    g = gcd(den, *chain.from_iterable(rows))
+    if g == 1:
+        return tuple(map(tuple, rows)), den
     return tuple([tuple([x // g for x in row]) for row in rows]), den // g
 
 

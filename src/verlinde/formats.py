@@ -5,6 +5,22 @@ presented categories, surface lists, twist assignments, cobordism
 words, and separability idempotents.  All formats are UTF-8, use `#`
 comments, and are diffable; serializers emit a canonical form so that
 serialize(parse(file)) is byte-identical on canonical files.
+
+Each document is read in one pass over its lines (`_lines`: a comment
+is cut only where a `#` occurs, and each line is split once) straight
+to the integer forms its payload stores.  The directives that make up a
+table (`N`, `mult`, `e`) read their indices with int() and one range
+test; only a line that fails them is read again by `_arity`, `_int` and
+a range test in turn, which raise its first fault.  Each distinct value
+token is read once per document as a pair (p, q); fusion
+multiplicities, `mult` and idempotents become integer planes or rows
+over the lcm of the q, and a category's coefficients its integer table
+over that lcm, without a `Fraction` per entry.  Every error carries the
+source and the line it is on: a duplicate entry is reported on its
+second line whatever the first value, a structural category error once
+the whole text is read, on the line of its `compose` or `identity`
+directive (line 0 for a missing identity or size header), and a term
+with no basis name (`1*`) as a syntax error on its line.
 """
 
 from __future__ import annotations
@@ -13,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .categories import CategoryFormatError, PresentedCategory
 from .exact import Matrix, Tensor3
@@ -29,9 +46,6 @@ __all__ = [
     "serialize",
     "kind_for_path",
 ]
-
-KINDS = ("fusion", "algebra", "category", "surface-list", "twist",
-         "word", "idempotent")
 
 EXTENSIONS = {
     ".fusion": "fusion",
@@ -78,13 +92,13 @@ def kind_for_path(path: str) -> str | None:
 # low-level line handling
 
 
-def _lines(text: str, source: str):
-    """Yield (line_number, tokens) for every non-comment, non-blank line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        yield lineno, body.split()
+def _lines(text: str):
+    """Iterate over (line number, tokens) for every line that holds a
+    token once its comment, from a `#` on, is cut off."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    return filter(itemgetter(1), enumerate(map(str.split, lines), start=1))
 
 
 def _int(token: str, source: str, line: int) -> int:
@@ -104,8 +118,7 @@ def _ratio(token: str, source: str, line: int) -> tuple[int, int]:
     try:
         plain = _PLAIN_RATIONAL.fullmatch(token)
         if plain is None:
-            x = Fraction(token)
-            return x.numerator, x.denominator
+            return Fraction(token).as_integer_ratio()
         p, q = int(plain[1]), int(plain[2] or 1)
         if q:
             return p, q
@@ -118,12 +131,26 @@ def _fraction(token: str, source: str, line: int) -> Fraction:
     return Fraction(*_ratio(token, source, line))
 
 
-def _index(token: str, bound: int, source: str, line: int) -> int:
-    value = _int(token, source, line)
-    if not 0 <= value < bound:
-        raise SemanticError(f"index {value} out of range 0..{bound - 1}",
-                            source, line)
-    return value
+def _scaled(ratios):
+    """(den, numerator): den the lcm of the q of the nonzero values in
+    `ratios`, and numerator(token) the value of `token` times den."""
+    den = lcm(*{q for p, q in ratios.values() if p})
+    return den, {t: p * (den // q) for t, (p, q) in ratios.items()}.get
+
+
+def _dense(cells, size, read):
+    """`size` zeros but read(x) at each index `at` of the entries (at, x)
+    of `cells`; made once every line is read, so that a document with a
+    huge size header reports its other errors before this allocates."""
+    flat = [0] * size
+    for at, x in cells.items():
+        flat[at] = read(x)
+    return flat
+
+
+def _split(seq, n):
+    """`seq` cut into consecutive slices of n items."""
+    return [seq[at:at + n] for at in range(0, len(seq), n)]
 
 
 def _arity(tokens, n: int, source: str, line: int) -> None:
@@ -131,6 +158,22 @@ def _arity(tokens, n: int, source: str, line: int) -> None:
         raise ParseError(
             f"directive {tokens[0]!r} takes {n - 1} argument(s), "
             f"got {len(tokens) - 1}", source, line)
+
+
+def _indices(tokens, n, bound, source, line, values=1) -> list:
+    """The indices in 0..bound-1 of a directive of n tokens: those after
+    its head and before its last `values` tokens.  `_arity`, and then
+    `_int` and a range test on each index in turn, raise the first fault
+    of the line, so that a hot directive, which tries int() and one range
+    test itself, calls this only on a line they rejected."""
+    _arity(tokens, n, source, line)
+    indices = []
+    for token in tokens[1:n - values]:
+        indices.append(_int(token, source, line))
+        if not 0 <= indices[-1] < bound:
+            raise SemanticError(f"index {indices[-1]} out of range "
+                                f"0..{bound - 1}", source, line)
+    return indices
 
 
 def _header(entries, name: str, source: str) -> int:
@@ -159,59 +202,55 @@ def _header(entries, name: str, source: str) -> int:
 
 
 def _parse_fusion(text: str, source: str) -> FusionRing:
-    entries = list(_lines(text, source))
+    entries = list(_lines(text))
     rank = _header(entries, "rank", source)
 
-    names: dict[int, str] = {}
-    dual: dict[int, int] = {}
-    unit: tuple[int, ...] | None = None
-    coeffs: dict[tuple[int, int, int], int] = {}
+    names, dual, unit = {}, {}, None
+    # N[a][b][c] at (a * rank + b) * rank + c, for each entry a line sets
+    cells = {}
     for lineno, tokens in entries:
         head = tokens[0]
-        if head == "rank":
-            continue
-        if head == "label":
-            _arity(tokens, 3, source, lineno)
-            i = _index(tokens[1], rank, source, lineno)
+        if head == "N":
+            try:
+                _, a, b, c, m = tokens
+                a, b, c, m = int(a), int(b), int(c), int(m)
+            except ValueError:
+                a = -1
+            if not (0 <= a < rank and 0 <= b < rank and 0 <= c < rank):
+                a, b, c = _indices(tokens, 5, rank, source, lineno)
+                m = _int(tokens[4], source, lineno)
+            if m < 0:
+                raise SemanticError(f"negative coefficient {m}",
+                                    source, lineno)
+            at = (a * rank + b) * rank + c
+            if at in cells:
+                raise SemanticError(f"duplicate N entry for ({a},{b},{c})",
+                                    source, lineno)
+            cells[at] = m
+        elif head == "label":
+            i, = _indices(tokens, 3, rank, source, lineno)
             if i in names:
                 raise SemanticError(f"duplicate label entry for {i}",
                                     source, lineno)
             names[i] = tokens[2]
         elif head == "dual":
-            _arity(tokens, 3, source, lineno)
-            i = _index(tokens[1], rank, source, lineno)
-            j = _index(tokens[2], rank, source, lineno)
+            i, j = _indices(tokens, 3, rank, source, lineno, 0)
             if i in dual or j in dual:
                 raise SemanticError(
                     f"duplicate dual entry for {i if i in dual else j}",
                     source, lineno)
-            dual[i] = j
-            dual[j] = i
+            dual[i], dual[j] = j, i
         elif head == "unit":
             if unit is not None:
                 raise SemanticError("duplicate unit directive", source, lineno)
             if len(tokens) < 2:
                 raise ParseError("unit needs at least one label",
                                  source, lineno)
-            parts = [_index(t, rank, source, lineno) for t in tokens[1:]]
+            parts = _indices(tokens, len(tokens), rank, source, lineno, 0)
             if len(set(parts)) != len(parts):
                 raise SemanticError("repeated unit component", source, lineno)
             unit = tuple(sorted(parts))
-        elif head == "N":
-            _arity(tokens, 5, source, lineno)
-            a = _index(tokens[1], rank, source, lineno)
-            b = _index(tokens[2], rank, source, lineno)
-            c = _index(tokens[3], rank, source, lineno)
-            m = _int(tokens[4], source, lineno)
-            if m < 0:
-                raise SemanticError(f"negative coefficient {m}",
-                                    source, lineno)
-            if (a, b, c) in coeffs:
-                raise SemanticError(f"duplicate N entry for ({a},{b},{c})",
-                                    source, lineno)
-            if m:
-                coeffs[(a, b, c)] = m
-        else:
+        elif head != "rank":
             raise ParseError(f"unknown directive {head!r}", source, lineno)
 
     if unit is None:
@@ -226,17 +265,15 @@ def _parse_fusion(text: str, source: str) -> FusionRing:
     return FusionRing(
         dual=tuple(dual[i] for i in range(rank)),
         unit=unit,
-        coeffs=Tensor3.from_dict((rank, rank, rank), coeffs),
+        coeffs=Tensor3.from_integers(
+            _split(_split(_dense(cells, rank ** 3, int), rank), rank), 1),
         names=full_names)
 
 
 def _serialize_fusion(ring: FusionRing) -> str:
     lines = [f"rank {ring.rank}"]
-    for i, name in enumerate(ring.names):
-        lines.append(f"label {i} {name}")
-    for i in range(ring.rank):
-        if i <= ring.dual[i]:
-            lines.append(f"dual {i} {ring.dual[i]}")
+    lines += [f"label {i} {name}" for i, name in enumerate(ring.names)]
+    lines += [f"dual {i} {j}" for i, j in enumerate(ring.dual) if i <= j]
     lines.append("unit " + " ".join(str(b) for b in ring.unit))
     lines += [f"N {a} {b} {c} {v}" for a, plane in enumerate(ring.table)
               for b, fibre in enumerate(plane)
@@ -249,67 +286,67 @@ def _serialize_fusion(ring: FusionRing) -> str:
 
 
 def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
-    entries = list(_lines(text, source))
+    """Read each distinct value token once, as a pair (p, q) of integers;
+    `mult` is built from integer planes over the lcm of the q."""
+    entries = list(_lines(text))
     dim = _header(entries, "dim", source)
 
-    names: dict[int, str] = {}
-    mult: dict[tuple[int, int, int], Fraction] = {}
-    unit: dict[int, Fraction] = {}
-    counit: dict[int, Fraction] = {}
+    names, ratios = {}, {}
+    # the value token of mult[i][j][k] at (i * dim + j) * dim + k, and of
+    # unit[i] and counit[i] at i, for each entry a line sets
+    cells, vectors = {}, {"unit": {}, "counit": {}}
     for lineno, tokens in entries:
         head = tokens[0]
-        if head == "dim":
-            continue
-        if head == "basis":
-            _arity(tokens, 3, source, lineno)
-            i = _index(tokens[1], dim, source, lineno)
+        if head == "mult":
+            try:
+                _, i, j, k, value = tokens
+                i, j, k = int(i), int(j), int(k)
+            except ValueError:
+                i = -1
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                i, j, k = _indices(tokens, 5, dim, source, lineno)
+            if value not in ratios:
+                ratios[value] = _ratio(value, source, lineno)
+            at = (i * dim + j) * dim + k
+            if at in cells:
+                raise SemanticError(f"duplicate mult entry for ({i},{j},{k})",
+                                    source, lineno)
+            cells[at] = value
+        elif head in vectors:
+            i, = _indices(tokens, 3, dim, source, lineno)
+            value = tokens[2]
+            if value not in ratios:
+                ratios[value] = _ratio(value, source, lineno)
+            if i in vectors[head]:
+                raise SemanticError(f"duplicate {head} entry for {i}",
+                                    source, lineno)
+            vectors[head][i] = value
+        elif head == "basis":
+            i, = _indices(tokens, 3, dim, source, lineno)
             if i in names:
                 raise SemanticError(f"duplicate basis entry for {i}",
                                     source, lineno)
             names[i] = tokens[2]
-        elif head == "mult":
-            _arity(tokens, 5, source, lineno)
-            i = _index(tokens[1], dim, source, lineno)
-            j = _index(tokens[2], dim, source, lineno)
-            k = _index(tokens[3], dim, source, lineno)
-            v = _fraction(tokens[4], source, lineno)
-            if (i, j, k) in mult:
-                raise SemanticError(f"duplicate mult entry for ({i},{j},{k})",
-                                    source, lineno)
-            if v:
-                mult[(i, j, k)] = v
-        elif head in ("unit", "counit"):
-            _arity(tokens, 3, source, lineno)
-            i = _index(tokens[1], dim, source, lineno)
-            v = _fraction(tokens[2], source, lineno)
-            store = unit if head == "unit" else counit
-            if i in store:
-                raise SemanticError(f"duplicate {head} entry for {i}",
-                                    source, lineno)
-            if v:
-                store[i] = v
-        else:
+        elif head != "dim":
             raise ParseError(f"unknown directive {head!r}", source, lineno)
 
+    den, read = _scaled(ratios)
+    planes = _split(_split(_dense(cells, dim ** 3, read), dim), dim)
+    # names, mult, and the unit and counit as vectors of Fractions
     return FrobeniusAlgebra(
-        names=tuple(names.get(i, f"e{i}") for i in range(dim)),
-        mult=Tensor3.from_dict((dim, dim, dim), mult),
-        unit=tuple(unit.get(i, Fraction(0)) for i in range(dim)),
-        counit=tuple(counit.get(i, Fraction(0)) for i in range(dim)))
+        tuple(names.get(i, f"e{i}") for i in range(dim)),
+        Tensor3.from_integers(planes, den),
+        *(tuple(Fraction(x, den) for x in _dense(vector, dim, read))
+          for vector in vectors.values()))
 
 
 def _serialize_algebra(algebra: FrobeniusAlgebra) -> str:
     lines = [f"dim {algebra.dim}"]
-    for i, name in enumerate(algebra.names):
-        lines.append(f"basis {i} {name}")
-    for (i, j, k), v in algebra.mult.nonzero():
-        lines.append(f"mult {i} {j} {k} {v}")
-    for i, v in enumerate(algebra.unit):
-        if v:
-            lines.append(f"unit {i} {v}")
-    for i, v in enumerate(algebra.counit):
-        if v:
-            lines.append(f"counit {i} {v}")
+    lines += [f"basis {i} {name}" for i, name in enumerate(algebra.names)]
+    lines += [f"mult {i} {j} {k} {v}"
+              for (i, j, k), v in algebra.mult.nonzero()]
+    lines += [f"{head} {i} {v}" for head in ("unit", "counit")
+              for i, v in enumerate(getattr(algebra, head)) if v]
     return "\n".join(lines) + "\n"
 
 
@@ -317,14 +354,13 @@ def _serialize_algebra(algebra: FrobeniusAlgebra) -> str:
 # presented categories
 
 
-def _parse_combination(tokens, source, lineno,
-                       ratios) -> dict[str, tuple[int, int]]:
+def _terms(tokens, source, lineno, ratios) -> dict:
     """Parse `0` or `c1*b1 + c2*b2 + ...` given as a token list, as
-    {b: (p, q)} with c = p / q; `ratios` keeps the (p, q) of each
-    coefficient token already read."""
+    {b: c} with c the coefficient token, whose (p, q) is kept in
+    `ratios` once read."""
     if tokens == ["0"]:
         return {}
-    combo: dict[str, tuple[int, int]] = {}
+    combo = {}
     expect_term = True
     for token in tokens:
         if token == "+":
@@ -335,13 +371,12 @@ def _parse_combination(tokens, source, lineno,
             continue
         if not expect_term:
             raise ParseError(f"expected '+' before {token!r}", source, lineno)
-        if "*" not in token:
+        coeff, _, name = token.partition("*")
+        if not name:
             raise ParseError(
                 f"expected coeff*name term, got {token!r}", source, lineno)
-        coeff_str, name = token.split("*", 1)
-        coeff = ratios.get(coeff_str)
-        if coeff is None:
-            coeff = ratios[coeff_str] = _ratio(coeff_str, source, lineno)
+        if coeff not in ratios:
+            ratios[coeff] = _ratio(coeff, source, lineno)
         if name in combo:
             raise SemanticError(f"repeated term {name!r} in combination",
                                 source, lineno)
@@ -354,50 +389,50 @@ def _parse_combination(tokens, source, lineno,
 
 def _parse_category(text: str, source: str) -> PresentedCategory:
     """Read each distinct coefficient token once, as a pair (p, q) of
-    integers; `PresentedCategory` reads the pairs without a `Fraction`."""
-    objects: list[str] = []
-    hom: dict[tuple[str, str], list[str]] = {}
-    basis_seen: set[str] = set()
-    compose: dict[tuple[str, str], dict[str, tuple[int, int]]] = {}
-    identities: dict[str, dict[str, tuple[int, int]]] = {}
-    ratios: dict[str, tuple[int, int]] = {}
-    last_line = 0
-    for lineno, tokens in _lines(text, source):
-        last_line = lineno
+    integers, and hand `PresentedCategory` its numerator over the lcm of
+    the q.  A structural error is raised once the text is read, on the
+    line of the `compose` or `identity` directive at fault."""
+    objects, hom, basis = [], {}, set()
+    compose, identities, ratios = {}, {}, {}
+    for lineno, tokens in _lines(text):
         head = tokens[0]
-        if head == "object":
+        if head == "compose":
+            if len(tokens) < 5 or tokens[3] != "=":
+                raise ParseError(
+                    "expected: compose <g> <f> = <combination>",
+                    source, lineno)
+            key = g, f = tokens[1], tokens[2]
+            if g not in basis or f not in basis:
+                raise SemanticError("unknown basis element "
+                                    f"{f if g in basis else g!r}",
+                                    source, lineno)
+            if key in compose:
+                raise SemanticError(f"duplicate compose entry ({g},{f})",
+                                    source, lineno)
+            # one term c*h whose coefficient token c was read before
+            coeff, _, name = tokens[4].partition("*")
+            if len(tokens) == 5 and name and coeff in ratios:
+                compose[key] = {name: coeff}
+            else:
+                compose[key] = _terms(tokens[4:], source, lineno, ratios)
+        elif head == "hom":
+            _arity(tokens, 4, source, lineno)
+            _, p, q, b = tokens
+            if p not in objects or q not in objects:
+                raise SemanticError("unknown object "
+                                    f"{q if p in objects else p!r}",
+                                    source, lineno)
+            if b in basis:
+                raise SemanticError(f"duplicate basis name {b!r}",
+                                    source, lineno)
+            basis.add(b)
+            hom.setdefault((p, q), []).append(b)
+        elif head == "object":
             _arity(tokens, 2, source, lineno)
             if tokens[1] in objects:
                 raise SemanticError(f"duplicate object {tokens[1]!r}",
                                     source, lineno)
             objects.append(tokens[1])
-        elif head == "hom":
-            _arity(tokens, 4, source, lineno)
-            p, q, b = tokens[1], tokens[2], tokens[3]
-            for obj in (p, q):
-                if obj not in objects:
-                    raise SemanticError(f"unknown object {obj!r}",
-                                        source, lineno)
-            if b in basis_seen:
-                raise SemanticError(f"duplicate basis name {b!r}",
-                                    source, lineno)
-            basis_seen.add(b)
-            hom.setdefault((p, q), []).append(b)
-        elif head == "compose":
-            if len(tokens) < 5 or tokens[3] != "=":
-                raise ParseError(
-                    "expected: compose <g> <f> = <combination>",
-                    source, lineno)
-            g, f = tokens[1], tokens[2]
-            for b in (g, f):
-                if b not in basis_seen:
-                    raise SemanticError(f"unknown basis element {b!r}",
-                                        source, lineno)
-            if (g, f) in compose:
-                raise SemanticError(f"duplicate compose entry ({g},{f})",
-                                    source, lineno)
-            compose[(g, f)] = _parse_combination(tokens[4:], source, lineno,
-                                                 ratios)
         elif head == "identity":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError("expected: identity <p> = <combination>",
@@ -408,17 +443,19 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
             if p in identities:
                 raise SemanticError(f"duplicate identity for {p!r}",
                                     source, lineno)
-            identities[p] = _parse_combination(tokens[3:], source, lineno,
-                                               ratios)
+            identities[p] = _terms(tokens[3:], source, lineno, ratios)
         else:
             raise ParseError(f"unknown directive {head!r}", source, lineno)
     if not objects:
         raise SemanticError("missing object directives", source, 0)
     try:
         return PresentedCategory._from_names(objects, hom, compose,
-                                             identities)
+                                             identities, *_scaled(ratios))
     except CategoryFormatError as err:
-        raise SemanticError(str(err), source, last_line) from err
+        where = err.directive
+        raise SemanticError(str(err), source, next(
+            (lineno for lineno, tokens in _lines(text)
+             if where and tokens[:len(where)] == where), 0)) from err
 
 
 class _Coefficients(dict):
@@ -459,7 +496,7 @@ def _serialize_category(cat: PresentedCategory) -> str:
 
 def _parse_surfaces(text: str, source: str) -> dict[str, ColouredSurface]:
     surfaces: dict[str, ColouredSurface] = {}
-    for lineno, tokens in _lines(text, source):
+    for lineno, tokens in _lines(text):
         if tokens[0] != "surface":
             raise ParseError(f"unknown directive {tokens[0]!r}",
                              source, lineno)
@@ -515,7 +552,7 @@ def _parse_twist_value(token: str, source: str, lineno: int) -> Twist:
 
 def _parse_twists(text: str, source: str) -> dict[int, Twist]:
     twists: dict[int, Twist] = {}
-    for lineno, tokens in _lines(text, source):
+    for lineno, tokens in _lines(text):
         if tokens[0] != "twist":
             raise ParseError(f"unknown directive {tokens[0]!r}",
                              source, lineno)
@@ -550,7 +587,7 @@ def _serialize_twists(twists: dict[int, Twist]) -> str:
 
 def _parse_word(text: str, source: str) -> CobordismWord:
     layers = []
-    for lineno, tokens in _lines(text, source):
+    for lineno, tokens in _lines(text):
         for t in tokens:
             if t not in GENERATORS:
                 raise ParseError(f"unknown generator {t!r}", source, lineno)
@@ -567,37 +604,41 @@ def _serialize_word(word: CobordismWord) -> str:
 
 
 def _parse_idempotent(text: str, source: str) -> Matrix:
-    """Read each entry as a pair (p, q), and build the matrix from integer
-    rows over the lcm of the q, without a `Fraction` per entry."""
-    entries = list(_lines(text, source))
+    """Read each distinct value token once, as a pair (p, q), and build
+    the matrix from integer rows over the lcm of the q."""
+    entries = list(_lines(text))
     dim = _header(entries, "dim", source)
-    ratios: dict[tuple[int, int], tuple[int, int]] = {}
+    ratios = {}
+    # the value token of e[i][j] at i * dim + j, for each entry a line sets
+    cells = {}
     for lineno, tokens in entries:
-        if tokens[0] == "dim":
-            continue
-        if tokens[0] != "e":
-            raise ParseError(f"unknown directive {tokens[0]!r}",
-                             source, lineno)
-        _arity(tokens, 4, source, lineno)
-        i = _index(tokens[1], dim, source, lineno)
-        j = _index(tokens[2], dim, source, lineno)
-        if (i, j) in ratios:
-            raise SemanticError(f"duplicate entry for ({i},{j})",
-                                source, lineno)
-        ratios[i, j] = _ratio(tokens[3], source, lineno)
-    den = lcm(*(q for _, q in ratios.values()))
-    rows = [[0] * dim for _ in range(dim)]
-    for (i, j), (p, q) in ratios.items():
-        rows[i][j] = p * (den // q)
-    return Matrix.from_integers(rows, den)
+        head = tokens[0]
+        if head == "e":
+            try:
+                _, i, j, value = tokens
+                i, j = int(i), int(j)
+            except ValueError:
+                i = -1
+            if not (0 <= i < dim and 0 <= j < dim):
+                i, j = _indices(tokens, 4, dim, source, lineno)
+            at = i * dim + j
+            if at in cells:
+                raise SemanticError(f"duplicate entry for ({i},{j})",
+                                    source, lineno)
+            if value not in ratios:
+                ratios[value] = _ratio(value, source, lineno)
+            cells[at] = value
+        elif head != "dim":
+            raise ParseError(f"unknown directive {head!r}", source, lineno)
+    den, read = _scaled(ratios)
+    return Matrix.from_integers(_split(_dense(cells, dim ** 2, read), dim),
+                                den)
 
 
 def _serialize_idempotent(e: Matrix) -> str:
     lines = [f"dim {e.rows}"]
-    for i in range(e.rows):
-        for j in range(e.cols):
-            if e[i, j]:
-                lines.append(f"e {i} {j} {e[i, j]}")
+    lines += [f"e {i} {j} {x}" for i, row in enumerate(e.entries)
+              for j, x in enumerate(row) if x]
     return "\n".join(lines) + "\n"
 
 
@@ -605,37 +646,29 @@ def _serialize_idempotent(e: Matrix) -> str:
 # dispatch
 
 
-_PARSERS = {
-    "fusion": _parse_fusion,
-    "algebra": _parse_algebra,
-    "category": _parse_category,
-    "surface-list": _parse_surfaces,
-    "twist": _parse_twists,
-    "word": _parse_word,
-    "idempotent": _parse_idempotent,
+# the reader and the writer of each kind
+_FORMATS = {
+    "fusion": (_parse_fusion, _serialize_fusion),
+    "algebra": (_parse_algebra, _serialize_algebra),
+    "category": (_parse_category, _serialize_category),
+    "surface-list": (_parse_surfaces, _serialize_surfaces),
+    "twist": (_parse_twists, _serialize_twists),
+    "word": (_parse_word, _serialize_word),
+    "idempotent": (_parse_idempotent, _serialize_idempotent),
 }
-
-_SERIALIZERS = {
-    "fusion": _serialize_fusion,
-    "algebra": _serialize_algebra,
-    "category": _serialize_category,
-    "surface-list": _serialize_surfaces,
-    "twist": _serialize_twists,
-    "word": _serialize_word,
-    "idempotent": _serialize_idempotent,
-}
+KINDS = tuple(_FORMATS)
 
 
 def parse(kind: str, text: str, source: str = "<input>") -> Document:
     """Parse text of the given kind; errors carry source and line."""
-    if kind not in _PARSERS:
+    if kind not in _FORMATS:
         raise ValueError(f"unknown document kind {kind!r}")
-    return Document(kind=kind, payload=_PARSERS[kind](text, source),
+    return Document(kind=kind, payload=_FORMATS[kind][0](text, source),
                     source=source)
 
 
 def serialize(kind: str, payload) -> str:
     """Canonical text for a payload of the given kind."""
-    if kind not in _SERIALIZERS:
+    if kind not in _FORMATS:
         raise ValueError(f"unknown document kind {kind!r}")
-    return _SERIALIZERS[kind](payload)
+    return _FORMATS[kind][1](payload)

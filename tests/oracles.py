@@ -33,6 +33,8 @@ invariants from repeated
 `Fraction` products with a handle element built from the Gauss-Jordan
 inverse of the pairing, cobordism words from a `Fraction` state with
 its own comultiplication, and invariance-suite reports from those two.
+The text readers of `formats` are compared with their line-by-line
+predecessors (`parent_parse`), which read each value as a `Fraction`.
 """
 
 from __future__ import annotations
@@ -1015,3 +1017,307 @@ def invariance_entries(algebra, presentations):
                    else "expected")
         entries.append(f"{where} evaluates to {got}, {against} {want}")
     return entries, n * (n - 1) // 2 + len(presentations)
+
+
+# ---------------------------------------------------------------------------
+# the text readers of `formats` as they were before each document was read
+# in one pass: a `Fraction` per entry, `Tensor3.from_dict`, name-keyed
+# composites, and a structural category error on the last line
+
+
+def parent_lines(text: str):
+    """(line number, tokens) of every line that holds a token."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body.split()
+
+
+def _parent_int(token, source, line):
+    from verlinde.formats import ParseError
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", source, line)
+
+
+def _parent_fraction(token, source, line):
+    from verlinde.formats import ParseError
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"expected a rational p/q, got {token!r}",
+                         source, line) from None
+
+
+def _parent_index(token, bound, source, line):
+    from verlinde.formats import SemanticError
+    value = _parent_int(token, source, line)
+    if not 0 <= value < bound:
+        raise SemanticError(f"index {value} out of range 0..{bound - 1}",
+                            source, line)
+    return value
+
+
+def _parent_arity(tokens, n, source, line):
+    from verlinde.formats import ParseError
+    if len(tokens) != n:
+        raise ParseError(
+            f"directive {tokens[0]!r} takes {n - 1} argument(s), "
+            f"got {len(tokens) - 1}", source, line)
+
+
+def _parent_header(entries, name, source):
+    from verlinde.formats import SemanticError
+    value = None
+    for lineno, tokens in entries:
+        if tokens[0] == name:
+            if value is not None:
+                raise SemanticError(f"duplicate {name} directive",
+                                    source, lineno)
+            _parent_arity(tokens, 2, source, lineno)
+            value = _parent_int(tokens[1], source, lineno)
+            if value < 1:
+                raise SemanticError(f"{name} {value} must be >= 1",
+                                    source, lineno)
+    if value is None:
+        raise SemanticError(f"missing {name}", source, 0)
+    return value
+
+
+def _parent_fusion(text, source):
+    from verlinde.formats import ParseError, SemanticError
+    entries = list(parent_lines(text))
+    rank = _parent_header(entries, "rank", source)
+    names, dual, unit, coeffs = {}, {}, None, {}
+    for lineno, tokens in entries:
+        head = tokens[0]
+        if head == "rank":
+            continue
+        if head == "label":
+            _parent_arity(tokens, 3, source, lineno)
+            i = _parent_index(tokens[1], rank, source, lineno)
+            if i in names:
+                raise SemanticError(f"duplicate label entry for {i}",
+                                    source, lineno)
+            names[i] = tokens[2]
+        elif head == "dual":
+            _parent_arity(tokens, 3, source, lineno)
+            i = _parent_index(tokens[1], rank, source, lineno)
+            j = _parent_index(tokens[2], rank, source, lineno)
+            if i in dual or j in dual:
+                raise SemanticError(
+                    f"duplicate dual entry for {i if i in dual else j}",
+                    source, lineno)
+            dual[i] = j
+            dual[j] = i
+        elif head == "unit":
+            if unit is not None:
+                raise SemanticError("duplicate unit directive", source, lineno)
+            if len(tokens) < 2:
+                raise ParseError("unit needs at least one label",
+                                 source, lineno)
+            parts = [_parent_index(t, rank, source, lineno)
+                     for t in tokens[1:]]
+            if len(set(parts)) != len(parts):
+                raise SemanticError("repeated unit component", source, lineno)
+            unit = tuple(sorted(parts))
+        elif head == "N":
+            _parent_arity(tokens, 5, source, lineno)
+            a, b, c = (_parent_index(t, rank, source, lineno)
+                       for t in tokens[1:4])
+            m = _parent_int(tokens[4], source, lineno)
+            if m < 0:
+                raise SemanticError(f"negative coefficient {m}",
+                                    source, lineno)
+            if (a, b, c) in coeffs:
+                raise SemanticError(f"duplicate N entry for ({a},{b},{c})",
+                                    source, lineno)
+            if m:
+                coeffs[(a, b, c)] = m
+        else:
+            raise ParseError(f"unknown directive {head!r}", source, lineno)
+    if unit is None:
+        raise SemanticError("missing unit directive", source, 0)
+    for i in range(rank):
+        if i not in dual:
+            raise SemanticError(f"dual not specified for label {i}",
+                                source, 0)
+    full_names = tuple(names.get(i, str(i)) for i in range(rank))
+    if len(set(full_names)) != rank:
+        raise SemanticError("label names are not distinct", source, 0)
+    return FusionRing(dual=tuple(dual[i] for i in range(rank)), unit=unit,
+                      coeffs=Tensor3.from_dict((rank, rank, rank), coeffs),
+                      names=full_names)
+
+
+def _parent_algebra(text, source):
+    from verlinde.formats import ParseError, SemanticError
+    from verlinde.tqft import FrobeniusAlgebra
+    entries = list(parent_lines(text))
+    dim = _parent_header(entries, "dim", source)
+    names, mult, unit, counit = {}, {}, {}, {}
+    for lineno, tokens in entries:
+        head = tokens[0]
+        if head == "dim":
+            continue
+        if head == "basis":
+            _parent_arity(tokens, 3, source, lineno)
+            i = _parent_index(tokens[1], dim, source, lineno)
+            if i in names:
+                raise SemanticError(f"duplicate basis entry for {i}",
+                                    source, lineno)
+            names[i] = tokens[2]
+        elif head == "mult":
+            _parent_arity(tokens, 5, source, lineno)
+            i, j, k = (_parent_index(t, dim, source, lineno)
+                       for t in tokens[1:4])
+            v = _parent_fraction(tokens[4], source, lineno)
+            if (i, j, k) in mult:
+                raise SemanticError(f"duplicate mult entry for ({i},{j},{k})",
+                                    source, lineno)
+            if v:
+                mult[(i, j, k)] = v
+        elif head in ("unit", "counit"):
+            _parent_arity(tokens, 3, source, lineno)
+            i = _parent_index(tokens[1], dim, source, lineno)
+            v = _parent_fraction(tokens[2], source, lineno)
+            store = unit if head == "unit" else counit
+            if i in store:
+                raise SemanticError(f"duplicate {head} entry for {i}",
+                                    source, lineno)
+            if v:
+                store[i] = v
+        else:
+            raise ParseError(f"unknown directive {head!r}", source, lineno)
+    return FrobeniusAlgebra(
+        names=tuple(names.get(i, f"e{i}") for i in range(dim)),
+        mult=Tensor3.from_dict((dim, dim, dim), mult),
+        unit=tuple(unit.get(i, Fraction(0)) for i in range(dim)),
+        counit=tuple(counit.get(i, Fraction(0)) for i in range(dim)))
+
+
+def _parent_combination(tokens, source, lineno):
+    from verlinde.formats import ParseError, SemanticError
+    if tokens == ["0"]:
+        return {}
+    combo = {}
+    expect_term = True
+    for token in tokens:
+        if token == "+":
+            if expect_term:
+                raise ParseError("misplaced '+' in combination",
+                                 source, lineno)
+            expect_term = True
+            continue
+        if not expect_term:
+            raise ParseError(f"expected '+' before {token!r}", source, lineno)
+        if "*" not in token:
+            raise ParseError(
+                f"expected coeff*name term, got {token!r}", source, lineno)
+        coeff, name = token.split("*", 1)
+        coeff = _parent_fraction(coeff, source, lineno)
+        if name in combo:
+            raise SemanticError(f"repeated term {name!r} in combination",
+                                source, lineno)
+        combo[name] = coeff
+        expect_term = False
+    if expect_term:
+        raise ParseError("combination ends with '+'", source, lineno)
+    return combo
+
+
+def _parent_category(text, source):
+    from verlinde.categories import CategoryFormatError, PresentedCategory
+    from verlinde.formats import ParseError, SemanticError
+    objects, hom, basis_seen = [], {}, set()
+    compose, identities = {}, {}
+    last_line = 0
+    for lineno, tokens in parent_lines(text):
+        last_line = lineno
+        head = tokens[0]
+        if head == "object":
+            _parent_arity(tokens, 2, source, lineno)
+            if tokens[1] in objects:
+                raise SemanticError(f"duplicate object {tokens[1]!r}",
+                                    source, lineno)
+            objects.append(tokens[1])
+        elif head == "hom":
+            _parent_arity(tokens, 4, source, lineno)
+            p, q, b = tokens[1], tokens[2], tokens[3]
+            for obj in (p, q):
+                if obj not in objects:
+                    raise SemanticError(f"unknown object {obj!r}",
+                                        source, lineno)
+            if b in basis_seen:
+                raise SemanticError(f"duplicate basis name {b!r}",
+                                    source, lineno)
+            basis_seen.add(b)
+            hom.setdefault((p, q), []).append(b)
+        elif head == "compose":
+            if len(tokens) < 5 or tokens[3] != "=":
+                raise ParseError(
+                    "expected: compose <g> <f> = <combination>",
+                    source, lineno)
+            g, f = tokens[1], tokens[2]
+            for b in (g, f):
+                if b not in basis_seen:
+                    raise SemanticError(f"unknown basis element {b!r}",
+                                        source, lineno)
+            if (g, f) in compose:
+                raise SemanticError(f"duplicate compose entry ({g},{f})",
+                                    source, lineno)
+            compose[(g, f)] = _parent_combination(tokens[4:], source, lineno)
+        elif head == "identity":
+            if len(tokens) < 4 or tokens[2] != "=":
+                raise ParseError("expected: identity <p> = <combination>",
+                                 source, lineno)
+            p = tokens[1]
+            if p not in objects:
+                raise SemanticError(f"unknown object {p!r}", source, lineno)
+            if p in identities:
+                raise SemanticError(f"duplicate identity for {p!r}",
+                                    source, lineno)
+            identities[p] = _parent_combination(tokens[3:], source, lineno)
+        else:
+            raise ParseError(f"unknown directive {head!r}", source, lineno)
+    if not objects:
+        raise SemanticError("missing object directives", source, 0)
+    try:
+        return PresentedCategory(objects, hom, compose, identities)
+    except CategoryFormatError as err:
+        raise SemanticError(str(err), source, last_line) from err
+
+
+def _parent_idempotent(text, source):
+    from verlinde.exact import Matrix
+    from verlinde.formats import ParseError, SemanticError
+    entries = list(parent_lines(text))
+    dim = _parent_header(entries, "dim", source)
+    values = {}
+    for lineno, tokens in entries:
+        if tokens[0] == "dim":
+            continue
+        if tokens[0] != "e":
+            raise ParseError(f"unknown directive {tokens[0]!r}",
+                             source, lineno)
+        _parent_arity(tokens, 4, source, lineno)
+        i = _parent_index(tokens[1], dim, source, lineno)
+        j = _parent_index(tokens[2], dim, source, lineno)
+        if (i, j) in values:
+            raise SemanticError(f"duplicate entry for ({i},{j})",
+                                source, lineno)
+        values[i, j] = _parent_fraction(tokens[3], source, lineno)
+    return Matrix([[values.get((i, j), Fraction(0)) for j in range(dim)]
+                   for i in range(dim)])
+
+
+PARENT_READERS = {"fusion": _parent_fusion, "algebra": _parent_algebra,
+                  "category": _parent_category,
+                  "idempotent": _parent_idempotent}
+
+
+def parent_parse(kind: str, text: str, source: str = "<input>"):
+    """The payload the reader of `kind` gave before the one-pass readers,
+    or its `ParseError`, for the kinds those readers rewrote."""
+    return PARENT_READERS[kind](text, source)

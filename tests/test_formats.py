@@ -369,3 +369,66 @@ def test_idempotent_errors_name_their_line(text, error, message):
     with pytest.raises(error) as err:
         parse("idempotent", text, source="m.idem")
     assert str(err.value).startswith(message)
+
+
+# a duplicate is an error on its second line whatever the first value,
+# in either order of an explicit zero and a nonzero value
+@pytest.mark.parametrize("kind, head, entry, reason", [
+    ("fusion", "rank 1\ndual 0 0\nunit 0\n", "N 0 0 0 {}",
+     "duplicate N entry for (0,0,0)"),
+    ("algebra", "dim 1\n", "mult 0 0 0 {}",
+     "duplicate mult entry for (0,0,0)"),
+    ("algebra", "dim 1\n", "unit 0 {}", "duplicate unit entry for 0"),
+    ("algebra", "dim 1\n", "counit 0 {}", "duplicate counit entry for 0"),
+    ("idempotent", "dim 1\n", "e 0 0 {}", "duplicate entry for (0,0)"),
+], ids=["N", "mult", "unit", "counit", "e"])
+@pytest.mark.parametrize("values", [("0", "1"), ("1", "0"), ("0", "0")],
+                         ids=["zero-first", "zero-second", "zeros"])
+def test_duplicates_are_errors_whatever_the_value(kind, head, entry, reason,
+                                                  values):
+    text = head + "".join(entry.format(v) + "\n" for v in values)
+    with pytest.raises(SemanticError) as err:
+        parse(kind, text, source="d")
+    assert (err.value.reason, err.value.line) == (
+        reason, text.count("\n"))
+
+
+CATEGORY_HEAD = "object p\nobject q\nhom p p a\nhom p q f\nhom q q b\n"
+
+
+# structural errors are raised once the text is read, each on the line of
+# its compose or identity directive, and a missing identity on line 0
+@pytest.mark.parametrize("body, error, reason, line", [
+    ("compose a a = 1*\nidentity p = 1*a\nidentity q = 1*b\n", ParseError,
+     "expected coeff*name term, got '1*'", 6),
+    ("compose a a = 1*a\ncompose f a = 1*a\nidentity p = 1*a\n"
+     "identity q = 1*b\n", SemanticError,
+     "compose(f,a): result term a does not lie in hom(p,q)", 7),
+    ("compose a f = 1*f\nidentity p = 1*a\nidentity q = 1*b\n",
+     SemanticError, "compose(a,f): not composable (f: p->q, a: p->p)", 6),
+    ("compose a a = 1*a\nidentity p = 1*a\nidentity q = 1*f\n"
+     "compose b b = 1*b\n", SemanticError,
+     "identity of q: term f not in hom(q,q)", 8),
+    ("compose a a = 1*a + 1*zz\nidentity p = 1*a\nidentity q = 1*b\n",
+     SemanticError, "compose(a,a): result term zz does not lie in hom(p,p)",
+     6),
+    ("compose a a = 1*a\nidentity p = 1*a\nidentity q = 0\n",
+     SemanticError, "identity of q missing although hom(q,q) is nonzero", 0),
+    ("compose a a = 1*a\nidentity p = 1*a\n", SemanticError,
+     "identity of q missing although hom(q,q) is nonzero", 0),
+], ids=["empty-term", "term-outside", "not-composable", "identity-term",
+        "unknown-term", "zero-identity", "no-identity"])
+def test_category_errors_name_their_own_line(body, error, reason, line):
+    text = CATEGORY_HEAD + body + "# end\n\n"
+    with pytest.raises(ParseError) as err:
+        parse("category", text, source="c")
+    assert (type(err.value), err.value.reason, err.value.line) == (
+        error, reason, line)
+
+
+def test_a_structural_error_waits_for_a_later_syntax_error():
+    text = (CATEGORY_HEAD + "compose f a = 1*a\nidentity p = 1*a\n"
+            "identity q = 1*b\nmorphism a\n")
+    with pytest.raises(ParseError) as err:
+        parse("category", text)
+    assert (type(err.value), err.value.line) == (ParseError, 9)
