@@ -46,5 +46,5 @@ for ring in enumerate_fusion_rings(2, 1):
     print("  tau*tau ->", multiply(ring, ring.basis_vector(1),
                                    ring.basis_vector(1)))
 
-print("\nrank-1 sanity check:", enumerate_fusion_rings(1, 3)[0].coeffs
-      == trivial_ring().coeffs)
+print("\nrank-1 sanity check:", enumerate_fusion_rings(1, 3)[0].table
+      == trivial_ring().table)

@@ -20,7 +20,8 @@ source and the line it is on: a duplicate entry is reported on its
 second line whatever the first value, a structural category error once
 the whole text is read, on the line of its `compose` or `identity`
 directive (line 0 for a missing identity or size header), and a term
-with no basis name (`1*`) as a syntax error on its line.
+with no basis name (`1*`) as a syntax error on its line.  A size header
+past MAX_DENSE_CELLS cells is refused on its line, after all else.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .tqft import GENERATORS, CobordismWord, FrobeniusAlgebra
 
 __all__ = [
     "KINDS",
+    "MAX_DENSE_CELLS",
     "Document",
     "ParseError",
     "SemanticError",
@@ -46,6 +48,10 @@ __all__ = [
     "serialize",
     "kind_for_path",
 ]
+
+# the most cells a size header may ask a reader for: rank**3 of a ring,
+# dim**3 of an algebra and dim**2 of an idempotent
+MAX_DENSE_CELLS = 2 ** 22
 
 EXTENSIONS = {
     ".fusion": "fusion",
@@ -138,19 +144,22 @@ def _scaled(ratios):
     return den, {t: p * (den // q) for t, (p, q) in ratios.items()}.get
 
 
-def _dense(cells, size, read):
-    """`size` zeros but read(x) at each index `at` of the entries (at, x)
-    of `cells`; made once every line is read, so that a document with a
-    huge size header reports its other errors before this allocates."""
-    flat = [0] * size
+def _dense(cells, header, power, read, source):
+    """Nested lists of `power` indices below the value of the size header
+    `header` = (value, line): zeros but read(x) at flat index `at` for
+    each entry (at, x) of `cells`.  Made after every other check of the
+    document; past MAX_DENSE_CELLS cells, an error on the header's line."""
+    value, line = header
+    if value ** power > MAX_DENSE_CELLS:
+        raise SemanticError(
+            f"size {value}: size^{power} cells are more than "
+            f"MAX_DENSE_CELLS = {MAX_DENSE_CELLS}", source, line)
+    table = [0] * value ** power
     for at, x in cells.items():
-        flat[at] = read(x)
-    return flat
-
-
-def _split(seq, n):
-    """`seq` cut into consecutive slices of n items."""
-    return [seq[at:at + n] for at in range(0, len(seq), n)]
+        table[at] = read(x)
+    for _ in range(power - 1):
+        table = [table[at:at + value] for at in range(0, len(table), value)]
+    return table
 
 
 def _arity(tokens, n: int, source: str, line: int) -> None:
@@ -176,11 +185,11 @@ def _indices(tokens, n, bound, source, line, values=1) -> list:
     return indices
 
 
-def _header(entries, name: str, source: str) -> int:
-    """The value of the one `name` directive (`rank` or `dim`) among the
-    (line, tokens) `entries`: an integer >= 1, checked as it is read.  A
-    duplicate, a wrong arity, a non-integer or a value below 1 raises on
-    its line, and a missing directive on line 0."""
+def _header(entries, name: str, source: str) -> tuple[int, int]:
+    """(value, line) of the one `name` directive (`rank` or `dim`) among
+    the (line, tokens) `entries`: an integer >= 1, checked as it is read.
+    A duplicate, a wrong arity, a non-integer or a value below 1 raises
+    on its line, and a missing directive on line 0."""
     value = None
     for lineno, tokens in entries:
         if tokens[0] == name:
@@ -188,13 +197,13 @@ def _header(entries, name: str, source: str) -> int:
                 raise SemanticError(f"duplicate {name} directive",
                                     source, lineno)
             _arity(tokens, 2, source, lineno)
-            value = _int(tokens[1], source, lineno)
+            value, line = _int(tokens[1], source, lineno), lineno
             if value < 1:
                 raise SemanticError(f"{name} {value} must be >= 1",
                                     source, lineno)
     if value is None:
         raise SemanticError(f"missing {name}", source, 0)
-    return value
+    return value, line
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +212,7 @@ def _header(entries, name: str, source: str) -> int:
 
 def _parse_fusion(text: str, source: str) -> FusionRing:
     entries = list(_lines(text))
-    rank = _header(entries, "rank", source)
+    rank, _ = header = _header(entries, "rank", source)
 
     names, dual, unit = {}, {}, None
     # N[a][b][c] at (a * rank + b) * rank + c, for each entry a line sets
@@ -265,8 +274,7 @@ def _parse_fusion(text: str, source: str) -> FusionRing:
     return FusionRing(
         dual=tuple(dual[i] for i in range(rank)),
         unit=unit,
-        coeffs=Tensor3.from_integers(
-            _split(_split(_dense(cells, rank ** 3, int), rank), rank), 1),
+        table=_dense(cells, header, 3, int, source),
         names=full_names)
 
 
@@ -289,7 +297,7 @@ def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
     """Read each distinct value token once, as a pair (p, q) of integers;
     `mult` is built from integer planes over the lcm of the q."""
     entries = list(_lines(text))
-    dim = _header(entries, "dim", source)
+    dim, _ = header = _header(entries, "dim", source)
 
     names, ratios = {}, {}
     # the value token of mult[i][j][k] at (i * dim + j) * dim + k, and of
@@ -331,13 +339,14 @@ def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
             raise ParseError(f"unknown directive {head!r}", source, lineno)
 
     den, read = _scaled(ratios)
-    planes = _split(_split(_dense(cells, dim ** 3, read), dim), dim)
+    # made before the names walk range(dim), so that a huge dim is refused
+    planes = _dense(cells, header, 3, read, source)
     # names, mult, and the unit and counit as vectors of Fractions
     return FrobeniusAlgebra(
         tuple(names.get(i, f"e{i}") for i in range(dim)),
         Tensor3.from_integers(planes, den),
-        *(tuple(Fraction(x, den) for x in _dense(vector, dim, read))
-          for vector in vectors.values()))
+        *(tuple(Fraction(x, den) for x in _dense(v, header, 1, read, source))
+          for v in vectors.values()))
 
 
 def _serialize_algebra(algebra: FrobeniusAlgebra) -> str:
@@ -607,7 +616,7 @@ def _parse_idempotent(text: str, source: str) -> Matrix:
     """Read each distinct value token once, as a pair (p, q), and build
     the matrix from integer rows over the lcm of the q."""
     entries = list(_lines(text))
-    dim = _header(entries, "dim", source)
+    dim, _ = header = _header(entries, "dim", source)
     ratios = {}
     # the value token of e[i][j] at i * dim + j, for each entry a line sets
     cells = {}
@@ -631,8 +640,7 @@ def _parse_idempotent(text: str, source: str) -> Matrix:
         elif head != "dim":
             raise ParseError(f"unknown directive {head!r}", source, lineno)
     den, read = _scaled(ratios)
-    return Matrix.from_integers(_split(_dense(cells, dim ** 2, read), dim),
-                                den)
+    return Matrix.from_integers(_dense(cells, header, 2, read, source), den)
 
 
 def _serialize_idempotent(e: Matrix) -> str:

@@ -19,14 +19,14 @@ semisimple category imposes on its Grothendieck ring:
 
 Object vectors are plain tuples of nonnegative multiplicities.
 
-Each ring keeps its multiplicities once, in the integer form of its
-`coeffs` tensor, whose denominator construction checks to be 1;
-`table[a][b]` is that form's row of `int`s indexed by c.  Products, the
-axiom checks, the block decomposition and restriction all read the
-table.  Every product of vectors, the unit law's Q_a * 1 included, is
-the one integer row product `exact.combine_rows` over rows of the
-table; associativity is the shared `exact.associativity_failures`, on
-the sparse rows of the table (`exact.sparse_rows`).
+Each ring keeps its multiplicities once, as the `int`s of `table`, which
+every builder writes directly; `table[a][b]` is the row indexed by c.
+Products, the axiom checks, the block decomposition and restriction all
+read the table.  Every product of vectors, the unit law's Q_a * 1
+included, is the one integer row product `exact.combine_rows` over rows
+of the table; associativity is the shared
+`exact.associativity_failures`, on the sparse rows of the table
+(`exact.sparse_rows`).
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .exact import (DimensionMismatchError, Tensor3, associativity_failures,
+from .exact import (DimensionMismatchError, associativity_failures,
                     combine_rows, sparse_rows)
 from .report import Report, SearchTooLargeError
 
@@ -67,32 +66,31 @@ class BlockStructureError(ValueError):
 
 @dataclass(frozen=True)
 class FusionRing:
-    """Fusion ring data: involution, unit components, coefficient tensor.
+    """Fusion ring data: involution, unit components, multiplicity table.
 
-    ``coeffs[a][b][c]`` is the multiplicity of label ``c`` in the product
-    of labels ``a`` and ``b``.  Construction checks shapes and
-    integrality only; the ring axioms are checked by `verify_axioms`.
-    ``table[a][b]`` is the same row of multiplicities as a tuple of
-    `int`s, the integer form of ``coeffs``, and ``handle`` the
-    genus-adding vector sum_a Q_dual(a) Q_a; both are set at
-    construction and take no part in equality.  The colour operators
+    ``table[a][b][c]`` is the multiplicity of label ``c`` in the product
+    of labels ``a`` and ``b``, a plain `int`.  Construction turns the
+    table into nested tuples and checks its n x n x n shape, the labels
+    and that every entry is a nonnegative `int` (a `bool` or a
+    `Fraction` is not); the ring axioms are checked by `verify_axioms`.
+    ``handle``, the genus-adding vector sum_a Q_dual(a) Q_a, is set at
+    construction and takes no part in equality.  The colour operators
     and the unit vector are cached on first use, outside equality.
     """
 
     dual: tuple[int, ...]
     unit: tuple[int, ...]
-    coeffs: Tensor3
+    table: tuple[tuple[tuple[int, ...], ...], ...]
     names: tuple[str, ...] = field(default=())
-    table: tuple[tuple[tuple[int, ...], ...], ...] = field(
-        init=False, compare=False, repr=False)
     handle: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.dual)
-        if self.coeffs.dims != (n, n, n):
-            raise ValueError(
-                f"coefficient tensor has dims {self.coeffs.dims}, "
-                f"expected {(n, n, n)}")
+        table = tuple(tuple(map(tuple, plane)) for plane in self.table)
+        if len(table) != n or any(len(row) != n for plane in table
+                                  for row in (plane, *plane)):
+            raise DimensionMismatchError(
+                f"multiplicity table is not {n} x {n} x {n}")
         if not self.unit:
             raise ValueError("unit component set is empty")
         if tuple(sorted(set(self.unit))) != self.unit:
@@ -100,15 +98,14 @@ class FusionRing:
         for a in itertools.chain(self.dual, self.unit):
             if not 0 <= a < n:
                 raise ValueError(f"label {a} out of range 0..{n - 1}")
-        table, den = self.coeffs.integer_form
         bad = next(((a, b, c, x) for a, plane in enumerate(table)
                     for b, fibre in enumerate(plane)
-                    for c, x in enumerate(fibre) if x < 0 or x % den), None)
+                    for c, x in enumerate(fibre)
+                    if type(x) is not int or x < 0), None)
         if bad is not None:
             a, b, c, x = bad
-            raise ValueError(
-                f"coefficient N[{a}][{b}][{c}] = {Fraction(x, den)} is not "
-                "a nonnegative integer")
+            raise ValueError(f"coefficient N[{a}][{b}][{c}] = {x} is not "
+                             "a nonnegative integer")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "handle", tuple(
             map(sum, zip(*(table[self.dual[a]][a] for a in range(n))))))
@@ -329,13 +326,11 @@ def restrict_to_labels(ring: FusionRing, labels) -> FusionRing:
     if not unit:
         raise ValueError("label subset contains no unit component")
     table = ring.table
-    coeffs = Tensor3.from_integers(
-        [[[table[a][b][c] for c in labels] for b in labels]
-         for a in labels], 1)
     return FusionRing(
         dual=tuple(pos[ring.dual[a]] for a in labels),
         unit=unit,
-        coeffs=coeffs,
+        table=[[[table[a][b][c] for c in labels] for b in labels]
+               for a in labels],
         names=tuple(ring.names[a] for a in labels))
 
 
@@ -343,19 +338,19 @@ def direct_product(left: FusionRing, right: FusionRing,
                    names: tuple[str, ...] = ()) -> FusionRing:
     """Direct product ring: disjoint labels, block-diagonal coefficients."""
     n1, n2 = left.rank, right.rank
-    n = n1 + n2
-    data: dict[tuple[int, int, int], int] = {}
-    for (a, b, c), v in left.coeffs.nonzero():
-        data[(a, b, c)] = v
-    for (a, b, c), v in right.coeffs.nonzero():
-        data[(a + n1, b + n1, c + n1)] = v
+    pad1, pad2 = (0,) * n1, (0,) * n2
+    zero = pad1 + pad2
+    table = ([[row + pad2 for row in plane] + [zero] * n2
+              for plane in left.table]
+             + [[zero] * n1 + [pad1 + row for row in plane]
+                for plane in right.table])
     if not names:
         names = tuple(f"l:{s}" for s in left.names) + tuple(
             f"r:{s}" for s in right.names)
     return FusionRing(
         dual=tuple(left.dual) + tuple(d + n1 for d in right.dual),
         unit=tuple(left.unit) + tuple(u + n1 for u in right.unit),
-        coeffs=Tensor3.from_dict((n, n, n), data),
+        table=table,
         names=names)
 
 
@@ -364,23 +359,20 @@ def direct_product(left: FusionRing, right: FusionRing,
 
 
 def trivial_ring() -> FusionRing:
-    return FusionRing(dual=(0,), unit=(0,),
-                      coeffs=Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}))
+    return FusionRing(dual=(0,), unit=(0,), table=[[[1]]])
 
 
 def cyclic_ring(n: int) -> FusionRing:
     """Group ring of Z/n: N[a][b][a+b mod n] = 1, dual = inverse."""
-    data = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
     return FusionRing(dual=tuple((-a) % n for a in range(n)), unit=(0,),
-                      coeffs=Tensor3.from_dict((n, n, n), data))
+                      table=[[[int((a + b) % n == c) for c in range(n)]
+                              for b in range(n)] for a in range(n)])
 
 
 def fibonacci_ring() -> FusionRing:
     """Rank-2 ring with tau * tau = 1 + tau."""
-    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
-            (1, 1, 0): 1, (1, 1, 1): 1}
     return FusionRing(dual=(0, 1), unit=(0,),
-                      coeffs=Tensor3.from_dict((2, 2, 2), data),
+                      table=[[[1, 0], [0, 1]], [[0, 1], [1, 1]]],
                       names=("1", "tau"))
 
 
@@ -668,9 +660,8 @@ def enumerate_fusion_rings(rank: int, max_coeff: int) -> list[FusionRing]:
             if key in found:
                 continue
             canon_dual, flat = key
-            coeffs = Tensor3.from_integers(
-                [[flat[(a * rank + b) * rank:(a * rank + b + 1) * rank]
-                  for b in range(rank)] for a in range(rank)], 1)
-            found[key] = FusionRing(dual=canon_dual, unit=(0,),
-                                    coeffs=coeffs)
+            found[key] = FusionRing(
+                dual=canon_dual, unit=(0,),
+                table=[[flat[(a * rank + b) * rank:(a * rank + b + 1) * rank]
+                        for b in range(rank)] for a in range(rank)])
     return [found[key] for key in sorted(found)]

@@ -996,7 +996,7 @@ def frobenius_from_fusion(ring: FusionRing) -> FrobeniusAlgebra:
     n = ring.rank
     algebra = FrobeniusAlgebra(
         names=ring.names,
-        mult=ring.coeffs,
+        mult=Tensor3.from_integers(ring.table, 1),
         unit=tuple(Fraction(int(a in ring.unit)) for a in range(n)),
         counit=tuple(Fraction(int(a in ring.unit)) for a in range(n)))
     algebra._pairing_inverse  # raises DegeneratePairingError if singular

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from verlinde import corpus, formats, tqft
-from verlinde.exact import Tensor3
 from verlinde.fusion import FusionRing
 
 CORPUS_RINGS = ("trivial.fusion", "z2.fusion", "z3.fusion", "fib.fusion",
@@ -39,13 +38,26 @@ def load_algebras():
     return {name: load(name) for name in CORPUS_ALGEBRAS}
 
 
+def ring_table(base, entries=()) -> list:
+    """A multiplicity table as nested lists: n x n x n zeros when `base`
+    is a rank n, else a copy of the ring `base`'s table, with each value
+    of the dict `entries`, keyed by (a, b, c), written in."""
+    if isinstance(base, int):
+        table = [[[0] * base for _ in range(base)] for _ in range(base)]
+    else:
+        table = [list(map(list, plane)) for plane in base.table]
+    for (a, b, c), v in dict(entries).items():
+        table[a][b][c] = v
+    return table
+
+
 def toy_ring() -> FusionRing:
     """Rank-3 ring that is not commutative: N[1][2][1] = 1, N[2][1][.] = 0.
 
     Both non-unit labels are self-dual and the unit law holds, so the
     ring passes construction but fails the axioms.
     """
-    coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
-              (2, 0, 2): 1, (1, 1, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1}
+    entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+               (2, 0, 2): 1, (1, 1, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1}
     return FusionRing(dual=(0, 1, 2), unit=(0,),
-                      coeffs=Tensor3.from_dict((3, 3, 3), coeffs))
+                      table=ring_table(3, entries))

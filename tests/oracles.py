@@ -1,9 +1,12 @@
 """Independent brute-force oracles the library is tested against.
 
 Nothing here reuses the library's evaluation paths: fusion
-multiplicities are read from the `Fraction` tensor `ring.coeffs`, never
-from the ring's integer table; surface dimensions are recomputed by
-naive convolution (and, for tiny cases, by literally expanding the
+multiplicities are read as `Fraction`s from one
+`Tensor3.from_integers(ring.table, 1)` per ring (`multiplicities`),
+never as the table's `int`s, and the ring builders are checked against
+the `Tensor3.from_dict` constructions they replaced; surface
+dimensions are recomputed by naive convolution (and, for tiny cases,
+by literally expanding the
 product as a multiset of labels), the in-order `dim_V` by one product
 with the handle vector per handle, gluing-consistency reports by
 branching over every label of every handle, the fusion-axiom, pairing and
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -50,8 +54,19 @@ from verlinde.fusion import (FusionRing, _canonical_key, _forced_entries,
                              verify_axioms)
 
 
+def multiplicities(ring: FusionRing) -> Tensor3:
+    """The `Fraction` tensor N[a, b, c] of a ring, made once per table
+    (the cache holds tables, not rings, so that it keeps no ring alive)."""
+    return _tensor(ring.table)
+
+
+@lru_cache(maxsize=256)
+def _tensor(table) -> Tensor3:
+    return Tensor3.from_integers(table, 1)
+
+
 def _n(ring: FusionRing, a: int, b: int, c: int) -> int:
-    return int(ring.coeffs[a, b, c])
+    return int(multiplicities(ring)[a, b, c])
 
 
 def _mult_label(ring: FusionRing, counts: dict[int, int],
@@ -218,7 +233,7 @@ def fusion_axiom_entries(ring: FusionRing) -> tuple[list[str], int]:
     checked = 0
     n = ring.rank
     dual = ring.dual
-    N = ring.coeffs
+    N = multiplicities(ring)
 
     for a in range(n):
         checked += 1
@@ -277,7 +292,7 @@ def frobenius_pairing_entries(ring: FusionRing) -> tuple[list[str], int]:
     checked = 0
     n = ring.rank
     dual = ring.dual
-    N = ring.coeffs
+    N = multiplicities(ring)
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -381,7 +396,7 @@ def fusion_from_characters(class_sizes, table, names) -> FusionRing:
     if sum(row[0] ** 2 for row in table) != order:
         raise ValueError("character degrees do not sum to the group order")
 
-    data = {}
+    multiplicity = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -390,10 +405,8 @@ def fusion_from_characters(class_sizes, table, names) -> FusionRing:
                 if m.denominator != 1 or m < 0:
                     raise ValueError(
                         f"non-integral multiplicity at ({a},{b},{c})")
-                if m:
-                    data[(a, b, c)] = int(m)
-    return FusionRing(dual=tuple(range(n)), unit=(0,),
-                      coeffs=Tensor3.from_dict((n, n, n), data),
+                multiplicity[a][b][c] = int(m)
+    return FusionRing(dual=tuple(range(n)), unit=(0,), table=multiplicity,
                       names=tuple(names))
 
 
@@ -418,6 +431,64 @@ def s3_cayley_table() -> list[list[int]]:
         return tuple(p[q[i]] for i in range(3))
 
     return [[index[compose(p, q)] for q in elems] for p in elems]
+
+
+# ---------------------------------------------------------------------------
+# the ring builders as `Tensor3.from_dict` constructions, each giving the
+# (dual, unit, multiplicities, names) that `ring_data` reads off a ring
+
+
+def ring_data(ring: FusionRing) -> tuple:
+    return ring.dual, ring.unit, multiplicities(ring), ring.names
+
+
+def reference_trivial() -> tuple:
+    return (0,), (0,), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}), ("0",)
+
+
+def reference_cyclic(n: int) -> tuple:
+    data = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
+    return (tuple((-a) % n for a in range(n)), (0,),
+            Tensor3.from_dict((n, n, n), data),
+            tuple(str(a) for a in range(n)))
+
+
+def reference_fibonacci() -> tuple:
+    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
+            (1, 1, 0): 1, (1, 1, 1): 1}
+    return (0, 1), (0,), Tensor3.from_dict((2, 2, 2), data), ("1", "tau")
+
+
+def reference_direct_product(left: FusionRing, right: FusionRing,
+                             names: tuple[str, ...] = ()) -> tuple:
+    n1, n2 = left.rank, right.rank
+    n = n1 + n2
+    data: dict[tuple[int, int, int], Fraction] = {}
+    for (a, b, c), v in multiplicities(left).nonzero():
+        data[(a, b, c)] = v
+    for (a, b, c), v in multiplicities(right).nonzero():
+        data[(a + n1, b + n1, c + n1)] = v
+    if not names:
+        names = tuple(f"l:{s}" for s in left.names) + tuple(
+            f"r:{s}" for s in right.names)
+    return (tuple(left.dual) + tuple(d + n1 for d in right.dual),
+            tuple(left.unit) + tuple(u + n1 for u in right.unit),
+            Tensor3.from_dict((n, n, n), data), names)
+
+
+def reference_restriction(ring: FusionRing, labels) -> tuple:
+    """The sub-ring on `labels`, relabelled 0..k-1 in their order, for a
+    dual-closed `labels` that holds a unit component."""
+    labels = list(labels)
+    pos = {a: i for i, a in enumerate(labels)}
+    k = len(labels)
+    data = {(pos[a], pos[b], pos[c]): v
+            for (a, b, c), v in multiplicities(ring).nonzero()
+            if a in pos and b in pos and c in pos}
+    return (tuple(pos[ring.dual[a]] for a in labels),
+            tuple(sorted(pos[b] for b in ring.unit if b in pos)),
+            Tensor3.from_dict((k, k, k), data),
+            tuple(ring.names[a] for a in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +591,10 @@ def enumerate_by_exhaustion(rank: int, max_coeff: int) -> list[FusionRing]:
                 continue
             canon_dual, flat = key
             ring = FusionRing(dual=canon_dual, unit=(0,),
-                              coeffs=Tensor3.from_integers(
-                                  [[flat[(a * rank + b) * rank:
-                                         (a * rank + b + 1) * rank]
-                                    for b in range(rank)]
-                                   for a in range(rank)], 1))
+                              table=[[flat[(a * rank + b) * rank:
+                                           (a * rank + b + 1) * rank]
+                                      for b in range(rank)]
+                                     for a in range(rank)])
             if verify_axioms(ring).ok:
                 found[key] = ring
     return [found[key] for key in sorted(found)]
@@ -1147,7 +1217,8 @@ def _parent_fusion(text, source):
     if len(set(full_names)) != rank:
         raise SemanticError("label names are not distinct", source, 0)
     return FusionRing(dual=tuple(dual[i] for i in range(rank)), unit=unit,
-                      coeffs=Tensor3.from_dict((rank, rank, rank), coeffs),
+                      table=[[[coeffs.get((a, b, c), 0) for c in range(rank)]
+                              for b in range(rank)] for a in range(rank)],
                       names=full_names)
 
 

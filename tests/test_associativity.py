@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ring_table
 from oracles import associativity_by_triples, integer_rows
 from test_categories import _with_table
 from verlinde.categories import (cyclic_table, field_category, group_algebra,
@@ -194,7 +195,7 @@ def _random_rings(count, seed):
         if n > 2 and rng.random() < 0.5:
             dual[1], dual[2] = 2, 1
         yield FusionRing(dual=tuple(dual), unit=(0,),
-                         coeffs=Tensor3.from_dict((n, n, n), data))
+                         table=ring_table(n, data))
 
 
 def _random_algebras(count, seed):

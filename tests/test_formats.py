@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import itertools
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,7 @@ def test_completed_categories_roundtrip_through_the_format():
 
 
 def test_fusion_rings_are_serialized_from_their_integer_table(monkeypatch):
+    from oracles import multiplicities
     from verlinde.exact import Tensor3
     from verlinde.fusion import enumerate_fusion_rings
     rings = [load(name) for name in CORPUS_RINGS]
@@ -57,10 +59,10 @@ def test_fusion_rings_are_serialized_from_their_integer_table(monkeypatch):
 
     expected = []
     for ring in rings:
-        n = ring.rank
-        entries = [f"N {a} {b} {c} {ring.coeffs[a, b, c].numerator}"
+        n, N = ring.rank, multiplicities(ring)
+        entries = [f"N {a} {b} {c} {N[a, b, c].numerator}"
                    for a, b, c in itertools.product(range(n), repeat=3)
-                   if ring.coeffs[a, b, c]]
+                   if N[a, b, c]]
         head = serialize("fusion", ring).split("\nN ")[0].rstrip("\n")
         expected.append("\n".join([head, *entries]) + "\n")
     monkeypatch.setattr(Tensor3, "nonzero", tripped)
@@ -169,6 +171,71 @@ def test_size_header_errors_name_their_line(kind, name, text, error, reason,
     assert type(err.value) is error
     assert err.value.reason == reason.format(name)
     assert (err.value.source, err.value.line) == ("bad", line)
+
+
+# a size header whose dense table would pass MAX_DENSE_CELLS, with every
+# other line of its document in order: (kind, text, header line, size)
+HUGE = "1" + "0" * 60
+HUGE_HEADERS = [
+    ("fusion", "# every dual set\nrank 200\nunit 0\n"
+     + "".join(f"dual {i} {i}\n" for i in range(200)), 2, "200: size^3"),
+    ("algebra", f"dim {HUGE}\nmult 0 0 0 1\n", 1, f"{HUGE}: size^3"),
+    ("algebra", "mult 0 0 0 1\ncounit 0 1\ndim 3000\n", 3,
+     "3000: size^3"),
+    ("idempotent", "dim 3000\ne 0 0 1\n", 1, "3000: size^2"),
+]
+
+
+@pytest.mark.parametrize("kind, text, line, size", HUGE_HEADERS,
+                         ids=["rank-200", "dim-1e60", "dim-3000",
+                              "idem-dim-3000"])
+def test_a_huge_size_header_is_refused_on_its_line(kind, text, line, size):
+    start = time.perf_counter()
+    with pytest.raises(SemanticError) as err:
+        parse(kind, text, source="huge")
+    assert time.perf_counter() - start < 0.1
+    assert err.value.reason == (
+        f"size {size} cells are more than MAX_DENSE_CELLS = "
+        f"{formats.MAX_DENSE_CELLS}")
+    assert (err.value.source, err.value.line) == ("huge", line)
+
+
+@pytest.mark.parametrize("kind, text, error, reason, line", [
+    ("fusion", f"rank {HUGE}\nunit 0\ndual 0 0\n", SemanticError,
+     "dual not specified for label 1", 0),
+    ("fusion", "rank 3000\nunit 0\nN 0 0 0 -1\n", SemanticError,
+     "negative coefficient -1", 3),
+    ("algebra", f"dim {HUGE}\nmult 0 0 0 x\n", ParseError,
+     "expected a rational p/q, got 'x'", 2),
+    ("algebra", "dim 3000\nmult 0 0 0 1\nmult 0 0 0 2\n", SemanticError,
+     "duplicate mult entry for (0,0,0)", 3),
+    ("idempotent", "dim 3000\ne 0 0 1\nbasis 0 x\n", ParseError,
+     "unknown directive 'basis'", 3),
+], ids=["missing-dual", "negative", "bad-value", "duplicate", "directive"])
+def test_a_huge_size_header_reports_its_other_errors_first(kind, text, error,
+                                                          reason, line):
+    with pytest.raises(ParseError) as err:
+        parse(kind, text)
+    assert (type(err.value), err.value.reason, err.value.line) == (
+        error, reason, line)
+
+
+def test_the_dense_cell_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(formats, "MAX_DENSE_CELLS", 27)
+    for name in ("z3.fusion", "z3group.algebra", "mat2.idem"):
+        assert serialize(formats.kind_for_path(name), load(name)) == (
+            corpus.corpus_path(name).read_text("utf-8"))
+    assert parse("idempotent", "dim 5\ne 0 0 1\n").payload.shape == (5, 5)
+    for kind, text, size in (
+            ("fusion", corpus.corpus_path("fib_x_z2.fusion").read_text(),
+             "4: size^3"),
+            ("algebra", corpus.corpus_path("mat2.algebra").read_text(),
+             "4: size^3"),
+            ("idempotent", "dim 6\ne 0 0 1\n", "6: size^2")):
+        with pytest.raises(SemanticError) as err:
+            parse(kind, text)
+        assert err.value.line == 1
+        assert err.value.reason.startswith(f"size {size} cells ")
 
 
 def test_negative_coefficient_rejected_with_line():

@@ -9,15 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS_RINGS, load, toy_ring
+from conftest import CORPUS_RINGS, load, ring_table, toy_ring
 from oracles import (S3_CHARACTER_TABLE, S3_CLASS_SIZES, Z2_CHARACTER_TABLE,
                      Z2_CLASS_SIZES, brute_force_product,
                      enumerate_by_exhaustion, frobenius_pairing_entries,
                      fusion_axiom_entries, fusion_from_characters,
-                     naive_contract)
+                     multiplicities, naive_contract, reference_cyclic,
+                     reference_direct_product, reference_fibonacci,
+                     reference_restriction, reference_trivial, ring_data)
 import verlinde
 from verlinde import categories, fusion
-from verlinde.exact import DimensionMismatchError, Tensor3
+from verlinde.exact import DimensionMismatchError
 from verlinde.formats import serialize
 from verlinde.fusion import (MAX_ENUMERATION_CANDIDATES, BlockStructureError,
                              FusionRing, block_decomposition, cyclic_ring,
@@ -56,8 +58,8 @@ def test_z2_and_fibonacci_products_match_enumeration_oracle():
     by_selfcoeff = {r.n(1, 1, 1): r for r in enumerated}
     z2 = load("z2.fusion")
     fib = load("fib.fusion")
-    assert by_selfcoeff[0].coeffs == z2.coeffs
-    assert by_selfcoeff[1].coeffs == fib.coeffs
+    assert by_selfcoeff[0].table == z2.table
+    assert by_selfcoeff[1].table == fib.table
     assert multiply(z2, z2.basis_vector(1), z2.basis_vector(1)) == (1, 0)
     assert multiply(fib, fib.basis_vector(1), fib.basis_vector(1)) == (1, 1)
 
@@ -71,7 +73,7 @@ def test_s3_representation_ring_matches_character_oracle():
 def test_z2_ring_matches_character_oracle():
     oracle = fusion_from_characters(Z2_CLASS_SIZES, Z2_CHARACTER_TABLE,
                                     ("0", "1"))
-    assert load("z2.fusion").coeffs == oracle.coeffs
+    assert load("z2.fusion").table == oracle.table
 
 
 def test_z3_ring_is_group_ring_with_inverse_dual():
@@ -86,20 +88,14 @@ def test_z3_ring_is_group_ring_with_inverse_dual():
 def test_fibonacci_variant_with_doubled_self_coefficient_is_still_a_ring():
     # tau * tau = 1 + 2 tau presents Z[x]/(x^2 - 2x - 1): associative,
     # so no rank-2 tweak of this single entry can break associativity
-    fib = fibonacci_ring()
-    data = {idx: v for idx, v in fib.coeffs.nonzero()}
-    data[(1, 1, 1)] = 2
     variant = FusionRing(dual=(0, 1), unit=(0,),
-                         coeffs=Tensor3.from_dict((2, 2, 2), data))
+                         table=ring_table(fibonacci_ring(), {(1, 1, 1): 2}))
     assert verify_axioms(variant).ok
 
 
 def test_broken_associativity_is_reported_with_indices():
-    z3 = cyclic_ring(3)
-    data = {idx: v for idx, v in z3.coeffs.nonzero()}
-    data[(1, 1, 2)] = 2
     broken = FusionRing(dual=(0, 2, 1), unit=(0,),
-                        coeffs=Tensor3.from_dict((3, 3, 3), data))
+                        table=ring_table(cyclic_ring(3), {(1, 1, 2): 2}))
     report = verify_axioms(broken)
     assert not report.ok
     assert any("associativity at (a,b,c,e)=(1,1,2,1)" in e
@@ -108,14 +104,14 @@ def test_broken_associativity_is_reported_with_indices():
 
 def test_non_involution_dual_is_reported():
     ring = FusionRing(dual=(1, 2, 0), unit=(0,),
-                      coeffs=cyclic_ring(3).coeffs)
+                      table=cyclic_ring(3).table)
     report = verify_axioms(ring)
     assert any("involution" in e for e in report.entries)
 
 
 def test_forced_identity_dual_breaks_frobenius_symmetry():
     z3 = cyclic_ring(3)
-    broken = FusionRing(dual=(0, 1, 2), unit=(0,), coeffs=z3.coeffs)
+    broken = FusionRing(dual=(0, 1, 2), unit=(0,), table=z3.table)
     report = verify_axioms(broken)
     assert any("frobenius symmetry" in e for e in report.entries)
     pairing = verify_frobenius_pairing(broken)
@@ -140,7 +136,7 @@ def test_block_decomposition_product_ring():
 def test_block_decomposition_rejects_inconsistent_ring():
     product = load("fib_x_z2.fusion")
     # drop one unit component: its block's labels land in no block
-    bad = FusionRing(dual=product.dual, unit=(0,), coeffs=product.coeffs)
+    bad = FusionRing(dual=product.dual, unit=(0,), table=product.table)
     with pytest.raises(BlockStructureError, match="lies in 0 blocks"):
         block_decomposition(bad)
 
@@ -281,7 +277,7 @@ def test_colour_operators_and_unit_vector_are_kept_once_outside_equality():
                    for ring in parsed)
     assert not any("_colour_operators" in vars(ring) for ring in enumerated)
     for ring in parsed + enumerated:
-        twin = FusionRing(ring.dual, ring.unit, ring.coeffs, ring.names)
+        twin = FusionRing(ring.dual, ring.unit, ring.table, ring.names)
         ops = ring._colour_operators
         assert ops == tuple(tuple(plane[a] for plane in ring.table)
                             for a in range(ring.rank))
@@ -312,27 +308,26 @@ def test_direct_product_is_blockwise():
 def test_enumerate_rank_one_gives_only_trivial():
     rings = enumerate_fusion_rings(1, 3)
     assert len(rings) == 1
-    assert rings[0].coeffs == trivial_ring().coeffs
+    assert rings[0].table == trivial_ring().table
 
 
 def test_enumerate_rank_two_maxcoeff_zero_gives_only_z2():
     rings = enumerate_fusion_rings(2, 0)
     assert len(rings) == 1
-    assert rings[0].coeffs == cyclic_ring(2).coeffs
+    assert rings[0].table == cyclic_ring(2).table
 
 
 def test_enumerate_rank_three_recovers_the_classical_theories():
     rings = enumerate_fusion_rings(3, 1)
     assert len(rings) == 5
-    tensors = [r.coeffs for r in rings]
-    assert cyclic_ring(3).coeffs in tensors
-    assert load("s3rep.fusion").coeffs in tensors
-    ising = Tensor3.from_dict(
-        (3, 3, 3),
-        {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
-         (1, 0, 1): 1, (1, 1, 0): 1, (1, 2, 2): 1,
-         (2, 0, 2): 1, (2, 1, 2): 1, (2, 2, 0): 1, (2, 2, 1): 1})
-    assert ising in tensors
+    tables = [r.table for r in rings]
+    assert cyclic_ring(3).table in tables
+    assert load("s3rep.fusion").table in tables
+    ising = FusionRing(dual=(0, 1, 2), unit=(0,), table=ring_table(
+        3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
+            (1, 0, 1): 1, (1, 1, 0): 1, (1, 2, 2): 1,
+            (2, 0, 2): 1, (2, 1, 2): 1, (2, 2, 0): 1, (2, 2, 1): 1}))
+    assert ising.table in tables
 
 
 def test_block_restrictions_reassemble_the_product_ring():
@@ -415,14 +410,42 @@ def test_enumerate_equals_the_exhaustive_oracle(rank, max_coeff):
 
 def test_ring_construction_rejects_bad_data():
     with pytest.raises(ValueError):
-        FusionRing(dual=(0, 1), unit=(),
-                   coeffs=Tensor3.from_dict((2, 2, 2), {}))
+        FusionRing(dual=(0, 1), unit=(), table=ring_table(2))
     with pytest.raises(ValueError):
-        FusionRing(dual=(0,), unit=(0,),
-                   coeffs=Tensor3.from_dict((2, 2, 2), {}))
+        FusionRing(dual=(0,), unit=(0,), table=ring_table(2))
     with pytest.raises(ValueError):
         FusionRing(dual=(0, 1), unit=(0,),
-                   coeffs=Tensor3.from_dict((2, 2, 2), {(0, 0, 0): -1}))
+                   table=ring_table(2, {(0, 0, 0): -1}))
+
+
+@pytest.mark.parametrize("table", [
+    [],
+    [[[1]]],
+    [[[1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0], [0, 0]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0, 0]]],
+    [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]]],
+], ids=["empty", "rank 1", "one plane", "short plane", "long plane",
+        "short row", "long row", "every row long"])
+def test_ring_construction_rejects_a_table_of_the_wrong_shape(table):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^multiplicity table is not 2 x 2 x 2$"):
+        FusionRing(dual=(0, 1), unit=(0,), table=table)
+
+
+def test_rings_built_from_lists_and_from_tuples_are_equal():
+    for ring in [load(name) for name in CORPUS_RINGS] + [toy_ring()]:
+        listed = FusionRing(ring.dual, ring.unit, ring_table(ring),
+                            ring.names)
+        assert listed == ring and hash(listed) == hash(ring)
+        assert listed.table == ring.table
+        assert type(listed.table[0][0]) is tuple
+        assert listed.handle == ring.handle
+    # names take part in equality
+    fib = fibonacci_ring()
+    assert FusionRing(fib.dual, fib.unit, fib.table) != fib
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -430,13 +453,17 @@ def test_ring_construction_rejects_bad_data():
      "N[1][0][1] = 1/2"),
     ({(1, 0, 1): -1, (1, 1, 1): -2}, "N[1][0][1] = -1"),
     ({(0, 1, 1): -2, (1, 0, 1): Fraction(1, 2)}, "N[0][1][1] = -2"),
+    ({(1, 0, 1): True}, "N[1][0][1] = True"),
+    ({(1, 1, 0): Fraction(1), (1, 1, 1): -1}, "N[1][1][0] = 1"),
+    ({(0, 1, 1): True, (1, 0, 1): Fraction(1)}, "N[0][1][1] = True"),
+    ({(1, 1, 1): 1.0}, "N[1][1][1] = 1.0"),
 ])
 def test_ring_construction_names_the_first_bad_coefficient(bad, message):
-    # the first entry in index order that is fractional or negative
+    # the first entry in index order that is not a nonnegative int: a
+    # bool or a Fraction is not an int, even where its value is 1
     data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, **bad}
     with pytest.raises(ValueError) as err:
-        FusionRing(dual=(0, 1), unit=(0,),
-                   coeffs=Tensor3.from_dict((2, 2, 2), data))
+        FusionRing(dual=(0, 1), unit=(0,), table=ring_table(2, data))
     assert str(err.value) == (
         f"coefficient {message} is not a nonnegative integer")
 
@@ -463,13 +490,11 @@ def test_reports_match_index_loops_with_each_coefficient_raised(name):
     base = _oracle_base(name)
     _assert_reports_match_index_loops(base)
     n = base.rank
-    data = dict(base.coeffs.nonzero())
     failing = 0
-    for idx in itertools.product(range(n), repeat=3):
-        raised = dict(data)
-        raised[idx] = raised.get(idx, 0) + 1
+    for a, b, c in itertools.product(range(n), repeat=3):
+        raised = {(a, b, c): base.table[a][b][c] + 1}
         ring = FusionRing(dual=base.dual, unit=base.unit,
-                          coeffs=Tensor3.from_dict((n, n, n), raised))
+                          table=ring_table(base, raised))
         _assert_reports_match_index_loops(ring)
         failing += not verify_axioms(ring).ok
     assert failing > 0
@@ -477,8 +502,8 @@ def test_reports_match_index_loops_with_each_coefficient_raised(name):
 
 def test_reports_match_index_loops_on_broken_dual_and_unit():
     z3 = cyclic_ring(3)
-    not_involution = FusionRing(dual=(1, 2, 0), unit=(0,), coeffs=z3.coeffs)
-    two_units = FusionRing(dual=z3.dual, unit=(0, 1), coeffs=z3.coeffs)
+    not_involution = FusionRing(dual=(1, 2, 0), unit=(0,), table=z3.table)
+    two_units = FusionRing(dual=z3.dual, unit=(0, 1), table=z3.table)
     for ring, kind in ((not_involution, "involution"),
                        (two_units, "unit law")):
         _assert_reports_match_index_loops(ring)
@@ -496,7 +521,8 @@ def test_multiply_matches_fraction_contraction(name):
         x = tuple(rng.randrange(4) for _ in range(ring.rank))
         y = tuple(rng.randrange(4) for _ in range(ring.rank))
         weights = [[xi * yj for yj in y] for xi in x]
-        assert multiply(ring, x, y) == naive_contract(ring.coeffs, weights)
+        assert multiply(ring, x, y) == naive_contract(multiplicities(ring),
+                                                      weights)
 
 
 @pytest.mark.parametrize("rank, max_coeff, count, digest", [
@@ -532,3 +558,46 @@ def test_enumerate_output_is_pinned(rank, max_coeff, count, digest):
     text = "".join(serialize("fusion", r) for r in rings)
     assert len(rings) == count
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the builders, which write tables, against the `Tensor3.from_dict`
+# constructions they replaced
+
+
+def test_named_rings_match_their_tensor_constructions():
+    assert ring_data(trivial_ring()) == reference_trivial()
+    assert ring_data(fibonacci_ring()) == reference_fibonacci()
+    for n in range(1, 13):
+        assert ring_data(cyclic_ring(n)) == reference_cyclic(n)
+
+
+def _corpus_products():
+    rings = [load(name) for name in CORPUS_RINGS]
+    return [(left, right, direct_product(left, right))
+            for left, right in itertools.product(rings, repeat=2)]
+
+
+def test_direct_products_match_their_tensor_construction():
+    for left, right, product in _corpus_products():
+        assert ring_data(product) == reference_direct_product(left, right)
+        assert verify_axioms(product).ok
+    names = ("a", "b", "c", "d")
+    fib, z2 = fibonacci_ring(), cyclic_ring(2)
+    assert ring_data(direct_product(fib, z2, names=names)) == (
+        reference_direct_product(fib, z2, names))
+
+
+def test_restrictions_to_blocks_match_their_tensor_construction():
+    rings = [load("fib_x_z2.fusion")]
+    rings += [product for _, _, product in _corpus_products()]
+    restricted = 0
+    for ring in rings:
+        for block in block_decomposition(ring):
+            # in order, and relabelled backwards
+            for labels in (block, block[::-1]):
+                assert ring_data(restrict_to_labels(ring, labels)) == (
+                    reference_restriction(ring, labels))
+                restricted += 1
+    # one block per unit component
+    assert restricted == 2 * sum(len(ring.unit) for ring in rings)

@@ -108,8 +108,7 @@ LARGE = [doc for doc in STOCK if doc[2].count("\n") > 400]
 def _forms(kind, payload) -> tuple:
     """The payload with the integer forms and names that must agree."""
     if kind == "fusion":
-        return payload, payload.coeffs.integer_form, payload.table, \
-            payload.names
+        return payload, payload.table, payload.names
     if kind == "algebra":
         return payload, payload.mult.integer_form, payload.names, \
             payload.unit, payload.counit

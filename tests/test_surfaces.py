@@ -10,11 +10,11 @@ import weakref
 
 import pytest
 
-from conftest import CORPUS_RINGS, load, toy_ring
+from conftest import CORPUS_RINGS, load, ring_table, toy_ring
 from oracles import (brute_force_dim, gluing_by_branching, gluing_entries,
                      handle_steps, list_expansion_dim, step_fold,
                      step_fold_dim)
-from verlinde.exact import Tensor3, power_apply
+from verlinde.exact import power_apply
 from verlinde.fusion import (FusionRing, cyclic_ring, direct_product,
                              fibonacci_ring, product_vector, verify_axioms)
 from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
@@ -182,7 +182,7 @@ def test_gluing_consistency_refuses_negative_trials():
 
 def test_gluing_consistency_detects_broken_frobenius_symmetry():
     z3 = cyclic_ring(3)
-    broken = FusionRing(dual=(0, 1, 2), unit=(0,), coeffs=z3.coeffs)
+    broken = FusionRing(dual=(0, 1, 2), unit=(0,), table=z3.table)
     report = verify_gluing_consistency(broken, S(0, (1, 1)), trials=4, seed=1)
     assert not report.ok
     assert any("capping" in e for e in report.entries)
@@ -211,8 +211,7 @@ def _random_ring(rng, max_rank=4) -> FusionRing:
                     v = rng.choice((0, 0, 1, 1, 2))
                 if v:
                     data[a, b, c] = v
-    return FusionRing(dual=tuple(dual), unit=(0,),
-                      coeffs=Tensor3.from_dict((n, n, n), data))
+    return FusionRing(dual=tuple(dual), unit=(0,), table=ring_table(n, data))
 
 
 def _random_cases(seed, count, genera, max_rank=4, max_colours=3):
@@ -399,7 +398,7 @@ def test_nontriviality_flags():
     z2 = cyclic_ring(2)
     weird = FusionRing(
         dual=(1, 0), unit=(0,),
-        coeffs=z2.coeffs)
+        table=z2.table)
     assert not check_nontriviality(weird)
     assert sphere_dim(weird) == 0
 

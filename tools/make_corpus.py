@@ -13,22 +13,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from verlinde import categories, formats, fusion, surfaces, tqft
-from verlinde.exact import Tensor3
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "verlinde" / "corpus"
 
 
 def s3_representation_ring() -> fusion.FusionRing:
     """Irreducible representations of S3: trivial, sign, standard."""
-    data = {
-        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
-        (1, 0, 1): 1, (1, 1, 0): 1, (1, 2, 2): 1,
-        (2, 0, 2): 1, (2, 1, 2): 1,
-        (2, 2, 0): 1, (2, 2, 1): 1, (2, 2, 2): 1,
-    }
     return fusion.FusionRing(
         dual=(0, 1, 2), unit=(0,),
-        coeffs=Tensor3.from_dict((3, 3, 3), data),
+        table=[[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+               [[0, 0, 1], [0, 0, 1], [1, 1, 1]]],
         names=("triv", "sign", "std"))
 
 
