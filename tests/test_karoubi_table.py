@@ -17,7 +17,8 @@ from verlinde.categories import (DEFAULT_GRID, CategoryFormatError,
                                  field_category, group_algebra,
                                  karoubi_completion, karoubi_idempotents,
                                  mat_completion, matrix_algebra_category,
-                                 product_field_algebra, validate_category)
+                                 product_field_algebra, tensor_product,
+                                 validate_category)
 from verlinde.cli import main
 from verlinde.formats import serialize
 
@@ -125,6 +126,41 @@ def test_unit_perturbations_of_k2_match_the_oracle():
         _assert_matches_oracle(cat)
 
 
+def _z2():
+    return group_algebra(cyclic_table(2)).to_category()
+
+
+# associative bases beyond BASES: products, a two-object Mat completion
+# and a rescaled basis, with denominators in the table and the identity
+CERTIFIED = {
+    "k2-z2": lambda: tensor_product(product_field_algebra(2).to_category(),
+                                    _z2()),
+    "z3-k2": lambda: tensor_product(group_algebra(cyclic_table(3))
+                                    .to_category(),
+                                    product_field_algebra(2).to_category()),
+    "mat-z2-1": lambda: mat_completion(_z2(), 1),
+    "k3-rescaled": lambda: _rescaled(product_field_algebra(3).to_category(),
+                                     {"e0": Fraction(2), "e1": Fraction(-1),
+                                      "e2": Fraction(1, 3)}),
+}
+
+
+def _escape_columns(completed) -> int:
+    """The number of columns the corners of a completion check composites
+    on off their pivots: zero when the base passed Light's test."""
+    return sum(len(c.escapes) for line in completed._corners for c in line)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certified_bases_are_read_at_the_pivots_and_equal_the_oracle(name):
+    base = CERTIFIED[name]()
+    assert validate_category(base).ok
+    completed = karoubi_completion(base)
+    assert _escape_columns(completed) == 0
+    assert len(completed.objects) > 2
+    _assert_matches_oracle(base)
+
+
 def test_failure_texts_are_pinned():
     halving = PresentedCategory(
         objects=("x",), hom={("x", "x"): ("u",)},
@@ -214,6 +250,32 @@ def test_idempotent_search_matches_the_oracle_on_random_tables():
     # u0 is a nonzero solution on x and on [x] on every grid; some
     # tables have more solutions to agree on
     assert nonzero > searches
+
+
+def test_a_base_that_fails_lights_test_has_every_composite_checked():
+    # random tables are associative only by chance; each that fails
+    # Light's test is completed with its escape equations, so it leaves a
+    # corner exactly where the oracle does and otherwise equals it
+    rng = random.Random(2211)
+    outcomes = []
+    for dim in (2, 2, 3, 3, 3):
+        for _ in range(4):
+            cat = _random_one_object(rng, dim)
+            associative = not oracles.associativity_failures(cat)
+            try:
+                completed = karoubi_completion(cat)
+            except CategoryFormatError as err:
+                assert str(err) == ("morphism escaped its carved-out hom "
+                                    "subspace")
+                with pytest.raises(ValueError, match="escaped"):
+                    oracles.karoubi_table(cat, DEFAULT_GRID)
+                outcomes.append((associative, "escaped"))
+                continue
+            _assert_matches_oracle(cat)
+            assert (_escape_columns(completed) == 0) == associative
+            outcomes.append((associative, "matched"))
+    assert set(outcomes) == {(True, "matched"), (False, "matched"),
+                             (False, "escaped")}
 
 
 @pytest.mark.parametrize("name", sorted(set(BASES) - {"m2-supplied"}))
