@@ -25,12 +25,11 @@ each product once and reuses it as a linear map: b . e once per
 idempotent e and base b leaving its object, to carve the hom spaces
 (one `exact.rref_integers` each), and v . b once per carved row v and
 base b ending at its source, so that every composite v . u is a sum
-over u's entries, read only at the target hom space's pivots.  For an
-associative base, f hom e composed with e hom e' lies in f hom e' by
+over u's entries, read only at the target hom space's pivots.  That
+holds because f hom e composed with e hom e' lies in f hom e' by
 associativity and e . e = e alone, so the base's own table is put
-through Light's test once; only a base that fails it has each
-composite also checked against the equations of its target, where one
-that escapes raises.  Its objects come from a grid search
+through Light's test once and a base that fails it is refused: the
+completion is of a category.  Its objects come from a grid search
 (`karoubi_idempotents`) that reads the grid and the table of End(p)
 once per object, as integer equations; each candidate then costs a few
 integer products and stops at the first equation it fails.
@@ -704,10 +703,8 @@ class _Corner:
     rows of the subspace, integer vectors over the base numbering, all
     over the one denominator `den`, with the basis numbers of their
     `pivots`; in the completion they are the basis elements numbered
-    from `start` on.  `escapes` lists (c, [(pivot, row[c]), ...]) for
-    each column c off the pivots, so that w lies in the rows when
-    den w[c] = sum w[pivot] row[c] at each; it is empty when the base
-    passed Light's test.  `reads` are the pivots, then those c.
+    from `start` on.  Over an associative base every composite into the
+    corner lies in its rows, so its pivot entries are its coordinates.
     """
 
     src: str
@@ -716,8 +713,6 @@ class _Corner:
     den: int
     pivots: tuple[int, ...]
     start: int
-    escapes: tuple
-    reads: tuple[int, ...]
 
     def express(self, w: dict[int, int]) -> dict[int, int]:
         """The coordinates of the integer vector w in the rows, keyed by
@@ -812,21 +807,18 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     reduces them with one `exact.rref_integers`; and v . b for each row
     v of a corner and each base b ending at its source, so that the
     composite of v with any row u of a corner ending there is
-    sum_b u[b] (v . b), computed only at the columns its target corner
-    `reads`.  Those are the pivots, whose entries are the coordinates
-    the table stores, when the base passes Light's test: then the
-    composite (f x e)(e y e') = f (x e y) e' lies in the target by
-    associativity and e . e = e, and no corner builds its `escapes`.  A
-    base that fails the test has each composite also read off the
-    pivots and checked against the equations the target's rows satisfy
-    there; one that leaves the corner raises CategoryFormatError.  Rows
-    are filled corner (j, k) by corner, the sources i inside, so each
-    row takes its entries in ascending order.
+    sum_b u[b] (v . b), computed only at its target corner's pivots,
+    whose entries are the coordinates the table stores: the composite
+    (f x e)(e y e') = f (x e y) e' lies in the target by associativity
+    and e . e = e.  Rows are filled corner (j, k) by corner, the sources
+    i inside, so each row takes its entries in ascending order.
 
     A grid search first estimates |values|^dim End(p) for every object
     and raises SearchTooLargeError past the limit; so does a list of
     more than MAX_COMPLETION_OBJECTS objects, found or supplied, before
-    any hom space is carved.
+    any hom space is carved.  Then a base that fails Light's test is
+    refused with CategoryFormatError, naming the first non-associative
+    triple (h, g, f) that `validate_category` reports.
     """
     pairs: list[tuple[str, tuple[Fraction, ...]]] = []
     if idempotents is not None:
@@ -860,8 +852,12 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     names = [karoubi_object_name(*pair) for pair in pairs]
     idems = [_idempotent(cat, pair) for pair in pairs]
 
-    # over an associative base no composite can leave its corner
-    certified = not _light_test(cat)[0]
+    # only over an associative base must every composite stay in its
+    # corner; the first triple named is validate_category's first
+    if failures := _light_test(cat)[0]:
+        triple = min(tuple(cat._names[i] for i in ijk) for ijk in failures)
+        raise CategoryFormatError(
+            f"the base is not associative on ({','.join(triple)})")
     # carve out hom((p,e),(q,f)) = f . hom(p,q) . e with an rref basis,
     # from the products b . e of each e with every base b leaving p
     hom, corners, count = {}, [], 0
@@ -876,13 +872,8 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                 [[m.get(b, 0) for b in base] for m in images], len(base))
             carved = tuple({b: c for b, c in zip(base, row) if c}
                            for row in ints)
-            escapes = () if certified else tuple(
-                (c, [(base[piv], row[c]) for piv, row in zip(pivots, carved)
-                     if c in row])
-                for c in base if c - base.start not in pivots)
-            pivots = tuple(base[c] for c in pivots)
-            line.append(_Corner(p, q, carved, den, pivots, count, escapes,
-                                pivots + tuple(c for c, _ in escapes)))
+            line.append(_Corner(p, q, carved, den,
+                                tuple(base[c] for c in pivots), count))
             if ints:
                 hom[names[i], names[j]] = tuple(
                     f"{names[i]}>{names[j]}:{k}" for k in range(len(ints)))
@@ -906,22 +897,16 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
             for line in corners:
                 first, target = line[j], line[k]
                 scale = den // (first.den * then.den * cat._den)
-                reads = target.reads
+                pivots = target.pivots
                 for f, u in enumerate(first.rows, first.start):
                     w = {}
                     for b, c in u.items():
                         if vb := left.get(b):
-                            for h in reads:
+                            for h in pivots:
                                 if x := vb.get(h):
                                     w[h] = w.get(h, 0) + c * x
-                    for col, terms in target.escapes:
-                        r = target.den * w.get(col, 0)
-                        for piv, x in terms:
-                            r -= w.get(piv, 0) * x
-                        if r:
-                            raise _escaped()
                     coords = {t: c * scale for t, piv
-                              in enumerate(target.pivots, target.start)
+                              in enumerate(pivots, target.start)
                               if (c := w.get(piv))}
                     if coords:
                         rows[g][f] = coords

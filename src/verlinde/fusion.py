@@ -104,7 +104,7 @@ class FusionRing:
                     if type(x) is not int or x < 0), None)
         if bad is not None:
             a, b, c, x = bad
-            raise ValueError(f"coefficient N[{a}][{b}][{c}] = {x} is not "
+            raise ValueError(f"coefficient N[{a}][{b}][{c}] = {x!r} is not "
                              "a nonnegative integer")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "handle", tuple(

@@ -450,17 +450,18 @@ def test_rings_built_from_lists_and_from_tuples_are_equal():
 
 @pytest.mark.parametrize("bad,message", [
     ({(1, 0, 1): Fraction(1, 2), (1, 1, 1): Fraction(3, 2)},
-     "N[1][0][1] = 1/2"),
+     "N[1][0][1] = Fraction(1, 2)"),
     ({(1, 0, 1): -1, (1, 1, 1): -2}, "N[1][0][1] = -1"),
     ({(0, 1, 1): -2, (1, 0, 1): Fraction(1, 2)}, "N[0][1][1] = -2"),
     ({(1, 0, 1): True}, "N[1][0][1] = True"),
-    ({(1, 1, 0): Fraction(1), (1, 1, 1): -1}, "N[1][1][0] = 1"),
+    ({(1, 1, 0): Fraction(1), (1, 1, 1): -1}, "N[1][1][0] = Fraction(1, 1)"),
     ({(0, 1, 1): True, (1, 0, 1): Fraction(1)}, "N[0][1][1] = True"),
     ({(1, 1, 1): 1.0}, "N[1][1][1] = 1.0"),
 ])
 def test_ring_construction_names_the_first_bad_coefficient(bad, message):
     # the first entry in index order that is not a nonnegative int: a
-    # bool or a Fraction is not an int, even where its value is 1
+    # bool or a Fraction is not an int, even where its value is 1, and
+    # the entry is named by its repr, so a Fraction reads as one
     data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, **bad}
     with pytest.raises(ValueError) as err:
         FusionRing(dual=(0, 1), unit=(0,), table=ring_table(2, data))

@@ -88,8 +88,9 @@ def test_karoubi_cli_output_is_pinned(capsys, monkeypatch):
     assert _pin(captured.out) == CLI_PIN
 
 
-def _assert_matches_oracle(base, idempotents=None):
-    completed = karoubi_completion(base, idempotents=idempotents)
+def _assert_matches_oracle(base, idempotents=None, completed=None):
+    if completed is None:
+        completed = karoubi_completion(base, idempotents=idempotents)
     objects, hom, table, identities = oracles.karoubi_table(
         base, DEFAULT_GRID, idempotents)
     assert completed.objects == objects
@@ -104,26 +105,40 @@ def test_karoubi_table_equals_the_oracle(name):
     _assert_matches_oracle(*_complete(name))
 
 
-def test_every_unit_perturbation_of_m2_escapes_its_corner():
+def _refused_or_matches(cat) -> str:
+    """Completes cat, which must be refused exactly when the brute-force
+    oracle finds a non-associative triple, naming the triple of
+    validate_category's first associativity entry, and must otherwise
+    equal the oracle's table; returns "refused" or "matched"."""
+    failures = oracles.associativity_failures(cat)
+    try:
+        completed = karoubi_completion(cat)
+    except CategoryFormatError as err:
+        first = next(e for e in validate_category(cat).entries
+                     if e.startswith("associativity on "))
+        triple = first[len("associativity on "):first.index("): ") + 1]
+        assert str(err) == f"the base is not associative on {triple}"
+        assert failures
+        return "refused"
+    assert not failures
+    _assert_matches_oracle(cat, completed=completed)
+    return "matched"
+
+
+def test_every_unit_perturbation_of_m2_is_refused():
     perturbed = list(_perturbed(matrix_algebra_category(2), lambda c: c + 1))
     assert len(perturbed) == 8
-    for cat in perturbed:
-        with pytest.raises(CategoryFormatError,
-                           match="morphism escaped its carved-out hom "
-                                 "subspace"):
-            karoubi_completion(cat)
-        with pytest.raises(ValueError, match="escaped"):
-            oracles.karoubi_table(cat, DEFAULT_GRID)
+    assert [_refused_or_matches(cat) for cat in perturbed] == ["refused"] * 8
 
 
 def test_unit_perturbations_of_k2_match_the_oracle():
-    # e_i e_i = 2 e_i keeps every image inside its corner, so the check
-    # does not fire here; the completion must still equal the oracle's
+    # e_i e_i = 2 e_i breaks the identity law but not associativity, so
+    # the base is completed, and must still equal the oracle's table
     perturbed = list(_perturbed(product_field_algebra(2).to_category(),
                                 lambda c: c + 1))
     assert len(perturbed) == 2
-    for cat in perturbed:
-        _assert_matches_oracle(cat)
+    assert [_refused_or_matches(cat) for cat in perturbed] == (
+        ["matched"] * 2)
 
 
 def _z2():
@@ -145,20 +160,13 @@ CERTIFIED = {
 }
 
 
-def _escape_columns(completed) -> int:
-    """The number of columns the corners of a completion check composites
-    on off their pivots: zero when the base passed Light's test."""
-    return sum(len(c.escapes) for line in completed._corners for c in line)
-
-
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certified_bases_are_read_at_the_pivots_and_equal_the_oracle(name):
     base = CERTIFIED[name]()
     assert validate_category(base).ok
     completed = karoubi_completion(base)
-    assert _escape_columns(completed) == 0
     assert len(completed.objects) > 2
-    _assert_matches_oracle(base)
+    _assert_matches_oracle(base, completed=completed)
 
 
 def test_failure_texts_are_pinned():
@@ -252,30 +260,39 @@ def test_idempotent_search_matches_the_oracle_on_random_tables():
     assert nonzero > searches
 
 
-def test_a_base_that_fails_lights_test_has_every_composite_checked():
-    # random tables are associative only by chance; each that fails
-    # Light's test is completed with its escape equations, so it leaves a
-    # corner exactly where the oracle does and otherwise equals it
+def test_a_base_that_fails_lights_test_is_refused():
+    # random tables are associative only by chance: each that is not is
+    # refused, also where no composite would leave its corner, and each
+    # that is equals the oracle
     rng = random.Random(2211)
-    outcomes = []
-    for dim in (2, 2, 3, 3, 3):
-        for _ in range(4):
-            cat = _random_one_object(rng, dim)
-            associative = not oracles.associativity_failures(cat)
-            try:
-                completed = karoubi_completion(cat)
-            except CategoryFormatError as err:
-                assert str(err) == ("morphism escaped its carved-out hom "
-                                    "subspace")
-                with pytest.raises(ValueError, match="escaped"):
-                    oracles.karoubi_table(cat, DEFAULT_GRID)
-                outcomes.append((associative, "escaped"))
-                continue
-            _assert_matches_oracle(cat)
-            assert (_escape_columns(completed) == 0) == associative
-            outcomes.append((associative, "matched"))
-    assert set(outcomes) == {(True, "matched"), (False, "matched"),
-                             (False, "escaped")}
+    outcomes = [_refused_or_matches(_random_one_object(rng, dim))
+                for dim in (2, 2, 3, 3, 3) for _ in range(4)]
+    assert set(outcomes) == {"refused", "matched"}
+
+
+def test_a_non_associative_base_meets_the_earlier_errors_first(
+        monkeypatch):
+    cat = next(_perturbed(matrix_algebra_category(2), lambda c: c + 1))
+    with pytest.raises(CategoryFormatError,
+                       match=r"^the base is not associative on \("):
+        karoubi_completion(cat)
+    with pytest.raises(CategoryFormatError,
+                       match=r"^supplied element on x is not idempotent; "
+                             r"e\.e - e = \{'e01': Fraction\(-1, 1\)\}$"):
+        karoubi_completion(cat, idempotents=[("x", (0, 1, 0, 0))])
+    with pytest.raises(CategoryFormatError,
+                       match=r"^idempotent x\(0,0,0,0\) is supplied twice$"):
+        karoubi_completion(cat, idempotents=[("x", (0, 0, 0, 0))] * 2)
+    monkeypatch.setattr(categories, "MAX_COMPLETION_OBJECTS", 0)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"^Karoubi completion would have 1 objects, "
+                             r"more than 0$"):
+        karoubi_completion(cat, idempotents=[("x", (0, 0, 0, 0))])
+    monkeypatch.setattr(categories, "MAX_KAROUBI_CANDIDATES", 255)
+    with pytest.raises(categories.SearchTooLargeError,
+                       match=r"^idempotent search on x would try 4\^4 = 256 "
+                             r"candidates, more than 255$"):
+        karoubi_completion(cat)
 
 
 @pytest.mark.parametrize("name", sorted(set(BASES) - {"m2-supplied"}))
@@ -300,34 +317,14 @@ def test_idempotent_search_edge_cases_match_the_oracle():
             oracles.karoubi_idempotents(empty, "x", grid)
 
 
-def test_every_unit_perturbation_of_mat_field_2_escapes_or_matches():
-    # Mat(k, 2) has three objects, so the carved rows, their left maps
-    # and the escape equations are read per source object; each
-    # perturbed table either leaves some corner or completes exactly as
-    # the oracle does
+def test_every_unit_perturbation_of_mat_field_2_is_refused():
+    # Mat(k, 2) has three objects, and each of its 27 structure
+    # constants, raised by one, breaks associativity on some triple
     perturbed = list(_perturbed(mat_completion(field_category(), 2),
                                 lambda c: c + 1))
     assert len(perturbed) == 27
-    outcomes = []
-    for cat in perturbed:
-        try:
-            completed = karoubi_completion(cat)
-        except CategoryFormatError as err:
-            assert str(err) == ("morphism escaped its carved-out hom "
-                                "subspace")
-            with pytest.raises(ValueError, match="escaped"):
-                oracles.karoubi_table(cat, DEFAULT_GRID)
-            outcomes.append("escaped")
-            continue
-        objects, hom, table, identities = oracles.karoubi_table(
-            cat, DEFAULT_GRID)
-        assert completed.objects == objects
-        assert dict(completed.hom_pairs()) == hom
-        assert list(completed.table_items()) == table
-        assert {p: completed.identity_coeffs(p)
-                for p in completed.objects} == identities
-        outcomes.append("matched")
-    assert set(outcomes) == {"escaped", "matched"}
+    assert [_refused_or_matches(cat) for cat in perturbed] == (
+        ["refused"] * 27)
 
 
 def test_repeated_grid_values_give_the_completion_without_them():

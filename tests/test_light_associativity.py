@@ -161,12 +161,14 @@ def test_validate_category_is_the_full_walk_on_random_one_object_tables(
             made = [cat, mat_completion(cat, 2)]
             try:
                 made.append(karoubi_completion(cat))
-            except CategoryFormatError:
-                pass  # a composite left its carved hom space
+            except CategoryFormatError as err:
+                # only a base that is not associative is refused
+                assert str(err).startswith("the base is not associative on ")
             karoubi += len(made) == 3
             for c in made:
                 valid += _assert_report_is_the_full_walks(c, monkeypatch)
-    assert valid > 0 and karoubi > 10
+    # 7 of the 35 tables are associative and completed
+    assert valid > 0 and karoubi > 5
 
 
 @pytest.mark.parametrize("cases", [PERTURBED, CATEGORY_CASES],
