@@ -11,14 +11,14 @@ trace-form semisimplicity test, and separability idempotents.
 
 from fractions import Fraction
 
-from verlinde.categories import (cyclic_table, dual_numbers_algebra,
-                                 field_category, group_algebra,
-                                 group_separability_idempotent,
-                                 indecomposable_objects, iso_classes,
-                                 karoubi_completion, karoubi_object_name,
-                                 mat_completion, matrix_algebra_category,
-                                 trace_form_semisimple, validate_category,
-                                 verify_separability_idempotent)
+from verlinde.categories import (field_category, indecomposable_objects,
+                                 iso_classes, karoubi_completion,
+                                 karoubi_object_name, mat_completion,
+                                 matrix_algebra_category, validate_category)
+from verlinde.tqft import (cyclic_table, dual_numbers_algebra, group_algebra,
+                           group_separability_idempotent,
+                           trace_form_semisimple,
+                           verify_separability_idempotent)
 
 # The ground field as a one-object category, additively completed.
 k = field_category()

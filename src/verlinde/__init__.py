@@ -10,7 +10,7 @@ idempotent completion (`categories`).  All arithmetic is exact rational
 """
 
 from .exact import (DimensionMismatchError, Matrix, Rational,
-                    SingularMatrixError, Tensor3, rat)
+                    SingularMatrixError, rat)
 from .report import Report, SearchTooLargeError
 from .fusion import (BlockStructureError, FusionRing, block_decomposition,
                      cyclic_ring, direct_product, dual_vector,

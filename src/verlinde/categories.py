@@ -16,8 +16,10 @@ become finite sequences, morphisms matrices), the Karoubi completion
 the composition law (e'', f', e')(e', f, e) = (e'', f'f, e)) and the
 tensor product of categories.  Inside the module everything composes
 through `_product`; `Morphism`s are built only at the public boundary
-and for the text of a failing entry.  It re-exports the algebras of
-`tqft`, which `Algebra.to_category` makes one-object categories.
+and for the text of a failing entry.  It re-exports `Algebra`,
+`trace_form_semisimple` and `verify_separability_idempotent` from
+`tqft`; the stock algebras are `tqft`'s alone, and
+`Algebra.to_category` makes any algebra a one-object category.
 
 The Karoubi completion is the costly builder (Karoubi(M_2) has 17
 objects, 289 basis morphisms and 4,913 nonzero composites), so it makes
@@ -56,14 +58,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import (Tensor3, light_associativity_failures, rat,
-                    rref_integers, scale_to_integers, sparse_rows)
+from .exact import (light_associativity_failures, rat, rref_integers,
+                    scale_to_integers, sparse_rows)
 from .report import Report, SearchTooLargeError
-from .tqft import (Algebra, cyclic_table, dual_numbers_algebra, field_algebra,
-                   group_algebra, group_separability_idempotent,
-                   matrix_algebra, matrix_separability_idempotent,
-                   product_field_algebra,
-                   product_field_separability_idempotent,
+from .tqft import (Algebra, matrix_algebra as _matrix_algebra,
                    trace_form_semisimple, verify_separability_idempotent)
 
 __all__ = [
@@ -90,15 +88,6 @@ __all__ = [
     "Algebra",
     "trace_form_semisimple",
     "verify_separability_idempotent",
-    "field_algebra",
-    "product_field_algebra",
-    "group_algebra",
-    "cyclic_table",
-    "matrix_algebra",
-    "dual_numbers_algebra",
-    "group_separability_idempotent",
-    "matrix_separability_idempotent",
-    "product_field_separability_idempotent",
     "DEFAULT_GRID",
 ]
 
@@ -515,11 +504,12 @@ def _light_test(cat: PresentedCategory) -> tuple[list, int]:
 # builders
 
 
-def one_object_category(obj: str, basis_names, mult: Tensor3,
+def one_object_category(obj: str, basis_names, mult,
                         unit) -> PresentedCategory:
     """An algebra presented as a category with a single object: its
-    table is the integer form of `mult`, the basis numbered in order."""
-    planes, den = mult.integer_form
+    table is `mult` = (planes, den), integer planes over den > 0 as
+    `Algebra.mult` holds them, the basis numbered in order."""
+    planes, den = mult
     (unit,), d = scale_to_integers((tuple(map(rat, unit)),))
     return PresentedCategory._from_rows(
         (obj,), {(obj, obj): basis_names}, sparse_rows(planes), den,
@@ -528,13 +518,12 @@ def one_object_category(obj: str, basis_names, mult: Tensor3,
 
 def field_category(obj: str = "x", gen: str = "u") -> PresentedCategory:
     """The ground field as a category: one object, one basis morphism."""
-    return one_object_category(
-        obj, (gen,), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}), (1,))
+    return one_object_category(obj, (gen,), ((((1,),),), 1), (1,))
 
 
 def matrix_algebra_category(n: int, obj: str = "x") -> PresentedCategory:
     """n x n matrix units e_ij with e_ij e_kl = delta(j,k) e_il."""
-    return matrix_algebra(n).to_category(obj)
+    return _matrix_algebra(n).to_category(obj)
 
 
 # ---------------------------------------------------------------------------

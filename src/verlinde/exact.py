@@ -1,14 +1,13 @@
-"""Exact rational linear algebra: dense matrices and small rank-3 tensors.
+"""Exact rational linear algebra: dense matrices and integer row kernels.
 
-Nothing in this module ever rounds.  Each `Matrix` and `Tensor3` is
-stored as one scaled-integer form, integer rows over one positive
-denominator divided by their gcd (`scale_to_integers`), set when it is
-made; its `Fraction` entries are a view, built on first read.  `@`,
-`apply`, `contract`, rank, inverse and the one fraction-free
-elimination (after Bareiss, 1968) work on plain `int`s; `apply` and
-`contract` divide each result entry once, and a `Matrix` result is an
-integer form.  `@` takes dot products of small matrices and packs
-each row of a large right operand into one integer (Kronecker
+Nothing in this module ever rounds.  Each `Matrix` is stored as one
+scaled-integer form, integer rows over one positive denominator divided
+by their gcd (`scale_to_integers`), set when it is made; its `Fraction`
+entries are a view, built on first read.  `@`, `apply`, rank, inverse
+and the one fraction-free elimination (after Bareiss, 1968) work on
+plain `int`s; `apply` divides each result entry once, and a `Matrix`
+result is an integer form.  `@` takes dot products of small matrices
+and packs each row of a large right operand into one integer (Kronecker
 substitution, `_packed_product`): one multiplication per entry of the
 left operand in place of one per term of each dot product.  The
 elimination combines two rows with multipliers divided by their gcd,
@@ -24,17 +23,20 @@ to the echelon form for `rank` and the reduced form for `inverse`.
 The reduced form of a matrix is canonical, so equality and hashing
 compare it, and every route gives the same inverse.  All values are
 immutable after construction, so they are safe to share freely.
+`_reduced` is the one reduction of integer rows over a denominator:
+matrices, and the structure constants of `tqft.Algebra`, are divided
+by their gcd through it.
 
 `combine_rows` is the one dense integer product of structure
-constants, sum_d vec[d] * rows[d]: `contract`, the products of fusion
-rings and algebras, their unit laws and the handle maps of `surfaces`
+constants, sum_d vec[d] * rows[d]: the products of fusion rings and
+algebras, their unit laws and the handle maps of `surfaces`
 and `tqft` are all built from it.  `power_apply`, A^e * column by
 repeated squaring, is the one integer matrix power: `surfaces` and
 `tqft` read every closed- and coloured-surface number from it.
 
 Structure constants of fusion rings, algebras and linear categories
-share one sparse integer table (`sparse_rows` builds it from a tensor's
-integer form) and one exact associativity check on it
+share one sparse integer table (`sparse_rows` builds it from integer
+planes) and one exact associativity check on it
 (`associativity_failures`), which decides a
 pair (i, j) at a time by comparing the rows (e_i e_j) e_k and
 e_i (e_j e_k) over all k at once.  `light_associativity_failures`
@@ -55,7 +57,6 @@ __all__ = [
     "Rational",
     "rat",
     "Matrix",
-    "Tensor3",
     "scale_to_integers",
     "rref_integers",
     "combine_rows",
@@ -496,125 +497,6 @@ def rref_integers(rows, cols: int) -> tuple[tuple[tuple[int, ...], ...],
     return reduced, den, tuple(pivots)
 
 
-def _planes(fibres, d1: int, d2: int) -> tuple:
-    """d1 planes of d2 consecutive `fibres` each."""
-    return tuple(fibres[i * d2:(i + 1) * d2] for i in range(d1))
-
-
-class Tensor3:
-    """Immutable dense rank-3 rational tensor indexed (i, j, k), stored as
-    its `integer_form` (planes, den), on which `contract` runs.
-
-    As for `Matrix`, the form is reduced and `entries` is the `Fraction`
-    view, built on first read unless the tensor was built from entries.
-    """
-
-    __slots__ = ("dims", "integer_form", "_entries")
-
-    def __init__(self, entries: Iterable[Iterable[Iterable]],
-                 dims: tuple[int, int, int] | None = None):
-        data = tuple(tuple(tuple(rat(x) for x in fibre) for fibre in plane)
-                     for plane in entries)
-        dims = _shape(data, dims or (None,) * 3)
-        fibres, den = scale_to_integers(
-            [f for plane in data for f in plane])
-        self._set(dims, (_planes(fibres, *dims[:2]), den), data)
-
-    def _set(self, dims, form, entries=None) -> "Tensor3":
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "integer_form", form)
-        object.__setattr__(self, "_entries", entries)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
-
-    @classmethod
-    def from_integers(cls, planes, den: int) -> "Tensor3":
-        """The tensor planes[i][j][k] / den, for integer planes of one
-        shape and den > 0; its integer form is planes and den divided by
-        their gcd."""
-        dims = _shape(planes, (None,) * 3)
-        fibres, den = _reduced([f for plane in planes for f in plane], den)
-        return object.__new__(cls)._set(dims,
-                                        (_planes(fibres, *dims[:2]), den))
-
-    @property
-    def entries(self) -> tuple:
-        """entries[i][j][k], as `Fraction`s, built once."""
-        if self._entries is None:
-            planes, den = self.integer_form
-            object.__setattr__(self, "_entries", tuple(
-                _fractions(plane, den) for plane in planes))
-        return self._entries
-
-    @classmethod
-    def zeros(cls, d1: int, d2: int, d3: int) -> "Tensor3":
-        return object.__new__(cls)._set(
-            (d1, d2, d3), ((((0,) * d3,) * d2,) * d1, 1))
-
-    @classmethod
-    def from_dict(cls, dims: tuple[int, int, int], data: dict) -> "Tensor3":
-        """The tensor with entry v at each (i, j, k): v of `data`, zero
-        elsewhere; the lcm of the denominators of the v scales it."""
-        d1, d2, d3 = dims
-        data = {ijk: rat(v) for ijk, v in data.items()}
-        den = lcm(*{v.denominator for v in data.values()})
-        cube = [[[0] * d3 for _ in range(d2)] for _ in range(d1)]
-        for (i, j, k), v in data.items():
-            if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
-                raise IndexError(f"tensor index {(i, j, k)} out of {dims}")
-            cube[i][j][k] = v.numerator * (den // v.denominator)
-        return object.__new__(cls)._set(tuple(dims), (tuple(
-            tuple(map(tuple, plane)) for plane in cube), den))
-
-    def __getitem__(self, ijk: tuple[int, int, int]) -> Fraction:
-        i, j, k = ijk
-        return self.entries[i][j][k]
-
-    def contract(self, weights, den: int = 1) -> tuple[Fraction, ...]:
-        """z[k] = sum_ij w[i][j] t[i][j][k] / den for a d1 x d2 weight array.
-
-        Integer weights and entries are summed, zeros skipped; the result
-        always has d3 Fraction components.
-        """
-        d1, d2, d3 = self.dims
-        ws, dw = scale_to_integers(weights)
-        if len(ws) != d1 or any(len(row) != d2 for row in ws):
-            raise DimensionMismatchError(
-                f"cannot contract {d1}x{d2}x{d3} tensor with weights of "
-                f"{len(ws)} rows; expected {d1}x{d2}")
-        planes, dt = self.integer_form
-        # sum_i combine_rows(w_i, plane_i), as one combination of the
-        # fibres of all planes
-        fibres = [f for plane in planes for f in plane]
-        out = (combine_rows([w for row in ws for w in row], fibres)
-               if fibres else (0,) * d3)
-        d = dt * dw * den
-        return tuple(Fraction(x, d) for x in out)
-
-    def nonzero(self):
-        """Yield ((i, j, k), value) for every nonzero entry, in index order;
-        only those values are made `Fraction`s."""
-        planes, den = self.integer_form
-        for i, plane in enumerate(planes):
-            for j, fibre in enumerate(plane):
-                for k, v in enumerate(fibre):
-                    if v:
-                        yield (i, j, k), Fraction(v, den)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor3)
-                and self.dims == other.dims
-                and self.integer_form == other.integer_form)
-
-    def __hash__(self) -> int:
-        return hash((self.dims, self.integer_form))
-
-    def __repr__(self) -> str:
-        return f"Tensor3(dims={self.dims}, nonzero={list(self.nonzero())})"
-
-
 def combine_rows(vec, rows) -> tuple[int, ...]:
     """The integer row combination sum_d vec[d] * rows[d], skipping zeros.
 
@@ -667,7 +549,7 @@ def power_apply(squares: list, exponent: int, column) -> tuple[int, ...]:
 
 
 def sparse_rows(planes) -> list[dict]:
-    """The sparse rows of integer planes (a `Tensor3` integer form):
+    """The sparse rows of integer planes (the planes of `Algebra.mult`):
     rows[i][j] maps k to planes[i][j][k] for its nonzero entries, and
     holds j only when there is one, both in ascending order."""
     return [{j: {k: c for k, c in enumerate(fibre) if c}

@@ -24,7 +24,11 @@ missing identity or size header), and a term with no basis name (`1*`)
 as a syntax error on its line.  A size header past MAX_DENSE_CELLS
 cells is refused on its line, after all else; one of more than
 MAX_HEADER_DIGITS significant digits is not read but counted, and its
-refusal names the count.
+refusal names the count.  Any other token longer than MAX_TOKEN_CHARS,
+Python's default digit limit, is refused before a line is read, so no
+token past it reaches int() whatever limit the caller set; and no
+error quotes more than MAX_HEADER_DIGITS characters of a token or
+digits of a value, but names their count.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from math import lcm
 from operator import itemgetter
 
 from .categories import CategoryFormatError, PresentedCategory
-from .exact import Matrix, Tensor3
+from .exact import Matrix
 from .fusion import FusionRing
 from .surfaces import ColouredSurface, Twist, TwistFormatError
 from .tqft import GENERATORS, CobordismWord, FrobeniusAlgebra
@@ -45,6 +49,7 @@ __all__ = [
     "KINDS",
     "MAX_DENSE_CELLS",
     "MAX_HEADER_DIGITS",
+    "MAX_TOKEN_CHARS",
     "Document",
     "ParseError",
     "SemanticError",
@@ -57,8 +62,13 @@ __all__ = [
 # dim**3 of an algebra and dim**2 of an idempotent
 MAX_DENSE_CELLS = 2 ** 22
 # the longest size header token read with int(), and the most significant
-# digits of one that is read at all; past them a header is counted
+# digits of one that is read at all; past them a header is counted.  No
+# error quotes more of a token or prints more digits of a value than this
 MAX_HEADER_DIGITS = 100
+# the longest token any other line may hold: Python's default int -> str
+# digit limit (sys.int_info.default_max_str_digits), so that no token past
+# it reaches int() whatever limit the caller has set
+MAX_TOKEN_CHARS = 4300
 _ASCII_INTEGER = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 
 EXTENSIONS = {
@@ -106,20 +116,49 @@ def kind_for_path(path: str) -> str | None:
 # low-level line handling
 
 
-def _lines(text: str):
+def _lines(text: str, source: str = "<input>"):
     """Iterate over (line number, tokens) for every line that holds a
-    token once its comment, from a `#` on, is cut off."""
+    token once its comment, from a `#` on, is cut off.  A document with
+    a line longer than MAX_TOKEN_CHARS is first searched for a token that
+    long, the value of a `rank` or `dim` size header aside (`_header`
+    counts its digits): the first is refused on its line, by its length."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.partition("#")[0] for raw in lines]
+    if len(text) > MAX_TOKEN_CHARS and max(map(len, lines)) > MAX_TOKEN_CHARS:
+        for lineno, tokens in enumerate(map(str.split, lines), start=1):
+            for at, token in enumerate(tokens):
+                if len(token) > MAX_TOKEN_CHARS and not (
+                        at == 1 and tokens[0] in ("rank", "dim")):
+                    raise ParseError(
+                        f"{_quoted(token)} is longer than MAX_TOKEN_CHARS = "
+                        f"{MAX_TOKEN_CHARS}", source, lineno)
     return filter(itemgetter(1), enumerate(map(str.split, lines), start=1))
+
+
+def _quoted(token: str) -> str:
+    """The token as an error quotes it: its repr, or past
+    MAX_HEADER_DIGITS characters its length."""
+    if len(token) > MAX_HEADER_DIGITS:
+        return f"a token of {len(token)} characters"
+    return repr(token)
+
+
+def _shown(value: int) -> str:
+    """The integer as an error prints it: its digits, or past
+    MAX_HEADER_DIGITS digits their count, as `_counted` shows a header."""
+    digits = str(abs(value))
+    if len(digits) <= MAX_HEADER_DIGITS:
+        return str(value)
+    return f"{'-' if value < 0 else ''}<{len(digits)} digits>"
 
 
 def _int(token: str, source: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", source, line)
+        raise ParseError(f"expected an integer, got {_quoted(token)}",
+                         source, line)
 
 
 # ASCII p or p/q: read with int() directly; every other token goes to
@@ -138,7 +177,8 @@ def _ratio(token: str, source: str, line: int) -> tuple[int, int]:
             return p, q
     except (ValueError, ZeroDivisionError):
         pass
-    raise ParseError(f"expected a rational p/q, got {token!r}", source, line)
+    raise ParseError(f"expected a rational p/q, got {_quoted(token)}",
+                     source, line)
 
 
 def _fraction(token: str, source: str, line: int) -> Fraction:
@@ -174,7 +214,7 @@ def _dense(cells, header, power, read, source):
 def _arity(tokens, n: int, source: str, line: int) -> None:
     if len(tokens) != n:
         raise ParseError(
-            f"directive {tokens[0]!r} takes {n - 1} argument(s), "
+            f"directive {_quoted(tokens[0])} takes {n - 1} argument(s), "
             f"got {len(tokens) - 1}", source, line)
 
 
@@ -189,7 +229,7 @@ def _indices(tokens, n, bound, source, line, values=1) -> list:
     for token in tokens[1:n - values]:
         indices.append(_int(token, source, line))
         if not 0 <= indices[-1] < bound:
-            raise SemanticError(f"index {indices[-1]} out of range "
+            raise SemanticError(f"index {_shown(indices[-1])} out of range "
                                 f"0..{bound - 1}", source, line)
     return indices
 
@@ -228,8 +268,8 @@ def _counted(token: str, source: str, line: int) -> tuple[int, str | None]:
     since int() of n digits costs time quadratic in n: it stands as
     +-16**n, above every index of n digits, shown as its digit count."""
     if not _ASCII_INTEGER.fullmatch(token):
-        raise ParseError(f"expected an integer, got a token of {len(token)} "
-                         "characters", source, line)
+        raise ParseError(f"expected an integer, got {_quoted(token)}",
+                         source, line)
     sign = "-" if token[0] == "-" else ""
     digits = token.lstrip("+-").replace("_", "").lstrip("0")
     n = len(digits)
@@ -243,7 +283,7 @@ def _counted(token: str, source: str, line: int) -> tuple[int, str | None]:
 
 
 def _parse_fusion(text: str, source: str) -> FusionRing:
-    entries = list(_lines(text))
+    entries = list(_lines(text, source))
     rank, *_ = header = _header(entries, "rank", source)
 
     names, dual, unit = {}, {}, None
@@ -261,7 +301,7 @@ def _parse_fusion(text: str, source: str) -> FusionRing:
                 a, b, c = _indices(tokens, 5, rank, source, lineno)
                 m = _int(tokens[4], source, lineno)
             if m < 0:
-                raise SemanticError(f"negative coefficient {m}",
+                raise SemanticError(f"negative coefficient {_shown(m)}",
                                     source, lineno)
             at = (a * rank + b) * rank + c
             if at in cells:
@@ -292,7 +332,8 @@ def _parse_fusion(text: str, source: str) -> FusionRing:
                 raise SemanticError("repeated unit component", source, lineno)
             unit = tuple(sorted(parts))
         elif head != "rank":
-            raise ParseError(f"unknown directive {head!r}", source, lineno)
+            raise ParseError(f"unknown directive {_quoted(head)}", source,
+                             lineno)
 
     if unit is None:
         raise SemanticError("missing unit directive", source, 0)
@@ -328,7 +369,7 @@ def _serialize_fusion(ring: FusionRing) -> str:
 def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
     """Read each distinct value token once, as a pair (p, q) of integers;
     `mult` is built from integer planes over the lcm of the q."""
-    entries = list(_lines(text))
+    entries = list(_lines(text, source))
     dim, *_ = header = _header(entries, "dim", source)
 
     names, ratios = {}, {}
@@ -368,24 +409,27 @@ def _parse_algebra(text: str, source: str) -> FrobeniusAlgebra:
                                     source, lineno)
             names[i] = tokens[2]
         elif head != "dim":
-            raise ParseError(f"unknown directive {head!r}", source, lineno)
+            raise ParseError(f"unknown directive {_quoted(head)}", source,
+                             lineno)
 
     den, read = _scaled(ratios)
     # made before the names walk range(dim), so that a huge dim is refused
     planes = _dense(cells, header, 3, read, source)
     # names, mult, and the unit and counit as vectors of Fractions
     return FrobeniusAlgebra(
-        tuple(names.get(i, f"e{i}") for i in range(dim)),
-        Tensor3.from_integers(planes, den),
+        tuple(names.get(i, f"e{i}") for i in range(dim)), (planes, den),
         *(tuple(Fraction(x, den) for x in _dense(v, header, 1, read, source))
           for v in vectors.values()))
 
 
 def _serialize_algebra(algebra: FrobeniusAlgebra) -> str:
+    planes, den = algebra.mult
     lines = [f"dim {algebra.dim}"]
     lines += [f"basis {i} {name}" for i, name in enumerate(algebra.names)]
-    lines += [f"mult {i} {j} {k} {v}"
-              for (i, j, k), v in algebra.mult.nonzero()]
+    lines += [f"mult {i} {j} {k} {Fraction(v, den)}"
+              for i, plane in enumerate(planes)
+              for j, fibre in enumerate(plane)
+              for k, v in enumerate(fibre) if v]
     lines += [f"{head} {i} {v}" for head in ("unit", "counit")
               for i, v in enumerate(getattr(algebra, head)) if v]
     return "\n".join(lines) + "\n"
@@ -411,16 +455,19 @@ def _terms(tokens, source, lineno, ratios) -> dict:
             expect_term = True
             continue
         if not expect_term:
-            raise ParseError(f"expected '+' before {token!r}", source, lineno)
+            raise ParseError(f"expected '+' before {_quoted(token)}",
+                             source, lineno)
         coeff, _, name = token.partition("*")
         if not name:
             raise ParseError(
-                f"expected coeff*name term, got {token!r}", source, lineno)
+                f"expected coeff*name term, got {_quoted(token)}", source,
+                lineno)
         if coeff not in ratios:
             ratios[coeff] = _ratio(coeff, source, lineno)
         if name in combo:
-            raise SemanticError(f"repeated term {name!r} in combination",
-                                source, lineno)
+            raise SemanticError(
+                f"repeated term {_quoted(name)} in combination", source,
+                lineno)
         combo[name] = coeff
         expect_term = False
     if expect_term:
@@ -437,7 +484,7 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
     directive at fault."""
     objects, hom, basis = [], {}, set()
     compose, identities, ratios, units = {}, {}, {}, {}
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _lines(text, source):
         head = tokens[0]
         if head == "compose":
             if len(tokens) < 5 or tokens[3] != "=":
@@ -447,7 +494,7 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
             key = g, f = tokens[1], tokens[2]
             if g not in basis or f not in basis:
                 raise SemanticError("unknown basis element "
-                                    f"{f if g in basis else g!r}",
+                                    f"{_quoted(f if g in basis else g)}",
                                     source, lineno)
             if key in compose:
                 raise SemanticError(f"duplicate compose entry ({g},{f})",
@@ -463,17 +510,17 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
             _, p, q, b = tokens
             if p not in objects or q not in objects:
                 raise SemanticError("unknown object "
-                                    f"{q if p in objects else p!r}",
+                                    f"{_quoted(q if p in objects else p)}",
                                     source, lineno)
             if b in basis:
-                raise SemanticError(f"duplicate basis name {b!r}",
+                raise SemanticError(f"duplicate basis name {_quoted(b)}",
                                     source, lineno)
             basis.add(b)
             hom.setdefault((p, q), []).append(b)
         elif head == "object":
             _arity(tokens, 2, source, lineno)
             if tokens[1] in objects:
-                raise SemanticError(f"duplicate object {tokens[1]!r}",
+                raise SemanticError(f"duplicate object {_quoted(tokens[1])}",
                                     source, lineno)
             objects.append(tokens[1])
         elif head == "identity":
@@ -482,13 +529,15 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
                                  source, lineno)
             p = tokens[1]
             if p not in objects:
-                raise SemanticError(f"unknown object {p!r}", source, lineno)
+                raise SemanticError(f"unknown object {_quoted(p)}",
+                                    source, lineno)
             if p in identities:
-                raise SemanticError(f"duplicate identity for {p!r}",
+                raise SemanticError(f"duplicate identity for {_quoted(p)}",
                                     source, lineno)
             identities[p] = _terms(tokens[3:], source, lineno, units)
         else:
-            raise ParseError(f"unknown directive {head!r}", source, lineno)
+            raise ParseError(f"unknown directive {_quoted(head)}", source,
+                             lineno)
     if not objects:
         raise SemanticError("missing object directives", source, 0)
     try:
@@ -540,9 +589,9 @@ def _serialize_category(cat: PresentedCategory) -> str:
 
 def _parse_surfaces(text: str, source: str) -> dict[str, ColouredSurface]:
     surfaces: dict[str, ColouredSurface] = {}
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _lines(text, source):
         if tokens[0] != "surface":
-            raise ParseError(f"unknown directive {tokens[0]!r}",
+            raise ParseError(f"unknown directive {_quoted(tokens[0])}",
                              source, lineno)
         if len(tokens) < 5 or not tokens[1].endswith(":"):
             raise ParseError(
@@ -552,14 +601,16 @@ def _parse_surfaces(text: str, source: str) -> dict[str, ColouredSurface]:
         if not name:
             raise ParseError("empty surface name", source, lineno)
         if name in surfaces:
-            raise SemanticError(f"duplicate surface {name!r}", source, lineno)
+            raise SemanticError(f"duplicate surface {_quoted(name)}",
+                                source, lineno)
         if tokens[2] != "genus" or tokens[4] != "boundary":
             raise ParseError(
                 "expected: surface <name>: genus <g> boundary [labels]",
                 source, lineno)
         genus = _int(tokens[3], source, lineno)
         if genus < 0:
-            raise SemanticError(f"negative genus {genus}", source, lineno)
+            raise SemanticError(f"negative genus {_shown(genus)}",
+                                source, lineno)
         boundary = tuple(_int(t, source, lineno) for t in tokens[5:])
         if any(b < 0 for b in boundary):
             raise SemanticError("negative boundary colour", source, lineno)
@@ -587,7 +638,7 @@ def _parse_twist_value(token: str, source: str, lineno: int) -> Twist:
             parts = inner.split(",")
             if len(parts) != 2:
                 raise TwistFormatError(
-                    f"zeta takes (order,exponent), got {token!r}")
+                    f"zeta takes (order,exponent), got {_quoted(token)}")
             return Twist.root_of_unity(int(parts[0]), int(parts[1]))
         return Twist.from_rational(_fraction(token, source, lineno))
     except (TwistFormatError, ValueError) as err:
@@ -596,18 +647,19 @@ def _parse_twist_value(token: str, source: str, lineno: int) -> Twist:
 
 def _parse_twists(text: str, source: str) -> dict[int, Twist]:
     twists: dict[int, Twist] = {}
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _lines(text, source):
         if tokens[0] != "twist":
-            raise ParseError(f"unknown directive {tokens[0]!r}",
+            raise ParseError(f"unknown directive {_quoted(tokens[0])}",
                              source, lineno)
         if len(tokens) != 4 or tokens[2] != "=":
             raise ParseError("expected: twist <label> = <value>",
                              source, lineno)
         label = _int(tokens[1], source, lineno)
         if label < 0:
-            raise SemanticError(f"negative label {label}", source, lineno)
+            raise SemanticError(f"negative label {_shown(label)}",
+                                source, lineno)
         if label in twists:
-            raise SemanticError(f"duplicate twist for label {label}",
+            raise SemanticError(f"duplicate twist for label {_shown(label)}",
                                 source, lineno)
         twists[label] = _parse_twist_value(tokens[3], source, lineno)
     return twists
@@ -631,10 +683,11 @@ def _serialize_twists(twists: dict[int, Twist]) -> str:
 
 def _parse_word(text: str, source: str) -> CobordismWord:
     layers = []
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _lines(text, source):
         for t in tokens:
             if t not in GENERATORS:
-                raise ParseError(f"unknown generator {t!r}", source, lineno)
+                raise ParseError(f"unknown generator {_quoted(t)}",
+                                 source, lineno)
         layers.append(tuple(tokens))
     return CobordismWord(tuple(layers))
 
@@ -650,7 +703,7 @@ def _serialize_word(word: CobordismWord) -> str:
 def _parse_idempotent(text: str, source: str) -> Matrix:
     """Read each distinct value token once, as a pair (p, q), and build
     the matrix from integer rows over the lcm of the q."""
-    entries = list(_lines(text))
+    entries = list(_lines(text, source))
     dim, *_ = header = _header(entries, "dim", source)
     ratios = {}
     # the value token of e[i][j] at i * dim + j, for each entry a line sets
@@ -673,7 +726,8 @@ def _parse_idempotent(text: str, source: str) -> Matrix:
                 ratios[value] = _ratio(value, source, lineno)
             cells[at] = value
         elif head != "dim":
-            raise ParseError(f"unknown directive {head!r}", source, lineno)
+            raise ParseError(f"unknown directive {_quoted(head)}", source,
+                             lineno)
     den, read = _scaled(ratios)
     return Matrix.from_integers(_dense(cells, header, 2, read, source), den)
 

@@ -1,9 +1,12 @@
 """Unital and Frobenius algebras, surface invariants and cobordism words.
 
-`Algebra` is a unital algebra by structure constants; with it come the
-trace-form semisimplicity test, the separability-idempotent check and
-the stock algebras, which `categories` re-exports.  `to_category` makes
-an algebra a one-object category, importing `categories` only then.
+`Algebra` is a unital algebra by its structure constants, stored as
+one integer form `mult` = (planes, den), integer planes n x n x n over
+one positive denominator, divided by their gcd; the stock algebras
+write their planes directly.  With it come the trace-form
+semisimplicity test and the separability-idempotent check, which
+`categories` re-exports.  `to_category` makes an algebra a one-object
+category, importing `categories` only then.
 
 A finite dimensional algebra with unit u and counit functional eps is
 Frobenius when the derived pairing g[i][j] = eps(e_i e_j) is
@@ -43,15 +46,16 @@ on its first read of derived data, so parsing looks up nothing; the
 checks and every word are still evaluated on every call.
 Products, the derived data, genus invariants, word evaluation,
 random basis changes and their action (one integer conjugation of the
-structure tensor) run on the integer forms of `exact`, which are the
-stored form of every matrix and tensor, and build `Fraction`s only for
-what a caller reads: a genus invariant is one `Fraction`.  The product
-of elements, the unit laws, the handle element and its action are
-`exact.combine_rows` over rows of the structure tensor, the word
-generator tables are read from the nonzero integer entries, and
-`validate_frobenius` builds no `Fraction` unless a check fails; its
-nondegeneracy check is the one elimination of the pairing, whose
-inverse the words then reuse.
+structure constants) run on integer forms, the planes of `mult` and
+the stored form of every `exact.Matrix`, and build `Fraction`s only
+for what a caller reads: a genus invariant is one `Fraction`.  The
+product of elements, the unit laws, the handle element and its action
+are `exact.combine_rows` over rows of the planes; the handle element
+and the multiplication map of a separability idempotent are one
+`_fibre_sum` each.  The word generator tables are read from the
+nonzero integer entries, and `validate_frobenius` builds no `Fraction`
+unless a check fails; its nondegeneracy check is the one elimination
+of the pairing, whose inverse the words then reuse.
 Associativity is checked by `exact.associativity_failures`.
 """
 
@@ -66,7 +70,7 @@ from math import gcd
 from operator import attrgetter, mul
 
 from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
-                    Tensor3, associativity_failures, combine_rows,
+                    _reduced, associativity_failures, combine_rows,
                     power_apply, rat, scale_to_integers, sparse_rows)
 from .fusion import FusionRing
 from .report import Report
@@ -122,19 +126,38 @@ class DegeneratePairingError(ValueError):
 class Algebra:
     """Finite dimensional unital algebra by structure constants.
 
-    ``mult[i][j][k]`` is the coefficient of e_k in e_i e_j.
+    ``mult`` is the integer form (planes, den): planes[i][j][k] / den is
+    the coefficient of e_k in e_i e_j.  Construction turns the planes
+    into nested tuples and checks their n x n x n shape, that every
+    entry is an `int` (a `bool` or a `Fraction` is not) and that den is
+    a positive `int`; then planes and den are divided by their gcd
+    (`_reduced_planes`), so equal algebras compare and hash equal
+    however they are scaled.
     """
 
     names: tuple[str, ...]
-    mult: Tensor3
+    mult: tuple[tuple[tuple[tuple[int, ...], ...], ...], int]
     unit: tuple[Fraction, ...]
 
     def __post_init__(self):
         n = len(self.names)
-        if self.mult.dims != (n, n, n):
-            raise ValueError(
-                f"multiplication tensor dims {self.mult.dims} for "
-                f"dimension {n}")
+        planes, den = self.mult
+        planes = tuple(tuple(map(tuple, plane)) for plane in planes)
+        if len(planes) != n or any(len(row) != n for plane in planes
+                                   for row in (plane, *plane)):
+            raise DimensionMismatchError(
+                f"multiplication table is not {n} x {n} x {n}")
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(
+                itertools.chain.from_iterable(planes)))):
+            i, j, k, x = next((i, j, k, x) for i, plane in enumerate(planes)
+                              for j, fibre in enumerate(plane)
+                              for k, x in enumerate(fibre)
+                              if type(x) is not int)
+            raise ValueError(f"structure constant mult[{i}][{j}][{k}] = "
+                             f"{x!r} is not an integer")
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"denominator {den!r} is not a positive integer")
+        object.__setattr__(self, "mult", _reduced_planes(planes, den))
         object.__setattr__(self, "unit", tuple(rat(x) for x in self.unit))
         if len(self.unit) != n:
             raise ValueError("unit vector length mismatch")
@@ -155,8 +178,7 @@ class Algebra:
         planes = [[[row.get(j, {}).get(k, 0) for k in range(n)]
                    for j in range(n)] for row in cat._rows]
         ident = cat.identity_coeffs(obj)
-        return cls(names=basis,
-                   mult=Tensor3.from_integers(planes, cat._den),
+        return cls(names=basis, mult=(planes, cat._den),
                    unit=tuple(ident.get(b, Fraction(0)) for b in basis))
 
     def to_category(self, obj: str = "x"):
@@ -166,8 +188,25 @@ class Algebra:
 
     def left_multiplication(self, i: int) -> Matrix:
         """Matrix of x -> e_i x in the chosen basis."""
-        planes, d = self.mult.integer_form
+        planes, d = self.mult
         return Matrix.from_integers(list(zip(*planes[i])), d)
+
+
+def _reduced_planes(planes, den: int):
+    """(planes, den) of n planes of n integer fibres over den > 0, both
+    divided by their gcd: `exact._reduced` of all the fibres."""
+    n = len(planes)
+    fibres, den = _reduced([f for plane in planes for f in plane], den)
+    return tuple(fibres[i * n:(i + 1) * n] for i in range(n)), den
+
+
+def _fibre_sum(weights, planes) -> tuple[int, ...]:
+    """sum_ij weights[i][j] planes[i][j] for integer weights and planes:
+    one `combine_rows` of the fibres of all planes by the weights read
+    row by row.  A weight count other than the fibre count raises
+    `DimensionMismatchError`."""
+    return combine_rows([w for row in weights for w in row],
+                        [f for plane in planes for f in plane])
 
 
 def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
@@ -177,7 +216,7 @@ def trace_form_semisimple(algebra: Algebra) -> tuple[bool, Matrix]:
     form of `mult` and divided once.  Valid over characteristic zero,
     which is all this package supports.
     """
-    planes, d = algebra.mult.integer_form
+    planes, d = algebra.mult
     flat = [[x for fibre in plane for x in fibre] for plane in planes]
     flipped = [[x for col in zip(*plane) for x in col] for plane in planes]
     gram = Matrix.from_integers(
@@ -199,12 +238,13 @@ def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
         report.fail(f"coefficient matrix is {e.shape}, expected {(n, n)}")
         return report
 
-    mu = algebra.mult.contract(*e.integer_form)
+    planes, dm = algebra.mult
+    rows, de = e.integer_form
+    mu = tuple(Fraction(x, dm * de) for x in _fibre_sum(rows, planes))
     if mu != algebra.unit:
         report.fail(f"multiplication map sends e to {mu}, "
                     f"expected the unit {algebra.unit}")
 
-    planes, dm = algebra.mult.integer_form
     for r in range(n):  # sum_a m[r][a][c] e[a][d] = sum_b e[c][b] m[b][r][d]
         left = algebra.left_multiplication(r) @ e
         right = e @ Matrix.from_integers([plane[r] for plane in planes], dm)
@@ -248,8 +288,7 @@ class FrobeniusAlgebra(Algebra):
     def _derived(self) -> _Derived:
         (unit,), du = scale_to_integers((self.unit,))
         (counit,), dc = scale_to_integers((self.counit,))
-        return _derived_record(self.mult.integer_form, (unit, du),
-                              (counit, dc))
+        return _derived_record(self.mult, (unit, du), (counit, dc))
 
     _pairing = property(attrgetter("_derived.pairing"))
     _pairing_inverse = property(attrgetter("_derived.pairing_inverse"))
@@ -289,21 +328,20 @@ class _Derived:
                 f"{len(self.planes)})") from err
 
     @cached_property
-    def comult(self) -> Tensor3:
+    def comult(self) -> tuple:
         # D[i][p][k] = sum_q ginv[p][q] m[q][i][k]; _mode gives it as [i][k][p]
         ginv, dg = self.pairing_inverse.integer_form
-        return Tensor3.from_integers(
+        return _reduced_planes(
             [tuple(zip(*plane)) for plane in _mode(self.planes, ginv)],
             self.dt * dg)
 
     @cached_property
     def handle_integers(self) -> tuple[list[int], int]:
         """(w, d): the handle element is w / d, both divided by their gcd;
-        w = sum_i combine_rows(ginv_i, plane_i) in the integer forms, one
-        combination of the fibres of all planes."""
+        w = sum_ij ginv[i][j] m[i][j] in the integer forms, one
+        `_fibre_sum`."""
         ginv, dg = self.pairing_inverse.integer_form
-        w = combine_rows([x for row in ginv for x in row],
-                         [f for plane in self.planes for f in plane])
+        w = _fibre_sum(ginv, self.planes)
         g = gcd(self.dt * dg, *w)
         return [x // g for x in w], self.dt * dg // g
 
@@ -367,7 +405,7 @@ def multiply_elements(algebra: Algebra, x, y) -> tuple[Fraction, ...]:
             f"element vectors of length {len(x)} and {len(y)} for an "
             f"algebra of dimension {algebra.dim}")
     (xs, ys), d = scale_to_integers((x, y))
-    planes, dt = algebra.mult.integer_form
+    planes, dt = algebra.mult
     zero = (0,) * algebra.dim
     out = combine_rows(xs, [combine_rows(ys, plane) if a else zero
                             for a, plane in zip(xs, planes)])
@@ -380,8 +418,9 @@ def pairing_matrix(algebra: FrobeniusAlgebra) -> Matrix:
     return algebra._pairing
 
 
-def comultiplication_tensor(algebra: FrobeniusAlgebra) -> Tensor3:
-    """D[i][p][k]: coefficient of e_p (x) e_k in the coproduct of e_i.
+def comultiplication_tensor(algebra: FrobeniusAlgebra) -> tuple:
+    """(planes, den), reduced as `Algebra.mult` is: planes[i][p][k] / den
+    is the coefficient of e_p (x) e_k in the coproduct of e_i.
 
     Defined as the pairing adjoint of the multiplication:
     coproduct = (id (x) mult) o (cup (x) id).
@@ -398,12 +437,13 @@ def validate_frobenius(algebra: FrobeniusAlgebra) -> Report:
     report = Report("frobenius algebra")
     n, eps = algebra.dim, algebra.counit
     basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    planes, dt = algebra.mult.integer_form
+    planes, dt = algebra.mult
     for i, j, k in associativity_failures(sparse_rows(planes),
                                           [range(n)] * n):
-        products = algebra.mult.entries  # products[i][j] is e_i e_j
-        lhs = multiply_elements(algebra, products[i][j], basis[k])
-        rhs = multiply_elements(algebra, basis[i], products[j][k])
+        lhs = multiply_elements(
+            algebra, multiply_elements(algebra, basis[i], basis[j]), basis[k])
+        rhs = multiply_elements(
+            algebra, basis[i], multiply_elements(algebra, basis[j], basis[k]))
         report.fail(f"associativity at (e_{i} e_{j}) e_{k}: {lhs} != {rhs}")
         if sum(map(mul, eps, lhs)) != sum(map(mul, eps, rhs)):
             report.fail(
@@ -541,8 +581,7 @@ def _generator_table(algebra: FrobeniusAlgebra, gen: str):
         entries = [((i, j), c) for i, row in enumerate(rows)
                    for j, c in enumerate(row) if c]
     else:
-        planes, den = (algebra.mult if gen == "mult"
-                       else algebra._comult).integer_form
+        planes, den = algebra.mult if gen == "mult" else algebra._comult
         entries = [((i, j, k), c) for i, plane in enumerate(planes)
                    for j, fibre in enumerate(plane)
                    for k, c in enumerate(fibre) if c]
@@ -816,11 +855,11 @@ def transport_basis(algebra: FrobeniusAlgebra, p: Matrix) -> FrobeniusAlgebra:
     q, pt = p.inverse(), p.transpose()
     rows, dq = q.integer_form
     cols, dp = pt.integer_form
-    planes, dm = algebra.mult.integer_form
+    planes, dm = algebra.mult
     moved = _mode(_mode(_mode(planes, cols), cols), rows)
     return FrobeniusAlgebra(
         names=tuple(f"b{i}" for i in range(n)),
-        mult=Tensor3.from_integers(moved, dm * dp * dp * dq),
+        mult=(moved, dm * dp * dp * dq),
         unit=q.apply(algebra.unit),
         counit=pt.apply(algebra.counit))
 
@@ -904,14 +943,14 @@ def invariance_suite(algebra: FrobeniusAlgebra, trials: int = 20,
 
 
 def field_algebra() -> Algebra:
-    return Algebra(("1",), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}), (1,))
+    return Algebra(("1",), ((((1,),),), 1), (1,))
 
 
 def product_field_algebra(n: int) -> Algebra:
     """k^n with componentwise multiplication."""
-    data = {(i, i, i): 1 for i in range(n)}
-    return Algebra(tuple(f"e{i}" for i in range(n)),
-                   Tensor3.from_dict((n, n, n), data),
+    planes = [[[int(i == j == k) for k in range(n)] for j in range(n)]
+              for i in range(n)]
+    return Algebra(tuple(f"e{i}" for i in range(n)), (planes, 1),
                    tuple(Fraction(1) for _ in range(n)))
 
 
@@ -933,26 +972,29 @@ def group_algebra(table: list[list[int]],
     """Group algebra from a Cayley table table[i][j] = index of g_i g_j;
     a table without a two-sided identity raises `ValueError`."""
     n, identity = len(table), _group_identity(table)
-    data = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
-    return Algebra(names or tuple(f"g{i}" for i in range(n)),
-                   Tensor3.from_dict((n, n, n), data),
+    planes = [[[int(table[i][j] == k) for k in range(n)] for j in range(n)]
+              for i in range(n)]
+    return Algebra(names or tuple(f"g{i}" for i in range(n)), (planes, 1),
                    tuple(Fraction(int(i == identity)) for i in range(n)))
 
 
 def matrix_algebra(n: int) -> Algebra:
-    """Matrix units e_ij, flattened row-major: e_ij e_jl = e_il."""
-    data = {(i * n + j, j * n + l, i * n + l): 1
-            for i in range(n) for j in range(n) for l in range(n)}
+    """Matrix units e_ij, flattened row-major: e_ij e_jl = e_il, so e_a e_b
+    is e_(a // n, b % n) when a % n = b // n, else zero."""
+    size = n * n
+    planes = [[[int(a % n == b // n and c == a - a % n + b % n)
+                for c in range(size)] for b in range(size)]
+              for a in range(size)]
     return Algebra(tuple(f"e{i}{j}" for i in range(n) for j in range(n)),
-                   Tensor3.from_dict((n * n,) * 3, data),
+                   (planes, 1),
                    tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def dual_numbers_algebra() -> Algebra:
     """k[x]/(x^2): the smallest algebra with a nonzero nilpotent."""
-    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-    return Algebra(("1", "x"), Tensor3.from_dict((2, 2, 2), data),
-                   (Fraction(1), Fraction(0)))
+    # 1 1 = 1, 1 x = x 1 = x, x x = 0
+    planes = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
+    return Algebra(("1", "x"), (planes, 1), (Fraction(1), Fraction(0)))
 
 
 def group_separability_idempotent(table: list[list[int]]) -> Matrix:
@@ -996,7 +1038,7 @@ def frobenius_from_fusion(ring: FusionRing) -> FrobeniusAlgebra:
     n = ring.rank
     algebra = FrobeniusAlgebra(
         names=ring.names,
-        mult=Tensor3.from_integers(ring.table, 1),
+        mult=(ring.table, 1),
         unit=tuple(Fraction(int(a in ring.unit)) for a in range(n)),
         counit=tuple(Fraction(int(a in ring.unit)) for a in range(n)))
     algebra._pairing_inverse  # raises DegeneratePairingError if singular

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from verlinde import corpus, formats, tqft
@@ -49,6 +52,20 @@ def ring_table(base, entries=()) -> list:
     for (a, b, c), v in dict(entries).items():
         table[a][b][c] = v
     return table
+
+
+def mult_form(n: int, data) -> tuple:
+    """The integer form (planes, den), nested tuples, of the n x n x n
+    structure constants with value v (an int, a `Fraction` or a 'p/q'
+    string) at each (i, j, k) of the dict `data` and zero elsewhere: the
+    planes over the lcm of the denominators, as `Algebra` takes them.
+    An index past n raises `IndexError`."""
+    values = {ijk: Fraction(v) for ijk, v in dict(data).items()}
+    den = lcm(*(v.denominator for v in values.values()))
+    planes = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), v in values.items():
+        planes[i][j][k] = int(v * den)
+    return tuple(tuple(map(tuple, plane)) for plane in planes), den
 
 
 def toy_ring() -> FusionRing:

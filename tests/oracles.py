@@ -1,10 +1,12 @@
 """Independent brute-force oracles the library is tested against.
 
-Nothing here reuses the library's evaluation paths: fusion
-multiplicities are read as `Fraction`s from one
-`Tensor3.from_integers(ring.table, 1)` per ring (`multiplicities`),
-never as the table's `int`s, and the ring builders are checked against
-the `Tensor3.from_dict` constructions they replaced; surface
+Nothing here reuses the library's evaluation paths: the structure
+constants of rings and algebras are read through one plain helper,
+`fraction_constants`, as a dict of `Fraction`s per integer form (a
+ring's `(table, 1)`, an algebra's `mult`), never as the table's
+`int`s, and the ring and algebra builders are checked against the
+dict-literal constructions they replaced (`mult_form` of
+`conftest` writes those as integer planes); surface
 dimensions are recomputed by naive convolution (and, for tiny cases,
 by literally expanding the
 product as a multiset of labels), the in-order `dim_V` by one product
@@ -29,7 +31,7 @@ forms of inverses and ranks from that kernel, as `Matrix` computed them
 before it recursed on blocks),
 tensor contractions and matrix products from plain triple loops over
 `Fraction` entries, the trace form and the separability equations of an
-algebra from index loops over `mult[i, j, k]`, basis changes of an
+algebra from index loops over `m[i, j, k]`, basis changes of an
 algebra from n^2 `Fraction` products, random basis changes from two
 `Fraction` triangular factors multiplied by a triple loop, genus
 invariants from repeated
@@ -48,21 +50,26 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from verlinde.exact import Tensor3
+from conftest import mult_form
 from verlinde.fusion import (FusionRing, _canonical_key, _forced_entries,
                              _involutions_fixing_zero, _symmetry_orbits,
                              verify_axioms)
 
 
-def multiplicities(ring: FusionRing) -> Tensor3:
-    """The `Fraction` tensor N[a, b, c] of a ring, made once per table
-    (the cache holds tables, not rings, so that it keeps no ring alive)."""
-    return _tensor(ring.table)
-
-
 @lru_cache(maxsize=256)
-def _tensor(table) -> Tensor3:
-    return Tensor3.from_integers(table, 1)
+def fraction_constants(mult) -> dict[tuple[int, int, int], Fraction]:
+    """The structure constants planes[i][j][k] / den of the integer form
+    mult = (planes, den), nested tuples, as a dense dict of `Fraction`s
+    keyed (i, j, k), made once per form (the cache holds forms, not
+    rings or algebras, so that it keeps none alive)."""
+    planes, den = mult
+    return {(i, j, k): Fraction(x, den) for i, plane in enumerate(planes)
+            for j, fibre in enumerate(plane) for k, x in enumerate(fibre)}
+
+
+def multiplicities(ring: FusionRing) -> dict:
+    """The `Fraction` constants N[a, b, c] of a ring."""
+    return fraction_constants((ring.table, 1))
 
 
 def _n(ring: FusionRing, a: int, b: int, c: int) -> int:
@@ -315,14 +322,14 @@ def frobenius_axiom_entries(algebra) -> tuple[list[str], int]:
     """(entries, equations checked) of the Frobenius-algebra check.
 
     Both bracketings of every basis triple are summed in `Fraction`
-    straight from `algebra.mult[i, j, k]`, and both associativity and
+    from `fraction_constants(algebra.mult)`, and both associativity and
     pairing invariance are compared on each; the unit laws and the rank
     of the pairing come from the same constants.
     """
     entries: list[str] = []
     checked = 0
     n = algebra.dim
-    m = algebra.mult
+    m = fraction_constants(algebra.mult)
 
     def times(x, y):
         out = [Fraction(0)] * n
@@ -434,8 +441,15 @@ def s3_cayley_table() -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# the ring builders as `Tensor3.from_dict` constructions, each giving the
+# the ring builders as dict-literal constructions, each giving the
 # (dual, unit, multiplicities, names) that `ring_data` reads off a ring
+
+
+def from_dict(n: int, data: dict) -> dict:
+    """The dense `fraction_constants` of the n x n x n constants with
+    value v at each (i, j, k): v of `data`, zero elsewhere; an index out
+    of range raises `IndexError`."""
+    return fraction_constants(mult_form(n, data))
 
 
 def ring_data(ring: FusionRing) -> tuple:
@@ -443,20 +457,19 @@ def ring_data(ring: FusionRing) -> tuple:
 
 
 def reference_trivial() -> tuple:
-    return (0,), (0,), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}), ("0",)
+    return (0,), (0,), from_dict(1, {(0, 0, 0): 1}), ("0",)
 
 
 def reference_cyclic(n: int) -> tuple:
     data = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
     return (tuple((-a) % n for a in range(n)), (0,),
-            Tensor3.from_dict((n, n, n), data),
-            tuple(str(a) for a in range(n)))
+            from_dict(n, data), tuple(str(a) for a in range(n)))
 
 
 def reference_fibonacci() -> tuple:
     data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
             (1, 1, 0): 1, (1, 1, 1): 1}
-    return (0, 1), (0,), Tensor3.from_dict((2, 2, 2), data), ("1", "tau")
+    return (0, 1), (0,), from_dict(2, data), ("1", "tau")
 
 
 def reference_direct_product(left: FusionRing, right: FusionRing,
@@ -464,16 +477,16 @@ def reference_direct_product(left: FusionRing, right: FusionRing,
     n1, n2 = left.rank, right.rank
     n = n1 + n2
     data: dict[tuple[int, int, int], Fraction] = {}
-    for (a, b, c), v in multiplicities(left).nonzero():
+    for (a, b, c), v in multiplicities(left).items():
         data[(a, b, c)] = v
-    for (a, b, c), v in multiplicities(right).nonzero():
+    for (a, b, c), v in multiplicities(right).items():
         data[(a + n1, b + n1, c + n1)] = v
     if not names:
         names = tuple(f"l:{s}" for s in left.names) + tuple(
             f"r:{s}" for s in right.names)
     return (tuple(left.dual) + tuple(d + n1 for d in right.dual),
             tuple(left.unit) + tuple(u + n1 for u in right.unit),
-            Tensor3.from_dict((n, n, n), data), names)
+            from_dict(n, data), names)
 
 
 def reference_restriction(ring: FusionRing, labels) -> tuple:
@@ -483,12 +496,52 @@ def reference_restriction(ring: FusionRing, labels) -> tuple:
     pos = {a: i for i, a in enumerate(labels)}
     k = len(labels)
     data = {(pos[a], pos[b], pos[c]): v
-            for (a, b, c), v in multiplicities(ring).nonzero()
+            for (a, b, c), v in multiplicities(ring).items()
             if a in pos and b in pos and c in pos}
     return (tuple(pos[ring.dual[a]] for a in labels),
             tuple(sorted(pos[b] for b in ring.unit if b in pos)),
-            Tensor3.from_dict((k, k, k), data),
+            from_dict(k, data),
             tuple(ring.names[a] for a in labels))
+
+
+# ---------------------------------------------------------------------------
+# the stock algebras of `tqft` as the dict-literal constructions they
+# replaced, each giving the (names, constants, unit) `algebra_data` reads
+
+
+def algebra_data(algebra) -> tuple:
+    return algebra.names, fraction_constants(algebra.mult), algebra.unit
+
+
+def reference_field_algebra() -> tuple:
+    return ("1",), from_dict(1, {(0, 0, 0): 1}), (1,)
+
+
+def reference_product_field_algebra(n: int) -> tuple:
+    data = {(i, i, i): 1 for i in range(n)}
+    return tuple(f"e{i}" for i in range(n)), from_dict(n, data), (1,) * n
+
+
+def reference_group_algebra(table, names=()) -> tuple:
+    n = len(table)
+    identity, = (e for e in range(n)
+                 if all(table[e][j] == j == table[j][e] for j in range(n)))
+    data = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
+    return (names or tuple(f"g{i}" for i in range(n)), from_dict(n, data),
+            tuple(int(i == identity) for i in range(n)))
+
+
+def reference_matrix_algebra(n: int) -> tuple:
+    data = {(i * n + j, j * n + l, i * n + l): 1
+            for i in range(n) for j in range(n) for l in range(n)}
+    return (tuple(f"e{i}{j}" for i in range(n) for j in range(n)),
+            from_dict(n * n, data),
+            tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
+def reference_dual_numbers_algebra() -> tuple:
+    data = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    return ("1", "x"), from_dict(2, data), (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +785,7 @@ def karoubi_table(cat, grid, idempotents=None):
 def trace_form_gram(algebra) -> list[list[Fraction]]:
     """T[i][j] = sum_bc m[i][c][b] m[j][b][c], one `Fraction` sum per entry."""
     n = algebra.dim
-    m = algebra.mult
+    m = fraction_constants(algebra.mult)
     return [[sum((m[i, c, b] * m[j, b, c] for b in range(n)
                   for c in range(n)), Fraction(0)) for j in range(n)]
             for i in range(n)]
@@ -753,7 +806,7 @@ def separability_entries(algebra, e) -> tuple[list[str], int]:
     if mu != algebra.unit:
         entries.append(f"multiplication map sends e to {mu}, "
                        f"expected the unit {algebra.unit}")
-    m = algebra.mult
+    m = fraction_constants(algebra.mult)
     for r in range(n):
         for c in range(n):
             for d in range(n):
@@ -887,14 +940,13 @@ def naive_power_columns(a, max_exponent: int, column) -> list[tuple]:
     return columns
 
 
-def naive_contract(t, weights) -> tuple[Fraction, ...]:
-    """z[k] = sum_ij w[i][j] t[i, j, k] by a plain triple loop."""
-    d1, d2, d3 = t.dims
-    out = [Fraction(0)] * d3
-    for i in range(d1):
-        for j in range(d2):
-            for k in range(d3):
-                out[k] += Fraction(weights[i][j]) * t[i, j, k]
+def naive_contract(mult, weights) -> tuple[Fraction, ...]:
+    """z[k] = sum_ij w[i][j] m[i, j, k] by a plain loop over the
+    `fraction_constants` m of mult = (planes, den)."""
+    planes, _ = mult
+    out = [Fraction(0)] * (len(planes[0][0]) if planes and planes[0] else 0)
+    for (i, j, k), v in fraction_constants(mult).items():
+        out[k] += Fraction(weights[i][j]) * v
     return tuple(out)
 
 
@@ -915,12 +967,13 @@ def fraction_matmul(a, b) -> list[list[Fraction]]:
 
 def _times(algebra, x, y) -> list[Fraction]:
     n = algebra.dim
+    m = fraction_constants(algebra.mult)
     out = [Fraction(0)] * n
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if x[i] and y[j] and algebra.mult[i, j, k]:
-                    out[k] += Fraction(x[i]) * y[j] * algebra.mult[i, j, k]
+                if x[i] and y[j] and m[i, j, k]:
+                    out[k] += Fraction(x[i]) * y[j] * m[i, j, k]
     return out
 
 
@@ -969,8 +1022,9 @@ def genus_invariants(algebra, max_genus: int) -> list[Fraction]:
     more `Fraction` product on the right, w = sum_ij ginv[i][j] e_i e_j."""
     n = algebra.dim
     eps = algebra.counit
+    m = fraction_constants(algebra.mult)
     basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pairing = [[sum(algebra.mult[i, j, k] * eps[k] for k in range(n))
+    pairing = [[sum(m[i, j, k] * eps[k] for k in range(n))
                 for j in range(n)] for i in range(n)]
     ginv = gauss_jordan_inverse(pairing)
     handle = [Fraction(0)] * n
@@ -995,7 +1049,8 @@ def fraction_word(algebra, word) -> dict[tuple[int, ...], Fraction]:
     """
     n = algebra.dim
     eps = algebra.counit
-    pairing = [[sum(algebra.mult[i, j, k] * eps[k] for k in range(n))
+    m = fraction_constants(algebra.mult)
+    pairing = [[sum(m[i, j, k] * eps[k] for k in range(n))
                 for j in range(n)] for i in range(n)]
     ginv = gauss_jordan_inverse(pairing)
 
@@ -1011,9 +1066,9 @@ def fraction_word(algebra, word) -> dict[tuple[int, ...], Fraction]:
         if gen in ("id", "swap"):
             return {args[::-1]: Fraction(1)}
         if gen == "mult":
-            return {(k,): algebra.mult[args + (k,)] for k in range(n)}
+            return {(k,): m[args + (k,)] for k in range(n)}
         if gen == "comult":
-            return {(p, k): sum(ginv[p][q] * algebra.mult[q, args[0], k]
+            return {(p, k): sum(ginv[p][q] * m[q, args[0], k]
                                 for q in range(n))
                     for p in range(n) for k in range(n)}
         if gen == "unit":
@@ -1058,7 +1113,8 @@ def invariance_entries(algebra, presentations):
     words with a swap are neither evaluated nor counted.
     """
     n = algebra.dim
-    pairing = [[sum(algebra.mult[i, j, k] * algebra.counit[k]
+    m = fraction_constants(algebra.mult)
+    pairing = [[sum(m[i, j, k] * algebra.counit[k]
                     for k in range(n)) for j in range(n)] for i in range(n)]
     if gauss_jordan_inverse(pairing) is None:
         return None
@@ -1091,7 +1147,7 @@ def invariance_entries(algebra, presentations):
 
 # ---------------------------------------------------------------------------
 # the text readers of `formats` as they were before each document was read
-# in one pass: a `Fraction` per entry, `Tensor3.from_dict`, name-keyed
+# in one pass: a `Fraction` per entry, `conftest.mult_form`, name-keyed
 # composites, and a structural category error on the last line
 
 
@@ -1263,7 +1319,7 @@ def _parent_algebra(text, source):
             raise ParseError(f"unknown directive {head!r}", source, lineno)
     return FrobeniusAlgebra(
         names=tuple(names.get(i, f"e{i}") for i in range(dim)),
-        mult=Tensor3.from_dict((dim, dim, dim), mult),
+        mult=mult_form(dim, mult),
         unit=tuple(unit.get(i, Fraction(0)) for i in range(dim)),
         counit=tuple(counit.get(i, Fraction(0)) for i in range(dim)))
 

@@ -16,27 +16,25 @@ from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load
 from oracles import (S3_CHARACTER_TABLE, S3_CLASS_SIZES, brute_force_dim,
                      fusion_from_characters, s3_cayley_table)
 from verlinde import formats
-from verlinde.categories import (cyclic_table, dual_numbers_algebra,
-                                 field_category, group_algebra,
-                                 group_separability_idempotent,
-                                 karoubi_completion,
+from verlinde.categories import (field_category, karoubi_completion,
                                  karoubi_object_name, mat_completion,
-                                 matrix_algebra, matrix_algebra_category,
-                                 matrix_separability_idempotent,
-                                 product_field_algebra,
-                                 product_field_separability_idempotent,
-                                 tensor_product, trace_form_semisimple,
-                                 validate_category,
-                                 verify_separability_idempotent)
+                                 matrix_algebra_category, tensor_product,
+                                 validate_category)
 from verlinde.exact import Matrix
 from verlinde.fusion import (block_decomposition, dual_vector,
                              enumerate_fusion_rings, inner_product, multiply,
                              verify_axioms)
 from verlinde.surfaces import (ColouredSurface, dim_V, modular_report,
                                verify_gluing_consistency)
-from verlinde.tqft import (canonical_genus_word, evaluate_word,
-                           genus_invariant, pairing_matrix,
-                           random_invertible, transport_basis)
+from verlinde.tqft import (canonical_genus_word, cyclic_table,
+                           dual_numbers_algebra, evaluate_word,
+                           genus_invariant, group_algebra,
+                           group_separability_idempotent, matrix_algebra,
+                           matrix_separability_idempotent, pairing_matrix,
+                           product_field_algebra,
+                           product_field_separability_idempotent,
+                           random_invertible, trace_form_semisimple,
+                           transport_basis, verify_separability_idempotent)
 
 
 def _passed(n: int, label: str) -> None:

@@ -9,16 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ring_table
-from oracles import associativity_by_triples, integer_rows
+from conftest import mult_form, ring_table
+from oracles import associativity_by_triples, fraction_constants, integer_rows
 from test_categories import _with_table
-from verlinde.categories import (cyclic_table, field_category, group_algebra,
-                                 karoubi_completion, mat_completion,
-                                 matrix_algebra, matrix_algebra_category,
+from verlinde.categories import (field_category, karoubi_completion,
+                                 mat_completion, matrix_algebra_category,
                                  tensor_product, validate_category)
-from verlinde.exact import Tensor3, associativity_failures
+from verlinde.exact import associativity_failures
 from verlinde.fusion import FusionRing, verify_axioms
-from verlinde.tqft import FrobeniusAlgebra, validate_frobenius
+from verlinde.tqft import (FrobeniusAlgebra, cyclic_table, group_algebra,
+                           matrix_algebra, validate_frobenius)
 
 
 def _random_rows(rng, n):
@@ -47,7 +47,9 @@ def _rescaled_rows(rng, algebra):
     s = [Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2))) for _ in
          range(n)]
     return integer_rows(n, (((i, j, k), v * s[i] * s[j] / s[k])
-                            for (i, j, k), v in algebra.mult.nonzero()))[0]
+                            for (i, j, k), v
+                            in fraction_constants(algebra.mult).items()
+                            if v))[0]
 
 
 def _partners(rng, n):
@@ -210,7 +212,7 @@ def _random_algebras(count, seed):
                 if rng.random() < 0.35}
         yield FrobeniusAlgebra(
             tuple(f"e{i}" for i in range(n)),
-            Tensor3.from_dict((n, n, n), data),
+            mult_form(n, data),
             tuple(int(i == 0) for i in range(n)),
             tuple(rng.choice((0, 1, 2)) for _ in range(n)))
 

@@ -15,12 +15,12 @@ from test_categories import _M2_SCALE, _rescaled, _with_table
 from test_karoubi_table import BASES
 from verlinde import categories, corpus
 from verlinde.categories import (CategoryFormatError, PresentedCategory,
-                                 cyclic_table, dual_numbers_algebra,
-                                 field_algebra, field_category, group_algebra,
-                                 karoubi_completion, mat_completion,
-                                 matrix_algebra, matrix_algebra_category,
-                                 one_object_category, product_field_algebra,
-                                 tensor_product)
+                                 field_category, karoubi_completion,
+                                 mat_completion, matrix_algebra_category,
+                                 one_object_category, tensor_product)
+from verlinde.tqft import (cyclic_table, dual_numbers_algebra, field_algebra,
+                           group_algebra, matrix_algebra,
+                           product_field_algebra)
 from verlinde.formats import SemanticError, parse, serialize
 
 # bases with one object and with several, with and without denominators

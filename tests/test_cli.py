@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,26 @@ def test_a_huge_size_header_is_a_load_error(run, tmp_path, monkeypatch):
     assert (code, out) == (2, "")
     assert err == (f"error: huge.algebra:1: size {dim}: size^3 cells are "
                    "more than MAX_DENSE_CELLS = 4194304\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("long.algebra", "dim 2\nmult 0 0 {} 1\n"),
+    ("long.fusion", "rank 2\nunit 0\nN {} 0 0 1\n"),
+])
+def test_a_long_index_token_is_a_quick_load_error(run, tmp_path, monkeypatch,
+                                                  name, text):
+    # cli.main lifts the digit limit; the token never reaches int()
+    (tmp_path / name).write_text(text.format("1" + "0" * 99_999),
+                                 encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    command = "invariant" if name.endswith("algebra") else "validate"
+    start = time.perf_counter()
+    code, out, err = run(command, name)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    line = text.count("\n")
+    assert err == (f"error: {name}:{line}: a token of 100000 characters is "
+                   "longer than MAX_TOKEN_CHARS = 4300\n")
 
 
 def test_validate_lists_a_reciprocity_failure_once(run, tmp_path,

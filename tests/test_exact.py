@@ -1,27 +1,28 @@
-"""Exact matrix and tensor substrate."""
+"""Exact matrix substrate, and the structure tensor of `Algebra`."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_ALGEBRAS, load
+from conftest import CORPUS_ALGEBRAS, load, mult_form
 from oracles import (echelon_rank, elimination_inverse, fraction_matmul,
                      full_multiplier_eliminate, gauss_jordan,
                      gauss_jordan_inverse, gauss_jordan_rank,
                      naive_combine_rows, naive_contract, naive_power_columns)
 from verlinde import exact
 from verlinde.exact import (DimensionMismatchError, Matrix,
-                            SingularMatrixError, Tensor3, _eliminate,
-                            combine_rows, power_apply, rat, rref_integers,
-                            scale_to_integers)
-from verlinde.tqft import (multiply_elements, pairing_matrix,
-                           random_invertible)
+                            SingularMatrixError, _eliminate, combine_rows,
+                            power_apply, rat, rref_integers, scale_to_integers)
+from verlinde.tqft import (Algebra, _fibre_sum, multiply_elements,
+                           pairing_matrix, random_invertible)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -110,20 +111,19 @@ def test_rational_field_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def test_tensor3_from_dict_and_bounds():
-    t = Tensor3.from_dict((2, 2, 2), {(0, 1, 1): Fraction(1, 2)})
-    assert t[0, 1, 1] == Fraction(1, 2)
-    assert t[1, 1, 1] == 0
-    assert list(t.nonzero()) == [((0, 1, 1), Fraction(1, 2))]
-    with pytest.raises(IndexError):
-        Tensor3.from_dict((2, 2, 2), {(2, 0, 0): 1})
+def _mult(planes, den, names="ab"):
+    """The `Algebra` on the basis `names` whose structure tensor is the
+    integer form (planes, den); its unit is zero, which no test reads."""
+    return Algebra(tuple(names), (planes, den), (0,) * len(names))
 
 
 def test_tensor3_equality_and_hash():
-    a = Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1})
-    b = Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1})
-    assert a == b
-    assert hash(a) == hash(b)
+    # the structure tensor of an algebra: one reduced form however scaled
+    a = _mult([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], 1)
+    b = _mult([[[3, 0], [0, 0]], [[0, 0], [0, 0]]], 3)
+    assert a == b and hash(a) == hash(b)
+    assert a.mult == b.mult == ((((1, 0), (0, 0)), ((0, 0), (0, 0))), 1)
+    assert a != _mult([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], 2)
 
 
 def _integer_cubes():
@@ -139,21 +139,23 @@ def _integer_cubes():
 
 @pytest.mark.parametrize("planes,den", list(_integer_cubes()))
 def test_tensor3_from_integers_is_the_scaled_form(planes, den):
-    t = Tensor3.from_integers(planes, den)
+    # an algebra's structure tensor (planes, den) is stored as the
+    # integer form `scale_to_integers` gives of its values, in tuples
+    names = "abc"[:len(planes)]
+    algebra = _mult(planes, den, names)
     fractions = [[[Fraction(x, den) for x in fibre] for fibre in plane]
                  for plane in planes]
-    # the stored integer form
     fibres, d = scale_to_integers(
         [fibre for plane in fractions for fibre in plane])
-    ints, dt = t.integer_form
+    ints, dt = algebra.mult
     assert [fibre for plane in ints for fibre in plane] == list(fibres)
     assert dt == d
-    assert t.entries == tuple(tuple(map(tuple, plane)) for plane in fractions)
-    assert all(type(x) is Fraction
-               for plane in t.entries for fibre in plane for x in fibre)
-    literal = Tensor3(fractions, dims=t.dims)
-    assert t == literal and hash(t) == hash(literal)
-    assert t.integer_form == literal.integer_form
+    assert type(ints) is tuple and all(
+        type(fibre) is tuple for plane in ints for fibre in (plane, *plane))
+    scaled = _mult([[[3 * x for x in fibre] for fibre in plane]
+                    for plane in planes], 3 * den, names)
+    assert algebra == scaled and hash(algebra) == hash(scaled)
+    assert algebra.mult == scaled.mult
 
 
 def _integer_matrices():
@@ -190,14 +192,14 @@ def test_integer_constructors_reject_ragged_rows_and_bad_denominators():
     with pytest.raises(DimensionMismatchError):
         Matrix.from_integers([[1, 2], [3]], 1)
     with pytest.raises(DimensionMismatchError):
-        Tensor3.from_integers([[[1, 2], [3, 4]], [[5, 6], [7]]], 1)
+        _mult([[[1, 2], [3, 4]], [[5, 6], [7]]], 1)
     with pytest.raises(DimensionMismatchError):
-        Tensor3.from_integers([[[1], [2]], [[3]]], 1)
+        _mult([[[1], [2]], [[3]]], 1)
     for den in (0, -2):
         with pytest.raises(ValueError, match="not positive"):
             Matrix.from_integers([[1, 2]], den)
-        with pytest.raises(ValueError, match="not positive"):
-            Tensor3.from_integers([[[1]]], den)
+        with pytest.raises(ValueError, match="not a positive integer"):
+            _mult([[[1]]], den, "a")
     with pytest.raises(ValueError, match="not positive"):
         Matrix.from_integers([], 0)
 
@@ -205,9 +207,7 @@ def test_integer_constructors_reject_ragged_rows_and_bad_denominators():
 def test_rat_refuses_floats():
     for build in (lambda: rat(0.5), lambda: Matrix([[0.1]]),
                   lambda: Matrix([[1]]).scale(2.0),
-                  lambda: Matrix([[1]]).apply([0.5]),
-                  lambda: Tensor3([[[0.25]]]),
-                  lambda: Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1.0})):
+                  lambda: Matrix([[1]]).apply([0.5])):
         with pytest.raises(TypeError, match="ints or Fractions"):
             build()
     assert (rat(3), rat("-2/6"), rat(Fraction(1, 3))) == (
@@ -245,38 +245,35 @@ def _same_value_matrices():
            Matrix.identity(0).inverse(), Matrix.zeros(0, 0).transpose()]
 
 
-def _same_value_tensors():
+def _same_value_algebras():
+    """Groups of algebras whose structure tensors are given at different
+    scalings: equal inside a group, different across groups."""
     half = Fraction(1, 2)
-    yield [Tensor3([[[1, 0], [0, half]], [[0, 0], [3, 0]]]),
-           Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): half,
-                                         (1, 1, 0): 3}),
-           Tensor3.from_integers([[[2, 0], [0, 1]], [[0, 0], [6, 0]]], 2),
-           Tensor3.from_integers([[[6, 0], [0, 3]], [[0, 0], [18, 0]]], 6),
-           Tensor3([[["1", 0], [0, "1/2"]], [[0, 0], ["3", 0]]])]
-    yield [Tensor3.zeros(2, 1, 3), Tensor3([[[0] * 3]] * 2),
-           Tensor3.from_dict((2, 1, 3), {}),
-           Tensor3.from_dict((2, 1, 3), {(1, 0, 2): 0}),
-           Tensor3.from_integers([[[0] * 3]] * 2, 5)]
-    yield [Tensor3.zeros(2, 0, 5), Tensor3([[], []], dims=(2, 0, 5)),
-           Tensor3.from_dict((2, 0, 5), {})]
+    yield [_mult(*mult_form(2, {(0, 0, 0): 1, (0, 1, 1): half,
+                                (1, 1, 0): 3})),
+           _mult([[[2, 0], [0, 1]], [[0, 0], [6, 0]]], 2),
+           _mult([[[6, 0], [0, 3]], [[0, 0], [18, 0]]], 6),
+           _mult(*mult_form(2, {(0, 0, 0): "1", (0, 1, 1): "1/2",
+                                (1, 1, 0): "3"}))]
+    yield [_mult(*mult_form(2, {})), _mult([[[0] * 2] * 2] * 2, 5),
+           _mult(*mult_form(2, {(1, 0, 1): 0}))]
+    yield [_mult((), 1, ""), _mult([], 7, "")]
 
 
-@pytest.mark.parametrize("make", [_same_value_matrices, _same_value_tensors],
-                         ids=["Matrix", "Tensor3"])
+@pytest.mark.parametrize("make", [_same_value_matrices, _same_value_algebras],
+                         ids=["Matrix", "Algebra"])
 def test_equality_and_hash_agree_across_construction_paths(make):
     groups = list(make())
     for g, group in enumerate(groups):
         first = group[0]
         for x in group:
             assert x == first and first == x and hash(x) == hash(first)
-            assert x.integer_form == first.integer_form
-            assert x.entries == first.entries
-            assert all(type(v) is Fraction for v in _flat(x.entries))
-            if isinstance(x, Tensor3):
-                assert list(x.nonzero()) == [
-                    ((i, j, k), v) for i, plane in enumerate(x.entries)
-                    for j, fibre in enumerate(plane)
-                    for k, v in enumerate(fibre) if v]
+            if isinstance(x, Matrix):
+                assert x.integer_form == first.integer_form
+                assert x.entries == first.entries
+                assert all(type(v) is Fraction for v in _flat(x.entries))
+            else:
+                assert x.mult == first.mult
         for other in groups[g + 1:]:
             assert first != other[0]
 
@@ -289,39 +286,77 @@ def _flat(entries):
             yield row
 
 
-def test_nonzero_builds_no_fraction_view(monkeypatch):
-    tensors = [t for group in _same_value_tensors() for t in group]
-    expected = [[(ijk, t[ijk]) for ijk in itertools.product(
-        *map(range, t.dims)) if t[ijk]] for t in tensors]
-
-    def no_view(tensor):
-        raise AssertionError("Fraction view of a tensor read")
-
-    monkeypatch.setattr(Tensor3, "entries", property(no_view))
-    assert [list(t.nonzero()) for t in tensors] == expected
-
-
 def test_tensor3_rejects_declared_shape_without_entries():
-    with pytest.raises(DimensionMismatchError):
-        Tensor3([], dims=(2, 2, 2))
-    assert Tensor3([], dims=(0, 2, 2)).dims == (0, 2, 2)
-    assert Tensor3.zeros(2, 0, 5).dims == (2, 0, 5)
+    # an algebra's n basis names declare its structure tensor n x n x n
+    for names, planes in (("ab", ()), ("ab", [[[1, 0]]]), ("", [[[1]]]),
+                          ("a", [[]]), ("ab", [[[1, 0], [0]], [[0, 1]] * 2])):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^multiplication table is not {len(names)} "
+                                 f"x {len(names)} x {len(names)}$"):
+            _mult(planes, 1, names)
+    assert _mult((), 1, "").mult == ((), 1)
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (True, "True"), (Fraction(1, 2), "Fraction(1, 2)"),
+    (Fraction(2, 1), "Fraction(2, 1)"), (0.5, "0.5"), (1.0, "1.0"),
+    ("1", "'1'")])
+def test_algebra_names_the_first_structure_constant_that_is_not_an_int(
+        bad, shown):
+    planes = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    planes[1][0][1] = bad
+    planes[1][1][0] = bad  # a later bad entry is not the one named
+    with pytest.raises(ValueError, match=re.escape(
+            f"structure constant mult[1][0][1] = {shown} is not an "
+            "integer")):
+        _mult(planes, 1)
+
+
+@pytest.mark.parametrize("den", [0, -3, True, 2.0, Fraction(2), "2", None])
+def test_algebra_refuses_a_denominator_that_is_not_a_positive_int(den):
+    with pytest.raises(ValueError, match=re.escape(
+            f"denominator {den!r} is not a positive integer")):
+        _mult([[[1]]], den, "a")
+
+
+def test_algebra_mult_is_reduced_over_every_scaling():
+    rng = random.Random(34)
+    for _ in range(20):
+        planes = [[[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+                  for _ in range(3)]
+        den = rng.randint(1, 9)
+        reference = _mult(planes, den, "abc")
+        ints, d = reference.mult
+        assert gcd(d, *(x for plane in ints for f in plane for x in f)) == 1
+        for scale in (2, 3, 12):
+            scaled = _mult([[[scale * x for x in f] for f in plane]
+                            for plane in planes], scale * den, "abc")
+            assert scaled == reference and hash(scaled) == hash(reference)
+            assert scaled.mult == reference.mult
+
+
+def _contract(mult, weights) -> tuple[Fraction, ...]:
+    """sum_ij w[i][j] m[i][j] through `tqft._fibre_sum`, the rational
+    weights scaled to integers first."""
+    planes, den = mult
+    ints, dw = scale_to_integers(weights)
+    return tuple(Fraction(x, den * dw) for x in _fibre_sum(ints, planes))
 
 
 def test_integer_kernels_reject_non_rational_entries():
-    t = Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1})
+    algebra = _mult([[[1]]], 1, "a")
     with pytest.raises(TypeError, match="ints or Fractions"):
-        t.contract([[0.5]])
+        multiply_elements(algebra, [0.5], [1])
     with pytest.raises(TypeError, match="ints or Fractions"):
         scale_to_integers([[Fraction(1, 2), "1/2"]])
 
 
 def test_contract_rejects_mismatched_weights():
-    t = Tensor3.zeros(2, 3, 2)
+    planes = [[[0] * 2] * 3] * 2  # 2 x 3 x 2
     with pytest.raises(DimensionMismatchError):
-        t.contract([[1, 2, 3]])
+        _fibre_sum([[1, 2, 3]], planes)
     with pytest.raises(DimensionMismatchError):
-        t.contract([[1, 2], [3, 4]])
+        _fibre_sum([[1, 2], [3, 4]], planes)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +546,7 @@ def test_integer_inverse_core_on_the_empty_matrix():
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
 def test_contract_matches_naive_loop_on_corpus_algebras(name):
     t = load(name).mult
-    n = t.dims[0]
+    n = len(t[0])
     rng = random.Random(name)
     weights = [_random_rows(rng, n, n) for _ in range(5)]
     weights += [[[int(i == a and j == b) for j in range(n)]
@@ -519,8 +554,7 @@ def test_contract_matches_naive_loop_on_corpus_algebras(name):
                 for a in range(n) for b in range(n)]
     weights.append([[0] * n for _ in range(n)])
     for w in weights:
-        assert t.contract(w) == naive_contract(t, w)
-        assert all(type(x) is Fraction for x in t.contract(w))
+        assert _contract(t, w) == naive_contract(t, w)
 
 
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
@@ -546,12 +580,12 @@ def test_products_of_elements_check_their_lengths():
 def test_contract_matches_naive_loop_on_random_tensors():
     rng = random.Random(7)
     for dims in ((1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 3, 3), (0, 2, 2)):
-        data = {(i, j, k): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                for i in range(dims[0]) for j in range(dims[1])
-                for k in range(dims[2]) if rng.random() < 0.5}
-        t = Tensor3.from_dict(dims, data)
+        planes = tuple(tuple(tuple(rng.randint(-4, 4) if rng.random() < 0.5
+                                   else 0 for _ in range(dims[2]))
+                             for _ in range(dims[1])) for _ in range(dims[0]))
+        t = planes, rng.randint(1, 6)
         w = _random_rows(rng, dims[0], dims[1])
-        assert t.contract(w) == naive_contract(t, w)
+        assert _contract(t, w) == naive_contract(t, w)
 
 
 def test_combine_rows_matches_the_double_loop():

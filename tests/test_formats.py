@@ -77,30 +77,30 @@ def test_karoubi_mat2_serialization_is_pinned():
 
 
 KAROUBI_PINS = {
-    "mat-k-2": (lambda c: c.karoubi_completion(
+    "mat-k-2": (lambda c, t: c.karoubi_completion(
         c.mat_completion(c.field_category(), 2)),
         "377f4d114f34f4e4f1a9a67e4c756291f8cd131d1cf96f706843de75dc319f78"),
-    "k2": (lambda c: c.karoubi_completion(
-        c.product_field_algebra(2).to_category()),
+    "k2": (lambda c, t: c.karoubi_completion(
+        t.product_field_algebra(2).to_category()),
         "857ba89abdb4f25c18ece2dba5f712890b5d65c9082387c41efaaccd730f167d"),
-    "z3-group": (lambda c: c.karoubi_completion(
-        c.group_algebra(c.cyclic_table(3)).to_category()),
+    "z3-group": (lambda c, t: c.karoubi_completion(
+        t.group_algebra(t.cyclic_table(3)).to_category()),
         "aff777933077bc4345cb3428a269b488fbf44d3ff3d62b7d76d82a3680240cf6"),
-    "mat2-listed": (lambda c: c.karoubi_completion(
+    "mat2-listed": (lambda c, t: c.karoubi_completion(
         c.matrix_algebra_category(2),
         idempotents=[("x", (1, 0, 0, 1)), ("x", (1, 0, 0, 0))]),
         "89a3614973e0407324f764632ff52b2ca892d80c5a51ac02d9fa0cb44c7453e7"),
-    "double-k2": (lambda c: c.karoubi_completion(c.karoubi_completion(
-        c.product_field_algebra(2).to_category())),
+    "double-k2": (lambda c, t: c.karoubi_completion(c.karoubi_completion(
+        t.product_field_algebra(2).to_category())),
         "1a36367f8c22a1207659f8d9f72996df9e3789bc6ad2e275a87e3082d8db95ec"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KAROUBI_PINS))
 def test_karoubi_serializations_are_pinned(name):
-    from verlinde import categories
+    from verlinde import categories, tqft
     build, digest = KAROUBI_PINS[name]
-    text = serialize("category", build(categories))
+    text = serialize("category", build(categories, tqft))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -303,6 +303,93 @@ def test_only_the_significant_digits_of_a_long_header_count():
         with pytest.raises(SemanticError) as err:
             parse("idempotent", f"dim {token}\n")
         assert err.value.reason.startswith(f"size {shown}: size^2 cells ")
+
+
+LONG_TOKEN_REASON = ("a token of {} characters is longer than "
+                     f"MAX_TOKEN_CHARS = {formats.MAX_TOKEN_CHARS}")
+
+
+@pytest.mark.parametrize("kind, text, line, length", [
+    ("fusion", f"rank 2\nN 0 0 {LONG} 1\n", 2, 100_000),
+    ("fusion", f"rank 2\nN 0 0 0 {LONG}\n", 2, 100_000),
+    ("fusion", f"rank 2\nunit 0\ndual 0 {LONG}\n", 3, 100_000),
+    ("fusion", f"rank 2\nlabel {LONG} a\n", 2, 100_000),
+    ("fusion", f"rank 2\nunit 0 {LONG}\n", 2, 100_000),
+    ("algebra", f"dim 2\nmult {LONG} 0 0 1\n", 2, 100_000),
+    ("algebra", f"dim 2\nmult 0 0 0 {LONG}\n", 2, 100_000),
+    ("algebra", f"dim 2\nmult 0 0 0 1/{LONG}\n", 2, 100_002),
+    ("algebra", f"dim 2\ncounit {LONG} 1\n", 2, 100_000),
+    ("algebra", f"dim 2\nbasis 0 {LONG}\n", 2, 100_000),
+    ("algebra", f"mult 0 0 0 1\ndim {LONG}\nunit {LONG} 1\n", 3,
+     100_000),
+    ("idempotent", f"dim 2\ne 0 {LONG} 1\n", 2, 100_000),
+    ("category", f"object x\nhom x x u\ncompose u u = {LONG}*u\n", 3,
+     100_002),
+    ("surface-list", f"surface s: genus {LONG} boundary\n", 1, 100_000),
+    ("twist", f"twist {LONG} = 1\n", 1, 100_000),
+    ("word", f"unit\n{LONG}\n", 2, 100_000),
+], ids=["N-index", "N-value", "dual", "label", "unit", "mult-index",
+        "mult-value", "mult-denominator", "counit", "basis-name",
+        "after-long-header", "e-index", "compose", "genus", "twist",
+        "word"])
+def test_a_token_of_100000_characters_is_refused_by_its_length(
+        unlimited_int_digits, kind, text, line, length):
+    # under cli.main's lifted limit, int() of such an index took 0.27 s
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(kind, text, source="long")
+    assert time.perf_counter() - start < 0.1
+    assert type(err.value) is ParseError
+    assert err.value.reason == LONG_TOKEN_REASON.format(length)
+    assert (err.value.source, err.value.line) == ("long", line)
+
+
+def test_tokens_up_to_max_token_chars_are_read_and_comments_are_cut():
+    at_limit = "0" * (formats.MAX_TOKEN_CHARS - 1) + "1"
+    algebra = parse("algebra", f"dim 2\nmult 0 {at_limit} 1 {at_limit}\n"
+                    f"# {LONG}\nunit 0 1 # {LONG}\n").payload
+    assert algebra.mult == ((((0, 0), (0, 1)), ((0, 0), (0, 0))), 1)
+    with pytest.raises(ParseError) as err:
+        parse("algebra", f"dim 2\nmult 0 0 0 {at_limit}0\n")
+    assert err.value.reason == LONG_TOKEN_REASON.format(
+        formats.MAX_TOKEN_CHARS + 1)
+
+
+@pytest.mark.parametrize("kind, text, reason", [
+    ("algebra", f"dim 2\nmult 0 0 {'1' * 4000} 1\n",
+     "index <4000 digits> out of range 0..1"),
+    ("algebra", f"dim 2\nmult 0 0 {'1' * 100} 1\n",
+     f"index {'1' * 100} out of range 0..1"),
+    ("algebra", f"dim 2\nmult 0 0 {'1' * 101} 1\n",
+     "index <101 digits> out of range 0..1"),
+    ("algebra", f"dim 2\nmult 0 0 -{'1' * 200} 1\n",
+     "index -<200 digits> out of range 0..1"),
+    ("algebra", f"dim 2\nmult 0 0 {'x' * 200} 1\n",
+     "expected an integer, got a token of 200 characters"),
+    ("algebra", f"dim 2\nmult 0 0 0 {'x' * 101}\n",
+     "expected a rational p/q, got a token of 101 characters"),
+    ("algebra", f"dim 2\nmult 0 0 0 {'x' * 100}\n",
+     f"expected a rational p/q, got '{'x' * 100}'"),
+    ("fusion", f"rank 1\nN 0 0 0 -{'1' * 4000}\n",
+     "negative coefficient -<4000 digits>"),
+    ("fusion", f"rank 1\n{'x' * 300} 0\n",
+     "unknown directive a token of 300 characters"),
+    ("category", f"object x\nhom x x u\ncompose u {'v' * 300} = 1*u\n",
+     "unknown basis element a token of 300 characters"),
+    ("surface-list", f"surface s: genus -{'1' * 4000} boundary\n",
+     "negative genus -<4000 digits>"),
+    ("twist", f"twist {'1' * 300} = 1\ntwist {'1' * 300} = 1\n",
+     "duplicate twist for label <300 digits>"),
+    ("word", f"{'x' * 300}\n", "unknown generator a token of 300 characters"),
+], ids=["index-4000", "index-100", "index-101", "negative-index",
+        "not-an-integer", "not-a-rational", "rational-100", "negative-N",
+        "directive", "basis-element", "genus", "twist-label", "generator"])
+def test_no_error_quotes_more_than_max_header_digits_of_a_token(
+        unlimited_int_digits, kind, text, reason):
+    with pytest.raises(ParseError) as err:
+        parse(kind, text)
+    assert err.value.reason == reason
+    assert len(err.value.reason) < formats.MAX_HEADER_DIGITS + 50
 
 
 def test_negative_coefficient_rejected_with_line():

@@ -522,7 +522,7 @@ def test_multiply_matches_fraction_contraction(name):
         x = tuple(rng.randrange(4) for _ in range(ring.rank))
         y = tuple(rng.randrange(4) for _ in range(ring.rank))
         weights = [[xi * yj for yj in y] for xi in x]
-        assert multiply(ring, x, y) == naive_contract(multiplicities(ring),
+        assert multiply(ring, x, y) == naive_contract((ring.table, 1),
                                                       weights)
 
 
@@ -562,7 +562,7 @@ def test_enumerate_output_is_pinned(rank, max_coeff, count, digest):
 
 
 # ---------------------------------------------------------------------------
-# the builders, which write tables, against the `Tensor3.from_dict`
+# the builders, which write tables, against the dict-literal
 # constructions they replaced
 
 

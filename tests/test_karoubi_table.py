@@ -13,12 +13,11 @@ import oracles
 from test_categories import _M2_SCALE, _perturbed, _rescaled
 from verlinde import categories, corpus
 from verlinde.categories import (DEFAULT_GRID, CategoryFormatError,
-                                 PresentedCategory, cyclic_table,
-                                 field_category, group_algebra,
+                                 PresentedCategory, field_category,
                                  karoubi_completion, karoubi_idempotents,
                                  mat_completion, matrix_algebra_category,
-                                 product_field_algebra, tensor_product,
-                                 validate_category)
+                                 tensor_product, validate_category)
+from verlinde.tqft import cyclic_table, group_algebra, product_field_algebra
 from verlinde.cli import main
 from verlinde.formats import serialize
 

@@ -14,12 +14,12 @@ from test_associativity import CATEGORY_CASES, _random_rows, _rescaled_rows
 from test_categories import PERTURBED
 from test_karoubi_table import _random_one_object
 from verlinde import categories, exact
-from verlinde.categories import (CategoryFormatError, cyclic_table,
-                                 field_category, group_algebra,
+from verlinde.categories import (CategoryFormatError, field_category,
                                  karoubi_completion, mat_completion,
-                                 matrix_algebra, matrix_algebra_category,
-                                 product_field_algebra, tensor_product,
+                                 matrix_algebra_category, tensor_product,
                                  validate_category)
+from verlinde.tqft import (cyclic_table, group_algebra, matrix_algebra,
+                           product_field_algebra)
 from verlinde.exact import (_light_generators, associativity_failures,
                             light_associativity_failures)
 

@@ -88,7 +88,7 @@ def _stock() -> list[tuple[str, str, str]]:
                      formats.serialize("idempotent", m)))
     m2, field = (categories.matrix_algebra_category(2),
                  categories.field_category())
-    k2 = categories.product_field_algebra(2).to_category()
+    k2 = tqft.product_field_algebra(2).to_category()
     for name, cat in (
             ("field", field), ("m2", m2),
             ("mat-k-2", categories.mat_completion(field, 2)),
@@ -110,7 +110,7 @@ def _forms(kind, payload) -> tuple:
     if kind == "fusion":
         return payload, payload.table, payload.names
     if kind == "algebra":
-        return payload, payload.mult.integer_form, payload.names, \
+        return payload, payload.mult, payload.names, \
             payload.unit, payload.counit
     if kind == "category":
         return payload, payload._names, payload._den, payload._rows, \

@@ -12,31 +12,35 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_ALGEBRAS, CORPUS_RINGS, load, ring_table
-from oracles import (fraction_random_invertible, fraction_word,
+from conftest import (CORPUS_ALGEBRAS, CORPUS_RINGS, load, mult_form,
+                      ring_table)
+from oracles import (algebra_data, fraction_constants,
+                     fraction_random_invertible, fraction_word,
                      frobenius_axiom_entries, genus_invariants,
-                     invariance_entries, s3_cayley_table,
+                     invariance_entries, reference_dual_numbers_algebra,
+                     reference_field_algebra, reference_group_algebra,
+                     reference_matrix_algebra,
+                     reference_product_field_algebra, s3_cayley_table,
                      transport_by_products)
 from verlinde import exact, formats, tqft
-from verlinde.categories import (Algebra, cyclic_table, dual_numbers_algebra,
-                                 group_algebra, group_separability_idempotent,
-                                 matrix_algebra,
-                                 matrix_separability_idempotent,
-                                 product_field_algebra, trace_form_semisimple,
-                                 verify_separability_idempotent)
-from verlinde.exact import DimensionMismatchError, Matrix, Tensor3
+from verlinde.exact import DimensionMismatchError, Matrix
 from verlinde.fusion import FusionRing, cyclic_ring, enumerate_fusion_rings
 from verlinde.report import Report
 from verlinde.surfaces import ColouredSurface, dim_V
-from verlinde.tqft import (GENERATORS, CobordismWord,
+from verlinde.tqft import (GENERATORS, Algebra, CobordismWord,
                            DegeneratePairingError, FrobeniusAlgebra,
                            WordTensor, WordTypeError, alternate_genus_words,
                            canonical_genus_word, comultiplication_tensor,
-                           evaluate_word, frobenius_from_fusion,
-                           genus_invariant, handle_element, invariance_suite,
-                           pairing_matrix, random_genus_word,
-                           random_invertible, transport_basis,
-                           validate_frobenius)
+                           cyclic_table, dual_numbers_algebra, evaluate_word,
+                           field_algebra, frobenius_from_fusion,
+                           genus_invariant,
+                           group_algebra, group_separability_idempotent,
+                           handle_element, invariance_suite, matrix_algebra,
+                           matrix_separability_idempotent, pairing_matrix,
+                           product_field_algebra, random_genus_word,
+                           random_invertible, trace_form_semisimple,
+                           transport_basis, validate_frobenius,
+                           verify_separability_idempotent)
 
 COMMUTATIVE_ALGEBRAS = ("ground.algebra", "ksquared.algebra",
                         "dual_numbers.algebra", "z2group.algebra",
@@ -51,19 +55,22 @@ def test_corpus_algebras_validate(name):
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS)
 def test_validate_frobenius_builds_no_tensor_view_on_valid_algebras(
         name, monkeypatch):
-    # the Fraction view of mult and the Fraction product are used only to
-    # write the entry of a failure
+    # a Fraction, of the structure constants, of a matrix view or of a
+    # product of elements, is built only to write the entry of a failure
     algebra = load(name)
 
-    def no_view(tensor):
-        raise AssertionError("Fraction view of a tensor built")
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction built")
 
     def no_product(*args):
         raise AssertionError("multiply_elements called")
 
-    monkeypatch.setattr(Tensor3, "entries", property(no_view))
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
     monkeypatch.setattr(tqft, "multiply_elements", no_product)
-    assert validate_frobenius(algebra).ok
+    report = validate_frobenius(algebra)
+    monkeypatch.undo()
+    assert report.ok and report.checked == 2 * algebra.dim ** 3 + (
+        2 * algebra.dim + 1)
 
 
 def test_multiply_elements_checks_the_length_of_x():
@@ -86,7 +93,7 @@ def test_multiply_elements_checks_the_length_of_y():
 
 def test_frobenius_algebra_is_an_algebra_plus_counit():
     assert issubclass(FrobeniusAlgebra, Algebra)
-    mult = Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1})
+    mult = ((((1,),),), 1)
     with pytest.raises(ValueError):
         FrobeniusAlgebra(("1",), mult, (1,), (1, 0))
     with pytest.raises(ValueError):
@@ -104,12 +111,12 @@ def _frobenius(algebra: Algebra, counit) -> FrobeniusAlgebra:
 
 def _raised(a: FrobeniusAlgebra):
     """One copy of `a` per nonzero structure constant, raised by 1."""
-    data = dict(a.mult.nonzero())
+    data = {ijk: v for ijk, v in fraction_constants(a.mult).items() if v}
     for idx in data:
         raised = dict(data)
         raised[idx] += 1
-        yield FrobeniusAlgebra(a.names, Tensor3.from_dict(a.mult.dims, raised),
-                               a.unit, a.counit)
+        yield FrobeniusAlgebra(a.names, mult_form(a.dim, raised), a.unit,
+                               a.counit)
 
 
 def _stock_frobenius_algebras():
@@ -185,8 +192,7 @@ def test_reports_and_derived_data_are_pinned():
 
 
 def test_ground_field_with_unit_counit_one_is_valid():
-    a = FrobeniusAlgebra(("1",), Tensor3.from_dict((1, 1, 1), {(0, 0, 0): 1}),
-                         (1,), (1,))
+    a = FrobeniusAlgebra(("1",), ((((1,),),), 1), (1,), (1,))
     assert validate_frobenius(a).ok
     assert genus_invariant(a, 0) == 1
 
@@ -204,8 +210,7 @@ def test_dual_numbers_pairing_is_antidiagonal():
 def test_dual_numbers_with_wrong_counit_is_degenerate():
     bad = FrobeniusAlgebra(
         ("1", "x"),
-        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
-                                      (1, 0, 1): 1}),
+        mult_form(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
         (1, 0), (1, 0))
     report = validate_frobenius(bad)
     assert any("degenerate" in e and "rank 1" in e for e in report.entries)
@@ -270,8 +275,8 @@ def test_genus_invariant_golden_table():
 
 def _frobenius_sides(a: FrobeniusAlgebra):
     n = a.dim
-    d = comultiplication_tensor(a)
-    c = a.mult
+    d = fraction_constants(comultiplication_tensor(a))
+    c = fraction_constants(a.mult)
     for i in range(n):
         for j in range(n):
             lhs = {}
@@ -313,7 +318,7 @@ def test_snake_identities(name):
 def test_counit_laws_of_derived_comultiplication(name):
     a = load(name)
     n = a.dim
-    d = comultiplication_tensor(a)
+    d = fraction_constants(comultiplication_tensor(a))
     for i in range(n):
         left = tuple(sum(d[i, p, k] * a.counit[p] for p in range(n))
                      for k in range(n))
@@ -569,8 +574,7 @@ def test_validation_and_suite_eliminate_the_pairing_once(monkeypatch):
     valid = load("fib.algebra")
     bad = FrobeniusAlgebra(
         ("1", "x"),
-        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
-                                      (1, 0, 1): 1}),
+        mult_form(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
         (1, 0), (1, 0))
     calls = []
     eliminate = exact._eliminate
@@ -615,11 +619,11 @@ def test_transport_basis_matches_the_product_oracle(monkeypatch):
             p = random_invertible(a.dim, rng)
             moved = transport_basis(a, p)
             mult, unit, counit = transport_by_products(a, p)
-            assert moved.mult.entries == tuple(
-                tuple(tuple(fibre) for fibre in plane) for plane in mult)
+            assert fraction_constants(moved.mult) == {
+                (i, j, k): x for i, plane in enumerate(mult)
+                for j, fibre in enumerate(plane) for k, x in enumerate(fibre)}
             assert moved.unit == tuple(unit)
             assert moved.counit == tuple(counit)
-            assert all(type(x) is Fraction for _, x in moved.mult.nonzero())
 
 
 def test_random_invertible_matches_the_fraction_construction():
@@ -634,10 +638,10 @@ def test_random_invertible_matches_the_fraction_construction():
 
 def test_perturbed_multiplication_breaks_invariance():
     a = load("ksquared.algebra")
-    data = {idx: v for idx, v in a.mult.nonzero()}
+    data = dict(fraction_constants(a.mult))
     data[(0, 0, 0)] = Fraction(2)
-    broken = FrobeniusAlgebra(a.names, Tensor3.from_dict(a.mult.dims, data),
-                              a.unit, a.counit)
+    broken = FrobeniusAlgebra(a.names, mult_form(a.dim, data), a.unit,
+                              a.counit)
     report = invariance_suite(broken, trials=4, seed=3, max_genus=2)
     assert not report.ok
 
@@ -659,7 +663,7 @@ def test_open_word_returns_tensor():
     assert isinstance(result, WordTensor)
     assert result.outputs == 2
     total = {}
-    d = comultiplication_tensor(a)
+    d = fraction_constants(comultiplication_tensor(a))
     for i, u in enumerate(a.unit):
         if not u:
             continue
@@ -674,7 +678,7 @@ def test_word_with_inputs_evaluates_to_multilinear_map():
     a = load("ksquared.algebra")
     result = evaluate_word(a, CobordismWord((("mult",),)))
     assert result.inputs == 2 and result.outputs == 1
-    expected = {(i, j, k): v for (i, j, k), v in a.mult.nonzero()}
+    expected = {ijk: v for ijk, v in fraction_constants(a.mult).items() if v}
     assert result.as_dict() == expected
     identity = evaluate_word(a, CobordismWord((("id",),)))
     assert identity.as_dict() == {(i, i): Fraction(1) for i in range(a.dim)}
@@ -757,6 +761,35 @@ def test_snake_identities_as_words(name):
 
 
 # ---------------------------------------------------------------------------
+# the stock algebras, which write integer planes, against the dict-literal
+# constructions they replaced
+
+
+def test_stock_algebras_match_their_dict_constructions():
+    cases = [(field_algebra(), reference_field_algebra()),
+             (dual_numbers_algebra(), reference_dual_numbers_algebra())]
+    for n in range(5):
+        cases.append((product_field_algebra(n),
+                      reference_product_field_algebra(n)))
+    for n in range(1, 4):
+        cases.append((matrix_algebra(n), reference_matrix_algebra(n)))
+    # Z/n, Z/3 with its identity last, and S3 under given names
+    tables = [cyclic_table(n) for n in range(1, 6)]
+    tables.append([[(i + j + 1) % 3 for j in range(3)] for i in range(3)])
+    for table in tables:
+        cases.append((group_algebra(table), reference_group_algebra(table)))
+    names = tuple("abcdef")
+    cases.append((group_algebra(s3_cayley_table(), names),
+                  reference_group_algebra(s3_cayley_table(), names)))
+    for algebra, reference in cases:
+        assert algebra_data(algebra) == reference
+        # the integer form is stored reduced; these tables are all 0 and 1
+        planes, den = algebra.mult
+        assert den == 1 and {x for plane in planes for fibre in plane
+                             for x in fibre} <= {0, 1}
+
+
+# ---------------------------------------------------------------------------
 # from fusion rings
 
 
@@ -816,7 +849,7 @@ def test_degenerate_fusion_pairing_raises():
 
 def test_genus_invariants_match_the_fraction_product_loop():
     # each algebra and five basis changes of it, whose structure tensors
-    # come from Tensor3.from_integers with nontrivial denominators
+    # are integer planes over nontrivial denominators
     rng = random.Random(31)
     bases = [load(name) for name in CORPUS_ALGEBRAS]
     bases.extend(_stock_frobenius_algebras())
@@ -910,8 +943,7 @@ def test_squared_and_stepped_invariants_match_the_fraction_loop_to_200():
 def test_closed_words_on_a_degenerate_algebra_build_only_their_tables():
     bad = FrobeniusAlgebra(
         ("1", "x"),
-        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
-                                      (1, 0, 1): 1}),
+        mult_form(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
         (1, 0), (1, 0))
     sphere = CobordismWord((("unit",), ("counit",)))
     pairing_trace = CobordismWord((("cup",), ("cap",)))
@@ -958,8 +990,7 @@ def test_derived_data_is_computed_once_per_algebra():
 def test_degenerate_pairing_is_reported_on_every_request():
     bad = FrobeniusAlgebra(
         ("1", "x"),
-        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
-                                      (1, 0, 1): 1}),
+        mult_form(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
         (1, 0), (1, 0))
     for _ in range(2):
         with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
@@ -971,8 +1002,7 @@ def test_invariance_suite_refuses_a_degenerate_pairing_without_words():
     # own check can see that its rank is 1 of 2
     bad = FrobeniusAlgebra(
         ("1", "x"),
-        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
-                                      (1, 0, 1): 1}),
+        mult_form(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
         (1, 0), (1, 0))
     for trials in (0, 3):
         with pytest.raises(DegeneratePairingError, match="rank 1 of 2"):
@@ -1029,13 +1059,12 @@ def test_algebras_that_differ_only_in_names_share_one_record(monkeypatch):
 def test_algebras_of_another_unit_counit_or_mult_share_nothing(monkeypatch):
     calls = _counted_eliminations(monkeypatch)
     a = load("fib.algebra")
-    planes, den = a.mult.integer_form
+    planes, den = a.mult
     other_unit = FrobeniusAlgebra(a.names, a.mult, (2, 0), a.counit)
     scaled_counit = FrobeniusAlgebra(
         a.names, a.mult, a.unit, tuple(Fraction(7, 3) * c for c in a.counit))
     # the same numerators over another denominator
-    halved = FrobeniusAlgebra(a.names, Tensor3.from_integers(planes, 2 * den),
-                              a.unit, a.counit)
+    halved = FrobeniusAlgebra(a.names, (planes, 2 * den), a.unit, a.counit)
     sphere = CobordismWord((("unit",), ("counit",)))
     assert evaluate_word(a, sphere) == 1
     assert genus_invariant(a, 2) == 5
@@ -1087,8 +1116,7 @@ def test_a_degenerate_pairing_raises_for_every_equal_algebra(monkeypatch):
     calls = _counted_eliminations(monkeypatch)
     bad = FrobeniusAlgebra(
         ("1", "x"),
-        Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1,
-                                      (1, 0, 1): 1}),
+        mult_form(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}),
         (1, 0), (1, 0))
     for b in (bad, _renamed(bad), _renamed(bad)):
         for _ in range(2):
@@ -1158,12 +1186,11 @@ def test_every_result_is_equal_on_a_cold_and_a_warm_table():
     for name in ("ksquared.algebra", "fib.algebra", "mat2.algebra"):
         algebras += _raised(load(name))
     k2, m2 = load("ksquared.algebra"), load("mat2.algebra")
-    planes, den = m2.mult.integer_form
+    planes, den = m2.mult
     algebras += [FrobeniusAlgebra(k2.names, k2.mult, (1, 0), k2.counit),
                  FrobeniusAlgebra(k2.names, k2.mult, k2.unit, (1, 0)),
-                 FrobeniusAlgebra(m2.names,
-                                  Tensor3.from_integers(planes, 3 * den),
-                                  m2.unit, m2.counit)]
+                 FrobeniusAlgebra(m2.names, (planes, 3 * den), m2.unit,
+                                  m2.counit)]
     cold = [_public_results(a, cold=True) for a in algebras]
     tqft._derived_record.cache_clear()
     for a, expected in zip(algebras, cold):
@@ -1177,13 +1204,13 @@ def test_invariance_under_direct_sum_at_genus_one():
     b = load("z2group.algebra")
     n, m = a.dim, b.dim
     data = {}
-    for (i, j, k), v in a.mult.nonzero():
+    for (i, j, k), v in fraction_constants(a.mult).items():
         data[(i, j, k)] = v
-    for (i, j, k), v in b.mult.nonzero():
+    for (i, j, k), v in fraction_constants(b.mult).items():
         data[(i + n, j + n, k + n)] = v
     together = FrobeniusAlgebra(
         tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(m)),
-        Tensor3.from_dict((n + m, n + m, n + m), data),
+        mult_form(n + m, data),
         a.unit + b.unit, a.counit + b.counit)
     assert validate_frobenius(together).ok
     assert genus_invariant(together, 1) == n + m

@@ -42,20 +42,18 @@ def named_rings() -> dict[str, fusion.FusionRing]:
 
 
 def named_algebras() -> dict[str, tqft.FrobeniusAlgebra]:
-    def frob(alg: categories.Algebra, counit) -> tqft.FrobeniusAlgebra:
+    def frob(alg: tqft.Algebra, counit) -> tqft.FrobeniusAlgebra:
         return tqft.FrobeniusAlgebra(
             names=alg.names, mult=alg.mult, unit=alg.unit,
             counit=tuple(Fraction(c) for c in counit))
 
-    z2 = categories.group_algebra(categories.cyclic_table(2),
-                                  names=("1", "g"))
-    z3 = categories.group_algebra(categories.cyclic_table(3),
-                                  names=("1", "g", "gg"))
-    mat2 = categories.matrix_algebra(2)
+    z2 = tqft.group_algebra(tqft.cyclic_table(2), names=("1", "g"))
+    z3 = tqft.group_algebra(tqft.cyclic_table(3), names=("1", "g", "gg"))
+    mat2 = tqft.matrix_algebra(2)
     return {
-        "ground": frob(categories.field_algebra(), (1,)),
-        "ksquared": frob(categories.product_field_algebra(2), (1, 1)),
-        "dual_numbers": frob(categories.dual_numbers_algebra(), (0, 1)),
+        "ground": frob(tqft.field_algebra(), (1,)),
+        "ksquared": frob(tqft.product_field_algebra(2), (1, 1)),
+        "dual_numbers": frob(tqft.dual_numbers_algebra(), (0, 1)),
         "z2group": frob(z2, (1, 0)),
         "z3group": frob(z3, (1, 0, 0)),
         "mat2": frob(mat2, (1, 0, 0, 1)),
@@ -98,10 +96,9 @@ def words() -> dict[str, tqft.CobordismWord]:
 
 def idempotents() -> dict[str, object]:
     return {
-        "z2group": categories.group_separability_idempotent(
-            categories.cyclic_table(2)),
-        "mat2": categories.matrix_separability_idempotent(2),
-        "ksquared": categories.product_field_separability_idempotent(2),
+        "z2group": tqft.group_separability_idempotent(tqft.cyclic_table(2)),
+        "mat2": tqft.matrix_separability_idempotent(2),
+        "ksquared": tqft.product_field_separability_idempotent(2),
     }
 
 
