@@ -31,10 +31,13 @@ over u's entries, read only at the target hom space's pivots.  That
 holds because f hom e composed with e hom e' lies in f hom e' by
 associativity and e . e = e alone, so the base's own table is put
 through Light's test once and a base that fails it is refused: the
-completion is of a category.  Its objects come from a grid search
-(`karoubi_idempotents`) that reads the grid and the table of End(p)
-once per object, as integer equations; each candidate then costs a few
-integer products and stops at the first equation it fails.
+completion is of a category.  Each composite is kept over its own
+denominator until the table is full, and the table is then put over
+the reduced denominator read from them, so nothing is divided twice.
+Its objects come from a grid search (`karoubi_idempotents`) that reads
+the grid and the table of End(p) once per object, as integer
+equations; each candidate then costs a few integer products and stops
+at the first equation it fails.
 
 Every builder (`one_object_category`, the completions, the tensor
 product) fills the integer table directly from integer rows.
@@ -48,19 +51,22 @@ equal categories compare equal however they were made.  The parser,
 the public constructor and
 `one_object_category` run the structural checks; the completions and the
 tensor product, whose tables are typed by construction, skip them.
+Their errors name an object or basis element longer than
+`report.MAX_HEADER_DIGITS` characters by its length.  The Karoubi
+builder's hom spaces (`_Corner`) are frozen `report.Record`s.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import (light_associativity_failures, rat, rref_integers,
                     scale_to_integers, sparse_rows)
-from .report import Report, SearchTooLargeError
+from .report import (Record, Report, SearchTooLargeError, _quoted,
+                     _set_field)
 from .tqft import (Algebra, matrix_algebra as _matrix_algebra,
                    trace_form_semisimple, verify_separability_idempotent)
 
@@ -123,14 +129,22 @@ def _scale(combos):
     return den, {c: c.numerator * (den // c.denominator) for c in values}.get
 
 
+def _named(name) -> str:
+    """A name as an error prints it: str(name), or past MAX_HEADER_DIGITS
+    characters its length (`report._quoted`)."""
+    return _quoted(str(name), str)
+
+
 def _check_name(kind: str, name: str) -> None:
     if name.split() != [name]:  # empty, or holds whitespace
-        raise CategoryFormatError(f"bad {kind} name {name!r}")
+        raise CategoryFormatError(f"bad {kind} name {_quoted(name)}")
 
 
 def _identity_error(p: str, b: str) -> CategoryFormatError:
+    q = _named(p)
     return CategoryFormatError(
-        f"identity of {p}: term {b} not in hom({p},{p})", ["identity", p])
+        f"identity of {q}: term {_named(b)} not in hom({q},{q})",
+        ["identity", p])
 
 
 class Morphism:
@@ -224,14 +238,16 @@ class PresentedCategory:
         self._basis: dict[str, tuple[str, str]] = {}
         for (p, q), basis in hom.items():
             if p not in self.objects or q not in self.objects:
-                raise CategoryFormatError(f"hom({p},{q}): unknown object")
+                raise CategoryFormatError(
+                    f"hom({_named(p)},{_named(q)}): unknown object")
             basis = tuple(basis)
             if not basis:
                 continue
             for b in basis:
                 _check_name("basis", b)
                 if b in self._basis:
-                    raise CategoryFormatError(f"duplicate basis name {b!r}")
+                    raise CategoryFormatError(
+                        f"duplicate basis name {_quoted(b)}")
                 self._basis[b] = (p, q)
             self._hom[(p, q)] = basis
         self._names = tuple(b for p in self.objects for q in self.objects
@@ -267,7 +283,8 @@ class PresentedCategory:
         for (g, f), combo in compose.items():
             if g not in number or f not in number:
                 raise CategoryFormatError(
-                    f"compose({g},{f}): unknown basis element")
+                    f"compose({_named(g)},{_named(f)}): unknown basis "
+                    "element")
             try:
                 rows[number[g]][number[f]] = numbered(combo, numerator)
             except KeyError as err:
@@ -340,22 +357,24 @@ class PresentedCategory:
                 if not lo <= k < hi:
                     raise _identity_error(p, self._names[k])
             if not x and hi:
+                q = _named(p)
                 raise CategoryFormatError(
-                    f"identity of {p} missing although hom({p},{p}) "
+                    f"identity of {q} missing although hom({q},{q}) "
                     "is nonzero")
 
     def _typing_error(self, g, f, h=None):
         """The error for the composite g . f of basis numbers: not
         composable, or else its term h outside hom(source f, target g)."""
-        (fp, fq), (gp, gq) = self._types[f], self._types[g]
-        gn, fn = self._names[g], self._names[f]
-        if fq != gp:
+        where = ["compose", self._names[g], self._names[f]]
+        gn, fn, fp, fq, gp, gq = map(_named, (*where[1:], *self._types[f],
+                                              *self._types[g]))
+        if self._types[f][1] != self._types[g][0]:
             return CategoryFormatError(
                 f"compose({gn},{fn}): not composable "
-                f"({fn}: {fp}->{fq}, {gn}: {gp}->{gq})", ["compose", gn, fn])
+                f"({fn}: {fp}->{fq}, {gn}: {gp}->{gq})", where)
         return CategoryFormatError(
-            f"compose({gn},{fn}): result term {h} does not lie "
-            f"in hom({fp},{gq})", ["compose", gn, fn])
+            f"compose({gn},{fn}): result term {_named(h)} does not lie "
+            f"in hom({fp},{gq})", where)
 
     # -- accessors ---------------------------------------------------------
 
@@ -684,8 +703,7 @@ def _escaped() -> CategoryFormatError:
     return CategoryFormatError("morphism escaped its carved-out hom subspace")
 
 
-@dataclass(frozen=True)
-class _Corner:
+class _Corner(Record):
     """hom((p, e), (q, f)) = f . hom(p, q) . e, carved out of hom(p, q).
 
     `src` and `dst` are the base objects p and q; `rows` are the reduced
@@ -696,12 +714,14 @@ class _Corner:
     corner lies in its rows, so its pivot entries are its coordinates.
     """
 
-    src: str
-    dst: str
-    rows: tuple[dict[int, int], ...]
-    den: int
-    pivots: tuple[int, ...]
-    start: int
+    def __init__(self, src: str, dst: str, rows: tuple[dict[int, int], ...],
+                 den: int, pivots: tuple[int, ...], start: int):
+        _set_field(self, "src", src)
+        _set_field(self, "dst", dst)
+        _set_field(self, "rows", rows)
+        _set_field(self, "den", den)
+        _set_field(self, "pivots", pivots)
+        _set_field(self, "start", start)
 
     def express(self, w: dict[int, int]) -> dict[int, int]:
         """The coordinates of the integer vector w in the rows, keyed by
@@ -800,7 +820,9 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
     whose entries are the coordinates the table stores: the composite
     (f x e)(e y e') = f (x e y) e' lies in the target by associativity
     and e . e = e.  Rows are filled corner (j, k) by corner, the sources
-    i inside, so each row takes its entries in ascending order.
+    i inside, so each row takes its entries in ascending order.  The
+    table is over the reduced denominator read from the composites, so
+    `_set_table` has nothing left to divide.
 
     A grid search first estimates |values|^dim End(p) for every object
     and raises SearchTooLargeError past the limit; so does a list of
@@ -870,10 +892,12 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
         corners.append(tuple(line))
 
     # the composite of rows v (j to k) and u (i to j) is sum_b u[b] (v . b)
-    # over first.den * then.den * cat._den, which divides `den`; the
-    # products v . b are made once per row v, for all sources i
-    den = cat._den * lcm(*(c.den for line in corners for c in line)) ** 2
+    # over d = first.den * then.den * cat._den, read at the target's
+    # pivots; the products v . b are made once per row v, for all sources
+    # i.  over[d] lists the entries over d, and the table is over the lcm
+    # of d / gcd(d, entries over d), the reduced table's denominator
     rows = [{} for _ in range(count)]
+    over = defaultdict(list)
     for j, k in itertools.product(range(len(pairs)), repeat=2):
         then = corners[j][k]
         for g, v in enumerate(then.rows, then.start):
@@ -885,7 +909,7 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                         vb[t] = vb.get(t, 0) + a * c
             for line in corners:
                 first, target = line[j], line[k]
-                scale = den // (first.den * then.den * cat._den)
+                entries = over[first.den * then.den * cat._den]
                 pivots = target.pivots
                 for f, u in enumerate(first.rows, first.start):
                     w = {}
@@ -894,11 +918,21 @@ def karoubi_completion(cat: PresentedCategory, grid=DEFAULT_GRID,
                             for h in pivots:
                                 if x := vb.get(h):
                                     w[h] = w.get(h, 0) + c * x
-                    coords = {t: c * scale for t, piv
+                    coords = {t: c for t, piv
                               in enumerate(pivots, target.start)
                               if (c := w.get(piv))}
                     if coords:
                         rows[g][f] = coords
+                        entries.append(coords)
+    common = {d: gcd(d, *(c for coords in entries for c in coords.values()))
+              if d > 1 else 1 for d, entries in over.items()}
+    den = lcm(*(d // common[d] for d in over))
+    for d, entries in over.items():
+        m, scale = common[d], den // (d // common[d])
+        if (m, scale) != (1, 1):
+            for coords in entries:
+                for t, c in coords.items():
+                    coords[t] = c // m * scale
 
     return KaroubiCategory(
         cat, pairs, tuple(corners), names, hom, rows, den,

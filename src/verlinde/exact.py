@@ -47,11 +47,11 @@ full walk when the set cannot pay or a triple fails.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable
 
 __all__ = [
     "Rational",

@@ -4,7 +4,9 @@ One format per kind of document: fusion rings, Frobenius algebras,
 presented categories, surface lists, twist assignments, cobordism
 words, and separability idempotents.  All formats are UTF-8, use `#`
 comments, and are diffable; serializers emit a canonical form so that
-serialize(parse(file)) is byte-identical on canonical files.
+serialize(parse(file)) is byte-identical on canonical files.  `parse`
+returns a `Document`, a frozen `report.Record` of kind, payload and
+source.
 
 Each document is read in one pass over its lines (`_lines`: a comment
 is cut only where a `#` occurs, and each line is split once) straight
@@ -27,14 +29,14 @@ MAX_HEADER_DIGITS significant digits is not read but counted, and its
 refusal names the count.  Any other token longer than MAX_TOKEN_CHARS,
 Python's default digit limit, is refused before a line is read, so no
 token past it reaches int() whatever limit the caller set; and no
-error quotes more than MAX_HEADER_DIGITS characters of a token or
-digits of a value, but names their count.
+error, this module's or one `categories` or `surfaces` raises, quotes
+more than MAX_HEADER_DIGITS characters of a token or digits of a value,
+but names their count (`report._quoted`, `report._shown`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -42,6 +44,8 @@ from operator import itemgetter
 from .categories import CategoryFormatError, PresentedCategory
 from .exact import Matrix
 from .fusion import FusionRing
+from .report import (MAX_HEADER_DIGITS, Record, _quoted, _set_field,
+                     _shown)
 from .surfaces import ColouredSurface, Twist, TwistFormatError
 from .tqft import GENERATORS, CobordismWord, FrobeniusAlgebra
 
@@ -61,10 +65,6 @@ __all__ = [
 # the most cells a size header may ask a reader for: rank**3 of a ring,
 # dim**3 of an algebra and dim**2 of an idempotent
 MAX_DENSE_CELLS = 2 ** 22
-# the longest size header token read with int(), and the most significant
-# digits of one that is read at all; past them a header is counted.  No
-# error quotes more of a token or prints more digits of a value than this
-MAX_HEADER_DIGITS = 100
 # the longest token any other line may hold: Python's default int -> str
 # digit limit (sys.int_info.default_max_str_digits), so that no token past
 # it reaches int() whatever limit the caller has set
@@ -96,13 +96,13 @@ class SemanticError(ParseError):
     """Well-formed line whose content is inconsistent or out of range."""
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A parsed file: its kind tag, payload, and source name."""
 
-    kind: str
-    payload: object
-    source: str = "<input>"
+    def __init__(self, kind: str, payload: object, source: str = "<input>"):
+        _set_field(self, "kind", kind)
+        _set_field(self, "payload", payload)
+        _set_field(self, "source", source)
 
 
 def kind_for_path(path: str) -> str | None:
@@ -134,23 +134,6 @@ def _lines(text: str, source: str = "<input>"):
                         f"{_quoted(token)} is longer than MAX_TOKEN_CHARS = "
                         f"{MAX_TOKEN_CHARS}", source, lineno)
     return filter(itemgetter(1), enumerate(map(str.split, lines), start=1))
-
-
-def _quoted(token: str) -> str:
-    """The token as an error quotes it: its repr, or past
-    MAX_HEADER_DIGITS characters its length."""
-    if len(token) > MAX_HEADER_DIGITS:
-        return f"a token of {len(token)} characters"
-    return repr(token)
-
-
-def _shown(value: int) -> str:
-    """The integer as an error prints it: its digits, or past
-    MAX_HEADER_DIGITS digits their count, as `_counted` shows a header."""
-    digits = str(abs(value))
-    if len(digits) <= MAX_HEADER_DIGITS:
-        return str(value)
-    return f"{'-' if value < 0 else ''}<{len(digits)} digits>"
 
 
 def _int(token: str, source: str, line: int) -> int:
@@ -497,7 +480,8 @@ def _parse_category(text: str, source: str) -> PresentedCategory:
                                     f"{_quoted(f if g in basis else g)}",
                                     source, lineno)
             if key in compose:
-                raise SemanticError(f"duplicate compose entry ({g},{f})",
+                raise SemanticError("duplicate compose entry "
+                                    f"({_quoted(g, str)},{_quoted(f, str)})",
                                     source, lineno)
             # one term c*h whose coefficient token c was read before
             coeff, _, name = tokens[4].partition("*")

@@ -17,7 +17,9 @@ semisimple category imposes on its Grothendieck ring:
   * the unit law: multiplying by the sum of unit components is the
     identity, with each unit component forced to multiplicity one.
 
-Object vectors are plain tuples of nonnegative multiplicities.
+Object vectors are plain tuples of nonnegative multiplicities.  A
+`FusionRing` is a frozen `report.Record`: rings compare, hash and print
+by their dual, unit, table and names.
 
 Each ring keeps its multiplicities once, as the `int`s of `table`, which
 every builder writes directly; `table[a][b]` is the row indexed by c.
@@ -33,12 +35,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .exact import (DimensionMismatchError, associativity_failures,
                     combine_rows, sparse_rows)
-from .report import Report, SearchTooLargeError
+from .report import Record, Report, SearchTooLargeError, _set_field
 
 __all__ = [
     "FusionRing",
@@ -64,8 +65,7 @@ class BlockStructureError(ValueError):
     """The label set does not split cleanly into unit-component blocks."""
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(Record):
     """Fusion ring data: involution, unit components, multiplicity table.
 
     ``table[a][b][c]`` is the multiplicity of label ``c`` in the product
@@ -74,28 +74,25 @@ class FusionRing:
     and that every entry is a nonnegative `int` (a `bool` or a
     `Fraction` is not); the ring axioms are checked by `verify_axioms`.
     ``handle``, the genus-adding vector sum_a Q_dual(a) Q_a, is set at
-    construction and takes no part in equality.  The colour operators
-    and the unit vector are cached on first use, outside equality.
+    construction; not being a parameter, it takes no part in equality,
+    hashing or the repr (`report.Record`).  The colour operators and the
+    unit vector are cached on first use, outside equality.
     """
 
-    dual: tuple[int, ...]
-    unit: tuple[int, ...]
-    table: tuple[tuple[tuple[int, ...], ...], ...]
-    names: tuple[str, ...] = field(default=())
-    handle: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        n = len(self.dual)
-        table = tuple(tuple(map(tuple, plane)) for plane in self.table)
+    def __init__(self, dual: tuple[int, ...], unit: tuple[int, ...],
+                 table: tuple[tuple[tuple[int, ...], ...], ...],
+                 names: tuple[str, ...] = ()):
+        n = len(dual)
+        table = tuple(tuple(map(tuple, plane)) for plane in table)
         if len(table) != n or any(len(row) != n for plane in table
                                   for row in (plane, *plane)):
             raise DimensionMismatchError(
                 f"multiplicity table is not {n} x {n} x {n}")
-        if not self.unit:
+        if not unit:
             raise ValueError("unit component set is empty")
-        if tuple(sorted(set(self.unit))) != self.unit:
+        if tuple(sorted(set(unit))) != unit:
             raise ValueError("unit components must be sorted and distinct")
-        for a in itertools.chain(self.dual, self.unit):
+        for a in itertools.chain(dual, unit):
             if not 0 <= a < n:
                 raise ValueError(f"label {a} out of range 0..{n - 1}")
         bad = next(((a, b, c, x) for a, plane in enumerate(table)
@@ -106,13 +103,16 @@ class FusionRing:
             a, b, c, x = bad
             raise ValueError(f"coefficient N[{a}][{b}][{c}] = {x!r} is not "
                              "a nonnegative integer")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "handle", tuple(
-            map(sum, zip(*(table[self.dual[a]][a] for a in range(n))))))
-        if not self.names:
-            object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
-        elif len(self.names) != n:
+        if not names:
+            names = tuple(str(i) for i in range(n))
+        elif len(names) != n:
             raise ValueError("need one name per label")
+        _set_field(self, "dual", dual)
+        _set_field(self, "unit", unit)
+        _set_field(self, "table", table)
+        _set_field(self, "names", names)
+        _set_field(self, "handle", tuple(
+            map(sum, zip(*(table[dual[a]][a] for a in range(n))))))
 
     @property
     def rank(self) -> int:

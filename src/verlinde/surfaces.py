@@ -11,6 +11,8 @@ fusion product
 summed over unit components.  The gluing law, invariance under
 reordering, and the disjoint-union product law are then theorems about
 valid rings, checked empirically by `verify_gluing_consistency`.
+Surfaces, twists and the modular report with its entries are frozen
+`report.Record`s, compared, hashed and printed by their fields.
 
 Surfaces are evaluated with integer right-multiplication operators read
 from `ring.table`: colour c acts as R_c, whose row d is d * c, and the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -37,7 +38,7 @@ from operator import mul
 from .exact import combine_rows, power_apply
 from .fusion import (FusionRing, block_decomposition, product_vector,
                      restrict_to_labels, verify_axioms)
-from .report import Report
+from .report import Record, Report, _set_field, _shown
 
 __all__ = [
     "ColouredSurface",
@@ -59,17 +60,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ColouredSurface:
+class ColouredSurface(Record):
     """Genus plus boundary colouring; empty boundary means a closed surface."""
 
-    genus: int
-    boundary: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"negative genus {self.genus}")
-        object.__setattr__(self, "boundary", tuple(self.boundary))
+    def __init__(self, genus: int, boundary: tuple[int, ...] = ()):
+        if genus < 0:
+            raise ValueError(f"negative genus {genus}")
+        _set_field(self, "genus", genus)
+        _set_field(self, "boundary", tuple(boundary))
 
 
 def handle_vector(ring: FusionRing) -> tuple[int, ...]:
@@ -301,8 +299,7 @@ class TwistFormatError(ValueError):
     """Malformed twist value (zero scalar or bad root-of-unity token)."""
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Record):
     """An exact twist scalar: a nonzero rational or a root of unity.
 
     Roots of unity are opaque tokens exp(2*pi*i * exponent/order),
@@ -310,9 +307,11 @@ class Twist:
     is reduced, and the real cases (1 and -1) collapse to rationals.
     """
 
-    rational: Fraction | None = None
-    order: int = 0
-    exponent: int = 0
+    def __init__(self, rational: Fraction | None = None, order: int = 0,
+                 exponent: int = 0):
+        _set_field(self, "rational", rational)
+        _set_field(self, "order", order)
+        _set_field(self, "exponent", exponent)
 
     @classmethod
     def one(cls) -> "Twist":
@@ -327,7 +326,8 @@ class Twist:
     @classmethod
     def root_of_unity(cls, order: int, exponent: int) -> "Twist":
         if order <= 0:
-            raise TwistFormatError(f"root-of-unity order {order} must be >= 1")
+            raise TwistFormatError(
+                f"root-of-unity order {_shown(order)} must be >= 1")
         exponent %= order
         g = math.gcd(exponent, order) or order
         order, exponent = order // g, exponent // g
@@ -341,11 +341,11 @@ class Twist:
         return self.rational == 1
 
 
-@dataclass(frozen=True)
-class TwistData:
+class TwistData(Record):
     """One twist scalar per label; unlisted labels default to 1."""
 
-    values: tuple[Twist, ...]
+    def __init__(self, values: tuple[Twist, ...]):
+        _set_field(self, "values", values)
 
     @classmethod
     def from_mapping(cls, rank: int, mapping: dict[int, Twist]) -> "TwistData":
@@ -383,32 +383,37 @@ def validate_twists(ring: FusionRing, twists: TwistData) -> Report:
 # the modular report
 
 
-@dataclass(frozen=True)
-class BlockSummary:
-    labels: tuple[int, ...]
-    unit_component: int
-    nontrivial: bool
-    torus_dim: int
+class BlockSummary(Record):
+    def __init__(self, labels: tuple[int, ...], unit_component: int,
+                 nontrivial: bool, torus_dim: int):
+        _set_field(self, "labels", labels)
+        _set_field(self, "unit_component", unit_component)
+        _set_field(self, "nontrivial", nontrivial)
+        _set_field(self, "torus_dim", torus_dim)
 
 
-@dataclass(frozen=True)
-class SurfaceEntry:
-    name: str
-    surface: ColouredSurface
-    total: int
-    per_block: tuple[int, ...]
+class SurfaceEntry(Record):
+    def __init__(self, name: str, surface: ColouredSurface, total: int,
+                 per_block: tuple[int, ...]):
+        _set_field(self, "name", name)
+        _set_field(self, "surface", surface)
+        _set_field(self, "total", total)
+        _set_field(self, "per_block", per_block)
 
 
-@dataclass(frozen=True)
-class ModularReport:
-    rank: int
-    r: int
-    blocks: tuple[BlockSummary, ...]
-    functor_count: int
-    torus_dim: int
-    surfaces: tuple[SurfaceEntry, ...]
-    twist_report: Report | None
-    axiom_report: Report
+class ModularReport(Record):
+    def __init__(self, rank: int, r: int, blocks: tuple[BlockSummary, ...],
+                 functor_count: int, torus_dim: int,
+                 surfaces: tuple[SurfaceEntry, ...],
+                 twist_report: Report | None, axiom_report: Report):
+        _set_field(self, "rank", rank)
+        _set_field(self, "r", r)
+        _set_field(self, "blocks", blocks)
+        _set_field(self, "functor_count", functor_count)
+        _set_field(self, "torus_dim", torus_dim)
+        _set_field(self, "surfaces", surfaces)
+        _set_field(self, "twist_report", twist_report)
+        _set_field(self, "axiom_report", axiom_report)
 
 
 def modular_report(ring: FusionRing, twists: TwistData | None = None,

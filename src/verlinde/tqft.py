@@ -3,7 +3,9 @@
 `Algebra` is a unital algebra by its structure constants, stored as
 one integer form `mult` = (planes, den), integer planes n x n x n over
 one positive denominator, divided by their gcd; the stock algebras
-write their planes directly.  With it come the trace-form
+write their planes directly.  `Algebra`, `FrobeniusAlgebra`,
+`CobordismWord` and `WordTensor` are frozen `report.Record`s; an algebra
+never equals a Frobenius algebra.  With `Algebra` come the trace-form
 semisimplicity test and the separability-idempotent check, which
 `categories` re-exports.  `to_category` makes an algebra a one-object
 category, importing `categories` only then.
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -73,7 +74,7 @@ from .exact import (DimensionMismatchError, Matrix, SingularMatrixError,
                     _reduced, associativity_failures, combine_rows,
                     power_apply, rat, scale_to_integers, sparse_rows)
 from .fusion import FusionRing
-from .report import Report
+from .report import Record, Report, _set_field
 
 __all__ = [
     "FrobeniusAlgebra",
@@ -122,8 +123,7 @@ class DegeneratePairingError(ValueError):
 # unital and Frobenius algebras
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Finite dimensional unital algebra by structure constants.
 
     ``mult`` is the integer form (planes, den): planes[i][j][k] / den is
@@ -135,13 +135,11 @@ class Algebra:
     however they are scaled.
     """
 
-    names: tuple[str, ...]
-    mult: tuple[tuple[tuple[tuple[int, ...], ...], ...], int]
-    unit: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = len(self.names)
-        planes, den = self.mult
+    def __init__(self, names: tuple[str, ...],
+                 mult: tuple[tuple[tuple[tuple[int, ...], ...], ...], int],
+                 unit: tuple[Fraction, ...]):
+        n = len(names)
+        planes, den = mult
         planes = tuple(tuple(map(tuple, plane)) for plane in planes)
         if len(planes) != n or any(len(row) != n for plane in planes
                                    for row in (plane, *plane)):
@@ -157,10 +155,12 @@ class Algebra:
                              f"{x!r} is not an integer")
         if type(den) is not int or den <= 0:
             raise ValueError(f"denominator {den!r} is not a positive integer")
-        object.__setattr__(self, "mult", _reduced_planes(planes, den))
-        object.__setattr__(self, "unit", tuple(rat(x) for x in self.unit))
-        if len(self.unit) != n:
+        unit = tuple(rat(x) for x in unit)
+        if len(unit) != n:
             raise ValueError("unit vector length mismatch")
+        _set_field(self, "names", names)
+        _set_field(self, "mult", _reduced_planes(planes, den))
+        _set_field(self, "unit", unit)
 
     @property
     def dim(self) -> int:
@@ -261,7 +261,6 @@ def verify_separability_idempotent(algebra: Algebra, e: Matrix) -> Report:
     return report
 
 
-@dataclass(frozen=True)
 class FrobeniusAlgebra(Algebra):
     """A unital `Algebra` plus a counit functional eps.
 
@@ -276,13 +275,14 @@ class FrobeniusAlgebra(Algebra):
     `DegeneratePairingError` on every request.
     """
 
-    counit: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "counit", tuple(rat(x) for x in self.counit))
-        if len(self.counit) != self.dim:
+    def __init__(self, names: tuple[str, ...],
+                 mult: tuple[tuple[tuple[tuple[int, ...], ...], ...], int],
+                 unit: tuple[Fraction, ...], counit: tuple[Fraction, ...]):
+        Algebra.__init__(self, names, mult, unit)
+        counit = tuple(rat(x) for x in counit)
+        if len(counit) != self.dim:
             raise ValueError("counit vector length mismatch")
+        _set_field(self, "counit", counit)
 
     @cached_property
     def _derived(self) -> _Derived:
@@ -512,20 +512,17 @@ def _genus_invariants(algebra: FrobeniusAlgebra,
 # cobordism words
 
 
-@dataclass(frozen=True)
-class CobordismWord:
+class CobordismWord(Record):
     """Layered word over the eight generators, bottom layer first."""
 
-    layers: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        layers = tuple(tuple(layer) for layer in self.layers)
-        object.__setattr__(self, "layers", layers)
+    def __init__(self, layers: tuple[tuple[str, ...], ...]):
+        layers = tuple(tuple(layer) for layer in layers)
         for t, layer in enumerate(layers):
             for gen in layer:
                 if gen not in GENERATORS:
                     raise WordTypeError(
                         f"layer {t}: unknown generator {gen!r}")
+        _set_field(self, "layers", layers)
 
     def signature(self) -> tuple[int, int]:
         """(inputs, outputs) of the whole word; raises on a broken chain."""
@@ -550,16 +547,17 @@ class CobordismWord:
         return self.signature() == (0, 0)
 
 
-@dataclass(frozen=True)
-class WordTensor:
+class WordTensor(Record):
     """Result of evaluating an open word: a multilinear map's coefficients.
 
     Entry keys list the input leg indices first, then the output legs.
     """
 
-    inputs: int
-    outputs: int
-    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
+    def __init__(self, inputs: int, outputs: int,
+                 entries: tuple[tuple[tuple[int, ...], Fraction], ...]):
+        _set_field(self, "inputs", inputs)
+        _set_field(self, "outputs", outputs)
+        _set_field(self, "entries", entries)
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.entries)

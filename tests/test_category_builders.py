@@ -6,6 +6,8 @@ construction path, and a witness that no builder goes through a
 from __future__ import annotations
 
 import itertools
+import re
+import time
 
 import pytest
 
@@ -22,6 +24,7 @@ from verlinde.tqft import (cyclic_table, dual_numbers_algebra, field_algebra,
                            group_algebra, matrix_algebra,
                            product_field_algebra)
 from verlinde.formats import SemanticError, parse, serialize
+from verlinde.report import MAX_HEADER_DIGITS
 
 # bases with one object and with several, with and without denominators
 STOCK = {
@@ -176,8 +179,11 @@ STRUCTURAL_ERRORS = {
 }
 
 
-def _text(compose, identities) -> str:
-    lines = ["object x", "object y", "hom x x u", "hom x y f", "hom y y v"]
+def _text(compose, identities, objects=TWO_OBJECTS["objects"],
+          hom=TWO_OBJECTS["hom"]) -> str:
+    lines = [f"object {p}" for p in objects]
+    lines += [f"hom {p} {q} {b}" for (p, q), basis in hom.items()
+              for b in basis]
     lines += [f"compose {g} {f} = " + " + ".join(
         f"{c}*{h}" for h, c in combo.items()) for (g, f), combo in
         compose.items()]
@@ -220,3 +226,70 @@ def test_the_integer_path_checks_types_on_basis_numbers():
             PresentedCategory._from_rows(rows=rows, den=1,
                                          identities=identities, **TWO_OBJECTS)
         assert str(info.value) == STRUCTURAL_ERRORS[name][2]
+
+
+@pytest.mark.parametrize("length", [MAX_HEADER_DIGITS, MAX_HEADER_DIGITS + 1,
+                                    4000])
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_ERRORS))
+def test_structural_errors_name_a_long_name_by_its_length(name, length):
+    # every name x, y, u, f, v, w becomes that letter `length` times; up
+    # to MAX_HEADER_DIGITS characters it is printed as it is, unquoted
+    def long(combo):
+        return {k * length: c for k, c in combo.items()}
+
+    def shown(match):
+        if length <= MAX_HEADER_DIGITS:
+            return match.group() * length
+        return f"a token of {length} characters"
+
+    added, replaced, message = STRUCTURAL_ERRORS[name]
+    compose = {(g * length, f * length): long(combo)
+               for (g, f), combo in {**VALID_TABLE, **added}.items()}
+    identities = {p * length: long(combo) for p, combo
+                  in {**VALID_IDENTITIES, **replaced}.items()}
+    objects = tuple(p * length for p in TWO_OBJECTS["objects"])
+    hom = {(p * length, q * length): tuple(b * length for b in basis)
+           for (p, q), basis in TWO_OBJECTS["hom"].items()}
+    expected = re.sub(r"\b[fuvwxy]\b", shown, message)
+    start = time.perf_counter()
+    with pytest.raises(CategoryFormatError) as info:
+        PresentedCategory(objects, hom, compose, identities)
+    assert str(info.value) == expected
+    with pytest.raises(SemanticError) as info:
+        parse("category", _text(compose, identities, objects, hom))
+    assert time.perf_counter() - start < 0.1
+    assert info.value.reason == expected
+
+
+@pytest.mark.parametrize("kind", ["object", "basis"])
+def test_a_bad_name_is_quoted_or_counted(kind):
+    for name, shown in (("a b", "'a b'"), ("", "''"),
+                        ("a " + "b" * 4000, "a token of 4002 characters")):
+        objects = (name,) if kind == "object" else ("x",)
+        hom = {} if kind == "object" else {("x", "x"): (name,)}
+        with pytest.raises(CategoryFormatError) as info:
+            PresentedCategory(objects, hom, {}, {})
+        assert str(info.value) == f"bad {kind} name {shown}"
+
+
+# a term or object that is not a string is printed with str(), and a
+# long name by its length
+@pytest.mark.parametrize("hom, compose, identities, message", [
+    ({("x", "x"): ("u",)}, {("u", "u"): {5: 1}}, {"x": {"u": 1}},
+     "compose(u,u): result term 5 does not lie in hom(x,x)"),
+    ({("x", "x"): ("u",)}, {}, {"x": {7: 1}},
+     "identity of x: term 7 not in hom(x,x)"),
+    ({("x", 3): ("u",)}, {}, {}, "hom(x,3): unknown object"),
+    ({("x", "y" * 4000): ("u",)}, {}, {},
+     "hom(x,a token of 4000 characters): unknown object"),
+    ({("x", "x"): ("u", "u" * 101, "u" * 101)}, {}, {},
+     "duplicate basis name a token of 101 characters"),
+    ({("x", "x"): ("u",)}, {("u", "v" * 4000): {"u": 1}}, {"x": {"u": 1}},
+     "compose(u,a token of 4000 characters): unknown basis element"),
+], ids=["int-term", "int-identity-term", "int-object", "long-object",
+        "long-duplicate", "long-unknown"])
+def test_constructor_errors_print_any_name_and_count_a_long_one(
+        hom, compose, identities, message):
+    with pytest.raises(CategoryFormatError) as info:
+        PresentedCategory(("x",), hom, compose, identities)
+    assert str(info.value) == message

@@ -381,15 +381,47 @@ def test_tokens_up_to_max_token_chars_are_read_and_comments_are_cut():
     ("twist", f"twist {'1' * 300} = 1\ntwist {'1' * 300} = 1\n",
      "duplicate twist for label <300 digits>"),
     ("word", f"{'x' * 300}\n", "unknown generator a token of 300 characters"),
+    ("category", f"object x\nhom x x {'u' * 300}\n"
+     + f"compose {'u' * 300} {'u' * 300} = 1*{'u' * 300}\n" * 2,
+     "duplicate compose entry (a token of 300 characters,"
+     "a token of 300 characters)"),
 ], ids=["index-4000", "index-100", "index-101", "negative-index",
         "not-an-integer", "not-a-rational", "rational-100", "negative-N",
-        "directive", "basis-element", "genus", "twist-label", "generator"])
+        "directive", "basis-element", "genus", "twist-label", "generator",
+        "duplicate-compose"])
 def test_no_error_quotes_more_than_max_header_digits_of_a_token(
         unlimited_int_digits, kind, text, reason):
     with pytest.raises(ParseError) as err:
         parse(kind, text)
     assert err.value.reason == reason
     assert len(err.value.reason) < formats.MAX_HEADER_DIGITS + 50
+
+
+LONG_NAME = "b" * 4000
+
+
+# the texts of errors that `categories` and `surfaces` raise and the
+# parser passes on; a name or value up to MAX_HEADER_DIGITS characters is
+# printed as it is
+@pytest.mark.parametrize("kind, text, reason", [
+    ("category", f"object x\nobject y\nhom x y {LONG_NAME}\nhom x x ix\n"
+     f"hom y y iy\nidentity x = 1*ix\nidentity y = 1*iy\n"
+     f"compose {LONG_NAME} {LONG_NAME} = 1*{LONG_NAME}\n",
+     "compose(a token of 4000 characters,a token of 4000 characters): "
+     "not composable (a token of 4000 characters: x->y, a token of 4000 "
+     "characters: x->y)"),
+    ("twist", f"twist 0 = zeta(-{'1' * 4000},1)\n",
+     "root-of-unity order -<4000 digits> must be >= 1"),
+    ("twist", f"twist 0 = zeta(-{'1' * 100},1)\n",
+     f"root-of-unity order -{'1' * 100} must be >= 1"),
+    ("twist", "twist 0 = zeta(0,1)\n", "root-of-unity order 0 must be >= 1"),
+], ids=["not-composable", "zeta-4000", "zeta-100", "zeta-0"])
+def test_library_errors_name_a_long_token_by_its_length(kind, text, reason):
+    start = time.perf_counter()
+    with pytest.raises(SemanticError) as err:
+        parse(kind, text)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.reason == reason
 
 
 def test_negative_coefficient_rejected_with_line():
