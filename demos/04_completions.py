@@ -11,8 +11,7 @@ trace-form semisimplicity test, and separability idempotents.
 
 from fractions import Fraction
 
-from verlinde.categories import (field_category, indecomposable_objects,
-                                 iso_classes, karoubi_completion,
+from verlinde.categories import (field_category, karoubi_completion,
                                  karoubi_object_name, mat_completion,
                                  matrix_algebra_category, validate_category)
 from verlinde.tqft import (cyclic_table, dual_numbers_algebra, group_algebra,
@@ -37,8 +36,17 @@ split = karoubi_object_name("x", (1, 0, 0, 0))
 print("\nKaroubi completion of Mat_2(k):", len(kar.objects), "objects")
 print("  End of the split object", split, "has dimension",
       kar.hom_dim(split, split))
-classes = iso_classes(kar, indecomposable_objects(kar))
-print("  indecomposables fall into", len(classes), "isomorphism class(es)")
+# An object whose End is k is indecomposable, since a field has no
+# proper idempotent.  Basis morphisms f and g between two of them that
+# compose to the identities both ways certify that they are isomorphic.
+simple = [p for p in kar.objects if kar.hom_dim(p, p) == 1]
+print("  objects with End = k:", len(simple), "of", len(kar.objects))
+other = karoubi_object_name("x", (0, 0, 0, 1))
+(f,), (g,) = kar.hom(split, other), kar.hom(other, split)
+f, g = kar.morphism(split, other, {f: 1}), kar.morphism(other, split, {g: 1})
+print(f"  {split} ~ {other}: g f = id is",
+      kar.compose(g, f) == kar.identity(split), "and f g = id is",
+      kar.compose(f, g) == kar.identity(other))
 
 # The triple law in action: embed diag(1,0) as a retract of the identity.
 ident = ("x", tuple(mat2.identity_coeffs("x").get(b, Fraction(0))

@@ -88,9 +88,6 @@ __all__ = [
     "MAX_KAROUBI_CANDIDATES",
     "MAX_COMPLETION_OBJECTS",
     "tensor_product",
-    "character_vector",
-    "iso_classes",
-    "indecomposable_objects",
     "Algebra",
     "trace_form_semisimple",
     "verify_separability_idempotent",
@@ -977,40 +974,3 @@ def tensor_product(a: PresentedCategory,
         [obj_name[pair] for pair in objects], hom, rows, a._den * b._den,
         identities, checked=False)
 
-
-# ---------------------------------------------------------------------------
-# desk-scale equivalence helpers
-
-
-def character_vector(cat: PresentedCategory, obj: str) -> tuple:
-    """Traces of right composition by every endo basis element on hom(-, obj).
-
-    Two objects of a semisimple presented category are isomorphic
-    exactly when their character vectors agree; this is the desk-scale
-    stand-in for an isomorphism search.
-    """
-    return tuple(sum((cat.compose_basis(m, b).get(m, 0)
-                      for m in cat.hom(q, obj)), Fraction(0))
-                 for q in cat.objects for b in cat.hom(q, q))
-
-
-def iso_classes(cat: PresentedCategory, objects=None) -> list[list[str]]:
-    """Group objects by character vector (exact for semisimple categories)."""
-    groups: dict[tuple, list[str]] = {}
-    for obj in (objects if objects is not None else cat.objects):
-        groups.setdefault(character_vector(cat, obj), []).append(obj)
-    return [groups[k] for k in sorted(groups)]
-
-
-def indecomposable_objects(cat: PresentedCategory,
-                           grid=DEFAULT_GRID) -> list[str]:
-    """Nonzero objects with no proper grid idempotent in their endo algebra."""
-    out = []
-    for obj in cat.objects:
-        ident = tuple(cat.identity_coeffs(obj).get(b, 0)
-                      for b in cat.hom(obj, obj))
-        if any(ident) and not any(
-                any(e) and e != ident
-                for e in karoubi_idempotents(cat, obj, grid)):
-            out.append(obj)
-    return out

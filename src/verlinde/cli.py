@@ -115,6 +115,8 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    if args.genus is None and not args.surfaces:
+        raise _CliError("dim: pass --genus or --surfaces")
     doc = _load(args.ring, "fusion", args.kind)
     table = (_load(args.surfaces, "surface-list").payload
              if args.surfaces else {})
@@ -139,8 +141,6 @@ def _cmd_dim(args) -> int:
             report = surfaces.verify_gluing_consistency(
                 ring, surface, trials=args.trials, seed=args.seed)
             ok = _print_report(report, f"gluing.{name}", args.machine) and ok
-    if args.genus is None and not args.surfaces:
-        raise _CliError("dim: pass --genus or --surfaces")
     return 0 if ok else 1
 
 

@@ -122,11 +122,6 @@ def check_nontriviality(ring: FusionRing) -> bool:
     return any(ring.dual[b] in ring.unit for b in ring.unit)
 
 
-def sphere_dim(ring: FusionRing) -> int:
-    """Dimension attached to the sphere: pairings among unit components."""
-    return sum(1 for b in ring.unit for c in ring.unit if ring.dual[b] == c)
-
-
 # ---------------------------------------------------------------------------
 # gluing consistency
 

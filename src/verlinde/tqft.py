@@ -37,15 +37,16 @@ Comultiplication is never user input: it is the adjoint of the
 multiplication under the pairing.
 
 The derived data (pairing, its inverse, comultiplication, handle
-element, the integer rows of multiplication by the handle and their
-squares, and the generator tables of words) is a function of the
-structure constants, unit and counit, not of the basis names.  So it
-is computed once per structure, in a `_Derived` record that every
-equal `FrobeniusAlgebra` shares: `_derived_record` keys it by the
-integer forms and keeps the `DERIVED_RECORDS` most recently used
-records.  A record holds no algebra, and an algebra looks its record up
-on its first read of derived data, so parsing looks up nothing; the
-checks and every word are still evaluated on every call.
+element, the integer rows of multiplication by the handle, and the
+generator tables of words) is a function of the structure constants,
+unit and counit, not of the basis names.  So it is computed once per
+structure, in a `_Derived` record that every equal `FrobeniusAlgebra`
+shares: `_derived_record` keys it by the integer forms and keeps the
+`DERIVED_RECORDS` most recently used records.  A record holds no
+algebra and no power of the handle action, so its size does not depend
+on the genera asked; an algebra looks its record up on its first read
+of derived data, so parsing looks up nothing; the checks and every word
+are still evaluated on every call.
 Products, the derived data, genus invariants, word evaluation,
 random basis changes and their action (one integer conjugation of the
 structure constants) run on integer forms, the planes of `mult` and
@@ -265,13 +266,12 @@ class FrobeniusAlgebra(Algebra):
     """A unital `Algebra` plus a counit functional eps.
 
     The pairing, its inverse, the comultiplication, the handle element,
-    the handle's integer action and its squares and the word generator
-    tables are read from the `_Derived` record of the algebra's
-    structure, which every equal algebra shares; the record is looked up
-    on the first such read and kept on the object, outside equality and
-    hashing.  The squares and the tables grow in place as genera and
-    generators are asked for, and each entry is still a function of the
-    structure alone.  A degenerate pairing raises
+    the handle's integer action and the word generator tables are read
+    from the `_Derived` record of the algebra's structure, which every
+    equal algebra shares; the record is looked up on the first such read
+    and kept on the object, outside equality and hashing.  The tables
+    fill in place as generators are asked for, and each entry is still a
+    function of the structure alone.  A degenerate pairing raises
     `DegeneratePairingError` on every request.
     """
 
@@ -296,7 +296,6 @@ class FrobeniusAlgebra(Algebra):
     _handle_integers = property(attrgetter("_derived.handle_integers"))
     _handle = property(attrgetter("_derived.handle"))
     _handle_action = property(attrgetter("_derived.handle_action"))
-    _handle_squares = property(attrgetter("_derived.handle_squares"))
     _word_tables = property(attrgetter("_derived.word_tables"))
 
 
@@ -358,14 +357,6 @@ class _Derived:
         return Matrix.from_integers(
             [combine_rows(w, plane) for plane in self.planes],
             self.dt * dw).integer_form
-
-    @cached_property
-    def handle_squares(self) -> list:
-        """[A, A^2, A^4, ...] for A the integer handle action (the rows
-        of `handle_action`): `power_apply` extends it in place, so each
-        square is built once for all the genus invariants asked of the
-        structure."""
-        return [self.handle_action[0]]
 
     @cached_property
     def word_tables(self) -> dict:
@@ -480,15 +471,15 @@ def genus_invariant(algebra: FrobeniusAlgebra, genus: int) -> Fraction:
 
     Matrix products associate, so u . (A^genus * eps) is the in-order
     product 1 w ... w also off associativity.  The squares of A are
-    kept in the structure's record, so later calls on any equal algebra
-    reuse them."""
+    built afresh on each call and dropped when it returns, so the
+    structure's record keeps nothing that grows with the genus."""
     if genus < 0:
         raise ValueError(f"negative genus {genus}")
     (u, eps), den = scale_to_integers((algebra.unit, algebra.counit))
     if not genus:
         return Fraction(sum(map(mul, u, eps)), den * den)
-    column = power_apply(algebra._handle_squares, genus, eps)
-    da = algebra._handle_action[1]
+    act, da = algebra._handle_action
+    column = power_apply([act], genus, eps)
     return Fraction(sum(map(mul, u, column)), den * den * da ** genus)
 
 

@@ -14,12 +14,11 @@ from oracles import (associativity_failures, s3_cayley_table,
                      separability_entries, trace_form_gram)
 from verlinde.categories import (CategoryFormatError, DEFAULT_GRID,
                                  KaroubiCategory, PresentedCategory,
-                                 character_vector, field_category,
-                                 indecomposable_objects, iso_classes,
-                                 karoubi_completion, karoubi_idempotents,
-                                 karoubi_object_name, mat_completion,
-                                 matrix_algebra_category, one_object_category,
-                                 tensor_product, validate_category)
+                                 field_category, karoubi_completion,
+                                 karoubi_idempotents, karoubi_object_name,
+                                 mat_completion, matrix_algebra_category,
+                                 one_object_category, tensor_product,
+                                 validate_category)
 from verlinde.tqft import (Algebra, cyclic_table, dual_numbers_algebra,
                            field_algebra, group_algebra,
                            group_separability_idempotent, matrix_algebra,
@@ -466,44 +465,60 @@ def test_karoubi_explicit_idempotent_list():
     assert validate_category(completed).ok
 
 
+def _simple_objects(cat) -> list[str]:
+    """The objects whose End is k: one basis element, so End is a field
+    and the object is indecomposable."""
+    return [p for p in cat.objects if cat.hom_dim(p, p) == 1]
+
+
+def _is_unit_multiple(cat, p, x) -> bool:
+    """Whether x is c id_p for some c != 0."""
+    ident = cat.identity_coeffs(p)
+    c = x.get(next(iter(ident)), 0) / next(iter(ident.values()))
+    return c != 0 and x == {b: c * v for b, v in ident.items()}
+
+
+def _isomorphic(cat, p, q) -> bool:
+    """An exact certificate either way for simple objects p and q:
+    hom(p, q) = 0 rules an isomorphism out, and basis elements f, g of
+    one-dimensional hom(p, q) and hom(q, p) with g f = c id_p and
+    f g = c' id_q, c, c' != 0, make f one."""
+    if not cat.hom(p, q):
+        return False
+    (f,), (g,) = cat.hom(p, q), cat.hom(q, p)
+    assert _is_unit_multiple(cat, p, cat.compose_basis(g, f))
+    assert _is_unit_multiple(cat, q, cat.compose_basis(f, g))
+    return True
+
+
 def test_double_karoubi_preserves_indecomposables_and_hom_dims():
-    for base in (field_category(),
-                 product_field_algebra(2).to_category()):
+    def summary(cat):
+        reps = []
+        for p in _simple_objects(cat):
+            if not any(_isomorphic(cat, r, p) for r in reps):
+                reps.append(p)
+        return len(reps), sorted(cat.hom_dim(a, b) for a in reps for b in reps)
+
+    for base, classes in (
+            (field_category(), (1, [1])),
+            (product_field_algebra(2).to_category(), (2, [0, 0, 1, 1]))):
         once = karoubi_completion(base)
         assert validate_category(once).ok
         twice = karoubi_completion(once)
         assert validate_category(twice).ok
-
-        def summary(cat):
-            classes = iso_classes(cat, indecomposable_objects(cat))
-            reps = [c[0] for c in classes]
-            dims = sorted(cat.hom_dim(a, b) for a in reps for b in reps)
-            return len(classes), dims
-
-        assert summary(once) == summary(twice)
-
-
-def test_character_vectors_separate_the_k2_idempotents():
-    cat = product_field_algebra(2).to_category()
-    completed = karoubi_completion(cat)
-    e1 = completed.object_of(("x", (Fraction(1), Fraction(0))))
-    e2 = completed.object_of(("x", (Fraction(0), Fraction(1))))
-    both = completed.object_of(("x", (Fraction(1), Fraction(1))))
-    assert character_vector(completed, e1) != character_vector(completed, e2)
-    classes = iso_classes(completed, indecomposable_objects(completed))
-    assert len(classes) == 2
-    assert both not in itertools.chain.from_iterable(classes)
+        assert summary(once) == summary(twice) == classes
 
 
 def test_mat2_karoubi_rank_one_objects_are_one_class():
-    cat = matrix_algebra_category(2)
-    completed = karoubi_completion(cat)
-    indec = indecomposable_objects(completed)
-    classes = iso_classes(completed, indec)
-    assert len(classes) == 1
-    assert len(classes[0]) == 15  # the grid's rank-one idempotents
-    rep = classes[0][0]
-    assert completed.hom_dim(rep, rep) == 1
+    completed = karoubi_completion(matrix_algebra_category(2))
+    assert len(completed.objects) == 17
+    simple = _simple_objects(completed)
+    assert len(simple) == 15  # the grid's rank-one idempotents
+    for p, q in itertools.combinations(simple, 2):
+        assert _isomorphic(completed, p, q)
+    # the other two are the zero object and the identity's, End = M_2
+    assert sorted(completed.hom_dim(p, p) for p in completed.objects
+                  if p not in simple) == [0, 4]
 
 
 # ---------------------------------------------------------------------------

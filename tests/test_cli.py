@@ -201,6 +201,21 @@ def test_exit_status_two_on_missing_flags(run):
     assert "pass --genus or --surfaces" in err
 
 
+def test_missing_dim_flags_are_refused_before_the_ring_is_read(
+        run, tmp_path, monkeypatch):
+    # s3rep.fusion without N 2 2 1 1 fails six axiom equations; the usage
+    # error must still come first, with no axiom failure printed
+    text = (corpus.corpus_dir() / "s3rep.fusion").read_text(encoding="utf-8")
+    assert "N 2 2 1 1\n" in text
+    (tmp_path / "broken.fusion").write_text(
+        text.replace("N 2 2 1 1\n", ""), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run("dim", "broken.fusion")
+    assert (code, out) == (2, "")
+    assert err == "error: dim: pass --genus or --surfaces\n"
+    assert run("dim", "--genus", "1", "broken.fusion")[0] == 1
+
+
 def test_unknown_extension_requires_kind(run, tmp_path, monkeypatch):
     f = tmp_path / "ring.data"
     f.write_text("rank 1\ndual 0 0\nunit 0\nN 0 0 0 1\n", encoding="utf-8")

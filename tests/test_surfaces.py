@@ -22,8 +22,8 @@ from verlinde.surfaces import (ColouredSurface, Twist, TwistData,
                                _handle_squares,
                                check_nontriviality, dim_V, dim_V_disjoint,
                                modular_report, render_report_machine,
-                               render_report_text, sphere_dim,
-                               validate_twists, verify_gluing_consistency)
+                               render_report_text, validate_twists,
+                               verify_gluing_consistency)
 
 S = ColouredSurface
 
@@ -400,14 +400,12 @@ def test_nontriviality_flags():
         dual=(1, 0), unit=(0,),
         table=z2.table)
     assert not check_nontriviality(weird)
-    assert sphere_dim(weird) == 0
 
 
 def test_sphere_dim_equals_unit_component_count_on_corpus():
     for name in CORPUS_RINGS:
         ring = load(name)
-        assert sphere_dim(ring) == len(ring.unit)
-        assert dim_V(ring, S(0)) == sphere_dim(ring)
+        assert dim_V(ring, S(0)) == len(ring.unit)
 
 
 # ---------------------------------------------------------------------------
